@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ConservativityError
-from ..lf.canonical import canonical_query, subsets_containing
+from ..lf.canonical import Incidence, canonical_query, subsets_containing
 from ..lf.homomorphism import satisfies
 from ..lf.queries import ConjunctiveQuery
 from ..lf.structures import Structure
@@ -82,13 +82,16 @@ def conservativity_report(
     quotiented = prebuilt or quotient(colored.structure, n)
     base_names = colored.base_relations
     source = colored.structure  # queries over Σ see through the colors
+    # One incidence index of the quotient serves the Boolean sentences
+    # and every image's type queries below.
+    index = Incidence(quotiented.structure, base_names)
 
     # Boolean components first: every connected sentence of the quotient
     # with at most m-1 variables must already hold in the source (this
     # is the (♠3) part of a full m-variable query whose y-component is
     # checked per element below).
     for sentence in boolean_type_queries(
-        quotiented.structure, m - 1, relation_names=base_names
+        quotiented.structure, m - 1, relation_names=base_names, index=index
     ):
         if not satisfies(source, sentence):
             return ConservativityReport(
@@ -108,7 +111,7 @@ def conservativity_report(
 
     for image in sorted(fibers, key=str):
         image_queries = type_queries(
-            quotiented.structure, image, m, relation_names=base_names
+            quotiented.structure, image, m, relation_names=base_names, index=index
         )
         for element in sorted(fibers[image], key=str):
             for query in image_queries:

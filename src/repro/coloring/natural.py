@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..lf.canonical import canonical_label
+from ..lf.canonical import Incidence, canonical_label
 from ..lf.structures import Structure
 from ..lf.terms import Constant, Element
 from ..vtdag.predecessors import (
@@ -45,11 +45,12 @@ def lightness_classes(structure: Structure) -> Dict[Element, int]:
     """
     table: Dict[Tuple, int] = {}
     assignment: Dict[Element, int] = {}
+    incidence = Incidence(structure)
     for element in sorted(structure.domain(), key=str):
         if isinstance(element, Constant):
             key: Tuple = ("constant",)
         else:
-            neighbourhood = predecessor_neighbourhood(structure, element)
+            neighbourhood = predecessor_neighbourhood(structure, element, incidence)
             if len(neighbourhood.nonconstant_elements()) <= 7:
                 key = (
                     "nonconstant",
@@ -197,6 +198,7 @@ def naturality_violations(
 
     problems: List[str] = []
     base = colored.base
+    incidence = Incidence(base)
     elements = sorted(base.domain(), key=str)
     for element in elements:
         for ancestor in iterated_predecessors(base, element, m):
@@ -216,9 +218,9 @@ def naturality_violations(
         )
     for lightness, members in sorted(by_lightness.items()):
         reference = members[0]
-        reference_hood = predecessor_neighbourhood(base, reference)
+        reference_hood = predecessor_neighbourhood(base, reference, incidence)
         for other in members[1:]:
-            other_hood = predecessor_neighbourhood(base, other)
+            other_hood = predecessor_neighbourhood(base, other, incidence)
             if isinstance(reference, Constant) != isinstance(other, Constant):
                 problems.append(
                     f"lightness {lightness} mixes constants and non-constants"

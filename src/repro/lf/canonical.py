@@ -14,6 +14,11 @@ Two constructions used throughout the positive-type machinery:
   isomorphisms that fix the constants — used as the *lightness* of a
   color in natural colorings (Definition 14 requires equal lightness to
   imply isomorphic ``C ↾ (P(e) ∪ C_con)``).
+
+Both read a structure through an :class:`Incidence` index — each
+element's facts, built in one pass — so a canonical query or a
+neighbourhood costs the facts of its own elements, not a scan of the
+whole structure.
 """
 
 from __future__ import annotations
@@ -30,12 +35,105 @@ from .terms import Constant, Element, Variable
 FREE_VARIABLE = Variable("y")
 
 
+class Incidence:
+    """Which facts mention each element, for one structure.
+
+    Built in one pass over the structure's public iteration protocol
+    (so every fact-store backend takes the same path), restricted to
+    *relation_names* when given.  The readers below then touch only the
+    facts of the elements they care about, instead of scanning the
+    whole structure once per subset.
+
+    The index is a snapshot: it does not follow later changes to the
+    structure.  Build one per pass (a partition, a report, a coloring)
+    and drop it with the pass.
+
+    Attributes
+    ----------
+    relation_names:
+        The relations the index was restricted to (``None``: all).
+    constants:
+        ``C_con``, the constant elements of the structure's domain.
+    pinned:
+        The facts with no non-constant argument, nullary facts
+        included — the part of the structure that every restriction
+        ``C ↾ (S ∪ C_con)`` keeps whatever S is.
+    """
+
+    __slots__ = ("relation_names", "constants", "pinned", "_facts", "_neighbours")
+
+    def __init__(
+        self,
+        structure: Structure,
+        relation_names: "Optional[Iterable[str]]" = None,
+    ):
+        allowed = frozenset(relation_names) if relation_names is not None else None
+        self.relation_names: "Optional[FrozenSet[str]]" = allowed
+        self.constants: FrozenSet[Constant] = structure.constant_elements()
+        self.pinned: List[Atom] = []
+        self._facts: Dict[Element, List[Atom]] = {}
+        self._neighbours: Dict[Element, List[Element]] = {}
+        for fact in structure:
+            if allowed is not None and fact.pred not in allowed:
+                continue
+            pinned = True
+            for arg in set(fact.args):
+                self._facts.setdefault(arg, []).append(fact)
+                if not isinstance(arg, Constant):
+                    pinned = False
+            if pinned:
+                self.pinned.append(fact)
+
+    @classmethod
+    def of(
+        cls,
+        structure: Structure,
+        relation_names: "Optional[Iterable[str]]" = None,
+        index: "Optional[Incidence]" = None,
+    ) -> "Incidence":
+        """*index* when one is given, else a new index of *structure*.
+
+        A given index must have been built for *relation_names*: reading
+        facts of other relations would change the queries built from it.
+        """
+        if index is None:
+            return cls(structure, relation_names)
+        wanted = frozenset(relation_names) if relation_names is not None else None
+        if index.relation_names != wanted:
+            raise ValueError(
+                "the incidence index was built for other relations "
+                f"({sorted(index.relation_names or ())} vs {sorted(wanted or ())})"
+            )
+        return index
+
+    def facts_of(self, element: Element) -> "Sequence[Atom]":
+        """The facts (of the indexed relations) that mention *element*."""
+        return self._facts.get(element, ())
+
+    def neighbours(self, element: Element) -> List[Element]:
+        """The non-constant elements sharing a fact with *element*, sorted."""
+        found = self._neighbours.get(element)
+        if found is None:
+            found = sorted(
+                {
+                    arg
+                    for fact in self.facts_of(element)
+                    for arg in fact.args
+                    if arg != element and not isinstance(arg, Constant)
+                },
+                key=str,
+            )
+            self._neighbours[element] = found
+        return found
+
+
 def canonical_query(
     structure: Structure,
     elements: Iterable[Element],
     distinguished: Element,
     relation_names: "Optional[Iterable[str]]" = None,
     skip_constant_only: bool = False,
+    index: "Optional[Incidence]" = None,
 ) -> ConjunctiveQuery:
     """The canonical CQ of ``structure ↾ elements`` around *distinguished*.
 
@@ -59,6 +157,11 @@ def canonical_query(
         this: as the paper notes in Section 4, atoms between constants
         are irrelevant because the constant part of the structure is
         unchanged by projections.
+    index:
+        The structure's :class:`Incidence`, built for the same
+        *relation_names*.  Callers that build many canonical queries of
+        one structure pass it so each query reads only the facts of its
+        own elements; without it one is built here.
 
     Returns
     -------
@@ -69,7 +172,7 @@ def canonical_query(
     chosen = set(elements)
     if distinguished not in chosen:
         raise ValueError("distinguished element must belong to the subset")
-    allowed = set(relation_names) if relation_names is not None else None
+    index = Incidence.of(structure, relation_names, index)
 
     table: Dict[Element, object] = {}
     counter = 0
@@ -82,10 +185,19 @@ def canonical_query(
             table[element] = Variable(f"x{counter}")
             counter += 1
 
+    # A fact with a non-constant argument is listed under that argument,
+    # which must itself be chosen; the rest are the pinned facts, kept
+    # only when constant-only atoms are, or when they may mention a
+    # constant distinguished element.
+    candidates: Set[Atom] = set()
+    for element in chosen:
+        if not isinstance(element, Constant):
+            candidates.update(index.facts_of(element))
+    if not skip_constant_only or isinstance(distinguished, Constant):
+        candidates.update(index.pinned)
+
     atoms: List[Atom] = []
-    for fact in structure.facts():
-        if allowed is not None and fact.pred not in allowed:
-            continue
+    for fact in candidates:
         if not all(arg in chosen for arg in fact.args):
             continue
         if skip_constant_only and all(
@@ -135,6 +247,7 @@ def connected_subsets_containing(
     anchor: Element,
     max_size: int,
     relation_names: "Optional[Iterable[str]]" = None,
+    index: "Optional[Incidence]" = None,
 ) -> "Iterable[FrozenSet[Element]]":
     """Connected subsets of the non-constant elements containing *anchor*.
 
@@ -148,18 +261,10 @@ def connected_subsets_containing(
     Uses the standard extension enumeration: a subset is grown only
     through neighbours of its members, and elements already *declined*
     at an earlier branch are excluded, so each subset appears once.
+    Adjacency is read from *index* (built for the same
+    *relation_names*; one is built here when it is omitted).
     """
-    allowed = frozenset(relation_names) if relation_names is not None else None
-
-    def neighbours(element: Element) -> "List[Element]":
-        found = set()
-        for fact in structure.facts_about(element):
-            if allowed is not None and fact.pred not in allowed:
-                continue
-            for arg in fact.args:
-                if arg != element and not isinstance(arg, Constant):
-                    found.add(arg)
-        return sorted(found, key=str)
+    neighbours = Incidence.of(structure, relation_names, index).neighbours
 
     # The anchor itself is always connectable — even when it is a
     # constant: in the canonical query the distinguished element becomes

@@ -5,7 +5,8 @@ partition.  Computing it naively is quadratic in the domain with an
 expensive test per pair; :class:`TypePartition` makes it practical:
 
 * every element's canonical type generators are computed once and
-  cached;
+  cached, all from one incidence index of the structure, so each
+  generator reads only the facts of its own subset;
 * elements are pre-grouped by a cheap invariant (their generator
   *set*, which over-refines nothing: equal types need not mean equal
   generator sets, so groups are then merged by the real ``≡_n`` test);
@@ -16,11 +17,12 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
+from ..lf.canonical import Incidence
 from ..lf.homomorphism import satisfies
 from ..lf.queries import ConjunctiveQuery
 from ..lf.structures import Structure
 from ..lf.terms import Constant, Element
-from .ptype import type_queries
+from .ptype import type_generators
 
 
 class TypePartition:
@@ -59,26 +61,35 @@ class TypePartition:
         self.elements = (
             frozenset(elements) if elements is not None else structure.domain()
         )
-        self._queries: Dict[Element, List[ConjunctiveQuery]] = {}
+        self._index: "Optional[Incidence]" = None
+        self._generators: Dict[Element, Dict[ConjunctiveQuery, ConjunctiveQuery]] = {}
         self._classes: "Optional[List[FrozenSet[Element]]]" = None
         self._class_of: Dict[Element, int] = {}
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _generators_of(
+        self, element: Element
+    ) -> Dict[ConjunctiveQuery, ConjunctiveQuery]:
+        """Cached generators of *element*, keyed by canonical form."""
+        cached = self._generators.get(element)
+        if cached is None:
+            if self._index is None:
+                self._index = Incidence(self.structure, self.relation_names)
+            cached = type_generators(
+                self.structure, element, self.n, self.relation_names, self._index
+            )
+            self._generators[element] = cached
+        return cached
+
     def queries_of(self, element: Element) -> List[ConjunctiveQuery]:
         """Cached canonical type generators of *element*."""
-        cached = self._queries.get(element)
-        if cached is None:
-            cached = type_queries(
-                self.structure, element, self.n, self.relation_names
-            )
-            self._queries[element] = cached
-        return cached
+        return list(self._generators_of(element).values())
 
     def _subsumed(self, left: Element, right: Element) -> bool:
         """``ptp_n(left) ⊆ ptp_n(right)`` using cached generators."""
-        for query in self.queries_of(left):
+        for query in self._generators_of(left).values():
             if not satisfies(self.structure, query, {query.free[0]: right}):
                 return False
         return True
@@ -116,7 +127,7 @@ class TypePartition:
             if e in self.elements
         ]
         for element in chosen:
-            marker = frozenset(q.canonical() for q in self.queries_of(element))
+            marker = frozenset(self._generators_of(element))
             buckets.setdefault(marker, []).append(element)
 
         representatives: List[Tuple[Element, List[Element]]] = []

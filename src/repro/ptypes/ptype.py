@@ -45,6 +45,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..lf.canonical import (
     FREE_VARIABLE,
+    Incidence,
     canonical_query,
     connected_subsets_containing,
 )
@@ -54,11 +55,49 @@ from ..lf.structures import Structure
 from ..lf.terms import Constant, Element
 
 
+def type_generators(
+    structure: Structure,
+    element: Element,
+    n: int,
+    relation_names: "Optional[Iterable[str]]" = None,
+    index: "Optional[Incidence]" = None,
+) -> Dict[ConjunctiveQuery, ConjunctiveQuery]:
+    """The connected canonical generators of ``ptp_n(C, element, Σ)``,
+    keyed by their canonical forms.
+
+    The dict keeps enumeration order, so its values are exactly
+    :func:`type_queries` and its keys their renaming-invariant markers.
+    *index* is the structure's :class:`~repro.lf.canonical.Incidence`
+    over *relation_names*; callers typing many elements of one
+    structure build it once and pass it.
+    """
+    if n < 1:
+        raise ValueError("positive n-types need n >= 1")
+    names = frozenset(relation_names) if relation_names is not None else None
+    index = Incidence.of(structure, names, index)
+    constants = index.constants
+    generators: Dict[ConjunctiveQuery, ConjunctiveQuery] = {}
+    for subset in connected_subsets_containing(
+        structure, element, n, names, index=index
+    ):
+        query = canonical_query(
+            structure,
+            subset | constants,
+            element,
+            relation_names=names,
+            skip_constant_only=True,
+            index=index,
+        )
+        generators.setdefault(query.canonical(), query)
+    return generators
+
+
 def type_queries(
     structure: Structure,
     element: Element,
     n: int,
     relation_names: "Optional[Iterable[str]]" = None,
+    index: "Optional[Incidence]" = None,
 ) -> List[ConjunctiveQuery]:
     """The connected canonical generators of ``ptp_n(C, element, Σ)``.
 
@@ -67,62 +106,44 @@ def type_queries(
     atoms are skipped — the constant part of a structure is unchanged by
     the quotient operations this machinery serves.
     """
-    if n < 1:
-        raise ValueError("positive n-types need n >= 1")
-    names = frozenset(relation_names) if relation_names is not None else None
-    constants = structure.constant_elements()
-    queries: List[ConjunctiveQuery] = []
-    seen = set()
-    for subset in connected_subsets_containing(structure, element, n, names):
-        chosen = set(subset) | set(constants)
-        query = canonical_query(
-            structure,
-            chosen,
-            element,
-            relation_names=names,
-            skip_constant_only=True,
-        )
-        marker = query.canonical()
-        if marker not in seen:
-            seen.add(marker)
-            queries.append(query)
-    return queries
+    return list(
+        type_generators(structure, element, n, relation_names, index).values()
+    )
 
 
 def boolean_type_queries(
     structure: Structure,
     max_variables: int,
     relation_names: "Optional[Iterable[str]]" = None,
+    index: "Optional[Incidence]" = None,
 ) -> List[ConjunctiveQuery]:
     """The connected Boolean sentences of ≤ ``max_variables`` variables
     true in *structure* (canonical generators, deduplicated).
 
     These are the Ψ_i components of the reduction above, and also the
-    exact content of condition (♠3) in Remark 3.
+    exact content of condition (♠3) in Remark 3.  One incidence index
+    (*index*, or one built here) serves every anchor.
     """
     if max_variables < 1:
         return []
     names = frozenset(relation_names) if relation_names is not None else None
-    constants = structure.constant_elements()
-    queries: List[ConjunctiveQuery] = []
-    seen = set()
+    index = Incidence.of(structure, names, index)
+    constants = index.constants
+    sentences: Dict[ConjunctiveQuery, ConjunctiveQuery] = {}
     for anchor in sorted(structure.domain(), key=str):
         for subset in connected_subsets_containing(
-            structure, anchor, max_variables, names
+            structure, anchor, max_variables, names, index=index
         ):
-            chosen = set(subset) | set(constants)
             query = canonical_query(
                 structure,
-                chosen,
+                subset | constants,
                 anchor,
                 relation_names=names,
                 skip_constant_only=True,
+                index=index,
             ).boolean()
-            marker = query.canonical()
-            if marker not in seen:
-                seen.add(marker)
-                queries.append(query)
-    return queries
+            sentences.setdefault(query.canonical(), query)
+    return list(sentences.values())
 
 
 def ptp_contains(
@@ -236,6 +257,4 @@ def ptp_as_query_set(
     may fail, so use :func:`equivalent` for the real comparison.  This
     set is still handy as a cheap pre-partitioning key.
     """
-    return frozenset(
-        q.canonical() for q in type_queries(structure, element, n, relation_names)
-    )
+    return frozenset(type_generators(structure, element, n, relation_names))

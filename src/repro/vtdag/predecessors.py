@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, Iterable, Optional, Set
 
+from ..lf.canonical import Incidence
 from ..lf.structures import Structure
 from ..lf.terms import Constant, Element
 
@@ -54,14 +55,33 @@ def iterated_predecessors(
 
 
 def predecessor_neighbourhood(
-    structure: Structure, element: Element
+    structure: Structure,
+    element: Element,
+    index: "Optional[Incidence]" = None,
 ) -> Structure:
     """The structure ``C ↾ (P(e) ∪ C_con)`` used as a color's lightness.
 
     Definition 14's second condition compares these neighbourhoods up to
-    isomorphism.
+    isomorphism.  Its facts are the pinned facts (those among constants)
+    plus the facts listed under the non-constant members of ``P(e)`` in
+    the structure's :class:`~repro.lf.canonical.Incidence` *index* —
+    pass one to build many neighbourhoods of one structure without
+    rescanning it.
     """
-    elements = set(predecessor_set(structure, element)) | set(
-        structure.constant_elements()
+    index = Incidence.of(structure, None, index)
+    members = predecessor_set(structure, element)
+    elements = {m for m in members if structure.has_element(m)} | index.constants
+    facts = set(index.pinned)
+    for member in members:
+        if not isinstance(member, Constant):
+            facts.update(
+                fact
+                for fact in index.facts_of(member)
+                if all(arg in elements for arg in fact.args)
+            )
+    return type(structure)(
+        facts,
+        domain=elements,
+        signature=structure.signature,
+        strict=structure.strict,
     )
-    return structure.restrict_elements(elements)

@@ -10,19 +10,29 @@ the invariants the audit's locks exist to protect.  (Before the
 locks, ``TermTable.intern`` could hand two elements the same dense id
 from concurrent misses — an id-decode corruption, not just a stale
 stat.)
+
+The positive-type pass holds no shared cache: its incidence index
+lives for one partition or report.  A last test pins that down, so a
+later change that shares an index across requests has to keep many
+threads typing one structure correct.
 """
 
+import sys
 import threading
 
 import pytest
 
-from repro.lf import parse_query, parse_structure, parse_theory
+from repro.coloring import conservativity_report, natural_coloring
+from repro.lf import Null, parse_query, parse_structure, parse_theory
 from repro.lf.plan import PLAN_CACHE, clear_plan_cache, plan_for
 from repro.lf.terms import Constant
+from repro.ptypes import TypePartition, quotient
 from repro.ptypes.bruteforce import clear_type_query_cache, enumerate_type_queries
 from repro.rewriting.subsume import clear_subsume_cache, cq_subsumes
+from repro.skeleton import skeleton
 from repro.store import StoreBackend, ensure_backend
 from repro.store.termtable import TermTable
+from repro.zoo import example1_database, example1_theory
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -204,3 +214,45 @@ class TestTypeQueryMemo:
 
             hammer(worker)
             assert all(found == reference for found in outputs)
+
+
+class TestSharedColoredSkeleton:
+    def test_partitions_and_reports_match_serial(self):
+        """8 threads partition and check one shared colored skeleton
+        (Example 1 at depth 16, η = κ = 3, where some classes merge);
+        each thread's classes, quotient and report must equal the
+        serial run's."""
+        skel = skeleton(example1_database(), example1_theory(), max_depth=16)
+        colored = natural_coloring(skel.structure, 3)
+        interior = {
+            e for e in skel.structure.domain()
+            if not isinstance(e, Null) or e.level <= 13
+        }
+
+        def run():
+            partition = TypePartition(colored.structure, 3, elements=interior)
+            classes = [sorted(map(str, group)) for group in partition.classes()]
+            quotiented = quotient(colored.structure, 3, partition=partition)
+            report = conservativity_report(colored, 3, 3, prebuilt=quotiented)
+            return (
+                classes,
+                sorted(map(str, quotiented.structure.facts())),
+                report.conservative,
+                str(report.witness_query),
+            )
+
+        reference = run()
+        assert len(reference[0]) < len(interior)  # some classes merged
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            for _ in range(ROUNDS):
+                outputs = [None] * THREADS
+
+                def worker(index):
+                    outputs[index] = run()
+
+                hammer(worker)
+                assert all(found == reference for found in outputs)
+        finally:
+            sys.setswitchinterval(interval)
