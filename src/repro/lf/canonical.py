@@ -110,6 +110,27 @@ class Incidence:
         """The facts (of the indexed relations) that mention *element*."""
         return self._facts.get(element, ())
 
+    def facts_among(
+        self, chosen: "Set[Element]", pinned: bool = True
+    ) -> List[Atom]:
+        """The indexed facts whose arguments all lie in *chosen*.
+
+        A fact with a non-constant argument is listed under that
+        argument, which must itself be chosen, so the candidates are the
+        chosen non-constant elements' facts plus, when *pinned* is true,
+        the pinned facts.  With *pinned* false the facts among constants
+        only are left out.
+        """
+        candidates: Set[Atom] = set()
+        for element in chosen:
+            if not isinstance(element, Constant):
+                candidates.update(self.facts_of(element))
+        if pinned:
+            candidates.update(self.pinned)
+        return [
+            fact for fact in candidates if all(arg in chosen for arg in fact.args)
+        ]
+
     def neighbours(self, element: Element) -> List[Element]:
         """The non-constant elements sharing a fact with *element*, sorted."""
         found = self._neighbours.get(element)
@@ -185,21 +206,12 @@ def canonical_query(
             table[element] = Variable(f"x{counter}")
             counter += 1
 
-    # A fact with a non-constant argument is listed under that argument,
-    # which must itself be chosen; the rest are the pinned facts, kept
-    # only when constant-only atoms are, or when they may mention a
-    # constant distinguished element.
-    candidates: Set[Atom] = set()
-    for element in chosen:
-        if not isinstance(element, Constant):
-            candidates.update(index.facts_of(element))
-    if not skip_constant_only or isinstance(distinguished, Constant):
-        candidates.update(index.pinned)
-
+    # The pinned facts matter only when constant-only atoms are kept, or
+    # when they may mention a constant distinguished element.
     atoms: List[Atom] = []
-    for fact in candidates:
-        if not all(arg in chosen for arg in fact.args):
-            continue
+    for fact in index.facts_among(
+        chosen, pinned=not skip_constant_only or isinstance(distinguished, Constant)
+    ):
         if skip_constant_only and all(
             isinstance(arg, Constant) and arg != distinguished for arg in fact.args
         ):

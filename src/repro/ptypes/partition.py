@@ -83,10 +83,6 @@ class TypePartition:
             self._generators[element] = cached
         return cached
 
-    def queries_of(self, element: Element) -> List[ConjunctiveQuery]:
-        """Cached canonical type generators of *element*."""
-        return list(self._generators_of(element).values())
-
     def _subsumed(self, left: Element, right: Element) -> bool:
         """``ptp_n(left) ⊆ ptp_n(right)`` using cached generators."""
         for query in self._generators_of(left).values():

@@ -62,26 +62,17 @@ def predecessor_neighbourhood(
     """The structure ``C ↾ (P(e) ∪ C_con)`` used as a color's lightness.
 
     Definition 14's second condition compares these neighbourhoods up to
-    isomorphism.  Its facts are the pinned facts (those among constants)
-    plus the facts listed under the non-constant members of ``P(e)`` in
-    the structure's :class:`~repro.lf.canonical.Incidence` *index* —
-    pass one to build many neighbourhoods of one structure without
-    rescanning it.
+    isomorphism.  The facts are read from the structure's
+    :class:`~repro.lf.canonical.Incidence` *index* (one is built when it
+    is omitted), so a pass that builds many neighbourhoods of one
+    structure passes one index instead of rescanning the structure per
+    element.  The result is a plain :class:`Structure` whatever the
+    input's fact-store backend: it is small and only read.
     """
     index = Incidence.of(structure, None, index)
-    members = predecessor_set(structure, element)
-    elements = {m for m in members if structure.has_element(m)} | index.constants
-    facts = set(index.pinned)
-    for member in members:
-        if not isinstance(member, Constant):
-            facts.update(
-                fact
-                for fact in index.facts_of(member)
-                if all(arg in elements for arg in fact.args)
-            )
-    return type(structure)(
-        facts,
-        domain=elements,
-        signature=structure.signature,
-        strict=structure.strict,
+    elements = {
+        m for m in predecessor_set(structure, element) if structure.has_element(m)
+    } | index.constants
+    return Structure._from_validated(
+        index.facts_among(elements), elements, structure.signature, structure.strict
     )

@@ -225,7 +225,6 @@ class TestNeighbourhoodOracle:
                     predecessor_set(backend, element) | constants
                 )
                 built = predecessor_neighbourhood(backend, element)
-                assert type(built) is type(backend)
                 assert built == expected
 
 
