@@ -27,7 +27,7 @@ from itertools import permutations, product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .atoms import Atom
-from .queries import ConjunctiveQuery
+from .queries import ConjunctiveQuery, _atom_sort_key, numbered_variables
 from .structures import Structure
 from .terms import Constant, Element, Variable
 
@@ -195,37 +195,45 @@ def canonical_query(
         raise ValueError("distinguished element must belong to the subset")
     index = Incidence.of(structure, relation_names, index)
 
-    table: Dict[Element, object] = {}
-    counter = 0
-    for element in sorted(chosen, key=str):
-        if element == distinguished:
-            table[element] = FREE_VARIABLE
-        elif isinstance(element, Constant):
-            table[element] = element
-        else:
-            table[element] = Variable(f"x{counter}")
-            counter += 1
+    # The distinguished element becomes y, the other non-constant
+    # elements x0, x1, ... in str order; constants stay themselves.
+    table: Dict[Element, object] = {distinguished: FREE_VARIABLE}
+    others = sorted(
+        (e for e in chosen if e != distinguished and not isinstance(e, Constant)),
+        key=str,
+    )
+    table.update(zip(others, numbered_variables("x", len(others))))
 
-    # The pinned facts matter only when constant-only atoms are kept, or
-    # when they may mention a constant distinguished element.
+    # The facts are distinct and the table is injective, so the atoms
+    # are distinct too, and y = c cannot repeat one (c itself maps to
+    # y).  The pinned facts matter only when constant-only atoms are
+    # kept, or when they may mention a constant distinguished element.
+    constant_anchor = isinstance(distinguished, Constant)
+    check_pins = skip_constant_only and constant_anchor
+    anchored = constant_anchor
     atoms: List[Atom] = []
     for fact in index.facts_among(
-        chosen, pinned=not skip_constant_only or isinstance(distinguished, Constant)
+        chosen, pinned=not skip_constant_only or constant_anchor
     ):
-        if skip_constant_only and all(
-            isinstance(arg, Constant) and arg != distinguished for arg in fact.args
+        args = fact.args
+        if check_pins and all(
+            isinstance(arg, Constant) and arg != distinguished for arg in args
         ):
             continue
-        atoms.append(Atom(fact.pred, tuple(table[arg] for arg in fact.args)))
-    if isinstance(distinguished, Constant):
+        terms = tuple(map(table.get, args, args))
+        if not anchored and FREE_VARIABLE in terms:
+            anchored = True
+        atoms.append(Atom(fact.pred, terms))
+    if constant_anchor:
         atoms.append(Atom("=", (FREE_VARIABLE, distinguished)))
-    if not any(FREE_VARIABLE in a.variable_set() for a in atoms):
+    if not anchored:
         # The distinguished element occurs in no selected fact; the type
         # contribution is the trivial query "y exists", which we encode
         # as the empty conjunction with a free variable obtained from a
         # vacuous equality y = y (always true).
         atoms.append(Atom("=", (FREE_VARIABLE, FREE_VARIABLE)))
-    return ConjunctiveQuery(atoms, (FREE_VARIABLE,))
+    atoms.sort(key=_atom_sort_key)
+    return ConjunctiveQuery._from_validated(tuple(atoms), (FREE_VARIABLE,))
 
 
 def subsets_containing(

@@ -10,7 +10,21 @@ existential.
 Queries are immutable; transformations return new queries.  Equality of
 queries is syntactic up to atom-set equality; :meth:`ConjunctiveQuery.canonical`
 produces a representative that is stable under variable renaming, which
-is what the rewriting engine uses for de-duplication.
+is what the rewriting engine and the positive-type generators use for
+de-duplication.
+
+Atoms are kept in one total order (:func:`_atom_sort_key`): predicate,
+then the ``str`` of each argument, then the kind of each argument, so a
+constant and a variable of the same name never leave the order to the
+hash seed.  The canonical form is computed on integer *slots*: the
+query's variables are numbered once, each atom becomes a row of slots,
+and the renaming fixpoint sorts and renumbers those rows until a
+renaming leaves them unchanged (at most four renamings).  The result is
+built once, through a trusted constructor that does not re-sort or
+re-check atoms it already knows to be sorted and unique.  Like any
+first-occurrence normal form it is sound (never merges distinct
+queries) but incomplete (two renamings of one query may still get
+different forms).
 """
 
 from __future__ import annotations
@@ -21,8 +35,37 @@ from .atoms import Atom, atoms_constants, atoms_variables
 from .terms import Constant, Term, Variable
 
 
-def _atom_sort_key(item: Atom) -> Tuple[str, Tuple[str, ...]]:
-    return (item.pred, tuple(str(arg) for arg in item.args))
+def _atom_sort_key(item: Atom) -> Tuple[str, Tuple[str, ...], Tuple[str, ...]]:
+    """The atom order every query keeps: predicate, then the ``str`` of
+    each argument, then (only to break the remaining ties, e.g. ``P(x)``
+    against ``P('x')``) the kind of each argument."""
+    args = item.args
+    return (
+        item.pred,
+        tuple(str(arg) for arg in args),
+        tuple(type(arg).__name__ for arg in args),
+    )
+
+
+#: How many canonical variable names of each stem are prebuilt.
+_PREBUILT_NAMES = 64
+_NAME_TABLES: Dict[str, Tuple[Variable, ...]] = {
+    stem: tuple(Variable(f"{stem}{i}") for i in range(_PREBUILT_NAMES))
+    for stem in ("f", "v", "x")
+}
+
+
+def numbered_variables(stem: str, count: int) -> Tuple[Variable, ...]:
+    """The variables ``stem0, stem1, ...`` up to *count*.
+
+    The canonical stems (``f`` and ``v`` of :meth:`ConjunctiveQuery.canonical`,
+    ``x`` of :func:`repro.lf.canonical.canonical_query`) come from a fixed
+    table; names past its end, and other stems, are made here.
+    """
+    table = _NAME_TABLES.get(stem, ())
+    if count <= len(table):
+        return table[:count]
+    return table + tuple(Variable(f"{stem}{i}") for i in range(len(table), count))
 
 
 class ConjunctiveQuery:
@@ -56,6 +99,25 @@ class ConjunctiveQuery:
             if var not in all_vars:
                 raise ValueError(f"free variable {var} does not occur in the query")
         self._hash = hash((frozenset(self._atoms), self._free))
+
+    @classmethod
+    def _from_validated(
+        cls, atoms: Tuple[Atom, ...], free: Tuple[Variable, ...]
+    ) -> "ConjunctiveQuery":
+        """Build a query from atoms known to be sorted and unique.
+
+        The internal constructions land here (:meth:`canonical`,
+        :meth:`boolean`, :func:`repro.lf.canonical.canonical_query`):
+        they produce *atoms* already unique and in :func:`_atom_sort_key`
+        order, and a *free* tuple of distinct variables that occur in
+        them, so the constructor's sort and checks would be pure
+        overhead.  The hash is the constructor's.
+        """
+        query = object.__new__(cls)
+        query._atoms = atoms
+        query._free = free
+        query._hash = hash((frozenset(atoms), free))
+        return query
 
     # ------------------------------------------------------------------
     # Inspection
@@ -147,7 +209,7 @@ class ConjunctiveQuery:
 
     def boolean(self) -> "ConjunctiveQuery":
         """Existentially close all variables."""
-        return ConjunctiveQuery(self._atoms, ())
+        return ConjunctiveQuery._from_validated(self._atoms, ())
 
     def conjoin(self, other: "ConjunctiveQuery") -> "ConjunctiveQuery":
         """Conjunction of two queries (free variables concatenated,
@@ -180,40 +242,77 @@ class ConjunctiveQuery:
 
         Variables are renamed by first occurrence in the deterministic
         atom order; free variables get names ``f0, f1, ...`` (keeping
-        their declared order), existential ones ``v0, v1, ...``.  Two
-        queries equal up to variable renaming have equal canonical
+        their declared order), existential ones ``v0, v1, ...``.
+        Renaming may change the atom order, which may give another
+        first-occurrence renaming, so the renaming is repeated until it
+        stops changing the atom set (at most four renamings in all).
+
+        The fixpoint runs on integer slots rather than on queries: the
+        variables are numbered once, in the order of the first renaming,
+        each atom becomes a ``(predicate, slots)`` row with the
+        constants after the variables, and a renaming only renumbers
+        the rows.  Rows sort by :func:`_atom_sort_key` of the atoms they
+        stand for, and the result is built once.
+
+        Two queries equal up to variable renaming have equal canonical
         forms *provided* the renaming respects the atom ordering — this
         is a cheap sound (never merges distinct queries) but incomplete
         normal form; the rewriting engine supplements it with
         homomorphic-equivalence checks.
         """
-        mapping: Dict[Variable, Variable] = {}
-        for index, var in enumerate(self._free):
-            mapping[var] = Variable(f"f{index}")
-        counter = 0
+        free = self._free
+        bound = len(free)
+        slot: Dict[object, int] = {var: i for i, var in enumerate(free)}
         for item in self._atoms:
             for arg in item.args:
-                if isinstance(arg, Variable) and arg not in mapping:
-                    mapping[arg] = Variable(f"v{counter}")
-                    counter += 1
-        # Renaming may change the atom sort order, which may enable a
-        # better (smaller) renaming; iterate to a fixpoint.
-        current = self.substitute(mapping)
+                if arg not in slot and isinstance(arg, Variable):
+                    slot[arg] = len(slot)
+        width = len(slot)
+        terms: List[object] = [
+            *numbered_variables("f", bound),
+            *numbered_variables("v", width - bound),
+        ]
+        rows: List[Tuple[str, Tuple[int, ...], Tuple[str, ...]]] = []
+        for item in self._atoms:
+            args = []
+            for arg in item.args:
+                index = slot.get(arg)
+                if index is None:
+                    index = slot[arg] = len(terms)
+                    terms.append(arg)
+                args.append(index)
+            rows.append(
+                (item.pred, tuple(args), tuple(type(arg).__name__ for arg in item.args))
+            )
+        labels = [var.name for var in terms[:width]]
+        labels += [str(term) for term in terms[width:]]
+
+        def row_key(row):
+            return (row[0], tuple(map(labels.__getitem__, row[1])), row[2])
+
+        current = sorted(rows, key=row_key)
         for _ in range(3):
-            mapping = {}
-            for index, var in enumerate(current._free):
-                mapping[var] = Variable(f"f{index}")
-            counter = 0
-            for item in current._atoms:
-                for arg in item.args:
-                    if isinstance(arg, Variable) and arg not in mapping:
-                        mapping[arg] = Variable(f"v{counter}")
-                        counter += 1
-            renamed = current.substitute(mapping)
-            if renamed == current:
+            renumber: Dict[int, int] = {}
+            for _pred, args, _kinds in current:
+                for index in args:
+                    if bound <= index < width and index not in renumber:
+                        renumber[index] = bound + len(renumber)
+            if all(old == new for old, new in renumber.items()):
                 break
-            current = renamed
-        return current
+            renamed = [
+                (pred, tuple(renumber.get(index, index) for index in args), kinds)
+                for pred, args, kinds in current
+            ]
+            if set(renamed) == set(current):
+                break
+            current = sorted(renamed, key=row_key)
+        return ConjunctiveQuery._from_validated(
+            tuple(
+                Atom(pred, tuple(map(terms.__getitem__, args)))
+                for pred, args, _kinds in current
+            ),
+            tuple(terms[:bound]),
+        )
 
     # ------------------------------------------------------------------
     # Identity and presentation

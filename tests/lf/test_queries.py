@@ -1,6 +1,13 @@
 """Unit tests for repro.lf.queries."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
+
+import repro
 
 from repro.lf import (
     ConjunctiveQuery,
@@ -163,6 +170,56 @@ class TestCanonical:
     def test_canonical_idempotent(self):
         q = cq([atom("E", x, y), atom("R", y, z), atom("E", z, x)])
         assert q.canonical() == q.canonical().canonical()
+
+
+#: Prints the atom order, argument kinds included, of queries whose
+#: atoms tie on predicate and argument names: a constant and a variable
+#: named alike, before and after canonical renaming (``'v0'`` and
+#: ``'f0'`` are the names the renaming gives).
+ORDER_SCRIPT = textwrap.dedent(
+    """
+    from repro.lf import Atom, ConjunctiveQuery, Constant, Variable
+
+    x, y = Variable("x"), Variable("y")
+    queries = [
+        ConjunctiveQuery(
+            [Atom("P", (x,)), Atom("P", (Constant("x"),)), Atom("Q", (x, y))]
+        ),
+        ConjunctiveQuery(
+            [Atom("P", (x,)), Atom("P", (Constant("v0"),)), Atom("Q", (x, y))]
+        ),
+        ConjunctiveQuery(
+            [Atom("E", (y, x)), Atom("E", (Constant("f0"), x))], free=(y,)
+        ),
+    ]
+    for query in queries:
+        for form in (query, query.canonical(), query.canonical().boolean()):
+            print([
+                (a.pred, [(type(t).__name__, str(t)) for t in a.args])
+                for a in form.atoms
+            ])
+    """
+)
+
+
+class TestAtomOrder:
+    def test_constant_and_variable_of_one_name_keep_their_order(self):
+        q = cq([atom("P", x), atom("P", Constant("x"))])
+        assert [type(a.args[0]) for a in q.atoms] == [Constant, Variable]
+
+    def test_order_does_not_depend_on_the_hash_seed(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            outputs.append(
+                subprocess.run(
+                    [sys.executable, "-c", ORDER_SCRIPT],
+                    env=env, capture_output=True, text=True, check=True,
+                ).stdout
+            )
+        assert outputs[0].count("\n") == 9
+        assert outputs[0] == outputs[1]
 
 
 class TestUCQ:

@@ -18,12 +18,21 @@ equal the restriction of the whole structure.
 
 Finally, the ``≡_η`` partition and quotient of three Theorem-2 colored
 skeletons are pinned as literals.
+
+:meth:`ConjunctiveQuery.canonical` is checked against the renaming
+fixpoint it replaced, which renames whole queries through
+:meth:`~ConjunctiveQuery.substitute` and the validating constructor: on
+hypothesis queries with free variables, repeated variables, constants,
+equality atoms and no atoms at all, both must give the same atoms in
+the same order, the same free tuple and the same hash.  Constant names
+never coincide with a variable name either side can produce, since the
+atom order of such ties was left to the hash seed before.
 """
 
-from itertools import combinations
+from itertools import combinations, islice, permutations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.chase import ChaseConfig, chase
@@ -79,6 +88,37 @@ def reference_canonical_query(
     return ConjunctiveQuery(atoms, (FREE_VARIABLE,))
 
 
+def reference_canonical(query):
+    """The canonical form by repeated validated substitution."""
+    mapping = {}
+    for index, var in enumerate(query.free):
+        mapping[var] = Variable(f"f{index}")
+    counter = 0
+    for item in query.atoms:
+        for arg in item.args:
+            if isinstance(arg, Variable) and arg not in mapping:
+                mapping[arg] = Variable(f"v{counter}")
+                counter += 1
+    # Renaming may change the atom sort order, which may enable a
+    # better (smaller) renaming; iterate to a fixpoint.
+    current = query.substitute(mapping)
+    for _ in range(3):
+        mapping = {}
+        for index, var in enumerate(current.free):
+            mapping[var] = Variable(f"f{index}")
+        counter = 0
+        for item in current.atoms:
+            for arg in item.args:
+                if isinstance(arg, Variable) and arg not in mapping:
+                    mapping[arg] = Variable(f"v{counter}")
+                    counter += 1
+        renamed = current.substitute(mapping)
+        if renamed == current:
+            break
+        current = renamed
+    return current
+
+
 def reference_connected_subsets(structure, anchor, max_size, relation_names):
     """Every subset of the non-constant elements plus *anchor* that
     contains *anchor*, has at most *max_size* members and is connected
@@ -120,6 +160,42 @@ def structures_with_pins(draw):
     return Structure(pool)
 
 
+#: Variable names, the canonical ones included so that renamings must
+#: be simultaneous; constant names are disjoint from all of them.
+VARIABLE_NAMES = ("x", "y", "z", "u", "f0", "f1", "v0", "v1", "v2")
+CONSTANT_NAMES = ("a", "b", "c")
+ARITIES = {"E": 2, "R": 2, "T": 3, "P": 1, "N": 0}
+PREDICATE_MIXES = (("E",), ("E",), ("E", "R"), ("E", "P"), ("R", "T"), ("E", "N"))
+
+
+@st.composite
+def oracle_queries(draw, constant_names=CONSTANT_NAMES):
+    """Small CQs with 0-2 free variables, repeated variables, constants,
+    equality atoms ``y = c`` and ``y = y``, and zero atoms.
+
+    Most atoms share one or two predicates, so that a renaming often
+    reorders them, which is what makes the fixpoint iterate."""
+    variables = [Variable(name) for name in VARIABLE_NAMES]
+    count = draw(st.sampled_from(range(1, 5)))
+    names = draw(st.lists(st.sampled_from(variables), min_size=count, max_size=count, unique=True))
+    constants = [Constant(name) for name in constant_names]
+    terms = st.sampled_from(names + constants[: draw(st.integers(0, 3))])
+    preds = st.sampled_from(draw(st.sampled_from(PREDICATE_MIXES)))
+    atoms = []
+    for _ in range(draw(st.sampled_from(range(7)))):
+        kind = draw(st.sampled_from(("relation",) * 6 + ("constant", "self")))
+        if kind == "relation":
+            pred = draw(preds)
+            atoms.append(Atom(pred, tuple(draw(terms) for _ in range(ARITIES[pred]))))
+        else:
+            var = draw(st.sampled_from(names))
+            other = draw(st.sampled_from(constants)) if kind == "constant" else var
+            atoms.append(Atom("=", (var, other)))
+    occurring = sorted({arg for item in atoms for arg in item.args if isinstance(arg, Variable)})
+    free = draw(st.lists(st.sampled_from(occurring), max_size=2, unique=True)) if occurring else []
+    return ConjunctiveQuery(atoms, free)
+
+
 @st.composite
 def relation_restrictions(draw):
     if draw(st.booleans()):
@@ -144,8 +220,9 @@ class TestCanonicalQueryOracle:
         )
         for backend in both_backends(structure):
             built = canonical_query(backend, chosen, distinguished, names, skip)
-            assert built == expected
-            assert str(built) == str(expected)
+            assert built.atoms == expected.atoms
+            assert built.free == expected.free
+            assert hash(built) == hash(expected)
 
     def test_nullary_and_constant_facts_are_kept(self):
         a, b, n0, n1 = Constant("a"), Constant("b"), Null(0), Null(1)
@@ -169,6 +246,74 @@ class TestCanonicalQueryOracle:
                 str(canonical_query(backend, {a, b, n0}, n0, relation_names={"P"}))
                 == "(y) <- y = y & P()"
             )
+
+
+class TestCanonicalFormOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(oracle_queries())
+    def test_matches_substitution_fixpoint(self, query):
+        expected = reference_canonical(query)
+        built = query.canonical()
+        assert built.atoms == expected.atoms
+        assert built.free == expected.free
+        assert hash(built) == hash(expected)
+        # What the trusted constructor skipped, the public one confirms.
+        validated = ConjunctiveQuery(built.atoms, built.free)
+        assert validated.atoms == built.atoms
+        assert hash(validated) == hash(built)
+
+    @RELAXED
+    @given(oracle_queries(constant_names=("x", "f0", "v0", "v1")))
+    @example(
+        ConjunctiveQuery([Atom("P", (Variable("u"),)), Atom("P", (Constant("v0"),))])
+    )
+    def test_sorted_as_the_constructor_sorts_ties(self, query):
+        # Constants named like variables tie with them on every key but
+        # the argument kinds; the trusted result must still be in the
+        # order the public constructor gives.
+        built = query.canonical()
+        assert ConjunctiveQuery(built.atoms, built.free).atoms == built.atoms
+
+    @RELAXED
+    @given(oracle_queries())
+    def test_boolean_closure_keeps_order(self, query):
+        closed = query.boolean()
+        assert closed.atoms == query.atoms
+        assert closed.free == ()
+        assert hash(closed) == hash(ConjunctiveQuery(query.atoms, ()))
+
+    def test_needs_three_renamings(self):
+        # Each renaming reorders the R atoms, which renumbers them again:
+        # v1/v2 swap after the first renaming, v2/v3 after the second.
+        w, u, z, y = (Variable(name) for name in "wuzy")
+        query = ConjunctiveQuery(
+            [
+                Atom("E", (w, w)),
+                Atom("R", (u, w)),
+                Atom("R", (w, z)),
+                Atom("R", (z, y)),
+            ]
+        )
+        assert str(query.canonical()) == "E(v0, v0) & R(v0, v1) & R(v1, v2) & R(v3, v0)"
+        assert query.canonical() == reference_canonical(query)
+
+
+    @pytest.mark.parametrize("length, step", [(5, 1), (6, 5)])
+    def test_matches_on_namings_of_a_chain(self, length, step):
+        # E(s, s) & R(s, c1) & R(c1, c2) & ...: depending on the names the
+        # fixpoint takes one to four renamings, and at length 6 some
+        # namings still change at the fourth, where both stop.  Every
+        # naming at length 5, every fifth at length 6.
+        for names in islice(permutations("stuwxyz"[: length + 1]), 0, None, step):
+            v = [Variable(name) for name in names]
+            atoms = [Atom("E", (v[0], v[0]))]
+            atoms += [Atom("R", (v[i], v[i + 1])) for i in range(length)]
+            for free in ((), (v[-1],)):
+                query = ConjunctiveQuery(atoms, free)
+                built, expected = query.canonical(), reference_canonical(query)
+                assert built.atoms == expected.atoms
+                assert built.free == expected.free
+                assert hash(built) == hash(expected)
 
 
 class TestGeneratorOracle:
