@@ -127,9 +127,7 @@ class Incidence:
                 candidates.update(self.facts_of(element))
         if pinned:
             candidates.update(self.pinned)
-        return [
-            fact for fact in candidates if all(arg in chosen for arg in fact.args)
-        ]
+        return [fact for fact in candidates if chosen.issuperset(fact.args)]
 
     def neighbours(self, element: Element) -> List[Element]:
         """The non-constant elements sharing a fact with *element*, sorted."""

@@ -252,7 +252,9 @@ class ConjunctiveQuery:
         each atom becomes a ``(predicate, slots)`` row with the
         constants after the variables, and a renaming only renumbers
         the rows.  Rows sort by :func:`_atom_sort_key` of the atoms they
-        stand for, and the result is built once.
+        stand for, and the result is built once.  A query whose variables
+        already carry the names of the first renaming is its own
+        canonical form and is returned as it is.
 
         Two queries equal up to variable renaming have equal canonical
         forms *provided* the renaming respects the atom ordering — this
@@ -272,6 +274,10 @@ class ConjunctiveQuery:
             *numbered_variables("f", bound),
             *numbered_variables("v", width - bound),
         ]
+        if all(var.name == term.name for var, term in zip(slot, terms)):
+            # The first renaming is the identity, so every later one is
+            # too: the query is its own canonical form.
+            return self
         rows: List[Tuple[str, Tuple[int, ...], Tuple[str, ...]]] = []
         for item in self._atoms:
             args = []
