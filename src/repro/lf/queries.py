@@ -56,13 +56,13 @@ _NAME_TABLES: Dict[str, Tuple[Variable, ...]] = {
 
 
 def numbered_variables(stem: str, count: int) -> Tuple[Variable, ...]:
-    """The variables ``stem0, stem1, ...`` up to *count*.
+    """The variables ``stem0, stem1, ...`` up to *count*, for the
+    canonical stems: ``f`` and ``v`` of :meth:`ConjunctiveQuery.canonical`
+    and ``x`` of :func:`repro.lf.canonical.canonical_query`.
 
-    The canonical stems (``f`` and ``v`` of :meth:`ConjunctiveQuery.canonical`,
-    ``x`` of :func:`repro.lf.canonical.canonical_query`) come from a fixed
-    table; names past its end, and other stems, are made here.
+    They come from a fixed table; names past its end are made here.
     """
-    table = _NAME_TABLES.get(stem, ())
+    table = _NAME_TABLES[stem]
     if count <= len(table):
         return table[:count]
     return table + tuple(Variable(f"{stem}{i}") for i in range(len(table), count))
@@ -245,7 +245,7 @@ class ConjunctiveQuery:
         their declared order), existential ones ``v0, v1, ...``.
         Renaming may change the atom order, which may give another
         first-occurrence renaming, so the renaming is repeated until it
-        stops changing the atom set (at most four renamings in all).
+        leaves the atoms unchanged (at most four renamings in all).
 
         The fixpoint runs on integer slots rather than on queries: the
         variables are numbered once, in the order of the first renaming,
@@ -305,13 +305,13 @@ class ConjunctiveQuery:
                         renumber[index] = bound + len(renumber)
             if all(old == new for old, new in renumber.items()):
                 break
-            renamed = [
-                (pred, tuple(renumber.get(index, index) for index in args), kinds)
-                for pred, args, kinds in current
-            ]
-            if set(renamed) == set(current):
-                break
-            current = sorted(renamed, key=row_key)
+            current = sorted(
+                (
+                    (pred, tuple(renumber.get(index, index) for index in args), kinds)
+                    for pred, args, kinds in current
+                ),
+                key=row_key,
+            )
         return ConjunctiveQuery._from_validated(
             tuple(
                 Atom(pred, tuple(map(terms.__getitem__, args)))
