@@ -205,7 +205,9 @@ def canonical_query(
     # The facts are distinct and the table is injective, so the atoms
     # are distinct too, and y = c cannot repeat one (c itself maps to
     # y).  The pinned facts matter only when constant-only atoms are
-    # kept, or when they may mention a constant distinguished element.
+    # kept, or when they may mention a constant distinguished element;
+    # the other facts all have a non-constant argument, so only that
+    # second case has constant-only atoms to skip.
     constant_anchor = isinstance(distinguished, Constant)
     check_pins = skip_constant_only and constant_anchor
     anchored = constant_anchor
