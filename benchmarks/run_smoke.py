@@ -43,16 +43,6 @@ pays the real deadline/RSS bookkeeping — and once with
 is a median overhead of at most 2% (``bar_pct`` in the payload);
 results must be identical between the modes.
 
-It also writes ``BENCH_store.json``: the fact-store backend scoreboard
-— the interned columnar backend (:mod:`repro.store`) against the dict
-backend on store-level workloads: bulk loading, join-plan scans, the
-copy-then-mutate branching pattern of fc-search, and the
-restriction-heavy flows of ptype computations.  Results are asserted
-equal across backends per workload; the acceptance bar (``bar_x``) is
-a >= 2x columnar speedup on the structural workloads (branching and
-restriction), where COW copies and shared relations beat the dict
-backend's per-fact index rebuilds.
-
 It also writes ``BENCH_resil.json``: the overload-resilience
 scoreboard.  Three tenant connections fire a paced 4x-capacity burst
 of chase requests at a ``repro serve`` instance for a fixed window,
@@ -95,7 +85,6 @@ from repro.chase import (
 from repro.fc import SearchConfig, legacy_search, search_finite_model
 from repro.lf import (
     HOM_STATS,
-    Atom,
     Constant,
     ConjunctiveQuery,
     Variable,
@@ -104,12 +93,10 @@ from repro.lf import (
     clear_plan_cache,
     homomorphisms,
     legacy_homomorphisms,
-    parse_query,
     planner_disabled,
     satisfies,
 )
 from repro.config import OnBudget
-from repro.store import ColumnarStructure
 from repro.rewriting import (
     RewriteConfig,
     clear_subsume_cache,
@@ -137,16 +124,11 @@ HOM_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_hom.json"
 FC_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_fc.json"
 REWRITE_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_rewrite.json"
 GUARD_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_guard.json"
-STORE_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_store.json"
 INCR_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_incr.json"
-
-#: BENCH_store acceptance bar: columnar must be at least this much
-#: faster than dict on the structural workloads (branch, restrict).
-STORE_SPEEDUP_BAR_X = 2.0
 
 #: BENCH_incr acceptance bar: incremental view maintenance must beat
 #: per-batch full rechase by at least this much on the small-delta
-#: streaming workload (``tc-stream``), on both store backends.
+#: streaming workload (``tc-stream``).
 INCR_SPEEDUP_BAR_X = 3.0
 
 SERVE_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
@@ -541,105 +523,6 @@ def guard_entries(full, repeat):
     return entries, overheads
 
 
-def _store_database(nodes, edges):
-    """A multi-predicate database: E edges plus U/V unaries and T triples.
-
-    Mixed predicates and arities, so the branching workload's COW copy
-    has untouched relations to share and the index carries buckets of
-    every shape."""
-    db = random_edges_database(nodes, edges, seed=3)
-    for i in range(nodes):
-        db.add_fact(Atom("U", (Constant(f"v{i}"),)))
-        db.add_fact(Atom("V", (Constant(f"v{(i * 7) % nodes}"),)))
-    for i in range(edges):
-        db.add_fact(Atom("T", (
-            Constant(f"v{i % nodes}"),
-            Constant(f"v{(i * 3) % nodes}"),
-            Constant(f"v{(i * 11) % nodes}"),
-        )))
-    return db
-
-
-def store_entries(full, repeat):
-    """The BENCH_store backend scoreboard: (entries, speedups).
-
-    Each workload runs identically on the dict backend and on the
-    interned columnar backend (same facts, same operations, results
-    asserted equal), and the speedup block reports dict/columnar wall
-    ratios.  The structural workloads — ``branch`` (the copy-then-
-    mutate pattern of every fc-search node) and ``restrict`` (the
-    signature/element restrictions of ptype-style flows) — carry the
-    acceptance bar: the columnar backend's COW copies and shared
-    relations make them cheaper than the dict backend's per-fact index
-    rebuilds, not just faster by a constant."""
-    nodes, edges, branches, restrictions = (
-        (80, 560, 400, 200) if full else (60, 400, 200, 100))
-    base = _store_database(nodes, edges)
-    columnar = ColumnarStructure.from_structure(base)
-    assert columnar == base
-    entries = []
-    speedups = {}
-    scan_query = parse_query(
-        "E(x,y), E(y,z), E(z,w)", free=["x", "w"])
-    probe_query = parse_query("E(x,y), U(y), V(x)")
-    fact_list = base.sorted_facts()
-
-    def bulk_load(make):
-        def run():
-            return len(make(fact_list))
-        return run
-
-    def scan(structure):
-        def run():
-            return sum(1 for _ in homomorphisms(scan_query.atoms, structure))
-        return run
-
-    def branch(structure):
-        def run():
-            satisfied = 0
-            for i in range(branches):
-                child = structure.copy()
-                child.add_fact(Atom("U", (Constant(f"fresh{i}"),)))
-                if satisfies(child, probe_query):
-                    satisfied += 1
-            return satisfied
-        return run
-
-    def restrict(structure):
-        some = sorted(structure.domain(), key=str)[: nodes // 2]
-        def run():
-            kept = 0
-            for _ in range(restrictions):
-                kept += len(structure.restrict_signature(["E", "U"]))
-                kept += len(structure.restrict_elements(some))
-            return kept
-        return run
-
-    workloads = [
-        ("bulk-load", bulk_load(Structure), bulk_load(ColumnarStructure)),
-        ("scan-join", scan(base), scan(columnar)),
-        ("branch", branch(base), branch(columnar)),
-        ("restrict", restrict(base), restrict(columnar)),
-    ]
-    for name, on_dict, on_columnar in workloads:
-        clear_plan_cache()
-        dict_wall, dict_result = timed(on_dict, repeat)
-        clear_plan_cache()
-        columnar_wall, columnar_result = timed(on_columnar, repeat)
-        assert dict_result == columnar_result, (
-            name, dict_result, columnar_result)
-        for backend, wall in (("dict", dict_wall), ("columnar", columnar_wall)):
-            entries.append({
-                "workload": name,
-                "backend": backend,
-                "wall_s": round(wall, 6),
-                "result": dict_result,
-                "facts": len(base),
-            })
-        speedups[name] = round(dict_wall / max(columnar_wall, 1e-9), 2)
-    return entries, speedups
-
-
 def _evolved_bases(database, stream):
     """The base-fact snapshots after each batch of *stream* — what the
     rechase side chases from scratch, batch by batch."""
@@ -662,10 +545,9 @@ def incr_entries(full, repeat):
     deterministic :func:`churn_stream`, so the comparison is exact:
 
     * ``tc-stream`` — transitive closure (datalog, saturating), the
-      acceptance workload, run on both store backends.  Final fact sets
-      are asserted equal (datalog has no nulls, so homomorphic
-      equivalence is plain set equality); the bar (``bar_x``) binds the
-      dict and columnar speedups.
+      acceptance workload.  Final fact sets are asserted equal (datalog
+      has no nulls, so homomorphic equivalence is plain set equality);
+      the bar (``bar_x``) binds its speedup, ``tc_stream_dict``.
     * ``theorem2-stream`` — the Theorem-2 corpus *theories* on
       saturating cycle-core databases.  The corpus databases themselves
       all have divergent chases (there is no fixpoint to maintain), but
@@ -687,8 +569,7 @@ def incr_entries(full, repeat):
     speedups = {}
     theory = transitive_theory()
 
-    def contrast(workload, key, backend, run_incremental, run_rechase,
-                 batches, check):
+    def contrast(workload, key, run_incremental, run_rechase, batches, check):
         incr_wall, view = timed(run_incremental, repeat)
         full_wall, last = timed(run_rechase, repeat)
         check(view, last)
@@ -696,7 +577,6 @@ def incr_entries(full, repeat):
         entries.append({
             "workload": workload,
             "mode": "incremental",
-            "backend": backend,
             "wall_s": round(incr_wall, 6),
             "facts": len(view),
             "updates": batches,
@@ -708,7 +588,6 @@ def incr_entries(full, repeat):
         entries.append({
             "workload": workload,
             "mode": "rechase",
-            "backend": backend,
             "wall_s": round(full_wall, 6),
             "facts": len(last.structure),
             "updates": batches,
@@ -716,35 +595,34 @@ def incr_entries(full, repeat):
         })
         speedups[key] = round(full_wall / max(incr_wall, 1e-9), 2)
 
-    # tc-stream: small-delta churn over a random edge base, both
-    # backends — the acceptance workload.
+    # tc-stream: small-delta churn over a random edge base — the
+    # acceptance workload.
     nodes, edges, batches = (40, 90, 16) if full else (25, 55, 12)
     tc_db = random_edges_database(nodes, edges, seed=42)
     stream = churn_stream(tc_db, batches=batches, delta_size=1,
                           churn=0.5, seed=42)
     bases = _evolved_bases(tc_db, stream)
-    for backend in ("dict", "columnar"):
-        def tc_incremental(backend=backend):
-            view = ChaseView(tc_db, theory, IncrementalConfig(
-                max_depth=None, max_facts=500_000, store=backend))
-            for adds, removes in stream:
-                view.update(adds=adds, removes=removes)
-            return view
 
-        def tc_rechase(backend=backend):
-            result = None
-            for base in bases:
-                result = chase(Structure(base), theory, ChaseConfig(
-                    max_depth=None, max_facts=500_000, store=backend))
-            return result
+    def tc_incremental():
+        view = ChaseView(tc_db, theory, IncrementalConfig(
+            max_depth=None, max_facts=500_000))
+        for adds, removes in stream:
+            view.update(adds=adds, removes=removes)
+        return view
 
-        def tc_check(view, last):
-            assert view.saturated and last.saturated
-            assert view.facts() == last.structure.facts()
+    def tc_rechase():
+        result = None
+        for base in bases:
+            result = chase(Structure(base), theory, ChaseConfig(
+                max_depth=None, max_facts=500_000))
+        return result
 
-        contrast(f"tc-stream-{nodes}n{edges}e-b{batches}",
-                 f"tc_stream_{backend}", backend,
-                 tc_incremental, tc_rechase, batches, tc_check)
+    def tc_check(view, last):
+        assert view.saturated and last.saturated
+        assert view.facts() == last.structure.facts()
+
+    contrast(f"tc-stream-{nodes}n{edges}e-b{batches}", "tc_stream_dict",
+             tc_incremental, tc_rechase, batches, tc_check)
 
     # theorem2-stream: corpus theories on saturating cycle cores.
     cycle_n = 36 if full else 24
@@ -826,7 +704,7 @@ def incr_entries(full, repeat):
             assert ours == theirs, (name, ours, theirs)
 
         short = name.split("/")[0]
-        contrast(f"theorem2-stream-{short}", f"theorem2_{short}", "dict",
+        contrast(f"theorem2-stream-{short}", f"theorem2_{short}",
                  t2_incremental, t2_rechase, t2_batches, t2_check)
 
     # the ≥5x small-delta target is read on the corpus aggregate
@@ -857,7 +735,7 @@ def incr_entries(full, repeat):
         assert view.saturated and last.saturated
         assert view.facts() == last.structure.facts()
 
-    contrast(f"batch-load-{len(bulk)}adds", "batch_load", "dict",
+    contrast(f"batch-load-{len(bulk)}adds", "batch_load",
              load_incremental, load_rechase, 1, load_check)
 
     return entries, speedups
@@ -1177,7 +1055,6 @@ def main(argv=None):
     parser.add_argument("--fc-output", type=Path, default=FC_OUTPUT)
     parser.add_argument("--rewrite-output", type=Path, default=REWRITE_OUTPUT)
     parser.add_argument("--guard-output", type=Path, default=GUARD_OUTPUT)
-    parser.add_argument("--store-output", type=Path, default=STORE_OUTPUT)
     parser.add_argument("--incr-output", type=Path, default=INCR_OUTPUT)
     parser.add_argument("--serve-output", type=Path, default=SERVE_OUTPUT)
     parser.add_argument("--resil-output", type=Path, default=RESIL_OUTPUT)
@@ -1315,23 +1192,6 @@ def main(argv=None):
         print(f"guard overhead, {name}: {pct}% "
               f"(bar: {GUARD_OVERHEAD_BAR_PCT}%)")
     print(f"wrote {args.guard_output}")
-
-    store_entry_list, store_speedups = store_entries(args.full, args.repeat)
-    store_payload = {
-        "mode": "full" if args.full else "reduced",
-        "repeat": args.repeat,
-        "bar_x": STORE_SPEEDUP_BAR_X,
-        "entries": store_entry_list,
-        "speedups": store_speedups,
-    }
-    args.store_output.write_text(
-        json.dumps(store_payload, indent=2, sort_keys=True) + "\n")
-    for entry in store_entry_list:
-        print(f"{entry['workload']:>34} {entry['backend']:>20} "
-              f"{entry['wall_s'] * 1000:9.2f} ms  result={entry['result']}")
-    for name, factor in store_speedups.items():
-        print(f"dict/columnar speedup, {name}: {factor}x")
-    print(f"wrote {args.store_output}")
 
     incr_entry_list, incr_speedups = incr_entries(args.full, args.repeat)
     incr_payload = {

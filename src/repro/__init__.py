@@ -26,9 +26,8 @@ executable reproduction of every example in the paper.
 """
 
 from . import chase, classes, coloring, core, fc, lf, ptypes, rewriting
-from . import skeleton, store, transforms, vtdag, zoo
+from . import skeleton, transforms, vtdag, zoo
 from .config import BudgetedConfig, OnBudget
-from .store import ColumnarStructure, StoreBackend, ensure_backend
 from .lf import (
     Atom,
     ConjunctiveQuery,
@@ -52,14 +51,12 @@ __version__ = "1.0.0"
 __all__ = [
     "Atom",
     "BudgetedConfig",
-    "ColumnarStructure",
     "ConjunctiveQuery",
     "Constant",
     "Null",
     "OnBudget",
     "Rule",
     "Signature",
-    "StoreBackend",
     "Structure",
     "Theory",
     "UnionOfConjunctiveQueries",
@@ -68,7 +65,6 @@ __all__ = [
     "classes",
     "coloring",
     "core",
-    "ensure_backend",
     "fc",
     "lf",
     "parse_facts",
@@ -79,7 +75,6 @@ __all__ = [
     "ptypes",
     "rewriting",
     "skeleton",
-    "store",
     "transforms",
     "vtdag",
     "zoo",

@@ -64,7 +64,6 @@ from ..lf.plan import HOM_STATS
 from ..lf.rules import Rule, Theory
 from ..lf.structures import Structure
 from ..lf.terms import Element, Null, NullFactory, Variable
-from ..store import ensure_backend
 from .provenance import DEFAULT_MAX_SUPPORTS, SupportStore
 from .results import ChaseResult
 from .seminaive import _delta_bindings
@@ -476,8 +475,7 @@ def chase(
         config = ChaseConfig()
     config = config.with_overrides(**overrides)
 
-    # the working copy doubles as the backend-conversion point
-    working = ensure_backend(database, config.resolved_store())
+    working = database.copy()
     nulls = NullFactory.above(working.domain())
     fact_level: Dict[Atom, int] = {fact: 0 for fact in working.facts()}
     new_elements: List[Null] = []

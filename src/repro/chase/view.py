@@ -157,9 +157,7 @@ class ChaseView:
     Parameters
     ----------
     database:
-        The initial base facts (any :class:`~repro.lf.structures.Structure`
-        backend; the view converts per ``config.store`` and never
-        mutates the input).
+        The initial base facts (the view never mutates the input).
     theory:
         The TGD theory the view stays closed under.
     config:

@@ -120,12 +120,11 @@ def _emit_json(payload: Dict[str, Any], exit_code: int) -> int:
 
 
 def _guard_overrides(args) -> Dict[str, Any]:
-    """The shared config fields from the global CLI flags (runtime
-    guards plus the fact-store backend)."""
+    """The shared config fields from the global CLI flags (the runtime
+    guards)."""
     return {
         "wall_ms": args.wall_ms,
         "max_rss_mb": args.max_rss_mb,
-        "store": args.store,
     }
 
 
@@ -445,7 +444,6 @@ def _cmd_serve(args) -> int:
         admission_disabled=args.no_admission,
         wall_ms=wall_ms,
         max_rss_mb=args.max_rss_mb,
-        store=args.store,
     )
 
     def announce(server) -> None:
@@ -496,11 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-rss-mb", type=float, default=argparse.SUPPRESS, metavar="MB",
         help="soft peak-RSS ceiling: stop cooperatively when crossed",
     )
-    global_flags.add_argument(
-        "--store", choices=["dict", "columnar"], default=argparse.SUPPRESS,
-        help="fact-store backend (default: $REPRO_STORE, else keep the "
-             "input's backend)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -523,8 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--wall-ms", type=float, default=None,
                         help=argparse.SUPPRESS)
     parser.add_argument("--max-rss-mb", type=float, default=None,
-                        help=argparse.SUPPRESS)
-    parser.add_argument("--store", choices=["dict", "columnar"], default=None,
                         help=argparse.SUPPRESS)
     commands = parser.add_subparsers(dest="command", required=True)
 

@@ -45,8 +45,6 @@ import warnings
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Optional, Type, TypeVar
 
-from .store.backend import StoreBackend, resolve_backend
-
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime.guard import CancelToken, Deadline
 
@@ -162,14 +160,6 @@ class BudgetedConfig:
         inactive guard).  The ablation switch for the
         ``BENCH_guard.json`` overhead measurement — not meant for
         production configs.
-    store:
-        Fact-store backend the engine should run on
-        (:class:`~repro.store.StoreBackend`, or ``"dict"`` /
-        ``"columnar"``).  ``None`` (the default) defers to the
-        ``REPRO_STORE`` environment variable and, failing that,
-        inherits the input structure's backend unchanged.  Engines
-        apply it via :func:`repro.store.ensure_backend` when they take
-        their working copy of the input.
     """
 
     on_budget: OnBudget = OnBudget.RETURN
@@ -177,13 +167,10 @@ class BudgetedConfig:
     max_rss_mb: "Optional[float]" = None
     cancel_token: "Optional[CancelToken]" = None
     guards_disabled: bool = False
-    store: "Optional[StoreBackend]" = None
     deadline: "Optional[Deadline]" = None
 
     def __post_init__(self) -> None:
         self.on_budget = OnBudget.coerce(self.on_budget)
-        if self.store is not None:
-            self.store = coerce_enum(self.store, StoreBackend, "store")
         if self.deadline is not None and not hasattr(self.deadline, "expired"):
             raise ValueError(
                 f"deadline must be a repro.runtime.Deadline, got "
@@ -193,12 +180,6 @@ class BudgetedConfig:
             raise ValueError(f"wall_ms must be >= 0, got {self.wall_ms}")
         if self.max_rss_mb is not None and self.max_rss_mb <= 0:
             raise ValueError(f"max_rss_mb must be > 0, got {self.max_rss_mb}")
-
-    def resolved_store(self) -> "Optional[StoreBackend]":
-        """The effective backend choice: the explicit ``store`` field,
-        else the ``REPRO_STORE`` environment variable, else ``None``
-        (inherit the input structure's backend)."""
-        return resolve_backend(self.store)
 
     @property
     def should_raise(self) -> bool:

@@ -239,7 +239,6 @@ def build_finite_counter_model(
             "max_rss_mb": config.max_rss_mb,
             "cancel_token": config.cancel_token,
             "guards_disabled": config.guards_disabled,
-            "store": config.store,
         }
 
     for depth in config.chase_depths:

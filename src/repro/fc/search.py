@@ -64,7 +64,6 @@ from ..lf.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 from ..lf.rules import Rule, Theory
 from ..lf.structures import Structure
 from ..lf.terms import Element, NullFactory, Variable
-from ..store import ensure_backend, resolve_backend
 
 #: Stats keys that are wall times — not a pure function of the inputs —
 #: mirroring :data:`repro.chase.stats.TIMING_FIELDS`; stripped by
@@ -447,8 +446,6 @@ def _delta_search(
     started = time.perf_counter()
     stats = SearchStats(engine="delta", heuristic=config.heuristic.value)
     guard = RuntimeGuard.from_config(config, "fc-search")
-    # convert (not copy) here: the root saturation below copies anyway
-    database = ensure_backend(database, config.resolved_store(), copy=False)
 
     def finish(
         model: "Optional[Structure]",
@@ -676,8 +673,6 @@ def legacy_search(
     stats = SearchStats(engine="legacy", heuristic="dfs")
     guard = RuntimeGuard.from_config(config, "fc-search")
     should_raise = config.should_raise if config is not None else False
-    backend = config.resolved_store() if config is not None else resolve_backend()
-    database = ensure_backend(database, backend, copy=False)
     nulls = NullFactory.above(database.domain())
     seen: Set[frozenset] = set()
 

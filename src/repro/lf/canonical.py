@@ -38,8 +38,7 @@ FREE_VARIABLE = Variable("y")
 class Incidence:
     """Which facts mention each element, for one structure.
 
-    Built in one pass over the structure's public iteration protocol
-    (so every fact-store backend takes the same path), restricted to
+    Built in one pass over the structure's facts, restricted to
     *relation_names* when given.  The readers below then touch only the
     facts of the elements they care about, instead of scanning the
     whole structure once per subset.

@@ -278,20 +278,7 @@ class QueryPlan:
         avoided function call is paid back millions of times.  Callers
         must not mutate *structure* while consuming the generator (live
         index views, same contract as the legacy matcher).
-
-        Columnar structures (``structure.is_columnar``) take the
-        int-space probe loop instead: same plan, same bindings, but
-        candidates are row ids compared as machine ints against the
-        interned columns.
         """
-        if structure.is_columnar:
-            return self._bindings_columnar(structure, binding)
-        return self._bindings_dict(structure, binding)
-
-    def _bindings_dict(
-        self, structure: Structure, binding: "Optional[Binding]" = None
-    ) -> Iterator[Binding]:
-        """The dict-backend matcher: probes the Element-keyed buckets."""
         current: Binding = dict(binding) if binding else {}
         steps = self.steps
         total = len(steps)
@@ -387,207 +374,6 @@ class QueryPlan:
             stats.index_probes += probes
             stats.candidates_scanned += scanned
             stats.backtracks += backtracks
-
-    def _bindings_columnar(
-        self, structure: Structure, binding: "Optional[Binding]" = None
-    ) -> Iterator[Binding]:
-        """The columnar matcher: the same plan run in int space.
-
-        The step checksets are translated from elements to interned
-        term ids and memoised on the store's shared ``TermTable``
-        (plans are backend-agnostic, so the translation cannot be
-        precompiled into them; but ids are append-only, so a resolved
-        translation never goes stale and an *unresolvable* one only
-        needs rechecking after the table has grown).  The backtracking
-        loop then iterates the relations' ``(position, id)`` buckets of
-        row-key tuples and compares their already-boxed ints — no
-        Element hashing, no Atom decoding, and no re-boxing out of the
-        ``array('q')`` columns per candidate.  An element-space shadow
-        binding is maintained per bind, so each emitted match is one
-        C-speed dict copy.  The
-        structure's private ``_table`` / ``_rels`` are reached
-        duck-typed to keep this module import-free of
-        :mod:`repro.store`.
-        """
-        table = structure._table  # type: ignore[attr-defined]
-        rels = structure._rels  # type: ignore[attr-defined]
-        orig: Binding = dict(binding) if binding else {}
-        steps = self.steps
-        total = len(steps)
-        if total == 0:
-            yield dict(orig)
-            return
-        ids = table._ids
-        id_of = ids.get
-        elements = table._elements
-
-        # keyed by id(plan), with the plan itself kept in the entry: a
-        # strong ref, so the id cannot be reused while the entry lives
-        # (hashing the deeply-nested plan object per call would cost
-        # more than the translation it memoises)
-        cached = table._plans.get(id(self))
-        if cached is not None and (cached[1] is not None or cached[2] == len(ids)):
-            translated = cached[1]
-        else:
-            # variables become dense *slots* in a plain list: checks
-            # and lookups then index the list — no Variable hashing in
-            # the inner loop.  Stale slots after a backtrack are
-            # harmless: the compiler guarantees a check only reads
-            # variables bound by earlier steps, and every re-descent
-            # rewrites those slots before any deeper check reads them.
-            slot_of: Dict[Variable, int] = {}
-            for var in self.prebound:
-                slot_of.setdefault(var, len(slot_of))
-            for step in steps:
-                for _, var in step.full[3]:
-                    slot_of.setdefault(var, len(slot_of))
-
-            # translate each step's lookups/checksets to id/slot space
-            def to_ids(checkset: CheckSet):
-                consts, checks, sames, binds = checkset
-                id_consts = []
-                for position, element in consts:
-                    vid = id_of(element)
-                    if vid is None:
-                        return None  # constant interned nowhere: unmatchable
-                    id_consts.append((position, vid))
-                return (
-                    tuple(id_consts),
-                    tuple((position, slot_of[var]) for position, var in checks),
-                    sames,
-                    tuple((position, slot_of[var], var) for position, var in binds),
-                )
-
-            tsteps = []
-            for step in steps:
-                full = to_ids(step.full)
-                if full is None:
-                    # some constant has no id anywhere in this store
-                    # family — re-translate only once the table grows
-                    tsteps = None
-                    break
-                variants = tuple(to_ids(variant) for variant in step.variants)
-                lookups = tuple(
-                    (
-                        position,
-                        None if constant is None else id_of(constant),
-                        None if variable is None else slot_of[variable],
-                    )
-                    for position, constant, variable in step.lookups
-                )
-                tsteps.append((step.pred, step.arity, lookups, variants, full))
-            translated = None
-            if tsteps is not None:
-                translated = (tuple(tsteps), tuple(slot_of.items()), len(slot_of))
-            table._plans[id(self)] = (self, translated, len(ids))
-        if translated is None:
-            return  # a step can never match: no bindings at all
-        tsteps, prebound_slots, nslots = translated
-
-        # prebound variables in slot space; -1 (never a valid id) for
-        # elements no fact of this store family mentions.  ``decoded``
-        # is the element-space shadow of the slot list, maintained on
-        # bind/undo so a full match is emitted as one C-speed dict copy
-        # (decoding at yield time costs per match x variable; decoding
-        # at bind time is shared by every match under that prefix).
-        current: List[int] = [-1] * nslots
-        for var, slot in prebound_slots:
-            if var in orig:
-                vid = id_of(orig[var])
-                current[slot] = -1 if vid is None else vid
-        decoded: Binding = orig
-
-        probes = scanned = backtracks = 0
-        iterators: List[Optional[Iterator[Tuple[int, ...]]]] = [None] * total
-        checksets: List[Optional[tuple]] = [None] * total
-        trails: List[List[Variable]] = [[] for _ in range(total)]
-        depth = 0
-        fresh = True
-        try:
-            while depth >= 0:
-                pred, arity, lookups, variants, full = tsteps[depth]
-                trail = trails[depth]
-                if fresh:
-                    rel = rels.get(pred)
-                    probes += 1
-                    if rel is None or rel.arity != arity:
-                        backtracks += 1
-                        depth -= 1
-                        fresh = False
-                        continue
-                    index = rel.index
-                    best = None
-                    best_size = 0
-                    best_idx = -1
-                    empty = False
-                    for idx, (position, const_id, slot) in enumerate(lookups):
-                        value = const_id if slot is None else current[slot]
-                        probes += 1
-                        bucket = index.get((position, value))
-                        size = len(bucket) if bucket is not None else 0
-                        if best is None or size < best_size:
-                            if not size:
-                                empty = True
-                                break
-                            best = bucket
-                            best_size = size
-                            best_idx = idx
-                    if empty:
-                        backtracks += 1
-                        depth -= 1
-                        fresh = False
-                        continue
-                    if best is None:
-                        probes += 1
-                        best = rel.rows
-                        checksets[depth] = full
-                    else:
-                        checksets[depth] = variants[best_idx]
-                    iterators[depth] = iter(best)
-                while trail:
-                    del decoded[trail.pop()]
-                matched = False
-                consts, checks, sames, binds = checksets[depth]  # type: ignore[misc]
-                # candidates are row-key tuples: one tuple index per
-                # test, ints already boxed (shared with the row dict)
-                for key in iterators[depth]:  # type: ignore[union-attr]
-                    scanned += 1
-                    for position, vid in consts:
-                        if key[position] != vid:
-                            break
-                    else:
-                        for position, slot in checks:
-                            if current[slot] != key[position]:
-                                break
-                        else:
-                            for earlier, later in sames:
-                                if key[earlier] != key[later]:
-                                    break
-                            else:
-                                for position, slot, variable in binds:
-                                    vid = key[position]
-                                    current[slot] = vid
-                                    decoded[variable] = elements[vid]
-                                    trail.append(variable)
-                                matched = True
-                                break
-                if not matched:
-                    backtracks += 1
-                    depth -= 1
-                    fresh = False
-                    continue
-                if depth + 1 == total:
-                    yield dict(decoded)
-                    fresh = False
-                else:
-                    depth += 1
-                    fresh = True
-        finally:
-            stats = HOM_STATS
-            stats.index_probes += probes
-            stats.candidates_scanned += scanned
-            stats.backtracks += backtracks
-            structure._probe_count += probes  # type: ignore[attr-defined]
 
 
 def compile_plan(

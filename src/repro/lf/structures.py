@@ -49,11 +49,6 @@ class Structure:
         signature (or has the wrong arity) raises instead of enlarging.
     """
 
-    #: Class-level backend marker: the compiled matchers in
-    #: :mod:`repro.lf.plan` dispatch on it.  The interned columnar
-    #: backend (:class:`repro.store.ColumnarStructure`) sets it True.
-    is_columnar = False
-
     def __init__(
         self,
         facts: Iterable[Atom] = (),
@@ -311,11 +306,7 @@ class Structure:
         )
 
     def contains_structure(self, other: "Structure") -> bool:
-        """The paper's ``C1 |= C2``: every fact of *other* is a fact here.
-
-        Works across backends: *other* is iterated via the public
-        protocol rather than its private fact set.
-        """
+        """The paper's ``C1 |= C2``: every fact of *other* is a fact here."""
         return all(self.has_fact(fact) for fact in other)
 
     def same_facts(self, other: "Structure") -> bool:

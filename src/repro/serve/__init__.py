@@ -13,7 +13,7 @@ Request::
     {"id": 7, "op": "certain", "tenant": "team-a",
      "theory": "E(x,y) -> exists z. E(y,z)", "database": "E(a,b)",
      "query": "E(x,y), E(y,z)", "free": [],
-     "params": {"depth": 12, "wall_ms": 500, "store": "columnar"}}
+     "params": {"depth": 12, "wall_ms": 500}}
 
 Response: the CLI ``--json`` payload for the same run (``command``,
 ``status``, ``counts``, ``stopped_reason``, ``stats``, ``exit_code``,

@@ -11,8 +11,6 @@ they become per-request *defaults* rather than one run's budget:
   quantity, so every in-flight request polls the same number; whichever
   requests are at a checkpoint when the ceiling is crossed degrade to a
   partial result with ``stopped_reason: "memory"``.
-* ``store`` — the default fact-store backend for requests that do not
-  pick one via ``params.store``.
 * ``on_budget`` — pinned to :attr:`~repro.config.OnBudget.RETURN`:
   a service must degrade to well-formed partial payloads, never unwind
   a worker with a budget exception.

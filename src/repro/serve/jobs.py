@@ -42,10 +42,6 @@ from ..payloads import EXIT_ERROR, EXIT_INCOMPLETE, EXIT_OK, stop_code
 from .config import ServeConfig
 from .session import SessionRegistry, TheorySession, text_key
 
-#: Request knobs every engine op understands (per-request guard
-#: overrides on top of the server defaults).
-GUARD_PARAM_KEYS = ("wall_ms", "max_rss_mb", "store")
-
 #: Worker-side fault hook (``None`` in production).  The chaos battery
 #: installs one via :func:`set_serve_fault_hook` to make workers slow
 #: (sleep) or stuck (block until cancelled) deterministically; it runs
@@ -109,7 +105,6 @@ def _guard_fields(
     return {
         "wall_ms": params.get("wall_ms", config.wall_ms),
         "max_rss_mb": params.get("max_rss_mb", config.max_rss_mb),
-        "store": params.get("store", config.store),
         "cancel_token": token,
         "deadline": deadline,
     }

@@ -22,8 +22,8 @@ thread-safe; the session does not duplicate them.
 
 Everything here is called from worker threads, so every mutation of
 shared dicts happens under a lock; parsing and engine work happen
-outside the locks.  Cached structures are safe to share because every
-engine takes its own working copy via ``ensure_backend(copy=True)``.
+outside the locks.  Cached structures are safe to share because no
+engine mutates its input.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ class TheorySession:
 
     def database(self, text: str):
         """Parse (or recall) a database.  Sharing the parsed structure
-        is safe: engines copy their input (``ensure_backend``)."""
+        is safe: engines never mutate their input."""
         return self._cached(self._databases, text_key(text),
                             lambda: parse_structure(text))
 

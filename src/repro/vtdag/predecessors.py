@@ -66,8 +66,7 @@ def predecessor_neighbourhood(
     :class:`~repro.lf.canonical.Incidence` *index* (one is built when it
     is omitted), so a pass that builds many neighbourhoods of one
     structure passes one index instead of rescanning the structure per
-    element.  The result is a plain :class:`Structure` whatever the
-    input's fact-store backend: it is small and only read.
+    element.
     """
     index = Incidence.of(structure, None, index)
     elements = {

@@ -233,12 +233,9 @@ class TestBudgets:
             assert view.level_of(fact) >= 0
 
 
-class TestBackends:
-    @pytest.mark.parametrize("backend", ["dict", "columnar"])
-    def test_update_stream_matches_rechase(self, backend):
-        view = ChaseView(
-            CHAIN, TRANSITIVE, max_depth=None, store=backend
-        )
+class TestUpdateStream:
+    def test_update_stream_matches_rechase(self):
+        view = ChaseView(CHAIN, TRANSITIVE, max_depth=None)
         script = [
             ([parse_fact("E(d, e)")], []),
             ([], [parse_fact("E(b, c)")]),
@@ -250,11 +247,6 @@ class TestBackends:
             assert view.facts() == rechase_facts(
                 view.base_facts(), TRANSITIVE
             )
-
-    @pytest.mark.parametrize("backend", ["dict", "columnar"])
-    def test_backend_actually_selected(self, backend):
-        view = ChaseView(CHAIN, TRANSITIVE, max_depth=None, store=backend)
-        assert view.structure.is_columnar == (backend == "columnar")
 
 
 class TestIntrospection:

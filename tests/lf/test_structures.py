@@ -147,3 +147,97 @@ class TestCopy:
     def test_eq_compares_facts_and_domain(self):
         assert chain(a, b) == chain(a, b)
         assert chain(a, b) != Structure([atom("E", a, b)], domain=[c])
+
+
+class TestHashEqContract:
+    # Structures are mutable containers with value equality; an earlier
+    # version paired that __eq__ with identity hashing, so equal
+    # structures landed in different hash buckets.
+    def test_structures_are_unhashable(self):
+        s = chain(a, b)
+        with pytest.raises(TypeError):
+            hash(s)
+        with pytest.raises(TypeError):
+            {s}
+        with pytest.raises(TypeError):
+            {s: 1}
+
+    def test_frozen_key_consistent_with_eq(self):
+        one = Structure([atom("E", a, b), atom("U", a)])
+        two = Structure([atom("U", a), atom("E", a, b)])
+        assert one == two
+        assert one.frozen_key() == two.frozen_key()
+        assert hash(one.frozen_key()) == hash(two.frozen_key())
+        assert len({one.frozen_key(), two.frozen_key()}) == 1
+
+    def test_frozen_key_diverges_with_value(self):
+        s = chain(a, b)
+        key_before = s.frozen_key()
+        s.add_fact(atom("E", b, c))
+        assert s.frozen_key() != key_before
+
+
+class TestBucketPruning:
+    # discard_fact once leaked empty index buckets, and copy() cloned
+    # the husks into every descendant.
+    def test_discard_prunes_empty_buckets(self):
+        s = Structure([atom("E", a, b), atom("U", a)])
+        s.discard_fact(atom("E", a, b))
+        assert "E" not in s._by_pred
+        assert all("E" != pred for pred, _, _ in s._by_pred_pos)
+        # partial removal keeps the predicate's remaining buckets
+        s2 = Structure([atom("E", a, b), atom("E", a, c)])
+        s2.discard_fact(atom("E", a, b))
+        assert len(s2._by_pred["E"]) == 1
+        assert ("E", 1, b) not in s2._by_pred_pos
+        assert ("E", 0, a) in s2._by_pred_pos
+
+    def test_copy_carries_no_empty_buckets(self):
+        s = Structure([atom("E", a, b), atom("E", c, n0), atom("U", a)])
+        s.discard_fact(atom("E", a, b))
+        s.discard_fact(atom("U", a))
+        clone = s.copy()
+        assert all(clone._by_pred.values())
+        assert all(clone._by_pred_pos.values())
+        assert "U" not in clone._by_pred
+
+    def test_discard_heavy_loop_leaves_no_residue(self):
+        edges = [atom("E", Constant(f"x{i}"), Constant(f"y{i}")) for i in range(50)]
+        s = Structure(edges)
+        for fact in edges:
+            s.discard_fact(fact)
+        assert len(s) == 0
+        assert s._by_pred == {}
+        assert s._by_pred_pos == {}
+
+
+class TestRestrictionFastPath:
+    # The restrictions reuse facts that passed the signature checks
+    # when first added, instead of re-inserting them one by one.
+    def test_restrictions_skip_revalidation(self, monkeypatch):
+        s = Structure([atom("E", a, b), atom("E", b, c), atom("U", a), atom("U", b)])
+
+        def boom(self, fact):
+            raise AssertionError(f"restriction re-validated {fact}")
+
+        monkeypatch.setattr(Structure, "_check_signature", boom)
+        by_elements = s.restrict_elements([a, b])
+        by_signature = s.restrict_signature(["U"])
+        assert by_elements.facts() == {atom("E", a, b), atom("U", a), atom("U", b)}
+        assert by_signature.facts() == {atom("U", a), atom("U", b)}
+
+    def test_restriction_semantics_unchanged(self):
+        s = Structure([atom("E", a, b), atom("E", b, c), atom("E", c, a), atom("U", b)])
+        r = s.restrict_elements([a, b])
+        assert r.facts() == {atom("E", a, b), atom("U", b)}
+        assert r.domain() == {a, b}
+        rs = s.restrict_signature(["E"])
+        assert rs.facts() == {atom("E", a, b), atom("E", b, c), atom("E", c, a)}
+        assert rs.domain() == s.domain()
+        assert set(rs.signature.relations) == {"E"}
+
+    def test_restricted_structures_stay_mutable(self):
+        r = Structure([atom("E", a, b), atom("U", a)]).restrict_signature(["E"])
+        assert r.add_fact(atom("E", b, c))
+        assert r.discard_fact(atom("E", a, b))
+        assert r.facts() == {atom("E", b, c)}

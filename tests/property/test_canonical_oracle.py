@@ -4,10 +4,10 @@
 an incidence index.  The reference below is the direct reading of the
 definition instead: scan every fact of the structure and keep those
 whose arguments all lie in the subset.  The two must build the same
-query on both store backends, for every subset, distinguished element,
-relation restriction and ``skip_constant_only`` value — including the
-edge cases of nullary facts, facts among constants, and a constant as
-the distinguished element.
+query for every subset, distinguished element, relation restriction
+and ``skip_constant_only`` value — including the edge cases of nullary
+facts, facts among constants, and a constant as the distinguished
+element.
 
 The type generators are checked one level up: the canonical forms of
 :func:`type_queries` and :func:`boolean_type_queries` must be exactly
@@ -43,7 +43,6 @@ from repro.lf.canonical import FREE_VARIABLE, canonical_query
 from repro.ptypes import TypePartition, boolean_type_queries, quotient, type_queries
 from repro.rewriting.bdd import bdd_profile
 from repro.skeleton.skeleton import skeleton_of_chase
-from repro.store import ColumnarStructure
 from repro.vtdag import predecessor_neighbourhood, predecessor_set
 from repro.zoo import theorem2_corpus
 
@@ -203,10 +202,6 @@ def relation_restrictions(draw):
     return frozenset(draw(st.sets(st.sampled_from(PREDICATES))))
 
 
-def both_backends(structure):
-    return (structure, ColumnarStructure.from_structure(structure))
-
-
 class TestCanonicalQueryOracle:
     @RELAXED
     @given(structures_with_pins(), st.data(), relation_restrictions(), st.booleans())
@@ -218,34 +213,32 @@ class TestCanonicalQueryOracle:
         expected = reference_canonical_query(
             structure, chosen, distinguished, names, skip
         )
-        for backend in both_backends(structure):
-            built = canonical_query(backend, chosen, distinguished, names, skip)
-            assert built.atoms == expected.atoms
-            assert built.free == expected.free
-            assert hash(built) == hash(expected)
+        built = canonical_query(structure, chosen, distinguished, names, skip)
+        assert built.atoms == expected.atoms
+        assert built.free == expected.free
+        assert hash(built) == hash(expected)
 
     def test_nullary_and_constant_facts_are_kept(self):
         a, b, n0, n1 = Constant("a"), Constant("b"), Null(0), Null(1)
         structure = Structure(
             [Atom("P", ()), Atom("E", (a, b)), Atom("E", (a, n0)), Atom("E", (n0, n1))]
         )
-        for backend in both_backends(structure):
-            assert (
-                str(canonical_query(backend, {a, b, n0}, n0))
-                == "(y) <- E(a, b) & E(a, y) & P()"
-            )
-            assert (
-                str(canonical_query(backend, {a, b, n0}, n0, skip_constant_only=True))
-                == "(y) <- E(a, y)"
-            )
-            assert (
-                str(canonical_query(backend, {a, b}, a, skip_constant_only=True))
-                == "(y) <- y = a & E(y, b)"
-            )
-            assert (
-                str(canonical_query(backend, {a, b, n0}, n0, relation_names={"P"}))
-                == "(y) <- y = y & P()"
-            )
+        assert (
+            str(canonical_query(structure, {a, b, n0}, n0))
+            == "(y) <- E(a, b) & E(a, y) & P()"
+        )
+        assert (
+            str(canonical_query(structure, {a, b, n0}, n0, skip_constant_only=True))
+            == "(y) <- E(a, y)"
+        )
+        assert (
+            str(canonical_query(structure, {a, b}, a, skip_constant_only=True))
+            == "(y) <- y = a & E(y, b)"
+        )
+        assert (
+            str(canonical_query(structure, {a, b, n0}, n0, relation_names={"P"}))
+            == "(y) <- y = y & P()"
+        )
 
 
 class TestCanonicalFormOracle:
@@ -318,10 +311,9 @@ class TestGeneratorOracle:
             ).canonical()
             for subset in reference_connected_subsets(structure, element, n, names)
         }
-        for backend in both_backends(structure):
-            built = type_queries(backend, element, n, names)
-            assert {query.canonical() for query in built} == expected
-            assert len(built) == len(expected)
+        built = type_queries(structure, element, n, names)
+        assert {query.canonical() for query in built} == expected
+        assert len(built) == len(expected)
 
     @RELAXED
     @given(
@@ -338,24 +330,22 @@ class TestGeneratorOracle:
             for anchor in structure.domain()
             for subset in reference_connected_subsets(structure, anchor, k, names)
         }
-        for backend in both_backends(structure):
-            built = boolean_type_queries(backend, k, names)
-            assert {query.canonical() for query in built} == expected
-            assert len(built) == len(expected)
+        built = boolean_type_queries(structure, k, names)
+        assert {query.canonical() for query in built} == expected
+        assert len(built) == len(expected)
 
 
 class TestNeighbourhoodOracle:
     @RELAXED
     @given(structures_with_pins())
     def test_matches_restriction(self, structure):
-        for backend in both_backends(structure):
-            constants = backend.constant_elements()
-            for element in sorted(backend.domain(), key=str):
-                expected = backend.restrict_elements(
-                    predecessor_set(backend, element) | constants
-                )
-                built = predecessor_neighbourhood(backend, element)
-                assert built == expected
+        constants = structure.constant_elements()
+        for element in sorted(structure.domain(), key=str):
+            expected = structure.restrict_elements(
+                predecessor_set(structure, element) | constants
+            )
+            built = predecessor_neighbourhood(structure, element)
+            assert built == expected
 
 
 def colored_skeleton(entry, depth):
@@ -381,7 +371,7 @@ def colored_skeleton(entry, depth):
 
 class TestPinnedPartitions:
     """``TypePartition(...).classes()`` and the quotient size, as the
-    full-scan construction computed them, on both store backends."""
+    full-scan construction computed them."""
 
     @pytest.mark.parametrize(
         "entry, depth, classes, size",
@@ -415,10 +405,9 @@ class TestPinnedPartitions:
     )
     def test_classes_and_quotient(self, entry, depth, classes, size):
         colored, kappa, interior = colored_skeleton(entry, depth)
-        for backend in both_backends(colored.structure):
-            partition = TypePartition(backend, kappa, elements=interior)
-            assert [sorted(map(str, group)) for group in partition.classes()] == classes
-            quotiented = quotient(backend, kappa, partition=partition)
-            assert quotiented.size == size
+        partition = TypePartition(colored.structure, kappa, elements=interior)
+        assert [sorted(map(str, group)) for group in partition.classes()] == classes
+        quotiented = quotient(colored.structure, kappa, partition=partition)
+        assert quotiented.size == size
         report = conservativity_report(colored, kappa, kappa, prebuilt=quotiented)
         assert report.conservative

@@ -14,9 +14,6 @@ warmth may legitimately steer tie-breaks in engines that pick *a*
 model/plan among equals, so cross-process runs could differ while both
 are correct.  Sharing the process pins the caches and makes equality
 exact.
-
-Every engine is exercised on both fact-store backends via the
-per-request ``params.store`` / CLI ``--store`` knob.
 """
 
 import contextlib
@@ -45,8 +42,6 @@ pytestmark = pytest.mark.timeout(600)
 
 #: Keys the server adds on top of the CLI payload.
 ENVELOPE = {"id", "ok", "tenant", "cached"}
-
-STORES = ["dict", "columnar"]
 
 #: Constant-only database text (nulls cannot appear in CLI input).
 database_texts = st.lists(
@@ -113,40 +108,35 @@ COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
 class TestChaseParity:
-    @pytest.mark.parametrize("store", STORES)
     @settings(max_examples=20, **COMMON)
     @given(theory=theories(), database=database_texts)
-    def test_chase(self, client, store, theory, database):
+    def test_chase(self, client, theory, database):
         text = theory_to_text(theory)
         response = client.request(
-            "chase", theory=text, database=database,
-            params={"depth": 4, "store": store},
+            "chase", theory=text, database=database, params={"depth": 4},
         )
-        code, expected = cli_json(
-            "-e", "chase", text, database, "--depth", "4", "--store", store
-        )
+        code, expected = cli_json("-e", "chase", text, database, "--depth", "4")
         assert canon(response) == canon(expected)
         assert response["exit_code"] == code
         assert response["ok"] is (expected["status"] != "error")
 
 
 class TestCertainParity:
-    @pytest.mark.parametrize("store", STORES)
     @settings(max_examples=15, **COMMON)
     @given(
         theory=theories(),
         database=database_texts,
         query=open_conjunctive_queries(),
     )
-    def test_certain(self, client, store, theory, database, query):
+    def test_certain(self, client, theory, database, query):
         ttext, qtext = theory_to_text(theory), query_to_text(query)
         response = client.request(
             "certain", theory=ttext, database=database, query=qtext,
-            free=free_names(query), params={"depth": 4, "store": store},
+            free=free_names(query), params={"depth": 4},
         )
         code, expected = cli_json(
             "-e", "certain", ttext, database, qtext,
-            *cli_free_args(query), "--depth", "4", "--store", store,
+            *cli_free_args(query), "--depth", "4",
         )
         assert canon(response) == canon(expected)
         assert response["exit_code"] == code
@@ -170,22 +160,19 @@ class TestRewriteParity:
 
 
 class TestFcSearchParity:
-    @pytest.mark.parametrize("store", STORES)
     @settings(max_examples=10, **COMMON)
     @given(
         theory=bdd_theories(),
         database=database_texts,
         query=st.one_of(st.none(), open_conjunctive_queries(max_free=0)),
     )
-    def test_fc_search(self, client, store, theory, database, query):
+    def test_fc_search(self, client, theory, database, query):
         ttext = theory_to_text(theory)
         qtext = query_to_text(query) if query is not None else None
         fields = dict(theory=ttext, database=database,
-                      params={"max_elements": 4, "max_nodes": 2_000,
-                              "store": store})
+                      params={"max_elements": 4, "max_nodes": 2_000})
         argv = ["-e", "fc-search", ttext, database,
-                "--max-elements", "4", "--max-nodes", "2000",
-                "--store", store]
+                "--max-elements", "4", "--max-nodes", "2000"]
         if qtext is not None:
             fields["query"] = qtext
             argv.insert(4, qtext)
@@ -196,23 +183,21 @@ class TestFcSearchParity:
 
 
 class TestCountermodelParity:
-    @pytest.mark.parametrize("store", STORES)
     @settings(max_examples=10, **COMMON)
     @given(
         theory=bdd_theories(),
         database=database_texts,
         query=open_conjunctive_queries(max_atoms=3),
     )
-    def test_countermodel(self, client, store, theory, database, query):
+    def test_countermodel(self, client, theory, database, query):
         ttext, qtext = theory_to_text(theory), query_to_text(query)
         response = client.request(
             "countermodel", theory=ttext, database=database, query=qtext,
-            free=free_names(query),
-            params={"depths": [1, 2], "store": store},
+            free=free_names(query), params={"depths": [1, 2]},
         )
         code, expected = cli_json(
             "-e", "countermodel", ttext, database, qtext,
-            *cli_free_args(query), "--depths", "1,2", "--store", store,
+            *cli_free_args(query), "--depths", "1,2",
         )
         assert canon(response) == canon(expected)
         assert response["exit_code"] == code

@@ -1,7 +1,6 @@
 """Property suite: ``ChaseView.update`` ≡ full rechase.
 
-The contract under fuzz (random add/retract streams, both store
-backends):
+The contract under fuzz (random add/retract streams):
 
 * **datalog theories** — the restricted chase of a datalog theory is
   its unique minimal fixpoint, so the maintained view must equal a
@@ -16,7 +15,6 @@ backends):
   consistent on every update.
 """
 
-import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -103,15 +101,14 @@ def _apply_script(view, base, script):
 
 
 class TestDatalogParity:
-    @pytest.mark.parametrize("backend", ["dict", "columnar"])
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(facts=st.lists(const_facts(), max_size=8),
            theory=datalog_theories(), script=scripts)
-    def test_stream_equals_rechase(self, backend, facts, theory, script):
+    def test_stream_equals_rechase(self, facts, theory, script):
         base = set(facts)
         view = ChaseView(Structure(base), theory,
-                         max_depth=None, max_facts=50_000, store=backend)
+                         max_depth=None, max_facts=50_000)
         assert view.saturated
         for result, current in _apply_script(view, base, script):
             assert result.saturated
@@ -144,19 +141,17 @@ class TestDatalogParity:
 
 
 class TestExistentialParity:
-    @pytest.mark.parametrize("backend", ["dict", "columnar"])
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.filter_too_much])
     @given(facts=st.lists(const_facts(), min_size=1, max_size=6),
            theory=bdd_theories(), script=scripts,
            query=conjunctive_queries())
-    def test_homomorphic_equivalence(self, backend, facts, theory,
-                                     script, query):
+    def test_homomorphic_equivalence(self, facts, theory, script, query):
         budget = dict(max_depth=None, max_facts=400,
                       on_budget=OnBudget.RETURN)
         base = set(facts)
-        view = ChaseView(Structure(base), theory, store=backend, **budget)
+        view = ChaseView(Structure(base), theory, **budget)
         assume(view.saturated)
         for result, current in _apply_script(view, base, script):
             assume(result.saturated)

@@ -10,13 +10,10 @@ must never be exceeded.  A second pass over the same event script must
 reproduce the identical dispatch sequence (dispatch order is a pure
 function of the submit/complete history).
 
-The end-to-end half drives a real saturated server under both
-``REPRO_STORE`` backends and checks the wire-level contract: over-limit
-requests shed with a well-formed ``overloaded`` envelope, admitted
-requests all answered.
+The end-to-end half drives a real saturated server and checks the
+wire-level contract: over-limit requests shed with a well-formed
+``overloaded`` envelope, admitted requests all answered.
 """
-
-import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -154,7 +151,6 @@ WEIGHTS = st.dictionaries(
 )
 
 
-@pytest.mark.parametrize("backend", ["dict", "columnar"])
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(
@@ -163,19 +159,9 @@ WEIGHTS = st.dictionaries(
     weights=WEIGHTS,
     events=EVENTS,
 )
-def test_wrr_dispatch_is_deterministic_and_capped(
-    backend, workers, cap, weights, events
-):
-    previous = os.environ.get("REPRO_STORE")
-    os.environ["REPRO_STORE"] = backend
-    try:
-        first = run_script(workers, cap, weights, events)
-        second = run_script(workers, cap, weights, events)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_STORE", None)
-        else:
-            os.environ["REPRO_STORE"] = previous
+def test_wrr_dispatch_is_deterministic_and_capped(workers, cap, weights, events):
+    first = run_script(workers, cap, weights, events)
+    second = run_script(workers, cap, weights, events)
     assert first == second  # pure function of the event history
 
 
@@ -218,11 +204,9 @@ def test_retry_after_scales_with_backlog():
     assert isinstance(controller.retry_after_ms(), int)
 
 
-@pytest.mark.parametrize("backend", ["dict", "columnar"])
-def test_admission_end_to_end_sheds_and_recovers(backend, monkeypatch):
+def test_admission_end_to_end_sheds_and_recovers():
     """A saturated real server sheds with a well-formed envelope and
-    answers everything it admitted — under both store backends."""
-    monkeypatch.setenv("REPRO_STORE", backend)
+    answers everything it admitted."""
     with ServerThread(
         workers=1, max_pending=2, drain_ms=500.0
     ) as handle:

@@ -207,23 +207,6 @@ class TestViews:
         assert "no view" in gone["error"]
 
 
-class TestStorePerRequest:
-    @pytest.mark.parametrize("store", ["dict", "columnar"])
-    def test_chase_on_either_backend(self, client, store):
-        response = client.request(
-            "chase", theory=LINEAR, database=DB,
-            params={"depth": 3, "store": store},
-        )
-        assert response["status"] == "truncated"
-        assert response["counts"]["facts"] == 4
-
-    def test_bad_store_is_an_error(self, client):
-        response = client.request(
-            "chase", theory=LINEAR, database=DB, params={"store": "rowwise"}
-        )
-        assert response["status"] == "error"
-
-
 class TestLifecycle:
     def test_shutdown_op(self):
         with ServerThread(workers=1) as handle:

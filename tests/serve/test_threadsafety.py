@@ -1,15 +1,13 @@
 """The thread-safety audit's regression battery.
 
-The server shares four process-wide caches across its worker pool:
+The server shares three process-wide caches across its worker pool:
 ``PLAN_CACHE`` (compiled join plans), the ``cq_subsumes``
-normalise/freeze memos, the ``enumerate_type_queries`` memo, and each
-columnar ``copy()`` family's ``TermTable``.  Each test here hammers
-one of them from N threads and asserts no corruption, no duplicate
-interning, and agreement with a single-threaded reference — exactly
-the invariants the audit's locks exist to protect.  (Before the
-locks, ``TermTable.intern`` could hand two elements the same dense id
-from concurrent misses — an id-decode corruption, not just a stale
-stat.)
+normalise/freeze memos, and the ``enumerate_type_queries`` memo.  Each
+test here hammers one of them from N threads and asserts no corruption
+and agreement with a single-threaded reference — exactly the
+invariants the audit's locks exist to protect.  Sessions also share
+each parsed database across requests, so the first test chases one
+database from N threads at once.
 
 The positive-type pass holds no shared cache: its incidence index
 lives for one partition or report.  A last test pins that down, so a
@@ -30,8 +28,6 @@ from repro.ptypes import TypePartition, quotient
 from repro.ptypes.bruteforce import clear_type_query_cache, enumerate_type_queries
 from repro.rewriting.subsume import clear_subsume_cache, cq_subsumes
 from repro.skeleton import skeleton
-from repro.store import StoreBackend, ensure_backend
-from repro.store.termtable import TermTable
 from repro.zoo import example1_database, example1_theory
 
 pytestmark = pytest.mark.timeout(120)
@@ -62,44 +58,14 @@ def hammer(worker, threads=THREADS):
         raise failures[0]
 
 
-class TestTermTableInterning:
-    def test_concurrent_interning_no_duplicates(self):
-        for _ in range(ROUNDS):
-            table = TermTable()
-            # heavily overlapping element pools: every thread races on
-            # most of its interns
-            pools = [
-                [Constant(f"c{(i * 7 + j) % 300}") for j in range(400)]
-                for i in range(THREADS)
-            ]
-            results = [None] * THREADS
-
-            def worker(index):
-                results[index] = [table.intern(e) for e in pools[index]]
-
-            hammer(worker)
-            unique = {e for pool in pools for e in pool}
-            assert len(table) == len(unique)
-            # dense, collision-free ids that decode back to their element
-            seen = set()
-            for pool, ids in zip(pools, results):
-                for element, eid in zip(pool, ids):
-                    assert 0 <= eid < len(unique)
-                    assert table.element(eid) == element
-                    assert table.id_of(element) == eid
-                    seen.add(eid)
-            assert seen == set(range(len(unique)))
-
-    def test_shared_copy_family_chase(self):
-        # the server scenario: one cached columnar database, N workers
-        # chasing independent copies that share its TermTable
+class TestSharedDatabase:
+    def test_concurrent_chases_of_one_database(self):
+        # the server scenario: one cached parsed database, N workers
+        # each chasing their own copy of it
         from repro.chase import ChaseConfig, chase
 
         theory = parse_theory("E(x,y), E(y,z) -> E(x,z)")
-        base = ensure_backend(
-            parse_structure("\n".join(f"E(n{i},n{i+1})" for i in range(12))),
-            StoreBackend.COLUMNAR,
-        )
+        base = parse_structure("\n".join(f"E(n{i},n{i+1})" for i in range(12)))
         reference = chase(base, theory, ChaseConfig(max_depth=8))
         expected = {str(f) for f in reference.structure.facts()}
         outputs = [None] * THREADS
