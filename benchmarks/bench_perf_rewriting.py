@@ -1,10 +1,8 @@
 """P03 — rewriting-engine scaling: closure size vs theory size.
 
 Random linear theories (always BDD-friendly shapes) with growing rule
-counts; the UCQ closure and the κ profile.  The ``engine`` axis runs
-the same workload under the indexed worklist engine and the quadratic
-``legacy_rewrite`` baseline — the ablation the EXPERIMENTS table and
-``BENCH_rewrite.json`` report.
+counts; the UCQ closure and the κ profile; and the extended Theorem-2
+corpus's stress entry, the workload of ``BENCH_rewrite.json``.
 """
 
 import pytest
@@ -14,15 +12,12 @@ from repro.rewriting import (
     RewriteConfig,
     bdd_profile,
     clear_subsume_cache,
-    legacy_rewrite,
     rewrite,
 )
 from repro.zoo import random_linear_theory, theorem2_corpus
 from repro.config import OnBudget
 
 CONFIG = RewriteConfig(max_steps=50_000, max_queries=5_000, on_budget=OnBudget.RETURN)
-
-ENGINES = {"indexed": rewrite, "legacy": legacy_rewrite}
 
 
 @pytest.mark.parametrize("rules", [4, 8, 12])
@@ -41,39 +36,35 @@ def test_rewriting_scaling_in_rules(benchmark, rules):
     assert result.saturated
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINES))
 @pytest.mark.parametrize("rules", [8, 12])
-def test_engine_contrast_linear(benchmark, engine, rules):
-    """Indexed vs legacy on the same growing linear workload."""
+def test_linear_three_atom_query(benchmark, rules):
+    """A three-atom query over a growing linear theory, cold caches."""
     theory = random_linear_theory(predicates=4, rules=rules, seed=11)
     query = parse_query("P0(x,y), P1(y,z), P2(z,w)")
 
     def run():
         clear_subsume_cache()
-        return ENGINES[engine](query, theory, CONFIG)
+        return rewrite(query, theory, CONFIG)
 
     result = benchmark(run)
-    benchmark.extra_info["engine"] = engine
     benchmark.extra_info["rules"] = rules
     benchmark.extra_info["disjuncts"] = len(result.ucq)
     benchmark.extra_info["candidates"] = result.stats.candidates
     assert result.saturated
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINES))
-def test_engine_contrast_corpus_stress(benchmark, engine):
-    """The acceptance workload: the extended Theorem-2 corpus's
-    ``linear-mix/P5-cycle-stress`` entry under both engines."""
+def test_corpus_stress(benchmark):
+    """The extended Theorem-2 corpus's ``linear-mix/P5-cycle-stress``
+    entry, cold caches."""
     name, theory, _db, query = theorem2_corpus(extended=True)[-1]
     assert name == "linear-mix/P5-cycle-stress"
     config = CONFIG.with_overrides(max_queries=2_000)
 
     def run():
         clear_subsume_cache()
-        return ENGINES[engine](query, theory, config)
+        return rewrite(query, theory, config)
 
     result = benchmark(run)
-    benchmark.extra_info["engine"] = engine
     benchmark.extra_info["disjuncts"] = len(result.ucq)
     benchmark.extra_info["candidates"] = result.stats.candidates
     benchmark.extra_info["saturated"] = result.saturated

@@ -6,33 +6,26 @@ reduced sizes and writes ``BENCH_chase.json`` next to this file — a
 cheap scoreboard a CI step or the next working session can diff.
 
 It also writes ``BENCH_fc.json``: the finite-model-search scoreboard
-(``bench_perf_fc``) — the delta engine (copy-on-write states,
-incremental saturation, canonical dedup) against :func:`legacy_search`
-on the Section 5.5 workloads and the Theorem-2 counter-model corpus.
-Node counts and verdicts are deterministic; each entry reports them
-next to the wall time, and the speedup block includes the node
-throughput ratio the acceptance bar is stated in.
+(``bench_perf_fc``) — the search engine (copy-on-write states,
+incremental saturation, canonical dedup) on the Section 5.5 workloads
+and the Theorem-2 counter-model corpus.  Node counts and verdicts are
+deterministic; each entry reports them next to the wall time.
 
 It also writes ``BENCH_hom.json``: microbenchmarks of the compiled
-join-plan evaluation path (:mod:`repro.lf.plan`) against the legacy
-backtracking matcher, on the workloads the planner was built for — the
-rewriting engine's UCQ minimisation and ptype-style per-element
-probes.  Each workload runs in a *planned* and a *legacy* mode (the
-latter via :func:`repro.lf.planner_disabled` /
-:func:`repro.rewriting.subsume_cache_disabled`) and reports the
-speedup; the parity of the two paths is enforced by the property suite
-(``tests/property/test_plan_parity.py``), so the modes are comparable
-by construction.
+join-plan matcher (:mod:`repro.lf.plan`) on the workloads it was built
+for — path joins, the rewriting engine's UCQ minimisation and
+ptype-style per-element probes.  Each entry reports the result and the
+matcher's counters next to the wall time (the ``ptype-probe`` counters
+move with ``PYTHONHASHSEED``: each probe stops at its first match, and
+index buckets iterate in hash order).
 
 It also writes ``BENCH_rewrite.json``: the UCQ-rewriting scoreboard
-(``bench_perf_rewriting``) — the indexed worklist engine against
-:func:`~repro.rewriting.legacy_rewrite` on the Theorem-2 corpus
-(``theorem2_corpus(extended=True)``, which opts into the heavy
-``linear-mix/P5-cycle-stress`` entry) and the deepest zoo growth
-chain.  Both engines run under the same budget with the subsumption
-cache cleared in between; outputs are checked UCQ-equivalent whenever
-both saturate, so the candidate-throughput ratio (the acceptance bar:
->= 3x on the corpus stage) compares identical semantic work.
+(``bench_perf_rewriting``) — the indexed worklist engine on the
+Theorem-2 corpus (``theorem2_corpus(extended=True)``, which opts into
+the heavy ``linear-mix/P5-cycle-stress`` entry) and the deepest zoo
+growth chain, with the subsumption cache cleared before each workload.
+Each entry reports the output size and the run's deterministic
+counters next to the wall time.
 
 It also writes ``BENCH_guard.json``: the runtime-guard overhead
 ablation.  Each workload (the recursive-chain chase and the Section
@@ -82,7 +75,7 @@ from repro.chase import (
     chase_entails,
     seminaive_saturate,
 )
-from repro.fc import SearchConfig, legacy_search, search_finite_model
+from repro.fc import SearchConfig, search_finite_model
 from repro.lf import (
     HOM_STATS,
     Constant,
@@ -92,19 +85,14 @@ from repro.lf import (
     atom,
     clear_plan_cache,
     homomorphisms,
-    legacy_homomorphisms,
-    planner_disabled,
     satisfies,
 )
 from repro.config import OnBudget
 from repro.rewriting import (
     RewriteConfig,
     clear_subsume_cache,
-    legacy_rewrite,
     minimize_ucq,
     rewrite,
-    subsume_cache_disabled,
-    ucq_equivalent,
 )
 from repro.zoo import (
     chain_growth_theory,
@@ -218,55 +206,38 @@ def _marked_chain(k):
 
 
 def hom_entries(full, repeat):
-    """The BENCH_hom microbenchmarks: (entries, speedups)."""
+    """The BENCH_hom microbenchmarks: entries."""
     entries = []
-    speedups = {}
 
-    def contrast(workload, planned_fn, legacy_fn, extra=None):
-        """Time both modes; returns the legacy/planned speedup."""
+    def measure(workload, fn, extra=None):
+        """Time *fn* from cold caches; record its matcher counters."""
         clear_plan_cache()
         clear_subsume_cache()
         before = HOM_STATS.snapshot()
-        planned_wall, planned_result = timed(planned_fn, repeat)
-        hom = HOM_STATS.since(before)
-        legacy_wall, legacy_result = timed(legacy_fn, repeat)
-        assert planned_result == legacy_result, (
-            workload, planned_result, legacy_result)
-        speedup = round(legacy_wall / max(planned_wall, 1e-9), 2)
-        base = dict(extra or {})
-        entries.append({**base, "workload": workload, "mode": "planned",
-                        "wall_s": round(planned_wall, 6),
-                        "result": planned_result,
-                        "hom": hom.as_dict()})
-        entries.append({**base, "workload": workload, "mode": "legacy",
-                        "wall_s": round(legacy_wall, 6),
-                        "result": legacy_result})
-        return speedup
+        wall, result = timed(fn, repeat)
+        entries.append({**(extra or {}), "workload": workload,
+                        "wall_s": round(wall, 6),
+                        "result": result,
+                        "hom": HOM_STATS.since(before).as_dict()})
 
-    # hom-engine, enumeration: path joins, full binding enumeration —
-    # the shape of the rewriting engine's containment checks
+    # enumeration: path joins, full binding enumeration — the shape of
+    # the rewriting engine's containment checks
     nodes, edges, lengths = (60, 180, (6, 8)) if full else (40, 140, (5, 6))
     db = random_edges_database(nodes, edges, seed=11)
     queries = [_path_query(k) for k in lengths]
 
-    def enumerate_with(engine):
-        def run():
-            matches = 0
-            for query in queries:
-                for _ in engine(query.atoms, db):
-                    matches += 1
-            return matches
-        return run
+    def enumerate_paths():
+        matches = 0
+        for query in queries:
+            for _ in homomorphisms(query.atoms, db):
+                matches += 1
+        return matches
 
-    speedups["path_join"] = contrast(
-        f"path-join-{nodes}n{edges}e",
-        enumerate_with(homomorphisms),
-        enumerate_with(legacy_homomorphisms),
-        {"paths": list(lengths)},
-    )
+    measure(f"path-join-{nodes}n{edges}e", enumerate_paths,
+            {"paths": list(lengths)})
 
-    # hom-engine, existence probes: satisfies() once per element per
-    # query with the free variable prebound — the ptype workload
+    # existence probes: satisfies() once per element per query with the
+    # free variable prebound — the ptype workload
     p_nodes, p_edges, cycles = (120, 400, (6, 8)) if full else (100, 300, (6, 7))
     probe_db = random_edges_database(p_nodes, p_edges, seed=11)
     probe_queries = [_probe_query(6), _probe_query(8)] + [
@@ -283,123 +254,74 @@ def hom_entries(full, repeat):
                     satisfied += 1
         return satisfied
 
-    def probe_legacy():
-        with planner_disabled():
-            return probe_all()
-
-    speedups["ptype_probe"] = contrast(
-        f"ptype-probe-{p_nodes}n{p_edges}e", probe_all, probe_legacy,
-        {"cycles": list(cycles)},
-    )
+    measure(f"ptype-probe-{p_nodes}n{p_edges}e", probe_all,
+            {"cycles": list(cycles)})
 
     # minimize_ucq: n pairwise-incomparable disjuncts, so every pair is
     # containment-checked — planned matcher + normalize/freeze caching
-    # against the uncached legacy path
     n_disjuncts = 32 if full else 20
     disjuncts = [_marked_chain(k) for k in range(1, n_disjuncts + 1)]
 
-    def minimize_planned():
+    def minimize():
         clear_subsume_cache()
         return len(minimize_ucq(disjuncts))
 
-    def minimize_legacy():
-        with subsume_cache_disabled(), planner_disabled():
-            return len(minimize_ucq(disjuncts))
+    measure(f"minimize-ucq-{n_disjuncts}chains", minimize,
+            {"disjuncts": n_disjuncts})
 
-    speedups["minimize_ucq"] = contrast(
-        f"minimize-ucq-{n_disjuncts}chains", minimize_planned, minimize_legacy,
-        {"disjuncts": n_disjuncts},
-    )
-
-    return entries, speedups
+    return entries
 
 
 def fc_entries(full, repeat):
-    """The BENCH_fc scoreboard: (entries, speedups).
-
-    Each workload runs under the delta engine and ``legacy_search``;
-    verdicts and node counts must agree (the parity suite fuzzes the
-    same contract), so the wall and node-throughput ratios compare the
-    engines on identical search work.
-    """
+    """The BENCH_fc scoreboard: entries with verdicts and node counts."""
     entries = []
-    speedups = {}
 
-    def engines(database, theory, forbidden, max_elements):
-        delta = lambda: search_finite_model(
-            database, theory, forbidden=forbidden,
-            config=SearchConfig(max_elements=max_elements),
-        )
-        legacy = lambda: legacy_search(
-            database, theory, forbidden=forbidden, max_elements=max_elements,
-        )
-        return delta, legacy
-
-    def contrast(workload, key, database, theory, forbidden, max_elements):
-        delta_fn, legacy_fn = engines(database, theory, forbidden, max_elements)
-        per_engine = {}
-        for mode, fn in (("delta", delta_fn), ("legacy", legacy_fn)):
-            wall, outcome = timed(fn, repeat)
-            stats = outcome.stats
-            per_engine[mode] = (wall, outcome)
-            entries.append({
-                "workload": workload,
-                "engine": mode,
-                "wall_s": round(wall, 6),
-                "found": outcome.found,
-                "model_size": outcome.model.domain_size if outcome.found else 0,
-                "nodes_per_s": round(stats.nodes / max(wall, 1e-9), 1),
-                "stats": stats.as_dict(timings=False),
-            })
-        (delta_wall, delta_out), (legacy_wall, legacy_out) = (
-            per_engine["delta"], per_engine["legacy"])
-        assert delta_out.found == legacy_out.found, workload
-        speedups[key] = {
-            "wall": round(legacy_wall / max(delta_wall, 1e-9), 2),
-            "nodes_per_s": round(
-                (delta_out.stats.nodes / max(delta_wall, 1e-9))
-                / max(legacy_out.stats.nodes / max(legacy_wall, 1e-9), 1e-9),
-                2,
+    def measure(workload, database, theory, forbidden, max_elements):
+        wall, outcome = timed(
+            lambda: search_finite_model(
+                database, theory, forbidden=forbidden,
+                config=SearchConfig(max_elements=max_elements),
             ),
-        }
+            repeat,
+        )
+        stats = outcome.stats
+        entries.append({
+            "workload": workload,
+            "wall_s": round(wall, 6),
+            "found": outcome.found,
+            "model_size": outcome.model.domain_size if outcome.found else 0,
+            "nodes_per_s": round(stats.nodes / max(wall, 1e-9), 1),
+            "stats": stats.as_dict(timings=False),
+        })
 
     theory = section55_theory()
 
     # Section 5.5 exhaustive: every finite model within the bound
-    # satisfies the query, so both engines sweep the same node set.
+    # satisfies the query, so the whole bounded space is swept.
     me = 12 if full else 10
-    contrast(f"s55-exhaustive-me{me}", "s55_exhaustive",
-             section55_database(), theory, section55_query(), me)
+    measure(f"s55-exhaustive-me{me}",
+            section55_database(), theory, section55_query(), me)
 
     # Section 5.5 model search: a wide frontier of chain-end branches
-    # the DFS never pops — the acceptance workload (>= 3x nodes/s).
+    # the DFS never pops.
     chains = 12 if full else 10
-    contrast(f"s55-model-search-{chains}chains", "s55_model_search",
-             disjoint_chains_database(chains), theory, None,
-             44 if full else 40)
+    measure(f"s55-model-search-{chains}chains",
+            disjoint_chains_database(chains), theory, None,
+            44 if full else 40)
 
     # Theorem 2: counter-model search on a corpus entry whose theory
     # forks (two chains merge only in the forbidden query).
     for name, t2_theory, t2_db, t2_query in theorem2_corpus():
         if name == "two-chains/merge-query":
-            contrast("theorem2-two-chains", "theorem2",
-                     t2_db, t2_theory, t2_query, 7)
+            measure("theorem2-two-chains", t2_db, t2_theory, t2_query, 7)
 
-    return entries, speedups
+    return entries
 
 
 def rewrite_entries(full, repeat):
-    """The BENCH_rewrite scoreboard: (entries, speedups).
-
-    Every workload runs under the indexed engine and ``legacy_rewrite``
-    with the same budget; wherever both saturate the outputs are
-    asserted UCQ-equivalent, so the throughput ratios compare engines
-    doing the same semantic work.  The stage ratio is aggregate
-    candidate throughput (total candidates / total wall), which is what
-    the acceptance bar (>= 3x on the Theorem-2 corpus stage) binds.
-    """
+    """The BENCH_rewrite scoreboard: entries with output sizes and the
+    run's counters, every workload under the same budget."""
     entries = []
-    speedups = {}
 
     config = RewriteConfig(
         max_steps=200_000 if full else 100_000,
@@ -407,59 +329,41 @@ def rewrite_entries(full, repeat):
         on_budget=OnBudget.RETURN,
     )
 
-    def contrast(stage, workloads):
-        """Run each (name, theory, query) under both engines; return
-        the stage-aggregate candidate-throughput ratio."""
-        totals = {"indexed": [0, 0.0], "legacy": [0, 0.0]}
+    def measure(stage, workloads):
         for name, theory, query in workloads:
-            results = {}
-            for mode, engine in (("indexed", rewrite), ("legacy", legacy_rewrite)):
-                clear_subsume_cache()
-                wall, result = timed(lambda: engine(query, theory, config), repeat)
-                results[mode] = result
-                totals[mode][0] += result.stats.candidates
-                totals[mode][1] += wall
-                entries.append({
-                    "stage": stage,
-                    "workload": name,
-                    "engine": mode,
-                    "wall_s": round(wall, 6),
-                    "saturated": result.saturated,
-                    "disjuncts": len(result.ucq),
-                    "candidates": result.stats.candidates,
-                    "candidates_per_s": round(
-                        result.stats.candidates / max(wall, 1e-9), 1),
-                    "stats": result.stats.as_dict(timings=False),
-                })
-            if results["indexed"].saturated and results["legacy"].saturated:
-                assert ucq_equivalent(
-                    results["indexed"].ucq, results["legacy"].ucq), name
-        indexed_rate = totals["indexed"][0] / max(totals["indexed"][1], 1e-9)
-        legacy_rate = totals["legacy"][0] / max(totals["legacy"][1], 1e-9)
-        speedups[stage] = {
-            "wall": round(totals["legacy"][1] / max(totals["indexed"][1], 1e-9), 2),
-            "candidates_per_s": round(indexed_rate / max(legacy_rate, 1e-9), 2),
-        }
+            clear_subsume_cache()
+            wall, result = timed(lambda: rewrite(query, theory, config), repeat)
+            entries.append({
+                "stage": stage,
+                "workload": name,
+                "wall_s": round(wall, 6),
+                "saturated": result.saturated,
+                "disjuncts": len(result.ucq),
+                "candidates": result.stats.candidates,
+                "candidates_per_s": round(
+                    result.stats.candidates / max(wall, 1e-9), 1),
+                "stats": result.stats.as_dict(timings=False),
+            })
 
     # Theorem-2 corpus, including the rewriting stress entry the
-    # extended corpus opts into — the acceptance workload.
-    contrast("theorem2-corpus", [
+    # extended corpus opts into.
+    measure("theorem2-corpus", [
         (name, theory, query)
         for name, theory, _db, query in theorem2_corpus(extended=True)
     ])
 
     # The deepest zoo growth chain: an 8-predicate ladder with a
-    # multi-predicate path query.  Small closure (the per-step overhead
-    # bound), kept as the honest low end of the scoreboard.
+    # multi-predicate path query.  Small closure: the per-step overhead
+    # bound, kept as the low end of the scoreboard.
     depth = 8
     ladder = chain_growth_theory(depth)
     vs = [Variable(f"v{i}") for i in range(5)]
     path = ConjunctiveQuery(
         [atom(f"P{i % depth}", vs[i], vs[i + 1]) for i in range(4)], (vs[0],)
     )
-    contrast("zoo-chain", [(f"chain-growth-p{depth}-path4", ladder, path)])
+    measure("zoo-chain", [(f"chain-growth-p{depth}-path4", ladder, path)])
 
-    return entries, speedups
+    return entries
 
 
 def guard_entries(full, repeat):
@@ -1121,57 +1025,46 @@ def main(argv=None):
           f"{speedups['recursive_chain']}x")
     print(f"wrote {args.output}")
 
-    hom_entry_list, hom_speedups = hom_entries(args.full, args.repeat)
+    hom_entry_list = hom_entries(args.full, args.repeat)
     hom_payload = {
         "mode": "full" if args.full else "reduced",
         "repeat": args.repeat,
         "entries": hom_entry_list,
-        "speedups": hom_speedups,
     }
     args.hom_output.write_text(
         json.dumps(hom_payload, indent=2, sort_keys=True) + "\n")
     for entry in hom_entry_list:
-        print(f"{entry['workload']:>34} {entry['mode']:>20} "
+        print(f"{entry['workload']:>34} "
               f"{entry['wall_s'] * 1000:9.2f} ms  result={entry['result']}")
-    for name, factor in hom_speedups.items():
-        print(f"planned/legacy speedup, {name}: {factor}x")
     print(f"wrote {args.hom_output}")
 
-    fc_entry_list, fc_speedups = fc_entries(args.full, args.repeat)
+    fc_entry_list = fc_entries(args.full, args.repeat)
     fc_payload = {
         "mode": "full" if args.full else "reduced",
         "repeat": args.repeat,
         "entries": fc_entry_list,
-        "speedups": fc_speedups,
     }
     args.fc_output.write_text(
         json.dumps(fc_payload, indent=2, sort_keys=True) + "\n")
     for entry in fc_entry_list:
-        print(f"{entry['workload']:>34} {entry['engine']:>20} "
+        print(f"{entry['workload']:>34} "
               f"{entry['wall_s'] * 1000:9.2f} ms  "
               f"nodes={entry['stats']['nodes']} found={entry['found']}")
-    for name, ratios in fc_speedups.items():
-        print(f"legacy/delta speedup, {name}: wall {ratios['wall']}x, "
-              f"nodes/s {ratios['nodes_per_s']}x")
     print(f"wrote {args.fc_output}")
 
-    rw_entry_list, rw_speedups = rewrite_entries(args.full, args.repeat)
+    rw_entry_list = rewrite_entries(args.full, args.repeat)
     rw_payload = {
         "mode": "full" if args.full else "reduced",
         "repeat": args.repeat,
         "entries": rw_entry_list,
-        "speedups": rw_speedups,
     }
     args.rewrite_output.write_text(
         json.dumps(rw_payload, indent=2, sort_keys=True) + "\n")
     for entry in rw_entry_list:
-        print(f"{entry['workload']:>34} {entry['engine']:>20} "
+        print(f"{entry['workload']:>34} "
               f"{entry['wall_s'] * 1000:9.2f} ms  "
               f"disjuncts={entry['disjuncts']} "
               f"cand/s={entry['candidates_per_s']}")
-    for name, ratios in rw_speedups.items():
-        print(f"legacy/indexed speedup, {name}: wall {ratios['wall']}x, "
-              f"candidates/s {ratios['candidates_per_s']}x")
     print(f"wrote {args.rewrite_output}")
 
     guard_entry_list, guard_overheads = guard_entries(args.full, args.repeat)

@@ -78,8 +78,7 @@ class ChaseStrategy(str, Enum):
 
     @classmethod
     def coerce(cls, value: "ChaseStrategy | str") -> "ChaseStrategy":
-        """Accept the enum or its string value (no deprecation: strings
-        are the documented convenience for this field)."""
+        """Accept the enum or its string value."""
         return coerce_enum(value, cls, "strategy")
 
 
@@ -106,8 +105,8 @@ class ChaseConfig(BudgetedConfig):
     on_budget:
         :attr:`~repro.config.OnBudget.RETURN` (default) stops quietly
         with ``saturated=False``; :attr:`~repro.config.OnBudget.RAISE`
-        raises :class:`~repro.errors.ChaseBudgetExceeded`.  The legacy
-        strings ``"return"``/``"raise"`` still work (deprecated).
+        raises :class:`~repro.errors.ChaseBudgetExceeded`.  The strings
+        ``"return"``/``"raise"`` are accepted too.
     trace:
         Record, for every derived fact, the rules and premise facts
         that produced it — *all* distinct derivations up to
@@ -550,10 +549,7 @@ def chase(
             if config.should_raise:
                 stats.hom = HOM_STATS.since(hom_before)
                 raise ChaseBudgetExceeded(
-                    f"chase exceeded budget at depth {depth}",
-                    depth=depth,
-                    facts=len(working),
-                    stats=stats,
+                    f"chase exceeded budget at depth {depth}", stats=stats
                 )
             break
 

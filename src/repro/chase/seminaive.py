@@ -25,18 +25,12 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ChaseBudgetExceeded
-from ..lf import homomorphism as _homomorphism
 from ..lf.atoms import Atom
 from ..lf.homomorphism import homomorphisms
 from ..lf.plan import plan_for
 from ..lf.rules import Rule, Theory
 from ..lf.structures import Structure
 from ..lf.terms import Element, Variable
-
-
-def _planner_active() -> bool:
-    """Whether the compiled-plan matcher is enabled (ablation switch)."""
-    return _homomorphism._USE_PLANNER
 
 
 #: Per-rule delta-evaluation info: ``rule -> (relational, equalities,
@@ -109,14 +103,14 @@ def _delta_bindings(
     structure via the indexed matcher.  Duplicate bindings across
     pivots are fine — head insertion is idempotent.
 
-    When the body has no equality atoms and the planner is enabled,
-    each pivot's rest-plan is fetched once and run directly per seed —
-    per-seed calls through :func:`homomorphisms` would re-resolve
-    equalities and re-hash the plan-cache key every time, which is pure
-    overhead on the small deltas this is built for.
+    When the body has no equality atoms, each pivot's rest-plan is
+    fetched once and run directly per seed — per-seed calls through
+    :func:`homomorphisms` would re-resolve equalities and re-hash the
+    plan-cache key every time, which is pure overhead on the small
+    deltas this is built for.
     """
     relational, equalities, pivot_plans = _rule_delta_info(rule, structure)
-    if pivot_plans is not None and _planner_active():
+    if pivot_plans is not None:
         for pivot, plan in pivot_plans:
             for seed in _match_atom_against_facts(pivot, delta, {}):
                 yield from plan.bindings(structure, seed)
@@ -173,8 +167,7 @@ def seminaive_saturate(
     while delta:
         if max_facts is not None and len(working) > max_facts:
             raise ChaseBudgetExceeded(
-                f"semi-naive saturation exceeded {max_facts} facts",
-                facts=len(working),
+                f"semi-naive saturation exceeded {max_facts} facts"
             )
         delta = one_iteration(delta)
     return working
@@ -231,8 +224,7 @@ def incremental_datalog_saturate(
         added += len(produced)
         if max_facts is not None and len(structure) > max_facts:
             raise ChaseBudgetExceeded(
-                f"incremental saturation exceeded {max_facts} facts",
-                facts=len(structure),
+                f"incremental saturation exceeded {max_facts} facts"
             )
         delta = produced
     return added, rounds

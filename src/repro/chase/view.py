@@ -556,8 +556,6 @@ class ChaseView:
                 if self.config.should_raise:
                     raise ChaseBudgetExceeded(
                         f"view update exceeded budget at depth {self._depth}",
-                        depth=self._depth,
-                        facts=len(self._working),
                         stats=stats,
                     )
                 return UpdateResult(

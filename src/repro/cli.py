@@ -273,7 +273,7 @@ def _cmd_certain(args) -> int:
 
 def _cmd_rewrite(args) -> int:
     from .config import OnBudget
-    from .rewriting import RewriteConfig, legacy_rewrite, rewrite
+    from .rewriting import RewriteConfig, rewrite
 
     theory = _theory(args)
     query = _query(args)
@@ -283,8 +283,7 @@ def _cmd_rewrite(args) -> int:
         on_budget=OnBudget.RETURN,
         **_guard_overrides(args),
     )
-    engine = legacy_rewrite if args.legacy else rewrite
-    result = engine(query, theory, config)
+    result = rewrite(query, theory, config)
     payload, code = payloads.rewrite_payload(result)
     if args.json:
         return _emit_json(payload, code)
@@ -338,7 +337,7 @@ def _cmd_countermodel(args) -> int:
 
 
 def _cmd_fc_search(args) -> int:
-    from .fc import SearchConfig, legacy_search, search_finite_model
+    from .fc import SearchConfig, search_finite_model
 
     theory = _theory(args)
     database = _database(args)
@@ -346,26 +345,16 @@ def _cmd_fc_search(args) -> int:
     if args.query is not None:
         free = [name for name in (args.free or "").split(",") if name]
         forbidden = parse_query(args.query, free=free)
-    if args.legacy:
-        outcome = legacy_search(
-            database,
-            theory,
-            forbidden=forbidden,
-            max_elements=args.max_elements,
-            max_nodes=args.max_nodes,
-            config=SearchConfig(**_guard_overrides(args)),
-        )
-    else:
-        config = SearchConfig(
-            max_elements=args.max_elements,
-            max_nodes=args.max_nodes,
-            heuristic=args.heuristic,
-            canonical_dedup=not args.no_canonical_dedup,
-            **_guard_overrides(args),
-        )
-        outcome = search_finite_model(
-            database, theory, forbidden=forbidden, config=config
-        )
+    config = SearchConfig(
+        max_elements=args.max_elements,
+        max_nodes=args.max_nodes,
+        heuristic=args.heuristic,
+        canonical_dedup=not args.no_canonical_dedup,
+        **_guard_overrides(args),
+    )
+    outcome = search_finite_model(
+        database, theory, forbidden=forbidden, config=config
+    )
     stats = outcome.stats
     payload, code = payloads.fc_search_payload(outcome)
     if args.json:
@@ -549,9 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     rewrite_cmd.add_argument("--free", help="comma-separated free variables")
     rewrite_cmd.add_argument("--max-steps", type=int, default=20_000)
     rewrite_cmd.add_argument("--max-queries", type=int, default=2_000)
-    rewrite_cmd.add_argument(
-        "--legacy", action="store_true",
-        help="use the quadratic-frontier baseline engine (ablation)")
     rewrite_cmd.set_defaults(handler=_cmd_rewrite)
 
     classify_cmd = commands.add_parser("classify", help="syntactic classes",
@@ -587,11 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     search_cmd.add_argument(
         "--heuristic", default="dfs",
         choices=["dfs", "smallest-domain", "fewest-violations"],
-        help="frontier ordering of the incremental engine",
-    )
-    search_cmd.add_argument(
-        "--legacy", action="store_true",
-        help="use the pre-rewrite engine (saturate-at-push, exact dedup)",
+        help="frontier ordering of the search",
     )
     search_cmd.add_argument(
         "--no-canonical-dedup", action="store_true",

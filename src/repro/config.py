@@ -9,10 +9,10 @@ underlying problems are undecidable, so budgets are unavoidable) and
 must decide what to do when a budget is hit.  This module is the one
 place that contract lives:
 
-* :class:`OnBudget` — the two budget policies, as an enum.  Passing the
-  legacy strings ``"return"`` / ``"raise"`` still works everywhere but
-  emits a :class:`DeprecationWarning` (the shim is
-  :meth:`OnBudget.coerce`).
+* :class:`OnBudget` — the two budget policies, as an enum.  Its string
+  values ``"return"`` / ``"raise"`` are accepted everywhere too, the
+  way every enum-typed config field accepts its values
+  (:func:`coerce_enum`).
 * :class:`BudgetedConfig` — the dataclass base of the config
   dataclasses, giving them the shared surface:
   :attr:`~BudgetedConfig.should_raise`,
@@ -41,7 +41,6 @@ such as ``config.on_budget == "raise"`` keep working unchanged.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Optional, Type, TypeVar
 
@@ -52,39 +51,22 @@ E = TypeVar("E", bound="Enum")
 C = TypeVar("C", bound="BudgetedConfig")
 
 
-def coerce_enum(
-    value: Any,
-    enum_cls: "Type[E]",
-    field_name: str,
-    deprecate_strings: bool = False,
-) -> E:
+def coerce_enum(value: Any, enum_cls: "Type[E]", field_name: str) -> E:
     """Normalise *value* to a member of *enum_cls*.
 
     Enum members pass through; strings are looked up by value (raising
-    ``ValueError`` with the allowed values on a miss).  When
-    *deprecate_strings* is set, a successful string lookup emits a
-    :class:`DeprecationWarning` — the shim that keeps legacy
-    stringly-typed call sites working while steering new code to the
-    enum.
+    ``ValueError`` with the allowed values on a miss).
     """
     if isinstance(value, enum_cls):
         return value
     if isinstance(value, str):
         try:
-            member = enum_cls(value)
+            return enum_cls(value)
         except ValueError:
             allowed = ", ".join(repr(m.value) for m in enum_cls)
             raise ValueError(
                 f"{field_name} must be one of {allowed}, got {value!r}"
             ) from None
-        if deprecate_strings:
-            warnings.warn(
-                f"passing {field_name}={value!r} as a string is deprecated; "
-                f"use {enum_cls.__name__}.{member.name}",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        return member
     raise ValueError(
         f"{field_name} must be a {enum_cls.__name__} (or its string value), "
         f"got {value!r}"
@@ -114,11 +96,6 @@ class OnBudget(str, Enum):
     RETURN = "return"
     RAISE = "raise"
 
-    @classmethod
-    def coerce(cls, value: "OnBudget | str") -> "OnBudget":
-        """The deprecation shim: accept legacy strings, warn, normalise."""
-        return coerce_enum(value, cls, "on_budget", deprecate_strings=True)
-
 
 @dataclasses.dataclass
 class BudgetedConfig:
@@ -126,8 +103,8 @@ class BudgetedConfig:
 
     Subclasses redeclare ``on_budget`` to pick their engine's default
     policy; their ``__post_init__`` must call
-    ``super().__post_init__()`` so the legacy-string shim and the guard
-    validation run.
+    ``super().__post_init__()`` so the ``on_budget`` coercion and the
+    guard validation run.
 
     Attributes
     ----------
@@ -170,7 +147,7 @@ class BudgetedConfig:
     deadline: "Optional[Deadline]" = None
 
     def __post_init__(self) -> None:
-        self.on_budget = OnBudget.coerce(self.on_budget)
+        self.on_budget = coerce_enum(self.on_budget, OnBudget, "on_budget")
         if self.deadline is not None and not hasattr(self.deadline, "expired"):
             raise ValueError(
                 f"deadline must be a repro.runtime.Deadline, got "

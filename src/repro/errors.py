@@ -11,15 +11,11 @@ base and its ``.stats`` attribute: the engine's stats snapshot at stop
 time (:class:`~repro.chase.stats.ChaseStats`,
 :class:`~repro.rewriting.stats.RewriteStats`,
 :class:`~repro.fc.SearchStats`, or the pipeline's partial
-:class:`~repro.core.FiniteModelResult`).  The legacy per-exception
-loose ints (``ChaseBudgetExceeded.depth``/``.facts``,
-``RewritingBudgetExceeded.steps``/``.queries``) are deprecated in
-favour of the snapshot and warn on access.
+:class:`~repro.core.FiniteModelResult`).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Optional
 
 
@@ -87,15 +83,6 @@ class BudgetError(ReproError):
         super().__init__(message)
         self.stats = stats
 
-    def _deprecated_int(self, name: str, value: int) -> int:
-        warnings.warn(
-            f"{type(self).__name__}.{name} is deprecated; read the "
-            f"engine's stats snapshot on .stats instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return value
-
 
 class DeadlineExceeded(BudgetError):
     """The run's wall-clock budget (``wall_ms``) expired before the
@@ -127,30 +114,8 @@ class ChaseBudgetExceeded(ChaseError, BudgetError):
     """The chase hit its depth or fact budget before reaching a fixpoint.
 
     ``.stats`` carries the run's :class:`~repro.chase.stats.ChaseStats`
-    at stop time.  The loose ``depth``/``facts`` ints are deprecated
-    (use ``len(stats.rounds)`` and ``stats.facts_added``).
+    at stop time (``len(stats.rounds)``, ``stats.facts_added``).
     """
-
-    def __init__(
-        self,
-        message: str,
-        depth: int = 0,
-        facts: int = 0,
-        stats: Any = None,
-    ):
-        BudgetError.__init__(self, message, stats=stats)
-        self._depth = depth
-        self._facts = facts
-
-    @property
-    def depth(self) -> int:
-        """Deprecated: completed rounds at stop time (see ``.stats``)."""
-        return self._deprecated_int("depth", self._depth)
-
-    @property
-    def facts(self) -> int:
-        """Deprecated: facts produced at stop time (see ``.stats``)."""
-        return self._deprecated_int("facts", self._facts)
 
 
 class NewElementEmbargoViolation(ChaseError):
@@ -169,30 +134,8 @@ class RewritingBudgetExceeded(BudgetError):
 
     The theory may still be BDD; the caller should either raise the
     budget or treat the BDD status as unknown.  ``.stats`` carries the
-    run's :class:`~repro.rewriting.stats.RewriteStats` at stop time;
-    the loose ``steps``/``queries`` ints are deprecated.
+    run's :class:`~repro.rewriting.stats.RewriteStats` at stop time.
     """
-
-    def __init__(
-        self,
-        message: str,
-        steps: int = 0,
-        queries: int = 0,
-        stats: Any = None,
-    ):
-        super().__init__(message, stats=stats)
-        self._steps = steps
-        self._queries = queries
-
-    @property
-    def steps(self) -> int:
-        """Deprecated: step applications at stop time (see ``.stats``)."""
-        return self._deprecated_int("steps", self._steps)
-
-    @property
-    def queries(self) -> int:
-        """Deprecated: distinct disjuncts at stop time (see ``.stats``)."""
-        return self._deprecated_int("queries", self._queries)
 
 
 class NotBDDWitness(ReproError):

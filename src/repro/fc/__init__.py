@@ -16,7 +16,6 @@ from .search import (
     SearchStats,
     every_finite_model_satisfies,
     find_counter_model,
-    legacy_search,
     search_finite_model,
 )
 
@@ -31,7 +30,6 @@ __all__ = [
     "every_finite_model_satisfies",
     "find_counter_model",
     "find_ordering",
-    "legacy_search",
     "minimize_model",
     "ordering_implies_query",
     "search_finite_model",

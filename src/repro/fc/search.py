@@ -16,7 +16,7 @@ saturated deterministically at every node.  Within its bounds the
 search is complete: if it reports "no model avoiding Φ with ≤ N
 elements", there is none.
 
-The default engine (``engine="delta"``) is built for throughput:
+The engine is built for throughput:
 
 * **copy-on-write states** — a branch records only its parent pointer
   and the handful of head facts it adds; the full structure is
@@ -34,12 +34,9 @@ The default engine (``engine="delta"``) is built for throughput:
 * **compiled triggers** — violated-existential detection runs on
   per-rule precompiled join plans (:mod:`repro.lf.plan`), reused across
   every node of the run;
-* **configurable frontier** — depth-first by default (matching
-  :func:`legacy_search`'s reuse-first order), or best-first by smallest
-  domain / fewest violations via :class:`SearchConfig`.
-
-:func:`legacy_search` keeps the original copy-everything algorithm
-callable for parity testing and ablation benchmarks.
+* **configurable frontier** — depth-first, reuse first, by default,
+  or best-first by smallest domain / fewest violations via
+  :class:`SearchConfig`.
 """
 
 from __future__ import annotations
@@ -51,7 +48,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from ..chase.engine import datalog_saturate
 from ..chase.seminaive import incremental_datalog_saturate, seminaive_saturate
 from ..config import BudgetedConfig, OnBudget, coerce_enum
 from ..errors import ChaseBudgetExceeded, ModelSearchExhausted
@@ -85,7 +81,7 @@ class SearchHeuristic(str, Enum):
     ----------
     DFS:
         Depth-first, reuse-combinations first — the classic order of
-        :func:`legacy_search`, which surfaces small models quickly.
+        the definitional search, which surfaces small models quickly.
     SMALLEST_DOMAIN:
         Best-first by the state's domain size: prefer states that
         invented fewer elements (a small-model bias that, unlike DFS,
@@ -154,9 +150,9 @@ class SearchStats:
     Attributes
     ----------
     engine:
-        ``"delta"`` (the incremental engine) or ``"legacy"``.
+        Always ``"delta"`` (the incremental engine).
     heuristic:
-        The frontier ordering used (``"dfs"`` for the legacy engine).
+        The frontier ordering used.
     nodes:
         States expanded.
     pruned_by_query:
@@ -386,38 +382,6 @@ class _State:
         self.domain_size = domain_size
 
 
-def _violated_existential(
-    structure: Structure, theory: Theory
-) -> "Optional[Tuple[Rule, Dict[Variable, Element]]]":
-    """First existential trigger whose head has no witness."""
-    for rule in theory.rules:
-        if rule.is_datalog:
-            continue
-        for binding in homomorphisms(rule.body, structure):
-            frontier_binding = {
-                var: value
-                for var, value in binding.items()
-                if var in rule.head_variables()
-            }
-            if find_homomorphism(rule.head, structure, frontier_binding) is None:
-                return rule, binding
-    return None
-
-
-def _apply_head(
-    structure: Structure,
-    rule: Rule,
-    binding: Dict[Variable, Element],
-    witnesses: Dict[Variable, Element],
-) -> Structure:
-    extended = dict(binding)
-    extended.update(witnesses)
-    branched = structure.copy()
-    for head in rule.head:
-        branched.add_fact(head.substitute(extended))  # type: ignore[arg-type]
-    return branched
-
-
 def _head_delta(
     structure: Structure,
     rule: Rule,
@@ -610,7 +574,7 @@ def _delta_search(
             push(child, child_score)
 
         # Fresh pushed first, reuse combinations after: the LIFO stack
-        # then explores reuse first, matching legacy_search's order.
+        # then explores reuse first.
         if state.domain_size < config.max_elements:
             fresh = {var: nulls.fresh() for var in existentials}
             branch(fresh, state.domain_size + len(existentials))
@@ -648,93 +612,11 @@ def search_finite_model(
     extra keyword overrides (``wall_ms=...``, ``heuristic=...``) are
     applied on top via
     :meth:`~repro.config.BudgetedConfig.with_overrides`.
-    :func:`legacy_search` runs the pre-rebuild algorithm for ablation.
     """
     if config is None:
         config = SearchConfig(max_elements=max_elements, max_nodes=max_nodes)
     config = config.with_overrides(**overrides)
     return _delta_search(database, theory, forbidden, config)
-
-
-def legacy_search(
-    database: Structure,
-    theory: Theory,
-    forbidden: "Optional[ConjunctiveQuery | UnionOfConjunctiveQueries]" = None,
-    max_elements: int = 10,
-    max_nodes: int = 50_000,
-    config: "Optional[SearchConfig]" = None,
-) -> SearchResult:
-    """The original eager algorithm: full copy + full re-saturation per
-    branch, raw fact-set dedup.  Kept for parity tests and as the
-    baseline of the ``BENCH_fc`` scoreboard.  An optional *config*
-    supplies the runtime-guard fields (``wall_ms``, ``cancel_token``,
-    ``max_rss_mb``); the count budgets stay the explicit arguments."""
-    started = time.perf_counter()
-    stats = SearchStats(engine="legacy", heuristic="dfs")
-    guard = RuntimeGuard.from_config(config, "fc-search")
-    should_raise = config.should_raise if config is not None else False
-    nulls = NullFactory.above(database.domain())
-    seen: Set[frozenset] = set()
-
-    def finish(
-        model: "Optional[Structure]",
-        reason: StopReason = StopReason.FIXPOINT,
-    ) -> SearchResult:
-        stats.wall_ms = (time.perf_counter() - started) * 1000.0
-        return SearchResult(model=model, stats=stats, stopped_reason=reason)
-
-    start = datalog_saturate(database, theory).structure
-    stack: List[Structure] = [start]
-    stopped_reason = StopReason.FIXPOINT
-
-    while stack:
-        reason = guard.check()
-        if reason is not None:
-            stats.exhausted = False
-            if should_raise:
-                stats.wall_ms = (time.perf_counter() - started) * 1000.0
-                raise guard.exception(reason, stats=stats)
-            stopped_reason = reason
-            break
-        if stats.nodes >= max_nodes:
-            stats.exhausted = False
-            stopped_reason = StopReason.BUDGET
-            break
-        state = stack.pop()
-        marker = state.facts()
-        if marker in seen:
-            stats.duplicates += 1
-            continue
-        seen.add(marker)
-        stats.nodes += 1
-
-        if forbidden is not None and satisfies(state, forbidden):
-            stats.pruned_by_query += 1
-            continue
-
-        trigger = _violated_existential(state, theory)
-        if trigger is None:
-            return finish(state)
-        rule, binding = trigger
-        existentials = sorted(rule.existential_variables())
-        domain = sorted(state.domain(), key=str)
-
-        branches: List[Structure] = []
-        if state.domain_size < max_elements:
-            fresh = {var: nulls.fresh() for var in existentials}
-            branches.append(_apply_head(state, rule, binding, fresh))
-        for combination in itertools.product(domain, repeat=len(existentials)):
-            witnesses = dict(zip(existentials, combination))
-            branches.append(_apply_head(state, rule, binding, witnesses))
-        # saturate datalog in every branch before stacking; push reuse
-        # branches last so they are explored first (LIFO).
-        for branch in branches:
-            stack.append(datalog_saturate(branch, theory).structure)
-            stats.states_created += 1
-            stats.states_materialised += 1
-        stats.frontier_peak = max(stats.frontier_peak, len(stack))
-
-    return finish(None, stopped_reason)
 
 
 def every_finite_model_satisfies(

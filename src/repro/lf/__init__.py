@@ -36,10 +36,7 @@ from .homomorphism import (
     count_homomorphisms,
     find_homomorphism,
     homomorphisms,
-    legacy_homomorphisms,
-    planner_disabled,
     satisfies,
-    set_planner,
     structure_homomorphism,
     structure_homomorphisms,
     structures_hom_equivalent,
@@ -117,10 +114,7 @@ __all__ = [
     "element_to_value",
     "find_homomorphism",
     "homomorphisms",
-    "legacy_homomorphisms",
     "plan_for",
-    "planner_disabled",
-    "set_planner",
     "is_constant",
     "is_ground",
     "is_null",

@@ -4,29 +4,22 @@ Everything in the paper runs on homomorphisms: ``C |= Φ`` for a CQ Φ is
 the existence of a homomorphism from Φ's atoms to C; positive types are
 sets of CQs; the finite counter-model contains a homomorphic image of
 the chase.  Evaluation runs through the compiled join plans of
-:mod:`repro.lf.plan` by default (static atom ordering, per-atom index
-selection, iterative matching, process-wide plan cache); the original
-recursive backtracking matcher is kept as
-:func:`legacy_homomorphisms` for ablation benchmarks and the
-planned-vs-legacy parity property tests, and can be forced globally
-with :func:`planner_disabled`.
+:mod:`repro.lf.plan` (static atom ordering, per-atom index selection,
+iterative matching, process-wide plan cache).
 
 Public entry points
 -------------------
 ``homomorphisms``          — generate all satisfying bindings of a set of atoms
-``legacy_homomorphisms``   — the same, on the uncompiled backtracking path
 ``find_homomorphism``      — first satisfying binding or ``None``
 ``satisfies``              — boolean satisfaction of a CQ (under a partial binding)
 ``all_answers``            — the answer relation of a CQ over a structure
 ``structure_homomorphism`` — homomorphism between two structures (constants fixed)
 ``structures_hom_equivalent`` / ``structures_isomorphic`` — comparisons
-``planner_disabled``       — context manager forcing the legacy path
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .atoms import Atom
 from .plan import plan_for
@@ -35,28 +28,6 @@ from .structures import Structure
 from .terms import Constant, Element, Null, Variable
 
 Binding = Dict[Variable, Element]
-
-#: Module switch: ``True`` routes evaluation through compiled plans.
-_USE_PLANNER = True
-
-
-def set_planner(enabled: bool) -> bool:
-    """Enable/disable the planned path globally; returns the old value."""
-    global _USE_PLANNER
-    previous = _USE_PLANNER
-    _USE_PLANNER = bool(enabled)
-    return previous
-
-
-@contextmanager
-def planner_disabled():
-    """Force the legacy backtracking matcher within the block."""
-    previous = set_planner(False)
-    try:
-        yield
-    finally:
-        set_planner(previous)
-
 
 def _resolve_equalities(
     atoms: Sequence[Atom], binding: Binding
@@ -130,68 +101,6 @@ def _resolve_equalities(
     return relational, binding, flattened
 
 
-def _candidates(structure: Structure, item: Atom, binding: Binding) -> Iterable[Atom]:
-    """Facts that could match *item* under *binding*, via the best index.
-
-    Returns live index views (no copying — this is the innermost loop of
-    every engine), so callers that mutate the structure between yielded
-    bindings must buffer their insertions; the chase and the semi-naive
-    saturator do.
-    """
-    best: "Optional[Iterable[Atom]]" = None
-    best_size = -1
-    for position, arg in enumerate(item.args):
-        value: "Optional[Element]" = None
-        if isinstance(arg, Variable):
-            if arg in binding:
-                value = binding[arg]
-        else:
-            value = arg  # constant in the query: must match itself
-        if value is not None:
-            bucket = structure.facts_with_view(item.pred, position, value)
-            if best is None or len(bucket) < best_size:
-                best = bucket
-                best_size = len(bucket)
-                if not bucket:
-                    return ()
-    if best is not None:
-        return best
-    return structure.facts_with_pred_view(item.pred)
-
-
-def _match(item: Atom, fact: Atom, binding: Binding) -> "Optional[Binding]":
-    """Try to match a query atom against a fact; return the extension."""
-    if item.pred != fact.pred or item.arity != fact.arity:
-        return None
-    extension: "Optional[Binding]" = None
-    local = binding
-    for arg, value in zip(item.args, fact.args):
-        if isinstance(arg, Variable):
-            bound = local.get(arg)
-            if bound is None:
-                if extension is None:
-                    extension = dict(binding)
-                    local = extension
-                local[arg] = value
-            elif bound != value:
-                return None
-        elif arg != value:
-            return None
-    return local if extension is not None else dict(binding)
-
-
-def _boundness(item: Atom, binding: Binding) -> Tuple[int, int]:
-    """Heuristic score: (number of unbound variables, -number of bound args)."""
-    unbound = 0
-    bound = 0
-    for arg in item.args:
-        if isinstance(arg, Variable) and arg not in binding:
-            unbound += 1
-        else:
-            bound += 1
-    return (unbound, -bound)
-
-
 def homomorphisms(
     atoms: Sequence[Atom],
     structure: Structure,
@@ -202,68 +111,19 @@ def homomorphisms(
 
     Constants in the atoms must match themselves.  The optional
     *binding* pre-binds some variables.  Equality atoms are resolved
-    up-front.  Evaluation runs on the compiled-plan path
-    (:mod:`repro.lf.plan`) unless :func:`planner_disabled` is active;
-    both paths generate the same binding set (property-tested).
+    up-front; the rest runs on a compiled plan (:mod:`repro.lf.plan`).
     """
     resolved = _resolve_equalities(list(atoms), binding or {})
     if resolved is None:
         return
     todo, start, renamed = resolved
 
-    if _USE_PLANNER:
-        atom_vars: Set[Variable] = set()
-        for item in todo:
-            atom_vars.update(item.variable_set())
-        prebound = frozenset(var for var in start if var in atom_vars)
-        plan = plan_for(tuple(todo), prebound, structure)
-        found_bindings: Iterator[Binding] = plan.bindings(structure, start)
-    else:
-        found_bindings = _legacy_search(todo, structure, start)
-
-    for found in found_bindings:
-        for original, representative in renamed.items():
-            if representative in found:
-                found[original] = found[representative]
-        yield found
-
-
-def _legacy_search(
-    todo: List[Atom], structure: Structure, start: Binding
-) -> Iterator[Binding]:
-    """The original recursive matcher: per-node ``min()`` re-scoring and
-    per-extension dict copies.  Kept for parity tests and ablations."""
-
-    def search(pending: List[Atom], current: Binding) -> Iterator[Binding]:
-        if not pending:
-            yield dict(current)
-            return
-        index = min(range(len(pending)), key=lambda i: _boundness(pending[i], current))
-        item = pending[index]
-        rest = pending[:index] + pending[index + 1:]
-        for fact in _candidates(structure, item, current):
-            extended = _match(item, fact, current)
-            if extended is not None:
-                yield from search(rest, extended)
-
-    return search(todo, start)
-
-
-def legacy_homomorphisms(
-    atoms: Sequence[Atom],
-    structure: Structure,
-    binding: "Optional[Binding]" = None,
-) -> Iterator[Binding]:
-    """:func:`homomorphisms` on the uncompiled backtracking path.
-
-    The reference implementation the planned matcher must agree with;
-    used by the parity property suite and the ``BENCH_hom`` ablation.
-    """
-    resolved = _resolve_equalities(list(atoms), binding or {})
-    if resolved is None:
-        return
-    todo, start, renamed = resolved
-    for found in _legacy_search(todo, structure, start):
+    atom_vars: Set[Variable] = set()
+    for item in todo:
+        atom_vars.update(item.variable_set())
+    prebound = frozenset(var for var in start if var in atom_vars)
+    plan = plan_for(tuple(todo), prebound, structure)
+    for found in plan.bindings(structure, start):
         for original, representative in renamed.items():
             if representative in found:
                 found[original] = found[representative]

@@ -1,11 +1,11 @@
-"""Compiled join plans: the planned query-evaluation path.
+"""Compiled join plans: the query-evaluation path.
 
-The legacy matcher in :mod:`repro.lf.homomorphism` re-derives a join
-order atom-by-atom on every call — each search node re-scores every
-pending atom with ``min()`` and each variable extension copies the whole
-binding dict.  Every engine in the lab (chase trigger evaluation, the
-PerfectRef-style rewriter's subsumption checks, ptype computation, the
-FC model search) bottoms out there, so those costs multiply.
+Every engine in the lab (chase trigger evaluation, the PerfectRef-style
+rewriter's subsumption checks, ptype computation, the FC model search)
+bottoms out in :func:`repro.lf.homomorphism.homomorphisms`.  A matcher
+that re-derived a join order atom-by-atom on every call — re-scoring
+every pending atom at each search node and copying the whole binding
+dict per variable extension — would pay those costs on every call.
 
 This module compiles each conjunction of atoms *once* into an explicit
 :class:`QueryPlan`:
@@ -32,8 +32,8 @@ containment pairs, ptype probes) compiles nothing after the first call.
 Evaluation is **iterative**: an explicit stack of candidate iterators
 with a per-depth undo trail mutates a single binding dict, copying it
 only when a complete match is yielded.  The result is binding-for-
-binding equal (as a set) to the legacy backtracking matcher — the
-property suite enforces this.
+binding equal (as a set) to a nested-loop scan of every fact per atom —
+the property suite checks this against such a scan.
 
 Instrumentation lives in :class:`HomStats`; a process-global instance
 (:data:`HOM_STATS`) accumulates counters that the chase engine
@@ -235,8 +235,8 @@ def _static_score(
 ) -> tuple:
     """Ordering key: most-constrained first, then index statistics.
 
-    Mirrors the legacy matcher's ``(unbound, -bound)`` heuristic —
-    computed over argument occurrences — and breaks ties with the
+    The classic ``(unbound, -bound)`` most-constrained-first heuristic —
+    computed over argument occurrences — which breaks ties with the
     predicate's fact count when a structure was supplied at compile
     time, then deterministically by the atom itself.
     """
@@ -276,8 +276,8 @@ class QueryPlan:
         selection and spec application are inlined — this loop runs
         once per candidate fact of every engine in the lab, so each
         avoided function call is paid back millions of times.  Callers
-        must not mutate *structure* while consuming the generator (live
-        index views, same contract as the legacy matcher).
+        must not mutate *structure* while consuming the generator (it
+        iterates live index views).
         """
         current: Binding = dict(binding) if binding else {}
         steps = self.steps

@@ -24,7 +24,7 @@ from .bdd import (
     rewrite_query,
 )
 from .index import SubsumptionIndex, signature_of
-from .rewriter import RewriteConfig, RewritingResult, legacy_rewrite, rewrite
+from .rewriter import RewriteConfig, RewritingResult, rewrite
 from .stats import REWRITE_TIMING_FIELDS, RewriteStats
 from .subsume import (
     clear_subsume_cache,
@@ -33,7 +33,6 @@ from .subsume import (
     freeze,
     minimize_ucq,
     normalize_equalities,
-    subsume_cache_disabled,
     ucq_equivalent,
     ucq_subsumes,
 )
@@ -55,10 +54,8 @@ __all__ = [
     "cq_equivalent",
     "cq_subsumes",
     "freeze",
-    "subsume_cache_disabled",
     "is_bdd_for",
     "kappa",
-    "legacy_rewrite",
     "mgu",
     "minimize_ucq",
     "normalize_equalities",

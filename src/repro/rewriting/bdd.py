@@ -26,6 +26,7 @@ from ..lf.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 from ..lf.rules import Rule, Theory
 from ..lf.structures import Structure
 from ..lf.terms import Constant, Element
+from ..runtime.guard import StopReason, guard_exception
 from .rewriter import RewriteConfig, RewritingResult, rewrite
 
 
@@ -138,6 +139,15 @@ def kappa(theory: Theory, config: "Optional[RewriteConfig]" = None) -> int:
     return bdd_profile(theory, config).kappa
 
 
+def _unsaturated(result: RewritingResult, message: str) -> Exception:
+    """The exception for a rewrite that stopped short: the budget error
+    for a count stop, the guard's typed exception for a guard stop, each
+    carrying the run's stats."""
+    if result.stopped_reason is StopReason.BUDGET:
+        return RewritingBudgetExceeded(message, stats=result.stats)
+    return guard_exception(result.stopped_reason, message, stats=result.stats)
+
+
 def answer_by_rewriting(
     database: Structure,
     theory: Theory,
@@ -151,9 +161,7 @@ def answer_by_rewriting(
     """
     result = rewrite(query, theory, config)
     if not result.saturated:
-        raise RewritingBudgetExceeded(
-            "rewriting did not saturate; answer unknown", steps=result.steps
-        )
+        raise _unsaturated(result, "rewriting did not saturate; answer unknown")
     return satisfies(database, result.ucq)
 
 
@@ -170,8 +178,6 @@ def answers_by_rewriting(
     """
     result = rewrite(query, theory, config)
     if not result.saturated:
-        raise RewritingBudgetExceeded(
-            "rewriting did not saturate; answers unknown", steps=result.steps
-        )
+        raise _unsaturated(result, "rewriting did not saturate; answers unknown")
     raw = all_answers(database, result.ucq)
     return {row for row in raw if all(isinstance(v, Constant) for v in row)}

@@ -1,7 +1,7 @@
 """An indexed subsumption frontier for the rewriting engine.
 
-The legacy engine pruned each fresh disjunct by checking
-``cq_subsumes(existing, candidate)`` against *every* kept disjunct — a
+Pruning each fresh disjunct by checking
+``cq_subsumes(existing, candidate)`` against *every* kept disjunct is a
 quadratic pairwise sweep where each check is a homomorphism search.
 Most of those checks are structurally hopeless: ``general ⊇ specific``
 requires a homomorphism from *general*'s atoms into the canonical

@@ -29,9 +29,8 @@ computational obstacle:
 
 * the worklist holds *canonical forms* (variables ``f0…/v0…``), so one
   reserved-namespace rule instance per rule (``_w{i}_{j}`` variables)
-  is provably disjoint from every query it resolves against — the
-  per-step :meth:`~repro.lf.rules.Rule.rename_apart` of the legacy
-  engine disappears entirely;
+  is provably disjoint from every query it resolves against — no rule
+  is renamed apart per step;
 * rules are dispatched from a per-(predicate, arity) table, and cheap
   *applicability prefilters* (head constants clashing with the target,
   existential head positions unified with a constant or a free
@@ -45,10 +44,10 @@ computational obstacle:
   (step/candidate funnel, index effectiveness, phase wall times) on
   :attr:`RewritingResult.stats`.
 
-:func:`legacy_rewrite` keeps the original quadratic loop callable as
-the ablation baseline; the property suite
-(``tests/property/test_rewrite_parity.py``) holds the two engines to
-UCQ-equivalent saturated outputs.
+The property suite (``tests/property/test_rewrite_parity.py``) checks
+saturated rewritings against Definition 2 itself: on drawn databases,
+and on fixed cases that need a factorisation, their answers agree with
+the chase's.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..config import BudgetedConfig, OnBudget
 from ..errors import RewritingBudgetExceeded, RuleError
@@ -67,7 +66,7 @@ from ..lf.rules import Rule, Theory
 from ..lf.terms import Constant, Term, Variable
 from .index import SubsumptionIndex, minimize_indexed
 from .stats import RewriteStats
-from .subsume import cq_subsumes, minimize_ucq, normalize_equalities
+from .subsume import cq_subsumes, normalize_equalities
 from .unify import Unifier
 
 
@@ -78,7 +77,7 @@ class RewriteConfig(BudgetedConfig):
     Shares the library-wide budget contract
     (:class:`~repro.config.BudgetedConfig`): ``should_raise``,
     ``with_overrides``, and the :class:`~repro.config.OnBudget` enum
-    (legacy strings accepted with a deprecation warning).
+    (its string values are accepted too).
 
     Attributes
     ----------
@@ -172,20 +171,16 @@ class RewritingResult:
 
 
 # ----------------------------------------------------------------------
-# Shared step primitives (used by both engines and tested directly)
+# Step primitives (tested directly)
 # ----------------------------------------------------------------------
 
-def _rename_rule_apart(rule: Rule, query: ConjunctiveQuery, counter: int) -> Rule:
-    """Rename *rule* so its variables are disjoint from the query's."""
-    taken = query.variables() | {Variable(f"w{counter}")}
-    return rule.rename_apart(taken, stem=f"w{counter}_")
-
-
-def _applicable(
+def _applicable_classes(
     unifier: Unifier,
-    rule: Rule,
-    target: Atom,
-    query: ConjunctiveQuery,
+    existentials,
+    occurrences: Dict[Variable, int],
+    inside_target: Dict[Variable, int],
+    free: Set[Variable],
+    query_vars,
 ) -> bool:
     """The applicability condition for existential variables.
 
@@ -196,38 +191,8 @@ def _applicable(
     rule-frontier variables, shared query variables, and other
     existential variables in the class all block the step — the witness
     produced by the chase is a fresh null that cannot coincide with any
-    of those.
-    """
-    occurrences: Dict[Variable, int] = {}
-    inside_target: Dict[Variable, int] = {}
-    for item in query.atoms:
-        for arg in item.args:
-            if isinstance(arg, Variable):
-                occurrences[arg] = occurrences.get(arg, 0) + 1
-                if item == target:
-                    inside_target[arg] = inside_target.get(arg, 0) + 1
-    return _applicable_classes(
-        unifier,
-        rule.existential_variables(),
-        occurrences,
-        inside_target,
-        set(query.free),
-        query.variables(),
-    )
-
-
-def _applicable_classes(
-    unifier: Unifier,
-    existentials,
-    occurrences: Dict[Variable, int],
-    inside_target: Dict[Variable, int],
-    free: Set[Variable],
-    query_vars,
-) -> bool:
-    """The class-membership core of the applicability condition.
-
-    Factored out so the worklist engine can feed it per-query memoised
-    occurrence maps instead of recomputing them per (rule, atom) pair.
+    of those.  The engine feeds it per-query memoised occurrence maps
+    instead of recomputing them per (rule, atom) pair.
     """
     for z in existentials:
         for member in unifier.class_of(z):
@@ -245,39 +210,6 @@ def _applicable_classes(
             else:
                 return False  # a universal variable of the rule
     return True
-
-
-def _rewriting_step(
-    query: ConjunctiveQuery,
-    target: Atom,
-    rule: Rule,
-) -> "Optional[ConjunctiveQuery]":
-    """Resolve *target* (an atom of *query*) against *rule*'s head.
-
-    Returns the rewritten query, or ``None`` when unification fails or
-    the applicability condition blocks the step.
-    """
-    head = rule.head_atom
-    unifier = Unifier()
-    if not unifier.unify_atoms(target, head):
-        return None
-    if rule.is_existential and not _applicable(unifier, rule, target, query):
-        return None
-    # Prefer free variables as class representatives, then other query
-    # variables, so substitution keeps the query's schema readable.
-    substitution = unifier.substitution(
-        prefer=tuple(query.free) + tuple(sorted(query.variables() - set(query.free)))
-    )
-    new_atoms = [
-        atom.substitute(substitution)  # type: ignore[arg-type]
-        for atom in query.atoms
-        if atom != target
-    ]
-    new_atoms.extend(
-        atom.substitute(substitution) for atom in rule.body  # type: ignore[arg-type]
-    )
-    _protect_free_variables(query, substitution, new_atoms)
-    return ConjunctiveQuery(new_atoms, query.free)
 
 
 def _protect_free_variables(
@@ -340,7 +272,7 @@ class _PreparedRule:
     The worklist engine only ever resolves against *canonical* queries
     (variables named ``f0…``/``v0…``), so a single instance whose
     variables are ``_w{rule}_{j}`` is disjoint from every query for the
-    whole run — the legacy engine's per-step rename is memoised away.
+    whole run, so no per-step rename is needed.
     The precomputed head shape powers the applicability prefilter.
     """
 
@@ -422,9 +354,7 @@ def rewrite(
 ) -> RewritingResult:
     """Compute the UCQ rewriting of *query* under *theory*.
 
-    The indexed worklist engine (see the module docstring); the
-    saturated output is UCQ-equivalent to :func:`legacy_rewrite`'s,
-    which the differential property suite enforces.  Requires
+    The indexed worklist engine (see the module docstring).  Requires
     single-head rules (convert multi-head theories with
     :mod:`repro.transforms.multihead` first).  Keyword overrides
     (``max_steps=...``, ``wall_ms=...``) are applied on top of *config*
@@ -571,8 +501,6 @@ def rewrite(
                 raise RewritingBudgetExceeded(
                     f"rewriting budget exhausted ({steps} steps, "
                     f"{len(seen)} queries)",
-                    steps=steps,
-                    queries=len(seen),
                     stats=stats,
                 )
             break
@@ -644,160 +572,6 @@ def rewrite(
 
     phase_start = time.perf_counter()
     final = minimize_indexed(kept, stats)
-    stats.minimize_ms = (time.perf_counter() - phase_start) * 1000.0
-    depth_bound = max(
-        (depth_of.get(disjunct.canonical(), 0) for disjunct in final),
-        default=0,
-    )
-    stats.steps = steps
-    stats.minimized = len(final)
-    stats.wall_ms = (time.perf_counter() - run_start) * 1000.0
-    return RewritingResult(
-        ucq=UnionOfConjunctiveQueries(final),
-        saturated=saturated,
-        steps=steps,
-        generated=generated,
-        depth_bound=depth_bound,
-        stats=stats,
-        stopped_reason=stopped_reason,
-    )
-
-
-# ----------------------------------------------------------------------
-# The legacy engine (ablation baseline)
-# ----------------------------------------------------------------------
-
-def legacy_rewrite(
-    query: ConjunctiveQuery,
-    theory: Theory,
-    config: "Optional[RewriteConfig]" = None,
-    **overrides,
-) -> RewritingResult:
-    """The pre-index quadratic loop, kept callable for ablation.
-
-    Rule instances are renamed apart per step and every fresh disjunct
-    is pairwise ``cq_subsumes``-checked against the whole frontier —
-    exactly the baseline ``BENCH_rewrite.json`` and the differential
-    property suite compare the worklist engine against.  Semantics
-    (budgets, guards, exceptions, saturation) match :func:`rewrite`.
-    """
-    config = (config or RewriteConfig()).with_overrides(**overrides)
-    _require_single_head(theory)
-    stats = RewriteStats(engine="legacy")
-    run_start = time.perf_counter()
-    guard = RuntimeGuard.from_config(config, "rewrite")
-
-    start = normalize_equalities(query)
-    if start is None:
-        stats.wall_ms = (time.perf_counter() - run_start) * 1000.0
-        return RewritingResult(
-            UnionOfConjunctiveQueries([]), True, 0, 0, stats=stats
-        )
-
-    seen: Set[ConjunctiveQuery] = {start.canonical()}
-    pruned: Set[ConjunctiveQuery] = set()
-    kept: List[ConjunctiveQuery] = [start]
-    depth_of: Dict[ConjunctiveQuery, int] = {start.canonical(): 0}
-    worklist: List[Tuple[ConjunctiveQuery, int]] = [(start, 0)]
-    steps = 0
-    generated = 1
-    counter = 0
-    saturated = True
-    stopped_reason = StopReason.FIXPOINT
-    stats.kept = 1
-
-    def consider(
-        candidate: "Optional[ConjunctiveQuery]",
-        depth: int,
-        prunable: bool = True,
-    ) -> None:
-        nonlocal generated
-        if candidate is None:
-            return
-        stats.candidates += 1
-        normal = normalize_equalities(candidate)
-        if normal is None:
-            stats.unsatisfiable += 1
-            return
-        marker = normal.canonical()
-        if marker in seen:
-            if depth < depth_of.get(marker, depth):
-                depth_of[marker] = depth
-            # see rewrite(): a pruned query re-arriving through a kept
-            # query's factorisation is resurrected — the non-prunable
-            # arrival must be kept or its rewrite steps never run
-            if prunable or marker not in pruned:
-                stats.duplicates += 1
-                return
-            pruned.discard(marker)
-        else:
-            seen.add(marker)
-            depth_of[marker] = depth
-            generated += 1
-        if prunable and config.eager_subsumption:
-            stats.subsumption_checks += len(kept)
-            if any(cq_subsumes(existing, normal) for existing in kept):
-                stats.subsumed += 1
-                pruned.add(marker)
-                # see rewrite(): a pruned query's factorisations may
-                # unlock rules its subsumer never reaches — keep the
-                # factorisation closure alive.
-                if config.factorize:
-                    for factored in _factorizations(normal):
-                        stats.factor_steps += 1
-                        consider(factored, depth, prunable=True)
-                return
-        kept.append(normal)
-        stats.kept += 1
-        worklist.append((normal, depth))
-
-    while worklist:
-        reason = guard.check()
-        if reason is not None:
-            saturated = False
-            stopped_reason = reason
-            if config.should_raise:
-                stats.steps = steps
-                stats.wall_ms = (time.perf_counter() - run_start) * 1000.0
-                raise guard.exception(reason, stats=stats)
-            break
-        if steps >= config.max_steps or len(seen) >= config.max_queries:
-            saturated = False
-            stopped_reason = StopReason.BUDGET
-            if config.should_raise:
-                stats.steps = steps
-                stats.wall_ms = (time.perf_counter() - run_start) * 1000.0
-                raise RewritingBudgetExceeded(
-                    f"rewriting budget exhausted ({steps} steps, "
-                    f"{len(seen)} queries)",
-                    steps=steps,
-                    queries=len(seen),
-                    stats=stats,
-                )
-            break
-        current, current_depth = worklist.pop()
-        for target in current.atoms:
-            if target.is_equality:
-                continue
-            for rule in theory.rules:
-                if rule.head_atom.pred != target.pred:
-                    continue
-                counter += 1
-                renamed = _rename_rule_apart(rule, current, counter)
-                steps += 1
-                stats.rewrite_steps += 1
-                stats.rule_instances += 1
-                consider(_rewriting_step(current, target, renamed), current_depth + 1)
-        if config.factorize:
-            for factored in _factorizations(current):
-                steps += 1
-                stats.factor_steps += 1
-                # a match of the factored query is a match of current:
-                # no chase step involved, so the depth does not grow
-                consider(factored, current_depth, prunable=False)
-
-    phase_start = time.perf_counter()
-    final = minimize_ucq(kept)
     stats.minimize_ms = (time.perf_counter() - phase_start) * 1000.0
     depth_bound = max(
         (depth_of.get(disjunct.canonical(), 0) for disjunct in final),

@@ -19,13 +19,13 @@ The counters tell the story of the worklist run:
   per-(predicate, arity) applicability prefilter *before* any
   unification work;
 * *index_probes / subsumption_checks / pairwise_checks_avoided* — how
-  the :class:`~repro.rewriting.index.SubsumptionIndex` replaced the
-  legacy quadratic frontier scan: each probe compares the candidate
-  against only its structurally comparable group, and
+  the :class:`~repro.rewriting.index.SubsumptionIndex` avoids a
+  quadratic frontier scan: each probe compares the candidate against
+  only its structurally comparable group, and
   ``pairwise_checks_avoided`` counts the frontier entries the index
   filtered out without a homomorphism check;
-* *rule_instances* — memoised rename-apart rule instances built (the
-  legacy engine re-renamed one per step).
+* *rule_instances* — memoised rename-apart rule instances built (one
+  per rule, not one per step).
 
 Wall times (``*_ms``) are the only nondeterministic fields; everything
 else is a pure function of (query, theory, config), which the CLI
@@ -59,7 +59,7 @@ class RewriteStats:
     Attributes
     ----------
     engine:
-        ``"indexed"`` (the worklist engine) or ``"legacy"``.
+        Always ``"indexed"`` (the worklist engine).
     steps:
         Step applications performed (rewriting + factorisation) — the
         quantity ``RewriteConfig.max_steps`` budgets.
@@ -88,7 +88,7 @@ class RewriteStats:
         Homomorphism-backed ``cq_subsumes`` calls actually performed.
     pairwise_checks_avoided:
         Frontier entries the index filtered out as structurally
-        incomparable (the legacy engine would have checked each).
+        incomparable (a full frontier scan would have checked each).
     minimized:
         Disjuncts in the final minimised UCQ.
     wall_ms / rewrite_ms / factor_ms / subsume_ms / minimize_ms:

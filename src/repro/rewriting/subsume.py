@@ -27,15 +27,13 @@ on the (immutable, hashable) query itself; since CQ atoms are kept in
 a deterministic order, this key identifies the query's canonical shape
 for all the repeat calls that matter.  The cached canonical database
 is shared read-only across containment checks (the homomorphism
-engine never mutates its target).  :func:`subsume_cache_disabled` and
-:func:`clear_subsume_cache` exist for the ``BENCH_hom`` ablation and
-for tests.
+engine never mutates its target).  :func:`clear_subsume_cache` empties
+them for benchmarks and tests.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 from ..lf.atoms import Atom
@@ -53,7 +51,6 @@ from ..lf.terms import Constant, Null, Variable
 _CACHE_MAXSIZE = 8192
 _NORMALIZE_CACHE: "Dict[ConjunctiveQuery, Optional[ConjunctiveQuery]]" = {}
 _FREEZE_CACHE: "Dict[ConjunctiveQuery, Tuple[Structure, Dict[Variable, object]]]" = {}
-_CACHE_ENABLED = True
 _CACHE_LOCK = threading.Lock()
 
 
@@ -64,22 +61,8 @@ def clear_subsume_cache() -> None:
         _FREEZE_CACHE.clear()
 
 
-@contextmanager
-def subsume_cache_disabled():
-    """Run the block with containment memoisation switched off."""
-    global _CACHE_ENABLED
-    previous = _CACHE_ENABLED
-    _CACHE_ENABLED = False
-    try:
-        yield
-    finally:
-        _CACHE_ENABLED = previous
-
-
 def _normalized(query: ConjunctiveQuery) -> "Optional[ConjunctiveQuery]":
     """Memoised :func:`normalize_equalities`."""
-    if not _CACHE_ENABLED:
-        return normalize_equalities(query)
     try:
         return _NORMALIZE_CACHE[query]
     except KeyError:
@@ -94,8 +77,6 @@ def _normalized(query: ConjunctiveQuery) -> "Optional[ConjunctiveQuery]":
 
 def _frozen(query: ConjunctiveQuery) -> "Tuple[Structure, Dict[Variable, object]]":
     """Memoised :func:`freeze`: the shared, read-only canonical database."""
-    if not _CACHE_ENABLED:
-        return freeze(query)
     try:
         return _FREEZE_CACHE[query]
     except KeyError:

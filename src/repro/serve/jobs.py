@@ -154,21 +154,19 @@ def _op_certain(session, request, params, guard):
 
 def _op_rewrite(session, request, params, guard):
     from ..config import OnBudget
-    from ..rewriting import RewriteConfig, legacy_rewrite, rewrite
+    from ..rewriting import RewriteConfig, rewrite
 
     theory_text = _field(request, "theory")
     query_text = _field(request, "query")
     free = _free(request)
-    legacy = bool(params.get("legacy", False))
     max_steps = _int_param(params, "max_steps", 20_000)
     max_queries = _int_param(params, "max_queries", 2_000)
 
     # The compiled-artifact cache: a *finished* rewriting is a pure
-    # function of (engine, budgets, theory, query) — guard settings
-    # cannot change it, only truncate it, and truncated results are
-    # never cached.
+    # function of (budgets, theory, query) — guard settings cannot
+    # change it, only truncate it, and truncated results are never
+    # cached.
     artifact_key = (
-        "legacy" if legacy else "indexed",
         max_steps,
         max_queries,
         text_key(theory_text),
@@ -190,8 +188,7 @@ def _op_rewrite(session, request, params, guard):
         on_budget=OnBudget.RETURN,
         **guard,
     )
-    engine = legacy_rewrite if legacy else rewrite
-    result = engine(query, theory, config)
+    result = rewrite(query, theory, config)
     payload, code = payloads.rewrite_payload(result)
     if result.saturated:
         session.store_rewriting(artifact_key, payload, code)
@@ -227,7 +224,7 @@ def _op_countermodel(session, request, params, guard):
 
 
 def _op_fc_search(session, request, params, guard):
-    from ..fc import SearchConfig, legacy_search, search_finite_model
+    from ..fc import SearchConfig, search_finite_model
 
     theory = session.theory(_field(request, "theory"))
     database = session.database(_field(request, "database"))
@@ -236,26 +233,16 @@ def _op_fc_search(session, request, params, guard):
         forbidden = session.query(_field(request, "query"), _free(request))
     max_elements = _int_param(params, "max_elements", 10)
     max_nodes = _int_param(params, "max_nodes", 50_000)
-    if params.get("legacy"):
-        outcome = legacy_search(
-            database,
-            theory,
-            forbidden=forbidden,
-            max_elements=max_elements,
-            max_nodes=max_nodes,
-            config=SearchConfig(**guard),
-        )
-    else:
-        config = SearchConfig(
-            max_elements=max_elements,
-            max_nodes=max_nodes,
-            heuristic=params.get("heuristic", "dfs"),
-            canonical_dedup=not params.get("no_canonical_dedup", False),
-            **guard,
-        )
-        outcome = search_finite_model(
-            database, theory, forbidden=forbidden, config=config
-        )
+    config = SearchConfig(
+        max_elements=max_elements,
+        max_nodes=max_nodes,
+        heuristic=params.get("heuristic", "dfs"),
+        canonical_dedup=not params.get("no_canonical_dedup", False),
+        **guard,
+    )
+    outcome = search_finite_model(
+        database, theory, forbidden=forbidden, config=config
+    )
     return payloads.fc_search_payload(outcome)
 
 

@@ -3,7 +3,7 @@
 Covers the engine-specific surface: :class:`SearchConfig`, frontier
 heuristics, the copy-on-write/saturation counters, canonical dedup
 (including the alpha-renaming regression), budget policies, and parity
-with :func:`legacy_search` on fixed workloads.
+with the definitional search of ``tests/oracles.py`` on fixed workloads.
 """
 
 import pytest
@@ -11,17 +11,25 @@ import pytest
 from repro.chase import is_model
 from repro.config import OnBudget
 from repro.errors import ModelSearchExhausted
-from repro.lf import parse_query, parse_structure, parse_theory, satisfies
+from repro.lf import (
+    Atom,
+    Null,
+    parse_query,
+    parse_structure,
+    parse_theory,
+    satisfies,
+)
 from repro.fc import (
     SEARCH_TIMING_FIELDS,
     SearchConfig,
     SearchHeuristic,
     SearchStats,
     every_finite_model_satisfies,
-    legacy_search,
     search_finite_model,
 )
 from repro.zoo import section55_database, section55_query, section55_theory
+
+from ..oracles import definitional_search
 
 LINEAR = parse_theory("E(x,y) -> exists z. E(y,z)")
 DB = parse_structure("E(a,b)")
@@ -38,6 +46,16 @@ FORK = parse_theory(
 )
 FORK_DB = parse_structure("A(a), B(a)")
 FORK_FORBIDDEN = parse_query("E(x,y), F(x,z)")
+
+#: Three reuse branches R(b,b), R(b,a), R(b,_:0) with equal fact counts,
+#: domain sizes and predicates but pairwise non-isomorphic: the
+#: forbidden query prunes the two popped first, and only the third is a
+#: model within three elements.  A search that merged them would report
+#: none.
+SIBLINGS = parse_theory("U(x) -> exists y. R(x,y)")
+SIBLINGS_DB = parse_structure("K(a), K(b), U(b)")
+SIBLINGS_DB.add_fact(Atom("P", (Null(0),)))
+SIBLINGS_FORBIDDEN = parse_query("R(x,y), K(y)")
 
 
 class TestCanonicalDedupRegression:
@@ -67,19 +85,6 @@ class TestCanonicalDedupRegression:
         # Dedup must not change the verdict, nor exhaustiveness.
         assert on.found == off.found
         assert on.stats.exhausted and off.stats.exhausted
-
-    def test_legacy_also_visits_alpha_variants(self):
-        legacy = legacy_search(
-            FORK_DB, FORK, forbidden=FORK_FORBIDDEN, max_elements=4
-        )
-        on = search_finite_model(
-            FORK_DB,
-            FORK,
-            forbidden=FORK_FORBIDDEN,
-            config=SearchConfig(max_elements=4, max_nodes=5000),
-        )
-        assert on.stats.nodes < legacy.stats.nodes
-        assert on.found == legacy.found
 
 
 class TestSearchConfig:
@@ -242,14 +247,16 @@ class TestStats:
 
 
 class TestLegacyParity:
-    """Fixed-example parity; the hypothesis suite fuzzes the same
-    contract in tests/property/test_search_parity.py."""
+    """Fixed-example parity with the definitional search (the
+    pre-rebuild algorithm, kept as a test oracle); the hypothesis suite
+    fuzzes the same contract in tests/property/test_search_parity.py."""
 
     CASES = [
         (LINEAR, DB, None, 5),
         (LINEAR, DB, parse_query("E(x,x)"), 5),
         (LINEAR, DB, parse_query("E(x,y)"), 4),
         (FORK, FORK_DB, FORK_FORBIDDEN, 4),
+        (SIBLINGS, SIBLINGS_DB, SIBLINGS_FORBIDDEN, 3),
     ]
 
     @pytest.mark.parametrize("theory,db,forbidden,me", CASES)
@@ -257,14 +264,16 @@ class TestLegacyParity:
         new = search_finite_model(
             db, theory, forbidden=forbidden, config=SearchConfig(max_elements=me)
         )
-        old = legacy_search(db, theory, forbidden=forbidden, max_elements=me)
-        assert new.found == old.found
-        for outcome in (new, old):
-            if outcome.found:
-                assert is_model(outcome.model, theory)
-                assert outcome.model.contains_structure(db)
+        model, _ = definitional_search(
+            db, theory, forbidden=forbidden, max_elements=me
+        )
+        assert new.found == (model is not None)
+        for found in (new.model, model):
+            if found is not None:
+                assert is_model(found, theory)
+                assert found.contains_structure(db)
                 if forbidden is not None:
-                    assert not satisfies(outcome.model, forbidden)
+                    assert not satisfies(found, forbidden)
 
     def test_section55_parity(self):
         theory, database = section55_theory(), section55_database()
@@ -272,15 +281,10 @@ class TestLegacyParity:
         verdict, stats = every_finite_model_satisfies(
             database, theory, phi, max_elements=6, max_nodes=30_000
         )
-        legacy = legacy_search(
+        model, exhausted = definitional_search(
             database, theory, forbidden=phi, max_elements=6, max_nodes=30_000
         )
         assert verdict
         assert stats.exhausted
-        assert not legacy.found
-        assert legacy.stats.exhausted
-
-    def test_legacy_stats_engine_marker(self):
-        old = legacy_search(DB, LINEAR, max_elements=4)
-        assert old.stats.engine == "legacy"
-        assert old.stats.states_created >= old.stats.nodes - 1
+        assert model is None
+        assert exhausted

@@ -2,9 +2,9 @@
 
 Two contracts are enforced here:
 
-* the compiled-plan evaluation path produces exactly the binding set of
-  the legacy backtracking matcher, on arbitrary query/structure pairs
-  (with and without pre-bindings);
+* the compiled-plan matcher produces exactly the binding set of the
+  nested-loop oracle (``tests/oracles.py``), on arbitrary
+  query/structure pairs (with and without pre-bindings);
 * UCQ answer sets are invariant under the symmetries that the
   free-variable capture bugs used to break — reordering disjuncts and
   injectively renaming the variables of individual disjuncts.
@@ -13,15 +13,9 @@ Two contracts are enforced here:
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.lf import (
-    UnionOfConjunctiveQueries,
-    Variable,
-    all_answers,
-    homomorphisms,
-    legacy_homomorphisms,
-    planner_disabled,
-)
+from repro.lf import UnionOfConjunctiveQueries, Variable, all_answers, homomorphisms
 
+from ..oracles import nested_loop_bindings
 from .strategies import elements, open_conjunctive_queries, structures
 
 RELAXED = settings(
@@ -34,12 +28,15 @@ def binding_set(generator):
 
 
 class TestPlannedLegacyParity:
+    """The planned matcher against the nested-loop oracle, which scans
+    every fact for every atom: the pre-plan matching semantics."""
+
     @RELAXED
     @given(structures(), open_conjunctive_queries())
     def test_same_binding_set(self, structure, query):
         planned = binding_set(homomorphisms(query.atoms, structure))
-        legacy = binding_set(legacy_homomorphisms(query.atoms, structure))
-        assert planned == legacy
+        oracle = binding_set(nested_loop_bindings(query.atoms, structure))
+        assert planned == oracle
 
     @RELAXED
     @given(structures(min_facts=1), open_conjunctive_queries(), elements)
@@ -49,18 +46,21 @@ class TestPlannedLegacyParity:
             return
         prebinding = {pool[0]: element}
         planned = binding_set(homomorphisms(query.atoms, structure, prebinding))
-        legacy = binding_set(
-            legacy_homomorphisms(query.atoms, structure, prebinding)
+        oracle = binding_set(
+            nested_loop_bindings(query.atoms, structure, prebinding)
         )
-        assert planned == legacy
+        assert planned == oracle
 
     @RELAXED
     @given(structures(), open_conjunctive_queries())
     def test_planner_toggle_preserves_answers(self, structure, query):
-        with_planner = all_answers(structure, query)
-        with planner_disabled():
-            without = all_answers(structure, query)
-        assert with_planner == without
+        # the answer relation is the oracle's bindings projected on
+        # the free variables
+        oracle = {
+            tuple(binding[v] for v in query.free)
+            for binding in nested_loop_bindings(query.atoms, structure)
+        }
+        assert all_answers(structure, query) == oracle
 
 
 def rename_injectively(query, suffix):

@@ -1,10 +1,9 @@
 """Direct tests of the factorisation step primitives.
 
-``_factorizations`` and ``_protect_free_variables`` are shared by both
-engines (the worklist engine additionally calls them on pruned
-disjuncts — the completeness recovery), so their contract is pinned
-here on the paper's own query shapes rather than through full rewrite
-runs.
+``_factorizations`` and ``_protect_free_variables`` are used by the
+rewriting engine on kept and on pruned disjuncts (the completeness
+recovery), so their contract is pinned here on the paper's own query
+shapes rather than through full rewrite runs.
 """
 
 from repro.lf import ConjunctiveQuery, Constant, Variable, atom, parse_query

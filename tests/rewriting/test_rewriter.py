@@ -6,7 +6,7 @@ with the chase answer (Definition 2 of the paper).
 
 import pytest
 
-from repro.errors import RewritingBudgetExceeded, RuleError
+from repro.errors import DeadlineExceeded, RewritingBudgetExceeded, RuleError
 from repro.chase import certain_boolean
 from repro.lf import Rule, Variable, atom, parse_query, parse_structure, parse_theory
 from repro.lf.rules import Theory
@@ -121,6 +121,30 @@ class TestBudgets:
         with pytest.raises(ValueError):
             RewriteConfig(on_budget="nope")
 
+    @pytest.mark.parametrize("shortcut", [answer_by_rewriting, answers_by_rewriting])
+    @pytest.mark.parametrize(
+        "overrides, error, reason",
+        [
+            (dict(max_steps=2), RewritingBudgetExceeded, "budget"),
+            (dict(wall_ms=0), DeadlineExceeded, "deadline"),
+        ],
+        ids=["count", "deadline"],
+    )
+    def test_shortcuts_raise_the_stop_they_hit(
+        self, shortcut, overrides, error, reason
+    ):
+        config = RewriteConfig(on_budget=OnBudget.RETURN, **overrides)
+        with pytest.raises(error) as excinfo:
+            shortcut(
+                parse_structure("E(a,b)"),
+                TRANSITIVE,
+                parse_query("E(x,y)", free=["x", "y"]),
+                config,
+            )
+        assert excinfo.value.stopped_reason == reason
+        assert excinfo.value.stats is not None
+        assert excinfo.value.stats.engine == "indexed"
+
 
 class TestKappa:
     def test_example7_kappa(self):
@@ -233,14 +257,11 @@ class TestEmptyRewritingResult:
         )
 
     def test_unsatisfiable_query_rewrites_to_empty(self):
-        from repro.rewriting import legacy_rewrite
-
-        for engine in (rewrite, legacy_rewrite):
-            result = engine(self.unsat_query(), Theory([]))
-            assert result.saturated
-            assert len(result.ucq) == 0
-            assert result.max_width == 0
-            assert "0 disjuncts" in str(result)
+        result = rewrite(self.unsat_query(), Theory([]))
+        assert result.saturated
+        assert len(result.ucq) == 0
+        assert result.max_width == 0
+        assert "0 disjuncts" in str(result)
 
     def test_hand_built_empty_union(self):
         from repro.lf import UnionOfConjunctiveQueries
@@ -283,20 +304,19 @@ class TestPrunedResurrection:
     QUERY = parse_query("E(x, x), R(x, y)", free=[])
 
     def test_eager_keeps_resurrected_factorisation(self):
-        from repro.rewriting import legacy_rewrite, ucq_equivalent
+        from repro.rewriting import ucq_equivalent
 
-        for engine in (rewrite, legacy_rewrite):
-            eager = engine(
-                self.QUERY, self.THEORY,
-                config=RewriteConfig(eager_subsumption=True),
-            )
-            exact = engine(
-                self.QUERY, self.THEORY,
-                config=RewriteConfig(eager_subsumption=False),
-            )
-            assert eager.saturated and exact.saturated
-            assert ucq_equivalent(eager.ucq, exact.ucq)
-            # the disjunct the bug lost: any E edge certifies the query
-            assert answer_by_rewriting(
-                parse_structure("E(a,b)"), self.THEORY, self.QUERY
-            )
+        eager = rewrite(
+            self.QUERY, self.THEORY,
+            config=RewriteConfig(eager_subsumption=True),
+        )
+        exact = rewrite(
+            self.QUERY, self.THEORY,
+            config=RewriteConfig(eager_subsumption=False),
+        )
+        assert eager.saturated and exact.saturated
+        assert ucq_equivalent(eager.ucq, exact.ucq)
+        # the disjunct the bug lost: any E edge certifies the query
+        assert answer_by_rewriting(
+            parse_structure("E(a,b)"), self.THEORY, self.QUERY
+        )

@@ -23,9 +23,9 @@ from repro.chase import ChaseConfig, chase
 from repro.config import OnBudget
 from repro.core import PipelineConfig, build_finite_counter_model
 from repro.errors import Cancelled, DeadlineExceeded, MemoryBudgetExceeded
-from repro.fc import SearchConfig, legacy_search, search_finite_model
+from repro.fc import SearchConfig, search_finite_model
 from repro.lf import parse_query, parse_structure, parse_theory
-from repro.rewriting import RewriteConfig, legacy_rewrite, rewrite
+from repro.rewriting import RewriteConfig, rewrite
 from repro.runtime import GUARD_REASONS, StopReason
 from repro.testing import inject_fault
 
@@ -131,15 +131,6 @@ class TestRewrite:
         assert excinfo.value.stats is not None
         assert excinfo.value.stopped_reason == reason.value
 
-    @guard_reasons
-    def test_legacy_engine_obeys_the_same_guard(self, reason):
-        with inject_fault("rewrite", reason):
-            result = legacy_rewrite(
-                edge_query(), TRANS, on_budget=OnBudget.RETURN
-            )
-        assert result.stopped_reason is reason
-        assert not result.saturated
-
     def test_partial_run_is_a_prefix_of_the_full_run(self):
         with inject_fault("rewrite", "memory", at_checkpoint=4):
             partial = rewrite(edge_query(), TRANS, on_budget=OnBudget.RETURN)
@@ -196,13 +187,6 @@ class TestSearch:
                 )
         assert excinfo.value.stats is not None
         assert excinfo.value.stopped_reason == reason.value
-
-    @guard_reasons
-    def test_legacy_engine_obeys_the_same_guard(self, reason):
-        with inject_fault("fc-search", reason):
-            result = legacy_search(DB, LINEAR, forbidden=Q_LOOP, max_elements=3)
-        assert result.model is None
-        assert result.stopped_reason is reason
 
     def test_rerun_without_the_fault_finds_the_model(self):
         with inject_fault("fc-search", "deadline"):

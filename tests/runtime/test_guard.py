@@ -191,7 +191,7 @@ class TestFromConfig:
         assert RuntimeGuard.from_config(ChaseConfig(), "chase") is NULL_GUARD
 
     def test_none_config_yields_null_guard(self):
-        # legacy_search passes config=None through.
+        # A caller with no config at all gets the inactive guard too.
         assert RuntimeGuard.from_config(None, "fc-search") is NULL_GUARD
 
     def test_wall_budget_yields_active_guard(self):

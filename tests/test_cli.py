@@ -173,28 +173,6 @@ class TestRewrite:
         assert "# candidates:" in out
         assert "# index:" in out
 
-    def test_legacy_engine(self, capsys):
-        code, out, _err = run(
-            capsys, "-e", "rewrite", EXAMPLE7, "R(x,u)", "--free", "x,u",
-            "--legacy", "--stats"
-        )
-        assert code == 0
-        assert "saturated: 3 disjuncts" in out
-        assert "# stats: engine=legacy" in out
-
-    def test_legacy_agrees_with_indexed(self, capsys):
-        # disjunct variable *names* differ between engines; the header
-        # line (disjunct count, width, depth bound) must not
-        code_new, out_new, _ = run(
-            capsys, "-e", "rewrite", EXAMPLE7, "R(x,u)", "--free", "x,u"
-        )
-        code_old, out_old, _ = run(
-            capsys, "-e", "rewrite", EXAMPLE7, "R(x,u)", "--free", "x,u",
-            "--legacy"
-        )
-        assert code_new == code_old == 0
-        assert out_new.splitlines()[0] == out_old.splitlines()[0]
-
 
 class TestClassify:
     def test_profile(self, capsys):
@@ -280,14 +258,6 @@ class TestFcSearch:
         assert "# search: engine=delta" in out
         assert "# states:" in out
         assert "# saturation:" in out
-
-    def test_legacy_engine(self, capsys):
-        code, out, _err = run(
-            capsys, "-e", "fc-search", LINEAR, DB, "--max-elements", "5",
-            "--legacy", "--stats",
-        )
-        assert code == 0
-        assert "engine=legacy" in out
 
     def test_heuristic_flag(self, capsys):
         code, out, _err = run(

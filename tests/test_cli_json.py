@@ -134,25 +134,6 @@ class TestJsonShape:
         for field in REWRITE_TIMING_FIELDS:
             assert field in stats
 
-    def test_rewrite_legacy_payload(self, capsys):
-        code, payload = run_json(capsys, "-e", "rewrite", EXAMPLE7,
-                                 "R(x,u)", "--free", "x,u", "--legacy",
-                                 "--json")
-        assert code == EXIT_OK
-        assert payload["stats"]["engine"] == "legacy"
-        assert payload["counts"]["disjuncts"] == 3
-
-    def test_rewrite_engines_agree_modulo_naming(self, capsys):
-        _, new = run_json(capsys, "-e", "rewrite", EXAMPLE7, "R(x,u)",
-                          "--free", "x,u", "--json")
-        _, old = run_json(capsys, "-e", "rewrite", EXAMPLE7, "R(x,u)",
-                          "--free", "x,u", "--legacy", "--json")
-        # step counts legitimately differ (the indexed engine's
-        # prefilter skips hopeless rule applications before they count)
-        for key in ("disjuncts", "max_width", "depth_bound"):
-            assert new["counts"][key] == old["counts"][key]
-        assert new["status"] == old["status"]
-
     def test_certain_unknown_maps_to_exit_2(self, capsys):
         code, payload = run_json(capsys, "-e", "certain", LINEAR, DB,
                                  "E(x,x)", "--depth", "4", "--json")

@@ -1,7 +1,7 @@
 """The unified config contract: OnBudget, BudgetedConfig, overrides.
 
 One budget vocabulary across the chase, the rewriter, and the
-pipeline — including the deprecation shim for legacy string values.
+pipeline — enum members or their string values, accepted silently.
 """
 
 import dataclasses
@@ -25,24 +25,26 @@ class TestOnBudget:
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert OnBudget.coerce(OnBudget.RAISE) is OnBudget.RAISE
-
-    def test_coerce_warns_on_legacy_strings(self):
-        with pytest.warns(DeprecationWarning, match="OnBudget.RETURN"):
-            assert OnBudget.coerce("return") is OnBudget.RETURN
+            member = coerce_enum(OnBudget.RAISE, OnBudget, "on_budget")
+        assert member is OnBudget.RAISE
 
     def test_coerce_rejects_unknown_values(self):
         with pytest.raises(ValueError, match="on_budget"):
-            OnBudget.coerce("explode")
+            coerce_enum("explode", OnBudget, "on_budget")
         with pytest.raises(ValueError, match="on_budget"):
-            OnBudget.coerce(7)
+            coerce_enum(7, OnBudget, "on_budget")
 
     def test_coerce_enum_without_deprecation_is_silent(self):
         import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            member = coerce_enum("naive", ChaseStrategy, "strategy")
-        assert member is ChaseStrategy.NAIVE
+        cases = [
+            ("naive", ChaseStrategy, "strategy", ChaseStrategy.NAIVE),
+            ("return", OnBudget, "on_budget", OnBudget.RETURN),
+        ]
+        for value, enum_cls, field, expected in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                member = coerce_enum(value, enum_cls, field)
+            assert member is expected
 
 
 @pytest.mark.parametrize(
@@ -61,8 +63,7 @@ class TestSharedContract:
         assert config.should_raise is (default is OnBudget.RAISE)
 
     def test_legacy_strings_accepted_with_warning(self, config_cls, default):
-        with pytest.warns(DeprecationWarning):
-            config = config_cls(on_budget="raise")
+        config = config_cls(on_budget="raise")
         assert config.on_budget is OnBudget.RAISE
         assert config.should_raise
 
