@@ -53,12 +53,19 @@ Usage::
     PYTHONPATH=src python benchmarks/run_smoke.py --full   # bench-file sizes
 
 Timings are medians over ``--repeat`` runs; the stats counters
-(triggers, probes, facts) are deterministic and the real payload — a
-regression shows up there even on a noisy machine.
+(triggers, probes, facts) are the real payload — a regression shows up
+there even on a noisy machine.  Counters of full enumerations repeat
+from run to run; counters of first-match probes (``ptype-probe``)
+repeat only at a fixed ``PYTHONHASHSEED``, since each probe stops at
+whichever match the hash-ordered index buckets yield first.  Each
+payload records the ``PYTHONHASHSEED`` it ran under (``"unset"`` when
+the variable was not set), so two scoreboards are compared only at the
+same seed.
 """
 
 import argparse
 import json
+import os
 import statistics
 import sys
 import time
@@ -963,6 +970,12 @@ def main(argv=None):
     parser.add_argument("--serve-output", type=Path, default=SERVE_OUTPUT)
     parser.add_argument("--resil-output", type=Path, default=RESIL_OUTPUT)
     args = parser.parse_args(argv)
+    # the fields every payload starts with
+    run_info = {
+        "mode": "full" if args.full else "reduced",
+        "repeat": args.repeat,
+        "pythonhashseed": os.environ.get("PYTHONHASHSEED", "unset"),
+    }
 
     depth = 40 if args.full else 20
     tc_size, tc_edges = (40, 80) if args.full else (15, 30)
@@ -1012,8 +1025,7 @@ def main(argv=None):
     })
 
     payload = {
-        "mode": "full" if args.full else "reduced",
-        "repeat": args.repeat,
+        **run_info,
         "entries": entries,
         "speedups": speedups,
     }
@@ -1027,8 +1039,7 @@ def main(argv=None):
 
     hom_entry_list = hom_entries(args.full, args.repeat)
     hom_payload = {
-        "mode": "full" if args.full else "reduced",
-        "repeat": args.repeat,
+        **run_info,
         "entries": hom_entry_list,
     }
     args.hom_output.write_text(
@@ -1040,8 +1051,7 @@ def main(argv=None):
 
     fc_entry_list = fc_entries(args.full, args.repeat)
     fc_payload = {
-        "mode": "full" if args.full else "reduced",
-        "repeat": args.repeat,
+        **run_info,
         "entries": fc_entry_list,
     }
     args.fc_output.write_text(
@@ -1054,8 +1064,7 @@ def main(argv=None):
 
     rw_entry_list = rewrite_entries(args.full, args.repeat)
     rw_payload = {
-        "mode": "full" if args.full else "reduced",
-        "repeat": args.repeat,
+        **run_info,
         "entries": rw_entry_list,
     }
     args.rewrite_output.write_text(
@@ -1069,8 +1078,7 @@ def main(argv=None):
 
     guard_entry_list, guard_overheads = guard_entries(args.full, args.repeat)
     guard_payload = {
-        "mode": "full" if args.full else "reduced",
-        "repeat": args.repeat,
+        **run_info,
         "bar_pct": GUARD_OVERHEAD_BAR_PCT,
         "entries": guard_entry_list,
         "overhead_pct": guard_overheads,
@@ -1088,8 +1096,7 @@ def main(argv=None):
 
     incr_entry_list, incr_speedups = incr_entries(args.full, args.repeat)
     incr_payload = {
-        "mode": "full" if args.full else "reduced",
-        "repeat": args.repeat,
+        **run_info,
         "bar_x": INCR_SPEEDUP_BAR_X,
         "entries": incr_entry_list,
         "speedups": incr_speedups,
@@ -1105,8 +1112,7 @@ def main(argv=None):
 
     serve_entry_list, serve_speedups = serve_entries(args.full, args.repeat)
     serve_payload = {
-        "mode": "full" if args.full else "reduced",
-        "repeat": args.repeat,
+        **run_info,
         "bar_x": SERVE_SPEEDUP_BAR_X,
         "sla_ms": SERVE_SLA_MS,
         "entries": serve_entry_list,
@@ -1126,8 +1132,7 @@ def main(argv=None):
 
     resil_entry_list, resil_speedups = resil_entries(args.full, args.repeat)
     resil_payload = {
-        "mode": "full" if args.full else "reduced",
-        "repeat": args.repeat,
+        **run_info,
         "bar_x": RESIL_GOODPUT_BAR_X,
         "sla_ms": SERVE_SLA_MS,
         "entries": resil_entry_list,

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .atoms import Atom
-from .plan import plan_for
+from .plan import QueryPlan, plan_for
 from .queries import ConjunctiveQuery, UnionOfConjunctiveQueries, align_free
 from .structures import Structure
 from .terms import Constant, Element, Null, Variable
@@ -101,6 +101,26 @@ def _resolve_equalities(
     return relational, binding, flattened
 
 
+def _planned(
+    atoms: Sequence[Atom], structure: Structure, binding: "Optional[Binding]"
+) -> "Optional[Tuple[QueryPlan, Binding, Dict[Variable, Variable]]]":
+    """Resolve the equalities of *atoms* and fetch the plan of the rest.
+
+    Returns the plan, the binding it starts from and the renaming of
+    :func:`_resolve_equalities`, or ``None`` when the equalities are
+    inconsistent.
+    """
+    resolved = _resolve_equalities(list(atoms), binding or {})
+    if resolved is None:
+        return None
+    todo, start, renamed = resolved
+    atom_vars: Set[Variable] = set()
+    for item in todo:
+        atom_vars.update(item.variable_set())
+    prebound = frozenset(var for var in start if var in atom_vars)
+    return plan_for(tuple(todo), prebound, structure), start, renamed
+
+
 def homomorphisms(
     atoms: Sequence[Atom],
     structure: Structure,
@@ -113,16 +133,13 @@ def homomorphisms(
     *binding* pre-binds some variables.  Equality atoms are resolved
     up-front; the rest runs on a compiled plan (:mod:`repro.lf.plan`).
     """
-    resolved = _resolve_equalities(list(atoms), binding or {})
-    if resolved is None:
+    planned = _planned(atoms, structure, binding)
+    if planned is None:
         return
-    todo, start, renamed = resolved
-
-    atom_vars: Set[Variable] = set()
-    for item in todo:
-        atom_vars.update(item.variable_set())
-    prebound = frozenset(var for var in start if var in atom_vars)
-    plan = plan_for(tuple(todo), prebound, structure)
+    plan, start, renamed = planned
+    if not renamed:
+        yield from plan.bindings(structure, start)
+        return
     for found in plan.bindings(structure, start):
         for original, representative in renamed.items():
             if representative in found:
@@ -169,10 +186,15 @@ def all_answers(
             aligned = align_free(cq, query.free) if cq.free != query.free else cq
             answers.update(all_answers(structure, aligned))
         return answers
-    answers = set()
-    for binding in homomorphisms(query.atoms, structure):
-        answers.add(tuple(binding[v] for v in query.free))
-    return answers
+    planned = _planned(query.atoms, structure, None)
+    if planned is None:
+        return set()
+    plan, start, renamed = planned
+    # a renamed variable takes its representative's value, as in the
+    # bindings homomorphisms() emits; the rows come straight from the
+    # plan's slots, with no binding dict per match
+    columns = [renamed.get(var, var) for var in query.free]
+    return set(plan.answers(structure, columns, start))
 
 
 # ----------------------------------------------------------------------

@@ -14,10 +14,14 @@ This module compiles each conjunction of atoms *once* into an explicit
   first, ties broken by predicate cardinality when a structure's index
   statistics are available at compile time (plans stay valid on any
   structure; the statistics only steer the order);
+* **numbered slots**: every variable of the plan lives in a slot of a
+  value list — the prebound variables first, sorted, then each other
+  variable at the step that first binds it (:attr:`QueryPlan.variables`
+  maps slot to variable);
 * **per-step specs**: for each atom, which argument positions hold
   constants (checked early), which hold variables bound by earlier
-  steps (checked against the running binding), and which bind a
-  variable for the first time;
+  steps (checked against their slots), and which bind a variable for
+  the first time (written to its slot);
 * **per-atom index selection**: the candidate positions usable for an
   index lookup are precompiled; at run time the smallest bucket among
   them is chosen (an empty bucket cuts the branch immediately).
@@ -30,8 +34,13 @@ canonical shape and repeated evaluation (chase rounds, ``minimize_ucq``
 containment pairs, ptype probes) compiles nothing after the first call.
 
 Evaluation is **iterative**: an explicit stack of candidate iterators
-with a per-depth undo trail mutates a single binding dict, copying it
-only when a complete match is yielded.  The result is binding-for-
+over one value list.  Lookups and checks read slots, binds write them,
+and nothing is undone on backtracking — a slot is read only below the
+step that binds it, and that step overwrites it at its next candidate.
+The one loop emits in two ways: :meth:`QueryPlan.bindings` yields
+``Variable``-keyed dicts (written as the search binds, copied per
+match), and :meth:`QueryPlan.answers` reads answer tuples straight out
+of the slots, building no dict per match.  The result is binding-for-
 binding equal (as a set) to a nested-loop scan of every fact per atom —
 the property suite checks this against such a scan.
 
@@ -45,6 +54,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, fields, replace
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .atoms import Atom
@@ -135,17 +145,18 @@ HOM_STATS = HomStats()
 # ----------------------------------------------------------------------
 
 #: A step's per-candidate tests and effects, split so that failing
-#: candidates never touch the binding: ``(consts, checks, sames,
-#: binds)`` — ``consts`` are ``(position, element)`` equality tests,
-#: ``checks`` are ``(position, variable)`` tests against the running
-#: binding, ``sames`` are ``(first_position, later_position)``
-#: intra-atom repeat tests, and ``binds`` are ``(position, variable)``
-#: first-occurrence assignments applied only once everything passed.
+#: candidates never write a slot: ``(consts, checks, sames, binds)`` —
+#: ``consts`` are ``(position, element)`` equality tests, ``checks``
+#: are ``(position, slot)`` tests against the value an earlier step
+#: (or the prebinding) put in that slot, ``sames`` are
+#: ``(first_position, later_position)`` intra-atom repeat tests, and
+#: ``binds`` are ``(position, slot)`` first-occurrence assignments
+#: applied only once everything passed.
 CheckSet = Tuple[
     Tuple[Tuple[int, Element], ...],
-    Tuple[Tuple[int, Variable], ...],
     Tuple[Tuple[int, int], ...],
-    Tuple[Tuple[int, Variable], ...],
+    Tuple[Tuple[int, int], ...],
+    Tuple[Tuple[int, int], ...],
 ]
 
 
@@ -160,9 +171,9 @@ class PlanStep:
     pred / arity:
         Predicate and expected fact arity.
     lookups:
-        ``(position, constant, variable)`` triples usable for an index
-        lookup — exactly one of *constant* / *variable* is set, and a
-        variable here is statically guaranteed bound before this step.
+        ``(position, constant, slot)`` triples usable for an index
+        lookup — exactly one of *constant* / *slot* is set, and a slot
+        here is statically guaranteed filled before this step.
     variants:
         Parallel to *lookups*: the :data:`CheckSet` to run when that
         lookup's bucket was chosen.  Every fact in the
@@ -178,38 +189,43 @@ class PlanStep:
     atom: Atom
     pred: str
     arity: int
-    lookups: Tuple[Tuple[int, Optional[Element], Optional[Variable]], ...]
+    lookups: Tuple[Tuple[int, Optional[Element], Optional[int]], ...]
     variants: Tuple[CheckSet, ...]
     full: CheckSet
 
 
-def _compile_step(atom: Atom, bound: Set[Variable]) -> PlanStep:
-    """Compile one atom given the variables bound by earlier steps."""
-    lookups: List[Tuple[int, Optional[Element], Optional[Variable]]] = []
+def _compile_step(atom: Atom, slots: Dict[Variable, int]) -> PlanStep:
+    """Compile one atom given the slots of the variables bound earlier.
+
+    Variables first bound by this atom are given the next free slots:
+    *slots* is extended in place.
+    """
+    lookups: List[Tuple[int, Optional[Element], Optional[int]]] = []
     consts: List[Tuple[int, Element]] = []
-    checks: List[Tuple[int, Variable]] = []
+    checks: List[Tuple[int, int]] = []
     sames: List[Tuple[int, int]] = []
-    binds: List[Tuple[int, Variable]] = []
+    binds: List[Tuple[int, int]] = []
     first_at: Dict[Variable, int] = {}
     for position, arg in enumerate(atom.args):
         if isinstance(arg, Variable):
-            if arg in bound:
-                lookups.append((position, None, arg))
-                checks.append((position, arg))
-            elif arg in first_at:
+            if arg in first_at:
                 # repeated within this atom: compare the two positions
-                # directly, no binding needed to test it
+                # directly, no slot needed to test it
                 sames.append((first_at[arg], position))
+            elif arg in slots:
+                lookups.append((position, None, slots[arg]))
+                checks.append((position, slots[arg]))
             else:
                 first_at[arg] = position
-                binds.append((position, arg))
+                slots[arg] = len(slots)
+                binds.append((position, slots[arg]))
         else:
             lookups.append((position, arg, None))
             consts.append((position, arg))
     full: CheckSet = (tuple(consts), tuple(checks), tuple(sames), tuple(binds))
     variants: List[CheckSet] = []
-    for position, constant, variable in lookups:
-        if variable is None:
+    for position, constant, slot in lookups:
+        if slot is None:
             variants.append((
                 tuple(pair for pair in consts if pair[0] != position),
                 full[1], full[2], full[3],
@@ -231,7 +247,7 @@ def _compile_step(atom: Atom, bound: Set[Variable]) -> PlanStep:
 
 
 def _static_score(
-    atom: Atom, bound: Set[Variable], structure: "Optional[Structure]"
+    atom: Atom, bound: "Dict[Variable, int]", structure: "Optional[Structure]"
 ) -> tuple:
     """Ordering key: most-constrained first, then index statistics.
 
@@ -260,51 +276,119 @@ class QueryPlan:
     resolved away before compilation
     (:func:`repro.lf.homomorphism._resolve_equalities` does this for
     every public entry point).
+
+    Each variable lives in a numbered slot: ``variables[slot]`` is the
+    variable of that slot.  The prebound variables take the first
+    slots, sorted; every other variable takes the next slot at the step
+    that first binds it.
     """
 
     steps: Tuple[PlanStep, ...]
     prebound: FrozenSet[Variable]
+    variables: Tuple[Variable, ...]
+
+    def _start(self, binding: Binding) -> List[Optional[Element]]:
+        """A value list with the prebound slots filled from *binding*."""
+        values: List[Optional[Element]] = [None] * len(self.variables)
+        for slot in range(len(self.prebound)):
+            values[slot] = binding[self.variables[slot]]
+        return values
 
     def bindings(
         self, structure: Structure, binding: "Optional[Binding]" = None
     ) -> Iterator[Binding]:
         """Generate every satisfying binding (the planned matcher).
 
-        Iterative backtracking over the precompiled step order: a
-        single binding dict is mutated through an undo trail per depth
-        and copied only when a full match is emitted.  Candidate
-        selection and spec application are inlined — this loop runs
-        once per candidate fact of every engine in the lab, so each
-        avoided function call is paid back millions of times.  Callers
-        must not mutate *structure* while consuming the generator (it
-        iterates live index views).
+        Each emitted dict holds every key of *binding* plus one per
+        variable of the plan.  It is written as the search binds —
+        every variable is rebound on the current path before the next
+        match, so nothing is ever deleted — and copied at emission, a
+        copy that rehashes nothing.  Callers must not mutate
+        *structure* while consuming the generator (it iterates live
+        index views).
         """
         current: Binding = dict(binding) if binding else {}
+        return self._matches(structure, self._start(current), current)
+
+    def answers(
+        self,
+        structure: Structure,
+        columns: Sequence[Variable],
+        binding: "Optional[Binding]" = None,
+    ) -> Iterator[Tuple[Element, ...]]:
+        """Generate ``tuple(found[v] for v in columns)`` for each
+        binding *found* that :meth:`bindings` would emit, without
+        building any of them.
+
+        A column is read from its variable's slot, or from *binding*
+        when the variable has no slot; a column in neither raises
+        :class:`KeyError` at the first match, as the dict lookup
+        would.
+        """
+        start = binding or {}
+        values = self._start(start)
+        slot_of = {var: slot for slot, var in enumerate(self.variables)}
+        slots = [slot_of.get(var) for var in columns]
+        matches = self._matches(structure, values, None)
+        if not slots or None in slots:
+            return (
+                tuple(
+                    values[slot] if slot is not None else start[var]
+                    for slot, var in zip(slots, columns)
+                )
+                for _ in matches
+            )
+        if len(slots) == 1:
+            # itemgetter of one slot returns the bare value: zip makes
+            # the 1-tuple without a Python call per row
+            return zip(map(itemgetter(slots[0]), matches))
+        return map(itemgetter(*slots), matches)
+
+    def _matches(
+        self,
+        structure: Structure,
+        values: List[Optional[Element]],
+        current: "Optional[Binding]",
+    ) -> Iterator:
+        """The one matcher loop: iterative backtracking over the
+        precompiled step order, on the value list *values*.
+
+        Lookups and checks read slots and binds write them.  A slot is
+        read only by steps deeper than the one that binds it, and that
+        step overwrites it at its next candidate, so backtracking
+        undoes nothing.  Yields ``dict(current)`` per match when
+        *current* is a dict (each bind also writes it), else the live
+        *values* list, which the caller must project before resuming.
+        Candidate selection and spec application are inlined — this
+        loop runs once per candidate fact of every engine in the lab,
+        so each avoided function call is paid back millions of times.
+        """
         steps = self.steps
         total = len(steps)
+        record = current is not None
         if total == 0:
-            yield dict(current)
+            yield dict(current) if record else values
             return
+        variables = self.variables
         probes = scanned = backtracks = 0
         facts_with_view = structure.facts_with_view
         facts_with_pred = structure.facts_with_pred_view
         iterators: List[Optional[Iterator[Atom]]] = [None] * total
         checksets: List[Optional[CheckSet]] = [None] * total
-        trails: List[List[Variable]] = [[] for _ in range(total)]
+        last = total - 1
         depth = 0
         fresh = True  # the current depth needs a new candidate iterator
         try:
             while depth >= 0:
                 step = steps[depth]
-                trail = trails[depth]
                 if fresh:
                     # pick the smallest usable index bucket for the step
                     best = None
                     best_size = 0
                     best_idx = -1
                     empty = False
-                    for idx, (position, constant, variable) in enumerate(step.lookups):
-                        value = constant if variable is None else current[variable]
+                    for idx, (position, constant, slot) in enumerate(step.lookups):
+                        value = constant if slot is None else values[slot]
                         probes += 1
                         bucket = facts_with_view(step.pred, position, value)
                         size = len(bucket)
@@ -327,13 +411,11 @@ class QueryPlan:
                     else:
                         checksets[depth] = step.variants[best_idx]
                     iterators[depth] = iter(best)
-                while trail:
-                    del current[trail.pop()]
                 matched = False
                 arity = step.arity
                 consts, checks, sames, binds = checksets[depth]  # type: ignore[misc]
                 # checks never bind, binds never fail: failing
-                # candidates leave the binding and trail untouched
+                # candidates write no slot
                 for fact in iterators[depth]:  # type: ignore[union-attr]
                     scanned += 1
                     fact_args = fact.args
@@ -343,17 +425,19 @@ class QueryPlan:
                         if fact_args[position] != element:
                             break
                     else:
-                        for position, variable in checks:
-                            if current[variable] != fact_args[position]:
+                        for position, slot in checks:
+                            if values[slot] != fact_args[position]:
                                 break
                         else:
                             for earlier, later in sames:
                                 if fact_args[earlier] != fact_args[later]:
                                     break
                             else:
-                                for position, variable in binds:
-                                    current[variable] = fact_args[position]
-                                    trail.append(variable)
+                                for position, slot in binds:
+                                    values[slot] = fact_args[position]
+                                if record:
+                                    for position, slot in binds:
+                                        current[variables[slot]] = fact_args[position]
                                 matched = True
                                 break
                 if not matched:
@@ -361,8 +445,8 @@ class QueryPlan:
                     depth -= 1
                     fresh = False
                     continue
-                if depth + 1 == total:
-                    yield dict(current)
+                if depth == last:
+                    yield dict(current) if record else values
                     fresh = False
                 else:
                     depth += 1
@@ -384,9 +468,10 @@ def compile_plan(
     """Compile *atoms* (no equalities) into a :class:`QueryPlan`.
 
     *prebound* are the variables the caller will supply in the initial
-    binding — they count as bound for ordering and become checks, not
-    binds.  *structure*, when given, contributes predicate cardinalities
-    to the ordering heuristic only.
+    binding — they count as bound for ordering, take the first slots
+    (sorted, so the slot order does not depend on the set's iteration
+    order), and become checks, not binds.  *structure*, when given,
+    contributes predicate cardinalities to the ordering heuristic only.
     """
     for item in atoms:
         if item.is_equality:
@@ -394,17 +479,17 @@ def compile_plan(
                 f"equality atom {item} must be resolved before planning"
             )
     remaining = list(atoms)
-    bound: Set[Variable] = set(prebound)
+    slots: Dict[Variable, int] = {var: slot for slot, var in enumerate(sorted(prebound))}
     steps: List[PlanStep] = []
     while remaining:
         index = min(
             range(len(remaining)),
-            key=lambda i: _static_score(remaining[i], bound, structure),
+            key=lambda i: _static_score(remaining[i], slots, structure),
         )
-        chosen = remaining.pop(index)
-        steps.append(_compile_step(chosen, bound))
-        bound.update(chosen.variable_set())
-    return QueryPlan(steps=tuple(steps), prebound=frozenset(prebound))
+        steps.append(_compile_step(remaining.pop(index), slots))
+    return QueryPlan(
+        steps=tuple(steps), prebound=frozenset(prebound), variables=tuple(slots)
+    )
 
 
 # ----------------------------------------------------------------------

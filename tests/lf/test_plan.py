@@ -3,6 +3,7 @@
 import pytest
 
 from repro.lf import (
+    ConjunctiveQuery,
     Constant,
     HOM_STATS,
     HomStats,
@@ -10,13 +11,15 @@ from repro.lf import (
     PlanCache,
     Structure,
     Variable,
+    all_answers,
     atom,
     clear_plan_cache,
     compile_plan,
+    homomorphisms,
     plan_for,
 )
 x, y, z = Variable("x"), Variable("y"), Variable("z")
-a, b, c = Constant("a"), Constant("b"), Constant("c")
+a, b, c, d = Constant("a"), Constant("b"), Constant("c"), Constant("d")
 
 
 def bindings_set(plan, structure, binding=None):
@@ -27,24 +30,30 @@ class TestCompile:
     def test_constant_becomes_lookup_and_check(self):
         plan = compile_plan((atom("E", a, x),))
         (step,) = plan.steps
+        assert plan.variables == (x,)
         assert step.lookups == ((0, a, None),)
         consts, checks, sames, binds = step.full
         assert consts == ((0, a),)
-        assert binds == ((1, x),)
+        assert binds == ((1, 0),)
 
     def test_prebound_variable_is_checked_not_bound(self):
-        plan = compile_plan((atom("E", x, y),), prebound={x})
+        # prebound variables take the first slots, sorted; y, first
+        # bound by the step, takes the next one
+        plan = compile_plan((atom("E", y, z, x),), prebound={z, x})
         (step,) = plan.steps
-        assert (0, None, x) in step.lookups
+        assert plan.variables == (x, z, y)
+        assert (1, None, 1) in step.lookups
+        assert (2, None, 0) in step.lookups
         consts, checks, sames, binds = step.full
-        assert checks == ((0, x),)
-        assert binds == ((1, y),)
+        assert checks == ((1, 1), (2, 0))
+        assert binds == ((0, 2),)
 
     def test_repeated_variable_binds_once_then_checks_positions(self):
         plan = compile_plan((atom("E", x, x),))
         (step,) = plan.steps
+        assert plan.variables == (x,)
         consts, checks, sames, binds = step.full
-        assert binds == ((0, x),)
+        assert binds == ((0, 0),)
         assert sames == ((0, 1),)
 
     def test_variant_drops_the_guaranteed_check(self):
@@ -54,7 +63,16 @@ class TestCompile:
         (step,) = plan.steps
         consts, checks, sames, binds = step.variants[0]
         assert consts == ()
-        assert binds == ((1, x),)
+        assert binds == ((1, 0),)
+        # a later step's variable lookup drops its slot check the same way
+        plan = compile_plan((atom("U", x), atom("E", x, y)))
+        first, second = plan.steps
+        assert plan.variables == (x, y)
+        assert second.lookups == ((0, None, 0),)
+        assert second.full[1] == ((0, 0),)
+        consts, checks, sames, binds = second.variants[0]
+        assert checks == ()
+        assert binds == ((1, 1),)
 
     def test_most_constrained_atom_ordered_first(self):
         # U(x) has one unbound variable, E(y,z) has two: U leads.
@@ -186,3 +204,46 @@ class TestHomStats:
         assert delta.candidates_scanned > 0
         assert delta.index_probes > 0
         assert delta.backtracks > 0
+
+    # Exact work of full enumerations on one structure.  A full
+    # enumeration scans every candidate whatever order the index
+    # buckets iterate in, so these counts do not depend on the hash
+    # seed (first-match probes, which stop early, would).
+    CHAIN = Structure([atom("E", a, b), atom("E", b, a), atom("E", b, c), atom("E", c, d)])
+
+    def work(self, run):
+        """Run *run*; return its result and ``(probes, scanned,
+        backtracks)``, checking the structure saw every probe."""
+        before = HOM_STATS.snapshot()
+        structure_before = self.CHAIN.index_probes
+        result = run()
+        delta = HOM_STATS.since(before)
+        assert self.CHAIN.index_probes - structure_before == delta.index_probes
+        return result, (delta.index_probes, delta.candidates_scanned, delta.backtracks)
+
+    def test_path_enumeration_work(self):
+        found, counts = self.work(
+            lambda: list(homomorphisms((atom("E", x, y), atom("E", y, z)), self.CHAIN))
+        )
+        assert len(found) == 4
+        assert counts == (5, 8, 5)
+
+    def test_cycle_enumeration_work(self):
+        atoms = (atom("E", x, y), atom("E", y, x))
+        found, counts = self.work(lambda: list(homomorphisms(atoms, self.CHAIN)))
+        assert len(found) == 2
+        assert counts == (8, 7, 5)
+        rows, counts = self.work(
+            lambda: all_answers(self.CHAIN, ConjunctiveQuery(atoms, (x,)))
+        )
+        assert rows == {(a,), (b,)}
+        assert counts == (8, 7, 5)
+
+    def test_prebound_enumeration_work(self):
+        found, counts = self.work(
+            lambda: list(
+                homomorphisms((atom("E", x, y), atom("E", y, z)), self.CHAIN, {x: b})
+            )
+        )
+        assert len(found) == 2
+        assert counts == (3, 4, 3)
