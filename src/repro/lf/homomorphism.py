@@ -137,9 +137,6 @@ def homomorphisms(
     if planned is None:
         return
     plan, start, renamed = planned
-    if not renamed:
-        yield from plan.bindings(structure, start)
-        return
     for found in plan.bindings(structure, start):
         for original, representative in renamed.items():
             if representative in found:

@@ -479,7 +479,9 @@ def compile_plan(
                 f"equality atom {item} must be resolved before planning"
             )
     remaining = list(atoms)
-    slots: Dict[Variable, int] = {var: slot for slot, var in enumerate(sorted(prebound))}
+    slots: Dict[Variable, int] = {
+        var: slot for slot, var in enumerate(sorted(prebound))
+    }
     steps: List[PlanStep] = []
     while remaining:
         index = min(
