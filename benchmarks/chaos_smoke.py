@@ -110,7 +110,7 @@ def main(argv=None):
     killer.start()
     try:
         ready = json.loads(proc.stdout.readline())
-        assert ready["status"] == "ready" and ready["admission"], ready
+        assert ready["status"] == "ready", ready
         port = ready["port"]
 
         peak = [0.0]

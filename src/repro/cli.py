@@ -349,7 +349,6 @@ def _cmd_fc_search(args) -> int:
         max_elements=args.max_elements,
         max_nodes=args.max_nodes,
         heuristic=args.heuristic,
-        canonical_dedup=not args.no_canonical_dedup,
         **_guard_overrides(args),
     )
     outcome = search_finite_model(
@@ -430,7 +429,6 @@ def _cmd_serve(args) -> int:
         max_pending=args.max_pending,
         tenant_max_pending=args.tenant_max_pending,
         tenant_max_inflight=args.tenant_max_inflight,
-        admission_disabled=args.no_admission,
         wall_ms=wall_ms,
         max_rss_mb=args.max_rss_mb,
     )
@@ -448,7 +446,6 @@ def _cmd_serve(args) -> int:
                 "workers": config.workers,
                 "request_wall_ms": config.wall_ms,
                 "max_pending": config.max_pending,
-                "admission": not config.admission_disabled,
                 "pid": os.getpid(),
             }, sort_keys=True, default=str))
         else:
@@ -575,10 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["dfs", "smallest-domain", "fewest-violations"],
         help="frontier ordering of the search",
     )
-    search_cmd.add_argument(
-        "--no-canonical-dedup", action="store_true",
-        help="hash states by raw fact sets instead of canonical keys",
-    )
     search_cmd.set_defaults(handler=_cmd_fc_search)
 
     skeleton_cmd = commands.add_parser("skeleton", help="extract S(D,T)",
@@ -633,10 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=_serve_env_int("REPRO_SERVE_TENANT_MAX_INFLIGHT", None),
         help="per-tenant bound on concurrently-running requests "
              "(default $REPRO_SERVE_TENANT_MAX_INFLIGHT, else --workers)")
-    serve_cmd.add_argument(
-        "--no-admission", action="store_true", default=False,
-        help="disable admission control (unbounded executor queue; the "
-             "benchmark ablation baseline — not for production)")
     serve_cmd.set_defaults(handler=_cmd_serve)
 
     return parser

@@ -23,8 +23,9 @@ place that contract lives:
   (:mod:`repro.runtime`): :attr:`~BudgetedConfig.wall_ms` (monotonic
   wall-clock deadline), :attr:`~BudgetedConfig.max_rss_mb` (soft peak
   RSS ceiling), :attr:`~BudgetedConfig.cancel_token` (cooperative
-  cancellation), and :attr:`~BudgetedConfig.guards_disabled` (the
-  benchmark ablation switch).
+  cancellation), and :attr:`~BudgetedConfig.deadline` (an
+  already-ticking deadline).  A config that sets none of them runs
+  under the shared inactive guard.
 
 Hitting any guard obeys the same :class:`OnBudget` policy as the count
 budgets: ``RETURN`` yields a partial result whose ``stopped_reason``
@@ -132,18 +133,12 @@ class BudgetedConfig:
         checkpoint.  ``None`` falls back to the ambient token installed
         by :func:`~repro.runtime.cancellation_scope` (the CLI's
         Ctrl-C/SIGTERM path), if any.
-    guards_disabled:
-        Skip guard construction entirely (the run uses the shared
-        inactive guard).  The ablation switch for the
-        ``BENCH_guard.json`` overhead measurement — not meant for
-        production configs.
     """
 
     on_budget: OnBudget = OnBudget.RETURN
     wall_ms: "Optional[float]" = None
     max_rss_mb: "Optional[float]" = None
     cancel_token: "Optional[CancelToken]" = None
-    guards_disabled: bool = False
     deadline: "Optional[Deadline]" = None
 
     def __post_init__(self) -> None:

@@ -238,7 +238,6 @@ def build_finite_counter_model(
             "wall_ms": guard.remaining_ms(),
             "max_rss_mb": config.max_rss_mb,
             "cancel_token": config.cancel_token,
-            "guards_disabled": config.guards_disabled,
         }
 
     for depth in config.chase_depths:

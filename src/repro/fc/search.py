@@ -103,7 +103,7 @@ class SearchHeuristic(str, Enum):
 
 @dataclass
 class SearchConfig(BudgetedConfig):
-    """Budgets and knobs of :func:`search_finite_model`.
+    """Budgets and frontier ordering of :func:`search_finite_model`.
 
     Follows the library-wide config contract (:mod:`repro.config`):
     budgets plus an :class:`~repro.config.OnBudget` policy, overridable
@@ -125,17 +125,12 @@ class SearchConfig(BudgetedConfig):
         and the run loses its exhaustiveness claim.
     heuristic:
         Frontier ordering (:class:`SearchHeuristic`; strings accepted).
-    canonical_dedup:
-        Hash states by the null-renaming-invariant
-        :func:`~repro.lf.canonical.canonical_key` (default) instead of
-        the raw fact set — the raw mode is the ablation switch.
     """
 
     max_elements: int = 10
     max_nodes: int = 50_000
     max_facts: "Optional[int]" = 100_000
     heuristic: SearchHeuristic = SearchHeuristic.DFS
-    canonical_dedup: bool = True
     on_budget: OnBudget = OnBudget.RETURN
 
     def __post_init__(self) -> None:
@@ -158,8 +153,8 @@ class SearchStats:
     pruned_by_query:
         Branches cut because the forbidden query became true.
     duplicates:
-        States skipped as already seen — under canonical dedup this
-        includes states identical only up to renaming invented nulls.
+        States skipped as already seen, including states identical
+        only up to renaming invented nulls (canonical dedup).
     exhausted:
         ``True`` iff the whole bounded space was explored (makes a
         negative answer a *proof* for the given bounds).  Any pruned
@@ -520,7 +515,7 @@ def _delta_search(
 
         structure = state.structure
         clock = time.perf_counter()
-        if config.canonical_dedup and structure.nonconstant_elements():
+        if structure.nonconstant_elements():
             # Constant-only states skip canonicalisation: the identity
             # is the only isomorphism fixing every constant, so the raw
             # fact set already is the canonical form.

@@ -28,7 +28,7 @@ of the first offending token.
 from __future__ import annotations
 
 import re
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ParseError
 from .atoms import Atom
@@ -171,14 +171,61 @@ def parse_query(
 
     Variables named in *free* are the free variables (in that order);
     all others are existential, following the paper's convention of
-    omitting quantifiers.
+    omitting quantifiers.  A free variable that no match could give a
+    value is a :class:`ParseError`, as is one missing from the query.
     """
     tokens = _Tokens(text)
     atoms = _atom_list(tokens, set(constants), all_constants=False)
     tokens.accept("punct", ".")
     if not tokens.exhausted:
         raise ParseError("trailing input after query", text, tokens.peek()[2])
-    return ConjunctiveQuery(atoms, tuple(Variable(name) for name in free))
+    free_vars = tuple(Variable(name) for name in free)
+    if any(item.is_equality for item in atoms):
+        unsafe = _unsafe_free_variable(atoms, free_vars)
+        if unsafe is not None:
+            raise ParseError(
+                f"unsafe free variable {unsafe}: it occurs in no relational "
+                f"atom, and no equality links it to a constant or to a "
+                f"variable of one",
+                text,
+            )
+    try:
+        return ConjunctiveQuery(atoms, free_vars)
+    except ValueError as error:
+        raise ParseError(str(error), text) from None
+
+
+def _unsafe_free_variable(
+    atoms: List[Atom], free: Tuple[Variable, ...]
+) -> "Optional[Variable]":
+    """The first of *free* that no match of *atoms* gives a value.
+
+    A free variable has one when it occurs in a relational atom, or a
+    chain of equality atoms links it to a constant or to a variable of
+    a relational atom.
+    """
+    parent: Dict[Term, Term] = {}
+
+    def root(term: Term) -> Term:
+        while term in parent:
+            term = parent[term]
+        return term
+
+    for item in atoms:
+        if item.is_equality:
+            left, right = (root(arg) for arg in item.args)
+            if left != right:
+                parent[left] = right
+    anchored = {
+        root(arg)
+        for item in atoms
+        for arg in item.args
+        if not item.is_equality or isinstance(arg, Constant)
+    }
+    for var in free:
+        if root(var) not in anchored:
+            return var
+    return None
 
 
 def parse_rule(text: str, constants: Iterable[str] = (), label: str = "") -> Rule:

@@ -47,7 +47,10 @@ computational obstacle:
 The property suite (``tests/property/test_rewrite_parity.py``) checks
 saturated rewritings against Definition 2 itself: on drawn databases,
 and on fixed cases that need a factorisation, their answers agree with
-the chase's.
+the chase's.  It checks the eager pruning against the unpruned
+closure of ``tests/oracles.py`` (``exact_rewriting``), and
+``depth_bound`` against the chase of each disjunct's canonical
+database.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ from .unify import Unifier
 
 @dataclass
 class RewriteConfig(BudgetedConfig):
-    """Budgets and switches for the rewriting engine.
+    """Budgets for the rewriting engine.
 
     Shares the library-wide budget contract
     (:class:`~repro.config.BudgetedConfig`): ``should_raise``,
@@ -85,13 +88,6 @@ class RewriteConfig(BudgetedConfig):
         Maximum number of (rewriting + factorisation) step applications.
     max_queries:
         Maximum number of distinct disjuncts generated.
-    factorize:
-        Enable the factorisation step (needed for completeness; can be
-        switched off for ablation experiments).
-    eager_subsumption:
-        Prune a freshly generated disjunct that is contained in an
-        already-kept one.  Keeps the closure small; the final result is
-        minimised regardless.
     on_budget:
         :attr:`~repro.config.OnBudget.RAISE` (default) raises
         :class:`~repro.errors.RewritingBudgetExceeded`;
@@ -101,8 +97,6 @@ class RewriteConfig(BudgetedConfig):
 
     max_steps: int = 20_000
     max_queries: int = 2_000
-    factorize: bool = True
-    eager_subsumption: bool = True
     on_budget: OnBudget = OnBudget.RAISE
 
 
@@ -446,7 +440,7 @@ def rewrite(
             seen.add(marker)
             depth_of[marker] = depth
             generated += 1
-        if prunable and config.eager_subsumption:
+        if prunable:
             probe_start = time.perf_counter()
             stats.index_probes += 1
             candidates = index.subsumer_candidates(normal)
@@ -461,17 +455,15 @@ def rewrite(
             if contained:
                 stats.subsumed += 1
                 pruned.add(marker)
-                # The subsumer covers this query's answers but not
-                # necessarily its *descendants*: factorisation can
-                # merge atoms and unlock an existential rule that is
-                # blocked on the (more general) subsumer.  Keep the
-                # factorisation closure alive so pruning never cuts a
-                # derivation chain — only the pruned query's own
-                # rewrite steps, which the subsumer's do cover.
-                if config.factorize:
-                    for factored in _factorizations(normal):
-                        stats.factor_steps += 1
-                        consider(factored, depth, prunable=True)
+                # The pruned query's factorisations are contained in
+                # the same subsumer, so each is pruned on arrival too.
+                # Offering them here records this query's depth for
+                # them: when a kept query's factorisation later
+                # resurrects one, depth_bound reads that lower depth
+                # instead of the kept query's.
+                for factored in _factorizations(normal):
+                    stats.factor_steps += 1
+                    consider(factored, depth, prunable=True)
                 return
         kept.append(normal)
         index.add(normal)
@@ -560,15 +552,14 @@ def rewrite(
                 )
         stats.rewrite_ms += (time.perf_counter() - phase_start) * 1000.0
 
-        if config.factorize:
-            phase_start = time.perf_counter()
-            for factored in _factorizations(current, prefer=prefer):
-                steps += 1
-                stats.factor_steps += 1
-                # a match of the factored query is a match of current:
-                # no chase step involved, so the depth does not grow
-                consider(factored, current_depth, prunable=False)
-            stats.factor_ms += (time.perf_counter() - phase_start) * 1000.0
+        phase_start = time.perf_counter()
+        for factored in _factorizations(current, prefer=prefer):
+            steps += 1
+            stats.factor_steps += 1
+            # a match of the factored query is a match of current:
+            # no chase step involved, so the depth does not grow
+            consider(factored, current_depth, prunable=False)
+        stats.factor_ms += (time.perf_counter() - phase_start) * 1000.0
 
     phase_start = time.perf_counter()
     final = minimize_indexed(kept, stats)

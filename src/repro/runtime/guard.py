@@ -324,13 +324,12 @@ class RuntimeGuard:
         """Build the run's guard from a :class:`~repro.config.BudgetedConfig`.
 
         Reads the shared guard fields (``wall_ms``, ``max_rss_mb``,
-        ``cancel_token``, ``guards_disabled``, ``deadline``) by
-        attribute, so any config-like object works.  Returns the shared
-        :data:`NULL_GUARD` when nothing could ever trip (or
-        ``guards_disabled`` is set — the benchmark ablation switch,
-        which also wins over an installed fault hook); otherwise an
-        active guard.  A config without an explicit ``cancel_token``
-        picks up the ambient token installed by
+        ``cancel_token``, ``deadline``) by attribute, so any
+        config-like object works.  Returns the shared
+        :data:`NULL_GUARD` when nothing could ever trip (no guard
+        field set, no ambient cancel token, no fault hook installed);
+        otherwise an active guard.  A config without an explicit
+        ``cancel_token`` picks up the ambient token installed by
         :func:`cancellation_scope` (the CLI's Ctrl-C path).
 
         A config may carry an already-ticking :class:`Deadline` on
@@ -340,8 +339,6 @@ class RuntimeGuard:
         is admitted, so time spent queued counts against the request's
         wall budget.
         """
-        if getattr(config, "guards_disabled", False):
-            return NULL_GUARD
         preset = getattr(config, "deadline", None)
         wall_ms = getattr(config, "wall_ms", None)
         max_rss_mb = getattr(config, "max_rss_mb", None)

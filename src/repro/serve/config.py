@@ -67,11 +67,6 @@ class ServeConfig(BudgetedConfig):
         Optional ``{tenant: weight}`` map for the round-robin
         dispatcher; a tenant with weight *w* drains up to *w*
         consecutive requests per turn.  Unlisted tenants get weight 1.
-    admission_disabled:
-        Bypass admission control entirely and submit straight to the
-        executor's unbounded queue — the pre-admission behaviour.  The
-        ablation switch for the ``BENCH_resil.json`` goodput
-        comparison; not meant for production configs.
     max_line_bytes:
         Upper bound on one protocol line.  A connection that sends a
         longer line gets ``{"ok": false, "error": "request_too_large"}``
@@ -89,7 +84,6 @@ class ServeConfig(BudgetedConfig):
     tenant_max_pending: "Optional[int]" = None
     tenant_max_inflight: "Optional[int]" = None
     tenant_weights: "Optional[Dict[str, int]]" = None
-    admission_disabled: bool = False
     max_line_bytes: int = MAX_LINE_BYTES
 
     def __post_init__(self) -> None:

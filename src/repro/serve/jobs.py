@@ -237,7 +237,6 @@ def _op_fc_search(session, request, params, guard):
         max_elements=max_elements,
         max_nodes=max_nodes,
         heuristic=params.get("heuristic", "dfs"),
-        canonical_dedup=not params.get("no_canonical_dedup", False),
         **guard,
     )
     outcome = search_finite_model(

@@ -27,9 +27,7 @@ immediately with ``{"ok": false, "error": "overloaded",
 :class:`~repro.runtime.Deadline` at admission, so queue time counts
 against its ``wall_ms`` SLA, and a request whose deadline expires
 before a worker frees up is shed at dispatch with ``stopped_reason:
-"deadline"``.  ``ServeConfig.admission_disabled`` restores the old
-unbounded executor queue — the ablation baseline for
-``BENCH_resil.json``.
+"deadline"``.
 
 Shutdown (the ``shutdown`` op, or SIGTERM/SIGINT via
 :func:`run_server`) stops accepting, sheds every queued request with
@@ -166,15 +164,13 @@ class ReproServer:
     def __init__(self, config: "Optional[ServeConfig]" = None, **overrides) -> None:
         self.config = (config or ServeConfig()).with_overrides(**overrides)
         self.registry = SessionRegistry(self.config.max_sessions)
-        self.admission: "Optional[AdmissionController]" = None
-        if not self.config.admission_disabled:
-            self.admission = AdmissionController(
-                workers=self.config.workers,
-                max_pending=self.config.max_pending,
-                tenant_max_pending=self.config.tenant_max_pending,
-                tenant_max_inflight=self.config.tenant_max_inflight,
-                tenant_weights=self.config.tenant_weights,
-            )
+        self.admission = AdmissionController(
+            workers=self.config.workers,
+            max_pending=self.config.max_pending,
+            tenant_max_pending=self.config.tenant_max_pending,
+            tenant_max_inflight=self.config.tenant_max_inflight,
+            tenant_weights=self.config.tenant_weights,
+        )
         self.exit_code = EXIT_OK
         self.requests = 0
         self.cancelled = 0
@@ -249,19 +245,18 @@ class ReproServer:
         self._draining = True
         self._server.close()
         await self._server.wait_closed()
-        if self.admission is not None:
-            # Queued-but-undispatched requests will never run; answer
-            # each with the draining error so no admitted request goes
-            # silent (the chaos battery pins this mid-overload).
-            for entry in self.admission.drain():
-                connection = entry.payload
-                connection.unregister(entry.rid, entry.token)
-                self.rejected += 1
-                await connection.send({
-                    "id": entry.rid, "ok": False, "status": "error",
-                    "error": "server is draining", "tenant": entry.tenant,
-                    "exit_code": EXIT_ERROR,
-                })
+        # Queued-but-undispatched requests will never run; answer each
+        # with the draining error so no admitted request goes silent
+        # (the chaos battery pins this mid-overload).
+        for entry in self.admission.drain():
+            connection = entry.payload
+            connection.unregister(entry.rid, entry.token)
+            self.rejected += 1
+            await connection.send({
+                "id": entry.rid, "ok": False, "status": "error",
+                "error": "server is draining", "tenant": entry.tenant,
+                "exit_code": EXIT_ERROR,
+            })
         if self._jobs:
             _done, pending = await asyncio.wait(
                 set(self._jobs), timeout=self.config.drain_ms / 1000.0
@@ -362,19 +357,9 @@ class ReproServer:
             rid=rid,
             request=request,
             token=token,
-            deadline=(
-                None if self.admission is None
-                else self._queue_deadline(request)
-            ),
+            deadline=self._queue_deadline(request),
             payload=connection,
         )
-        if self.admission is None:
-            # Ablation path (admission_disabled): the pre-admission
-            # behaviour — straight into the executor's unbounded queue,
-            # wall budget starting at execution, never at admission.
-            connection.register(rid, token)
-            self._spawn(entry)
-            return
         reason = self.admission.try_admit(entry)
         if reason is not None:
             self.shed += 1
@@ -409,8 +394,6 @@ class ReproServer:
 
     async def _pump(self) -> None:
         """Dispatch admitted requests while worker slots are free."""
-        if self.admission is None:
-            return
         run, expired = self.admission.next_dispatch()
         for entry in expired:
             # Sat in the queue past its own deadline: shed instead of
@@ -445,10 +428,9 @@ class ReproServer:
             }
         finally:
             connection.unregister(rid, token)
-            if self.admission is not None:
-                self.admission.complete(
-                    entry.tenant, (time.monotonic() - started) * 1000.0
-                )
+            self.admission.complete(
+                entry.tenant, (time.monotonic() - started) * 1000.0
+            )
         await connection.send(response)
         await self._pump()
 
@@ -484,18 +466,13 @@ class ReproServer:
 
     def _health_response(self, rid) -> Dict[str, Any]:
         """Cheap liveness probe, answered on the event loop."""
-        pending = 0 if self.admission is None else self.admission.pending_total
-        inflight = (
-            len(self._jobs) if self.admission is None
-            else self.admission.inflight_total
-        )
         return {
             "id": rid, "ok": True, "command": "health",
             "status": "draining" if self._draining else "ok",
             "uptime_s": round(time.monotonic() - self._started, 3),
             "counts": {
-                "pending": pending,
-                "inflight": inflight,
+                "pending": self.admission.pending_total,
+                "inflight": self.admission.inflight_total,
                 "workers": self.config.workers,
                 "sessions": len(self.registry),
             },
@@ -517,9 +494,7 @@ class ReproServer:
                 "workers": self.config.workers,
                 "sessions": len(self.registry),
             },
-            "admission": (
-                None if self.admission is None else self.admission.snapshot()
-            ),
+            "admission": self.admission.snapshot(),
             "registry": self.registry.stats(),
             "exit_code": EXIT_OK,
         }

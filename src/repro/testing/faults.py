@@ -16,8 +16,7 @@ exception carrying ``.stats`` under ``OnBudget.RAISE``.
 
 While a hook is installed, :meth:`RuntimeGuard.from_config` always
 builds an *active* guard — faults reach engines whose configs carry no
-wall/memory budgets at all (``guards_disabled=True`` still wins: the
-ablation switch must measure the true unguarded path).
+wall/memory budgets at all.
 
 >>> from repro.testing import inject_fault
 >>> from repro.chase import chase

@@ -2,14 +2,22 @@
 
 Each oracle is the definition its engine optimises, written as plainly
 as possible and kept out of ``src/``: no index, plan, cache, guard or
-stats.  The rewriting engine needs no oracle here; Definition 2 makes
-the chase its reference (``tests/property/test_rewrite_parity.py``).
+stats.  The chase stays the rewriting engine's semantic reference
+(Definition 2, ``tests/property/test_rewrite_parity.py``);
+:func:`exact_rewriting` is the reference for its eager pruning.
 """
 
 import itertools
+from collections import Counter
 
 from repro.chase import datalog_saturate
-from repro.lf import NullFactory, Variable
+from repro.lf import ConjunctiveQuery, NullFactory, UnionOfConjunctiveQueries, Variable
+from repro.rewriting import Unifier, minimize_ucq, normalize_equalities
+from repro.rewriting.rewriter import (
+    _applicable_classes,
+    _factorizations,
+    _protect_free_variables,
+)
 
 
 def nested_loop_bindings(atoms, structure, binding=None):
@@ -101,3 +109,79 @@ def definitional_search(
                 branch.add_fact(head.substitute(extended))
             stack.append(datalog_saturate(branch, theory).structure)
     return None, True
+
+
+def _rewriting_steps(query, theory, fresh):
+    """Every one-step rewriting of *query*: an atom resolved against
+    the head of a rule renamed apart for this step, when the
+    applicability condition on existential variables holds."""
+    free = set(query.free)
+    query_vars = query.variables()
+    prefer = tuple(query.free) + tuple(sorted(query_vars - free))
+    occurrences = Counter(
+        arg for item in query.atoms for arg in item.args
+        if isinstance(arg, Variable)
+    )
+    for target in query.atoms:
+        if target.is_equality:
+            continue
+        inside = Counter(arg for arg in target.args if isinstance(arg, Variable))
+        for rule in theory.rules:
+            step = next(fresh)
+            renamed = rule.substitute({
+                var: Variable(f"_r{step}_{j}")
+                for j, var in enumerate(sorted(rule.variables()))
+            })
+            unifier = Unifier()
+            if not unifier.unify_atoms(target, renamed.head_atom):
+                continue
+            if not _applicable_classes(
+                unifier, renamed.existential_variables(), occurrences,
+                inside, free, query_vars,
+            ):
+                continue
+            substitution = unifier.substitution(prefer=prefer)
+            atoms = [
+                item.substitute(substitution)
+                for item in query.atoms if item != target
+            ]
+            atoms.extend(item.substitute(substitution) for item in renamed.body)
+            _protect_free_variables(query, substitution, atoms)
+            yield ConjunctiveQuery(atoms, query.free)
+
+
+def exact_rewriting(query, theory, max_queries=2_000):
+    """The whole rewriting closure of *query* under the single-head
+    *theory*, minimised once.
+
+    Breadth-first over every rewriting and factorisation step, with no
+    pruning: a new query is dropped only when its canonical form was
+    seen before.  Returns ``None`` when more than *max_queries*
+    distinct queries turn up (the closure may be infinite).
+    """
+    start = normalize_equalities(query)
+    if start is None:
+        return UnionOfConjunctiveQueries([])
+    frontier = [start.canonical()]
+    seen = set(frontier)
+    fresh = itertools.count()
+    while frontier:
+        successors = []
+        for current in frontier:
+            steps = itertools.chain(
+                _rewriting_steps(current, theory, fresh),
+                _factorizations(current),
+            )
+            for candidate in steps:
+                normal = normalize_equalities(candidate)
+                if normal is None:
+                    continue
+                marker = normal.canonical()
+                if marker in seen:
+                    continue
+                seen.add(marker)
+                if len(seen) > max_queries:
+                    return None
+                successors.append(marker)
+        frontier = successors
+    return UnionOfConjunctiveQueries(minimize_ucq(list(seen)))

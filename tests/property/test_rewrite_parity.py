@@ -3,18 +3,20 @@
 Definition 2 says what a rewriting is: ``D ⊨ Φ′`` iff
 ``Chase(D,T) ⊨ Φ``.  The chase is therefore the rewriting engine's
 oracle.  Each saturated rewriting is compared with ``Chase^5(D,T)`` on
-a drawn database, with eager subsumption on and off:
+a drawn database:
 
 * every chase answer over D's elements must be a rewriting answer
   (completeness; ``Chase^5`` is contained in the chase);
 * when the chase saturates, the two answer sets must be equal;
-* without factorisation the rewriting may be incomplete, so
-  ``factorize=False`` runs check only rewriting ⊆ chase (soundness);
 * drawn examples rarely need a factorisation, so fixed cases that do
   (``FACTORISATION_CASES``) go through the same check;
 * eager pruning must not lose answers: the pruned run stays equivalent
-  to the full closure, disjunct for disjunct after minimisation
-  (``test_eager_matches_exact``);
+  to the full closure of :func:`tests.oracles.exact_rewriting`,
+  disjunct for disjunct after minimisation (``test_eager_matches_exact``
+  on drawn cases, ``test_fixed_cases_match_exact`` on fixed ones);
+* ``depth_bound`` is the certified constant ``k_Ψ``: the canonical
+  database of every disjunct satisfies the query at its free tuple
+  within ``depth_bound`` chase rounds;
 * the output is invariant under the metamorphic transformations the
   semantics cannot see: atom reordering, variable renaming, and rule
   reordering.
@@ -44,13 +46,14 @@ from repro.rewriting import (
     RewriteConfig,
     clear_subsume_cache,
     cq_subsumes,
+    freeze,
     rewrite,
     ucq_equivalent,
-    ucq_subsumes,
 )
 
 from repro.zoo import example7_database, example7_theory
 
+from ..oracles import exact_rewriting
 from .strategies import bdd_theories, open_conjunctive_queries, structures, theories
 
 #: Small budgets; RETURN makes exhaustion visible as saturated=False.
@@ -64,14 +67,6 @@ RELAXED = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
-
-#: Every switch permutation checked against the chase.
-CONFIGS = [
-    pytest.param(dict(factorize=f, eager_subsumption=e),
-                 id=f"factorize={f}-eager={e}")
-    for f in (True, False)
-    for e in (True, False)
-]
 
 #: Small databases keep each chase cheap.
 DATABASES = structures(min_facts=1, max_facts=5)
@@ -117,15 +112,72 @@ FACTORISATION_CASES = [
     ),
 ]
 
+#: Entry 5 of the end-to-end benchmark's rewrite pool
+#: (``e2ebench/rewrite_pool.json``, text copied).  Its ``depth_bound``
+#: is 3 only because the factorisations of a pruned disjunct are
+#: offered at the pruned disjunct's depth; without that it is 4.
+POOL_5 = (
+    parse_theory(
+        """
+        P1(x,y) -> P0(y,x)
+        P0(x,y) -> exists z. P1(y,z)
+        P0(x,y) -> P0(y,x)
+        P1(x,y) -> exists z. P2(y,z)
+        P0(x,y) -> P2(x,y)
+        P2(x,y) -> P2(x,y)
+        P2(x,y) -> exists z. P2(y,z)
+        P1(x,y) -> P2(x,y)
+        """
+    ),
+    parse_query("P1(x0,x1), P0(x1,x2), P0(x2,x3)"),
+)
 
-def saturated_rewriting(query, theory, **overrides):
+#: Fixed engine-versus-oracle cases: the factorisation cases without
+#: their databases, pool entry 5, and pool entries 35 and 129, where a
+#: rewriter that does not resurrect pruned factorisations loses a
+#: disjunct of the exact closure (texts copied from the same pool).
+ORACLE_CASES = [
+    pytest.param(*case.values[:2], id=case.id) for case in FACTORISATION_CASES
+] + [
+    pytest.param(*POOL_5, id="pool-5"),
+    pytest.param(
+        parse_theory(
+            """
+            P1(x,y) -> P1(y,x)
+            P0(x,y) -> exists z. P1(y,z)
+            P1(x,y) -> P1(x,y)
+            P0(x,y) -> P0(y,x)
+            P0(x,y) -> P0(x,y)
+            P0(x,y) -> P0(y,x)
+            """
+        ),
+        parse_query("P1(x0,x1), P1(x1,x2)"),
+        id="pool-35",
+    ),
+    pytest.param(
+        parse_theory(
+            """
+            P2(x,y) -> P2(y,x)
+            P2(x,y) -> exists z. P2(y,z)
+            P0(x,y) -> P1(y,x)
+            P2(x,y) -> exists z. P1(y,z)
+            P1(x,y) -> exists z. P2(y,z)
+            """
+        ),
+        parse_query("P2(x0,x1), P2(x1,x2)"),
+        id="pool-129",
+    ),
+]
+
+
+def saturated_rewriting(query, theory):
     clear_subsume_cache()
-    result = rewrite(query, theory, config=RewriteConfig(**BUDGET, **overrides))
+    result = rewrite(query, theory, config=RewriteConfig(**BUDGET))
     assume(result.saturated)
     return result
 
 
-def check_against_chase(result, query, theory, database, factorize=True):
+def check_against_chase(result, query, theory, database):
     """Definition 2 on one database, as far as ``Chase^5`` can tell."""
     chased = chase(database, theory, CHASE)
     elements = database.domain()
@@ -135,55 +187,64 @@ def check_against_chase(result, query, theory, database, factorize=True):
         if all(value in elements for value in row)
     }
     rewriting_answers = all_answers(database, result.ucq)
-    if factorize:
-        assert chase_answers <= rewriting_answers, (
-            f"the chase answers {query} with rows the rewriting "
-            f"{result.ucq} misses"
-        )
+    assert chase_answers <= rewriting_answers, (
+        f"the chase answers {query} with rows the rewriting "
+        f"{result.ucq} misses"
+    )
     if chased.saturated:
-        assert rewriting_answers <= chase_answers
-        if factorize:
-            assert rewriting_answers == chase_answers
+        assert rewriting_answers == chase_answers
+
+
+def check_against_exact(result, exact):
+    """The pruned rewriting against the whole closure, minimised."""
+    assert ucq_equivalent(result.ucq, exact)
+    assert len(result.ucq) == len(exact)
+
+
+def check_depth_bound(result, query, theory):
+    """``depth_bound`` certifies ``k_Ψ``: the canonical database of each
+    disjunct satisfies *query* at its frozen free tuple within
+    ``depth_bound`` chase rounds."""
+    config = ChaseConfig(max_depth=result.depth_bound, max_facts=2_000)
+    for disjunct in result.ucq:
+        database, table = freeze(disjunct)
+        chased = chase(database, theory, config)
+        row = tuple(table[var] for var in disjunct.free)
+        assert row in all_answers(chased.structure, query), (
+            f"{disjunct} does not reach {query} within "
+            f"{result.depth_bound} chase rounds"
+        )
 
 
 class TestEngineParity:
-    @pytest.mark.parametrize("switches", CONFIGS)
     @RELAXED
     @given(
         theory=bdd_theories(),
         query=open_conjunctive_queries(max_atoms=3),
         database=DATABASES,
     )
-    def test_bdd_theories_agree(self, switches, theory, query, database):
-        result = saturated_rewriting(query, theory, **switches)
-        check_against_chase(
-            result, query, theory, database, factorize=switches["factorize"]
-        )
+    def test_bdd_theories_agree(self, theory, query, database):
+        result = saturated_rewriting(query, theory)
+        check_against_chase(result, query, theory, database)
 
-    @pytest.mark.parametrize("switches", CONFIGS)
     @RELAXED
     @given(
         theory=theories(),
         query=open_conjunctive_queries(max_atoms=3),
         database=DATABASES,
     )
-    def test_general_theories_agree(self, switches, theory, query, database):
+    def test_general_theories_agree(self, theory, query, database):
         # safe_rules() theories are not necessarily BDD; Definition 2
         # must still hold whenever the rewriting saturates in budget
-        result = saturated_rewriting(query, theory, **switches)
-        check_against_chase(
-            result, query, theory, database, factorize=switches["factorize"]
-        )
+        result = saturated_rewriting(query, theory)
+        check_against_chase(result, query, theory, database)
 
-    @pytest.mark.parametrize("switches", CONFIGS)
     @pytest.mark.parametrize("theory, query, database", FACTORISATION_CASES)
-    def test_factorisation_cases_agree(self, switches, theory, query, database):
+    def test_factorisation_cases_agree(self, theory, query, database):
         clear_subsume_cache()
-        result = rewrite(query, theory, config=RewriteConfig(**BUDGET, **switches))
+        result = rewrite(query, theory, config=RewriteConfig(**BUDGET))
         assert result.saturated
-        check_against_chase(
-            result, query, theory, database, factorize=switches["factorize"]
-        )
+        check_against_chase(result, query, theory, database)
 
     @RELAXED
     @given(
@@ -192,12 +253,11 @@ class TestEngineParity:
         database=DATABASES,
     )
     def test_exact_mode_closures_are_canonical(self, theory, query, database):
-        # with eager pruning off the engine enumerates the *whole*
-        # rewriting closure; minimisation leaves one disjunct per
-        # equivalence class, none contained in another
-        exact = saturated_rewriting(query, theory, eager_subsumption=False)
-        check_against_chase(exact, query, theory, database)
-        disjuncts = list(exact.ucq)
+        # minimisation leaves one disjunct per equivalence class, none
+        # contained in another
+        result = saturated_rewriting(query, theory)
+        check_against_chase(result, query, theory, database)
+        disjuncts = list(result.ucq)
         for i, general in enumerate(disjuncts):
             for j, specific in enumerate(disjuncts):
                 if i != j:
@@ -206,14 +266,46 @@ class TestEngineParity:
     @RELAXED
     @given(theory=bdd_theories(), query=open_conjunctive_queries(max_atoms=3))
     def test_eager_matches_exact(self, theory, query):
-        # eager pruning must not lose answers: prune-but-factorise
-        # keeps the factorisation closure of every pruned disjunct
-        # alive, so the pruned run stays equivalent to the full closure
-        eager = saturated_rewriting(query, theory, eager_subsumption=True)
-        exact = saturated_rewriting(query, theory, eager_subsumption=False)
-        assert ucq_subsumes(exact.ucq, eager.ucq)
-        assert ucq_equivalent(eager.ucq, exact.ucq)
-        assert len(eager.ucq) == len(exact.ucq)
+        # eager pruning must not lose answers: resurrecting pruned
+        # queries that return as a kept query's factorisation keeps
+        # the pruned run equivalent to the full closure
+        result = saturated_rewriting(query, theory)
+        exact = exact_rewriting(query, theory, BUDGET["max_queries"])
+        assume(exact is not None)
+        check_against_exact(result, exact)
+
+    @pytest.mark.parametrize("theory, query", ORACLE_CASES)
+    def test_fixed_cases_match_exact(self, theory, query):
+        clear_subsume_cache()
+        result = rewrite(query, theory)
+        exact = exact_rewriting(query, theory)
+        assert result.saturated and exact is not None
+        check_against_exact(result, exact)
+
+
+class TestDepthBound:
+    @RELAXED
+    @given(theory=bdd_theories(), query=open_conjunctive_queries(max_atoms=3))
+    def test_drawn_depth_bounds_are_certified(self, theory, query):
+        check_depth_bound(saturated_rewriting(query, theory), query, theory)
+
+    @pytest.mark.parametrize("theory, query", ORACLE_CASES)
+    def test_fixed_depth_bounds_are_certified(self, theory, query):
+        clear_subsume_cache()
+        result = rewrite(query, theory)
+        assert result.saturated
+        check_depth_bound(result, query, theory)
+
+    def test_pruned_factorisations_keep_the_lower_depth(self):
+        # a factorisation of a pruned disjunct is offered at the pruned
+        # disjunct's depth; when a kept disjunct's factorisation later
+        # resurrects it, depth_bound reads that depth (3), not the kept
+        # disjunct's (4)
+        theory, query = POOL_5
+        clear_subsume_cache()
+        result = rewrite(query, theory)
+        assert result.saturated
+        assert result.depth_bound == 3
 
 
 def _rewrite_default(query, theory):

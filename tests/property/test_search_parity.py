@@ -85,15 +85,3 @@ def test_exhausted_claims_match(database, theory, forbidden):
     if new.stats.saturation_pruned == 0:
         assert new.stats.exhausted == exhausted
 
-
-@RELAXED
-@given(database=structures(max_facts=4), theory=theories(max_rules=2))
-def test_canonical_dedup_never_changes_verdict(database, theory):
-    on = search_finite_model(database, theory, config=SearchConfig(**BOUNDS))
-    off = search_finite_model(
-        database, theory, config=SearchConfig(canonical_dedup=False, **BOUNDS)
-    )
-    assert on.found == off.found
-    if on.stats.exhausted and off.stats.exhausted:
-        # Dedup may only remove alpha-variant nodes, never add work.
-        assert on.stats.nodes <= off.stats.nodes

@@ -101,11 +101,6 @@ class TestGuardInteraction:
             assert guard.active
             assert guard.check() is StopReason.DEADLINE
 
-    def test_guards_disabled_beats_the_injector(self):
-        with inject_fault("chase", "deadline"):
-            config = ChaseConfig(guards_disabled=True)
-            assert RuntimeGuard.from_config(config, "chase") is NULL_GUARD
-
     def test_uninstalled_hook_stops_counting(self):
         # The trip was scheduled for checkpoint 2, but the scope closed
         # after checkpoint 1 — the guard must stay clean.

@@ -200,10 +200,6 @@ class TestFromConfig:
         assert guard.engine == "chase"
         assert guard.deadline is not None
 
-    def test_guards_disabled_wins(self):
-        config = ChaseConfig(wall_ms=0, guards_disabled=True)
-        assert RuntimeGuard.from_config(config, "chase") is NULL_GUARD
-
     def test_explicit_token_is_used(self):
         token = CancelToken()
         guard = RuntimeGuard.from_config(ChaseConfig(cancel_token=token), "chase")
@@ -224,7 +220,6 @@ class TestConfigValidation:
         assert config.wall_ms == 10
         assert config.max_rss_mb == 256
         assert config.cancel_token is None
-        assert config.guards_disabled is False
 
     def test_with_overrides_revalidates(self):
         with pytest.raises(ValueError, match="wall_ms"):

@@ -100,6 +100,14 @@ class TestEnvelope:
         assert response["ok"] is False
         assert response["exit_code"] == 1
 
+    def test_unsafe_free_variable_is_named(self, client):
+        response = client.request("certain", theory="E(x,y) -> E(y,x)",
+                                  database=DB, query="E(u,v), x = z",
+                                  free=["x"])
+        assert response["status"] == "error"
+        assert response["exit_code"] == 1
+        assert "unsafe free variable x" in response["error"]
+
     def test_pipelined_responses_tagged(self, client):
         first = client.submit("chase", theory=LINEAR, database=DB,
                               params={"depth": 2})

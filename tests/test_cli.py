@@ -267,14 +267,6 @@ class TestFcSearch:
         assert code == 0
         assert "heuristic=smallest-domain" in out
 
-    def test_no_canonical_dedup_flag(self, capsys):
-        code, out, _err = run(
-            capsys, "-e", "fc-search", LINEAR, DB, "--max-elements", "5",
-            "--no-canonical-dedup", "--stats",
-        )
-        assert code == 0
-        assert "canonical_keys=0" in out
-
 
 class TestServe:
     """The serve subcommand end-to-end: real process, real sockets.

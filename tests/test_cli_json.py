@@ -177,6 +177,20 @@ class TestJsonShape:
         assert payload["status"] == "error"
         assert "error" in payload
 
+    @pytest.mark.parametrize("query, message", [
+        # x = z, with z in no relational atom: no match gives x a value
+        ("E(u,v), x = z", "unsafe free variable x"),
+        ("E(u,v)", "free variable x does not occur"),
+    ])
+    def test_free_variable_without_a_value_is_an_error(
+        self, capsys, query, message
+    ):
+        code, payload = run_json(capsys, "-e", "certain", "E(x,y) -> E(y,x)",
+                                 DB, query, "--free", "x", "--json")
+        assert code == EXIT_ERROR
+        assert payload["status"] == "error"
+        assert message in payload["error"]
+
 
 class TestDeterminism:
     def test_json_deterministic_modulo_timings(self, capsys):
