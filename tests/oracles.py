@@ -150,14 +150,16 @@ def _rewriting_steps(query, theory, fresh):
             yield ConjunctiveQuery(atoms, query.free)
 
 
-def exact_rewriting(query, theory, max_queries=2_000):
+def exact_rewriting(query, theory, max_queries=2_000, factorize=True):
     """The whole rewriting closure of *query* under the single-head
     *theory*, minimised once.
 
     Breadth-first over every rewriting and factorisation step, with no
     pruning: a new query is dropped only when its canonical form was
     seen before.  Returns ``None`` when more than *max_queries*
-    distinct queries turn up (the closure may be infinite).
+    distinct queries turn up (the closure may be infinite).  With
+    *factorize* false only rewriting steps are taken; the closure is
+    then sound but may miss answers (Example 7).
     """
     start = normalize_equalities(query)
     if start is None:
@@ -168,10 +170,9 @@ def exact_rewriting(query, theory, max_queries=2_000):
     while frontier:
         successors = []
         for current in frontier:
-            steps = itertools.chain(
-                _rewriting_steps(current, theory, fresh),
-                _factorizations(current),
-            )
+            steps = _rewriting_steps(current, theory, fresh)
+            if factorize:
+                steps = itertools.chain(steps, _factorizations(current))
             for candidate in steps:
                 normal = normalize_equalities(candidate)
                 if normal is None:
