@@ -6,7 +6,7 @@ growing linear chase (existential, truncated).
 
 import pytest
 
-from repro.chase import ChaseConfig, ChaseStrategy, chase
+from repro.chase import ChaseConfig, chase
 from repro.zoo import chain_growth_theory, random_edges_database, transitive_theory
 
 
@@ -38,24 +38,20 @@ def test_linear_growth_scaling(benchmark, depth):
     assert result.depth == depth
 
 
-@pytest.mark.parametrize("strategy", [ChaseStrategy.NAIVE, ChaseStrategy.DELTA])
-def test_strategy_on_deep_recursive_chain(benchmark, strategy):
-    """The tentpole workload: a deep existential recursive chain.
+def test_deep_recursive_chain(benchmark):
+    """A deep existential recursive chain.
 
-    The naive strategy re-enumerates every settled trigger each round
-    (quadratic in depth); the delta strategy joins only through the last
-    round's delta.  The trigger counters quantify the asymptotic gap
-    next to the timings.
+    Each round after the first joins only through the last round's
+    delta; the trigger and probe counters sit next to the timings.
     """
     theory = chain_growth_theory(3)
     database = random_edges_database(4, 6, predicates=("P0",), seed=7)
-    config = ChaseConfig(max_depth=40, strategy=strategy)
+    config = ChaseConfig(max_depth=40)
 
     def run():
         return chase(database, theory, config)
 
     result = benchmark(run)
-    benchmark.extra_info["strategy"] = strategy.value
     benchmark.extra_info["triggers_evaluated"] = result.stats.triggers_evaluated
     benchmark.extra_info["index_probes"] = result.stats.index_probes
     benchmark.extra_info["facts"] = len(result.structure)

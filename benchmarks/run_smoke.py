@@ -1,9 +1,10 @@
 """Smoke benchmark: reduced-size chase workloads, JSON scoreboard.
 
 A standalone script (no pytest-benchmark needed) that times the
-workloads of ``bench_perf_chase`` and ``bench_ablation_seminaive`` at
-reduced sizes and writes ``BENCH_chase.json`` next to this file — a
-cheap scoreboard a CI step or the next working session can diff.
+chase workloads of ``bench_perf_chase`` (the deep existential recursive
+chain and a saturating transitive closure) at reduced sizes and writes
+``BENCH_chase.json`` next to this file — a cheap scoreboard a CI step
+or a later change can diff.
 
 It also writes ``BENCH_fc.json``: the finite-model-search scoreboard
 (``bench_perf_fc``) — the search engine (copy-on-write states,
@@ -75,12 +76,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.chase import (
     ChaseConfig,
-    ChaseStrategy,
     ChaseView,
     IncrementalConfig,
     chase,
     chase_entails,
-    seminaive_saturate,
 )
 from repro.fc import SearchConfig, search_finite_model
 from repro.lf import (
@@ -103,7 +102,6 @@ from repro.rewriting import (
 )
 from repro.zoo import (
     chain_growth_theory,
-    chain_structure,
     churn_stream,
     disjoint_chains_database,
     random_edges_database,
@@ -170,7 +168,6 @@ def chase_entry(name, database, theory, config, repeat):
     stats = result.stats
     return {
         "workload": name,
-        "strategy": stats.strategy,
         "wall_s": round(wall, 6),
         "depth": result.depth,
         "facts": len(result.structure),
@@ -974,62 +971,32 @@ def main(argv=None):
 
     depth = 40 if args.full else 20
     tc_size, tc_edges = (40, 80) if args.full else (15, 30)
-    chain_len = 60 if args.full else 25
 
     growth_theory = chain_growth_theory(3)
     growth_db = random_edges_database(4, 6, predicates=("P0",), seed=7)
     tc_theory = transitive_theory()
     tc_db = random_edges_database(tc_size, tc_edges, seed=42)
 
-    entries = []
-    speedups = {}
-
-    # bench_perf_chase: deep existential recursive chain, both strategies
-    per_strategy = {}
-    for strategy in (ChaseStrategy.NAIVE, ChaseStrategy.DELTA):
-        entry = chase_entry(
+    entries = [
+        # bench_perf_chase: deep existential recursive chain
+        chase_entry(
             f"recursive-chain-d{depth}", growth_db, growth_theory,
-            ChaseConfig(max_depth=depth, strategy=strategy), args.repeat,
-        )
-        per_strategy[strategy.value] = entry
-        entries.append(entry)
-    speedups["recursive_chain"] = round(
-        per_strategy["naive"]["wall_s"] / max(per_strategy["delta"]["wall_s"], 1e-9), 2
-    )
-
-    # bench_perf_chase: transitive closure (datalog, saturating)
-    for strategy in (ChaseStrategy.NAIVE, ChaseStrategy.DELTA):
-        entries.append(chase_entry(
+            ChaseConfig(max_depth=depth), args.repeat,
+        ),
+        # bench_perf_chase: transitive closure (datalog, saturating)
+        chase_entry(
             f"transitive-closure-{tc_size}n{tc_edges}e", tc_db, tc_theory,
-            ChaseConfig(max_depth=None, max_facts=500_000, strategy=strategy),
-            args.repeat,
-        ))
-
-    # bench_ablation_seminaive: the dedicated datalog fast path on chains
-    chain_db = chain_structure(chain_len, constants=True)
-    wall, closure = timed(
-        lambda: seminaive_saturate(chain_db, tc_theory), args.repeat
-    )
-    expected = chain_len * (chain_len + 1) // 2
-    assert len(closure) == expected, (len(closure), expected)
-    entries.append({
-        "workload": f"seminaive-chain-{chain_len}",
-        "strategy": "seminaive_saturate",
-        "wall_s": round(wall, 6),
-        "facts": len(closure),
-    })
-
+            ChaseConfig(max_depth=None, max_facts=500_000), args.repeat,
+        ),
+    ]
     payload = {
         **run_info,
         "entries": entries,
-        "speedups": speedups,
     }
     args.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     for entry in entries:
-        print(f"{entry['workload']:>34} {entry['strategy']:>20} "
+        print(f"{entry['workload']:>34} "
               f"{entry['wall_s'] * 1000:9.2f} ms  {entry['facts']} facts")
-    print(f"naive/delta speedup on the recursive chain: "
-          f"{speedups['recursive_chain']}x")
     print(f"wrote {args.output}")
 
     hom_entry_list = hom_entries(args.full, args.repeat)

@@ -19,7 +19,6 @@ from .certain import (
 )
 from .engine import (
     ChaseConfig,
-    ChaseStrategy,
     chase,
     chase_step,
     chase_with_embargo,
@@ -39,7 +38,7 @@ from .provenance import (
     explain_all,
 )
 from .results import ChaseResult
-from .seminaive import incremental_datalog_saturate, seminaive_saturate
+from .seminaive import incremental_datalog_saturate
 from .stats import ChaseStats, IncrStats, RoundStats
 from .view import ChaseView, IncrementalConfig, UpdateResult, ViewAnswer, chase_view
 from .termination import (
@@ -54,7 +53,6 @@ __all__ = [
     "ChaseConfig",
     "ChaseResult",
     "ChaseStats",
-    "ChaseStrategy",
     "ChaseView",
     "DEFAULT_MAX_SUPPORTS",
     "DependencyGraph",
@@ -86,7 +84,6 @@ __all__ = [
     "is_weakly_acyclic",
     "observed_derivation_depth",
     "query_depth_profile",
-    "seminaive_saturate",
     "special_cycle_witness",
     "violations",
 ]

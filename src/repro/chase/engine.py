@@ -13,49 +13,41 @@ Implements the paper's chase (Section 1.1) faithfully:
   single fresh null.  This is what makes Lemma 3(iv) true — "for any
   fixed a ∈ S and TGP R at most one b can exist with S ⊨ R(a, b)".
 
-Two evaluation strategies compute the *same* rounds (property-tested
-fact-for-fact equal, nulls included):
+Rounds after the first enumerate triggers semi-naively: a rule body
+``B_1 … B_k`` is evaluated as the union of the k plans "``B_i`` from
+the previous round's delta, the rest from the full indexed structure"
+(:func:`repro.chase.seminaive._delta_bindings`).  Sound because
+visibility only grows: a body match whose facts all predate the last
+round was enumerated in an earlier round, and its head has been
+satisfied ever since (it either fired or was suppressed) — so only
+delta-touching matches can still demand anything.  The rounds are the
+literal ``Chase^1`` iteration's, nulls included; ``tests/oracles.py``
+keeps that iteration (:func:`chase_step` repeated) as the reference
+``tests/property/test_strategy_parity.py`` compares against.
 
-* ``"delta"`` (default) — semi-naive trigger enumeration generalised
-  from :mod:`repro.chase.seminaive` to existential TGDs.  A rule body
-  ``B_1 … B_k`` is evaluated as the union of the k plans "``B_i`` from
-  the previous round's delta, the rest from the full indexed
-  structure".  Sound because visibility only grows: a body match whose
-  facts all predate the last round was enumerated in an earlier round,
-  and its head has been satisfied ever since (it either fired or was
-  suppressed) — so only delta-touching matches can still demand
-  anything.  Cost per round is proportional to the *new* work, where
-  the naive strategy re-enumerates every match of every rule each
-  round (quadratic in chase depth on growing instances).
+A round does not copy the structure: it evaluates against the working
+structure and buffers its insertions until all triggers of the round
+are enumerated, which *is* the paper's "all triggers evaluated at the
+start of the round" semantics.  Witnesses are assigned in a canonical
+order at the end of the round, making null identities independent of
+enumeration order.
 
-* ``"naive"`` — the literal ``Chase^1`` iteration, kept for
-  faithfulness ablations and forced automatically for oblivious runs
-  (an oblivious trigger re-fires every round, so old matches can never
-  be skipped).
-
-Neither strategy copies the structure: a round evaluates against the
-working structure and buffers its insertions until all triggers of the
-round are enumerated, which *is* the paper's "all triggers evaluated at
-the start of the round" semantics.  Witnesses are assigned in a
-canonical order at the end of the round, making null identities
-independent of enumeration order (and hence of the strategy).
-
-An *oblivious* mode (every trigger creates a witness, used only for
-contrast experiments) and a *new-element embargo* mode (used by the
-Theorem-2 pipeline to realise Lemma 5's claim) are provided as flags.
-Every run records a :class:`~repro.chase.stats.ChaseStats` on its
-result — per-round wall time, trigger/delta counters, and index-probe
-counts.
+One loop, :func:`_run_rounds`, runs the rounds of every :func:`chase`
+and of every resume of an incremental view
+(:meth:`repro.chase.view.ChaseView.update`): it owns the guard checks,
+the per-round :class:`~repro.chase.stats.RoundStats`, the size budgets
+and the ``on_budget`` stop policy.  A *new-element embargo* mode (used
+by the Theorem-2 pipeline to realise Lemma 5's claim) is provided as a
+flag.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from enum import Enum
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..config import BudgetedConfig, OnBudget, coerce_enum
+from ..config import BudgetedConfig, OnBudget
 from ..errors import ChaseBudgetExceeded, NewElementEmbargoViolation
 from ..runtime.guard import NULL_GUARD, GuardTripped, RuntimeGuard, StopReason
 from ..lf.atoms import Atom
@@ -64,22 +56,10 @@ from ..lf.plan import HOM_STATS
 from ..lf.rules import Rule, Theory
 from ..lf.structures import Structure
 from ..lf.terms import Element, Null, NullFactory, Variable
-from .provenance import DEFAULT_MAX_SUPPORTS, SupportStore
+from .provenance import SupportStore
 from .results import ChaseResult
 from .seminaive import _delta_bindings
-from .stats import ChaseStats, RoundStats
-
-
-class ChaseStrategy(str, Enum):
-    """How a round's triggers are enumerated (semantics are identical)."""
-
-    DELTA = "delta"
-    NAIVE = "naive"
-
-    @classmethod
-    def coerce(cls, value: "ChaseStrategy | str") -> "ChaseStrategy":
-        """Accept the enum or its string value."""
-        return coerce_enum(value, cls, "strategy")
+from .stats import ChaseStats, IncrStats, RoundStats
 
 
 @dataclass
@@ -94,10 +74,6 @@ class ChaseConfig(BudgetedConfig):
         Stop when the structure exceeds this many facts.
     max_elements:
         Stop when the domain exceeds this many elements.
-    oblivious:
-        Fire every trigger regardless of existing witnesses.  Forces
-        the naive strategy (old triggers re-fire every round, so delta
-        enumeration would change the semantics).
     allow_new_elements:
         When ``False``, a TGD trigger with no witness raises
         :class:`~repro.errors.NewElementEmbargoViolation` instead of
@@ -110,41 +86,23 @@ class ChaseConfig(BudgetedConfig):
     trace:
         Record, for every derived fact, the rules and premise facts
         that produced it — *all* distinct derivations up to
-        :attr:`max_supports` per fact, not just the first (see
+        :data:`~repro.chase.provenance.DEFAULT_MAX_SUPPORTS` per fact,
+        not just the first (see
         :class:`~repro.chase.provenance.SupportStore`).  Off by
         default — it costs memory proportional to the run.
-    max_supports:
-        Bound on distinct supports recorded per fact when tracing
-        (default :data:`~repro.chase.provenance.DEFAULT_MAX_SUPPORTS`).
-        The incremental view (:mod:`repro.chase.view`) raises or lowers
-        it to trade rederive coverage against trace memory.
-    strategy:
-        ``"delta"`` (default) or ``"naive"`` — see the module docstring.
-        Both produce identical results; naive exists for ablations.
     """
 
     max_depth: "Optional[int]" = None
     max_facts: "Optional[int]" = 200_000
     max_elements: "Optional[int]" = 50_000
-    oblivious: bool = False
     allow_new_elements: bool = True
     on_budget: OnBudget = OnBudget.RETURN
     trace: bool = False
-    strategy: ChaseStrategy = ChaseStrategy.DELTA
-    max_supports: int = DEFAULT_MAX_SUPPORTS
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        self.strategy = ChaseStrategy.coerce(self.strategy)
         if self.max_depth is None and self.max_facts is None and self.max_elements is None:
             raise ValueError("at least one budget must be set (the chase may diverge)")
-        if self.max_supports < 1:
-            raise ValueError(f"max_supports must be >= 1, got {self.max_supports}")
-
-    @property
-    def effective_strategy(self) -> ChaseStrategy:
-        """The strategy actually run: oblivious mode forces naive."""
-        return ChaseStrategy.NAIVE if self.oblivious else self.strategy
 
 
 def _head_satisfied(structure: Structure, rule: Rule, binding: Dict[Variable, Element]) -> bool:
@@ -183,19 +141,6 @@ def _witness_key(rule: Rule, rule_index: int, binding: Dict[Variable, Element]) 
         (var.name, binding[var]) for var in sorted(rule.frontier())
     )
     return ("rule", rule_index, frontier_values)
-
-
-def _oblivious_key(rule_index: int, binding: Dict[Variable, Element], serial: int) -> tuple:
-    """Witness key for an oblivious trigger: never shared.
-
-    The *serial* is an explicit per-round trigger counter, so every
-    oblivious body match gets its own witnesses (the paper's
-    ``c_{t_i, x̄}`` with the trigger identity spelled out; previously
-    the uniqueness leaked in from the enclosing scope's invented-null
-    count, which depended on evaluation order).
-    """
-    frontier = tuple(sorted((var.name, value) for var, value in binding.items()))
-    return ("oblivious", rule_index, frontier, serial)
 
 
 def _canonical_key_order(key: tuple) -> "Tuple[str, ...]":
@@ -281,14 +226,15 @@ def _evaluate_round(
     *structure* is not touched until every trigger of the round has
     been enumerated (insertions are buffered), so all triggers see the
     structure "as it was at the start of the round" without a copy.
-    With ``delta=None`` every rule body is fully enumerated (naive /
-    first round); otherwise only matches touching the delta are.
+    With ``delta=None`` every rule body is fully enumerated (the first
+    round, and every round of :func:`chase_step`); otherwise only
+    matches touching the delta are.
 
     Phase 1 enumerates triggers: datalog heads go straight to the
     buffer; existential triggers with unsatisfied heads are collected
     as witness *demands*.  Phase 2 assigns fresh nulls per demand key
     in a canonical key order — making null identities (and hence the
-    whole run) independent of enumeration order and strategy.
+    whole run) independent of enumeration order.
 
     The *guard* is checkpointed per trigger batch (each rule's
     enumeration, plus every :data:`_TRIGGER_CHECK_INTERVAL` triggers
@@ -309,7 +255,6 @@ def _evaluate_round(
     produced_set: Set[Atom] = set()
     demands: "Dict[tuple, List[_Demand]]" = {}
     demand_seen: Set[tuple] = set()
-    oblivious_serial = 0
 
     def record(fact: Atom, rule_index: int, rule: Rule, binding) -> None:
         # Multi-support: every derivation event is offered, including
@@ -339,11 +284,12 @@ def _evaluate_round(
             )
         else:
             bindings = _delta_bindings(rule, structure, delta)
+        datalog = rule.is_datalog
         for binding in bindings:
             stats.triggers_evaluated += 1
             if stats.triggers_evaluated % _TRIGGER_CHECK_INTERVAL == 0:
                 guard.checkpoint()
-            if rule.is_datalog:
+            if datalog:
                 fired = False
                 for head in rule.head:
                     fact = head.substitute(binding)  # type: ignore[arg-type]
@@ -356,7 +302,7 @@ def _evaluate_round(
                 if fired:
                     stats.triggers_fired += 1
                 continue
-            if not config.oblivious and _head_satisfied(structure, rule, binding):
+            if _head_satisfied(structure, rule, binding):
                 stats.triggers_suppressed += 1
                 continue
             if not config.allow_new_elements:
@@ -364,11 +310,7 @@ def _evaluate_round(
                     f"rule {rule} demands a new witness on {binding} "
                     f"(Lemma 5 embargo)"
                 )
-            if config.oblivious:
-                key = _oblivious_key(rule_index, binding, oblivious_serial)
-                oblivious_serial += 1
-            else:
-                key = _witness_key(rule, rule_index, binding)
+            key = _witness_key(rule, rule_index, binding)
             # Delta enumeration can yield the same trigger through
             # several pivots; demand each (key, rule, binding) once.
             fingerprint = (
@@ -440,6 +382,127 @@ def chase_step(
     )
 
 
+def _recorded_round(
+    structure: Structure,
+    theory: Theory,
+    nulls: NullFactory,
+    level: int,
+    config: ChaseConfig,
+    provenance: "Optional[SupportStore]",
+    delta: "Optional[Sequence[Atom]]",
+    guard: RuntimeGuard,
+    rounds: List[RoundStats],
+    delta_in: int,
+    **restrict,
+) -> "Tuple[Optional[StopReason], List[Atom], List[Null]]":
+    """:func:`_evaluate_round`, timed, its :class:`RoundStats` appended to *rounds*.
+
+    Returns ``(tripped, produced, invented)``.  A guard trip mid-round
+    returns its reason with nothing produced: the aborted round
+    inserted nothing (insertions are buffered until enumeration
+    completes), and its partial counters are still recorded so the
+    stop shows in the stats.  *restrict* passes ``rule_indices`` and
+    ``head_delta`` through (the incremental view's fallback round).
+    """
+    round_stats = RoundStats(round=level, delta_in=delta_in)
+    probes_before = structure.index_probes
+    started = time.perf_counter()
+    tripped: "Optional[StopReason]" = None
+    produced: List[Atom] = []
+    invented: List[Null] = []
+    try:
+        produced, invented = _evaluate_round(
+            structure, theory, nulls, level, config, provenance, delta,
+            round_stats, guard, **restrict,
+        )
+    except GuardTripped as trip:
+        tripped = trip.reason
+    round_stats.wall_ms = (time.perf_counter() - started) * 1000.0
+    round_stats.index_probes = structure.index_probes - probes_before
+    rounds.append(round_stats)
+    return tripped, produced, invented
+
+
+def _run_rounds(
+    structure: Structure,
+    theory: Theory,
+    nulls: NullFactory,
+    config: ChaseConfig,
+    provenance: "Optional[SupportStore]",
+    guard: RuntimeGuard,
+    stats: "ChaseStats | IncrStats",
+    level: int,
+    delta: "Optional[List[Atom]]",
+    max_rounds: "Optional[int]",
+    on_round: "Callable[[int, List[Atom], List[Null]], None]",
+    on_stop: "Callable[[StopReason, Optional[List[Atom]], int], None]",
+    raise_at_max_rounds: bool = False,
+) -> StopReason:
+    """Chase *structure* in place, round by round, and return why it stopped.
+
+    The one round loop of :func:`chase` and of the incremental view's
+    resume (:meth:`repro.chase.view.ChaseView.update`).  Rounds are
+    numbered from ``level + 1``.  The first joins through *delta*
+    (``None``: a full first round), each later one through the facts
+    its predecessor added.  Before each round the guard is checked and
+    the cap *max_rounds* (rounds of this call) applied.  Each round
+    appends its :class:`RoundStats` to ``stats.rounds``.  An empty
+    round is a fixpoint.  After each round that added facts,
+    ``on_round(level, produced, invented)`` lets the caller record
+    them, and then the ``max_facts``/``max_elements`` budgets are
+    checked.
+
+    Every exit first calls ``on_stop(reason, frontier, completed)``:
+    *frontier* is the delta the next round would join through (empty
+    at a fixpoint), *completed* the rounds this call finished.  Then
+    the ``on_budget`` policy applies.  Under ``RAISE`` a guard stop
+    raises the guard's typed exception, and a size overrun (or the cap,
+    when *raise_at_max_rounds*) raises
+    :class:`~repro.errors.ChaseBudgetExceeded`; both carry *stats*.
+    """
+    completed = 0
+    reason = StopReason.FIXPOINT
+    overrun: "Optional[str]" = None
+    while delta is None or delta:
+        tripped = guard.check()
+        if tripped is not None:
+            reason = tripped
+            break
+        if max_rounds is not None and completed >= max_rounds:
+            reason = StopReason.BUDGET
+            if raise_at_max_rounds:
+                overrun = f"chase stopped after {max_rounds} rounds at depth {level}"
+            break
+        tripped, produced, invented = _recorded_round(
+            structure, theory, nulls, level + 1, config, provenance, delta,
+            guard, stats.rounds, len(structure) if delta is None else len(delta),
+        )
+        if tripped is not None:
+            reason = tripped
+            break
+        completed += 1
+        delta = produced
+        if not produced:
+            continue  # the fixpoint: the loop condition ends the run
+        level += 1
+        on_round(level, produced, invented)
+        over_facts = config.max_facts is not None and len(structure) > config.max_facts
+        over_elements = (
+            config.max_elements is not None and structure.domain_size > config.max_elements
+        )
+        if over_facts or over_elements:
+            reason = StopReason.BUDGET
+            overrun = f"chase exceeded budget at depth {level}"
+            break
+    on_stop(reason, delta, completed)
+    if config.should_raise:
+        if overrun is not None:
+            raise ChaseBudgetExceeded(overrun, stats=stats)
+        if reason is not StopReason.FIXPOINT and reason is not StopReason.BUDGET:
+            raise guard.exception(reason, stats=stats)
+    return reason
+
+
 def chase(
     database: Structure,
     theory: Theory,
@@ -448,8 +511,8 @@ def chase(
 ) -> ChaseResult:
     """Run the chase on a copy of *database* under *theory*.
 
-    Keyword overrides (``max_depth=...``, ``strategy="naive"`` etc.)
-    are applied on top of *config* (or the default config) via
+    Keyword overrides (``max_depth=...``, ``wall_ms=...`` etc.) are
+    applied on top of *config* (or the default config) via
     :meth:`~repro.config.BudgetedConfig.with_overrides` — a validated
     ``dataclasses.replace``.  The input structure is never mutated.
 
@@ -465,7 +528,8 @@ def chase(
     Raises
     ------
     ChaseBudgetExceeded
-        Only when ``config.on_budget == OnBudget.RAISE``.
+        Only when ``config.on_budget == OnBudget.RAISE``; reaching
+        ``max_depth`` never raises.
     NewElementEmbargoViolation
         When ``allow_new_elements=False`` and an existential trigger
         has no witness.
@@ -479,91 +543,34 @@ def chase(
     fact_level: Dict[Atom, int] = {fact: 0 for fact in working.facts()}
     new_elements: List[Null] = []
     rounds_fired: List[int] = []
-    provenance: "Optional[SupportStore]" = (
-        SupportStore(config.max_supports) if config.trace else None
-    )
-    strategy = config.effective_strategy
-    stats = ChaseStats(strategy=strategy.value)
+    provenance = SupportStore() if config.trace else None
+    stats = ChaseStats()
     hom_before = HOM_STATS.snapshot()
-    guard = RuntimeGuard.from_config(config, "chase")
-    depth = 0
-    saturated = False
-    stopped_reason = StopReason.BUDGET
-    # None = full enumeration: always for naive, and for delta's first
-    # round (where the whole database is the delta).
-    delta: "Optional[List[Atom]]" = None
 
-    def guard_stop(reason: StopReason) -> StopReason:
-        """Finalise stats and apply the on_budget policy for *reason*."""
-        stats.hom = HOM_STATS.since(hom_before)
-        if config.should_raise:
-            raise guard.exception(reason, stats=stats)
-        return reason
-
-    while True:
-        reason = guard.check()
-        if reason is not None:
-            stopped_reason = guard_stop(reason)
-            break
-        if config.max_depth is not None and depth >= config.max_depth:
-            break
-        round_stats = RoundStats(
-            round=depth + 1,
-            delta_in=len(working) if delta is None else len(delta),
-        )
-        probes_before = working.index_probes
-        started = time.perf_counter()
-        try:
-            produced, invented = _evaluate_round(
-                working, theory, nulls, depth + 1, config, provenance, delta,
-                round_stats, guard,
-            )
-        except GuardTripped as trip:
-            # The aborted round inserted nothing (insertions are
-            # buffered until enumeration completes): the structure is
-            # exactly the last completed round.  Record the partial
-            # round's counters so the stop is visible in the stats.
-            round_stats.wall_ms = (time.perf_counter() - started) * 1000.0
-            round_stats.index_probes = working.index_probes - probes_before
-            stats.rounds.append(round_stats)
-            stopped_reason = guard_stop(trip.reason)
-            break
-        round_stats.wall_ms = (time.perf_counter() - started) * 1000.0
-        round_stats.index_probes = working.index_probes - probes_before
-        stats.rounds.append(round_stats)
-        if not produced and not invented:
-            saturated = True
-            stopped_reason = StopReason.FIXPOINT
-            break
-        depth += 1
+    def on_round(level: int, produced: List[Atom], invented: List[Null]) -> None:
         rounds_fired.append(len(produced))
         new_elements.extend(invented)
         for fact in produced:
-            fact_level.setdefault(fact, depth)
-        delta = produced if strategy is ChaseStrategy.DELTA else None
-        over_facts = config.max_facts is not None and len(working) > config.max_facts
-        over_elements = (
-            config.max_elements is not None and working.domain_size > config.max_elements
-        )
-        if over_facts or over_elements:
-            if config.should_raise:
-                stats.hom = HOM_STATS.since(hom_before)
-                raise ChaseBudgetExceeded(
-                    f"chase exceeded budget at depth {depth}", stats=stats
-                )
-            break
+            fact_level.setdefault(fact, level)
 
-    stats.hom = HOM_STATS.since(hom_before)
+    def on_stop(reason: StopReason, frontier: object, completed: int) -> None:
+        stats.hom = HOM_STATS.since(hom_before)
+
+    reason = _run_rounds(
+        working, theory, nulls, config, provenance,
+        RuntimeGuard.from_config(config, "chase"), stats, 0, None,
+        config.max_depth, on_round, on_stop,
+    )
     return ChaseResult(
         structure=working,
-        depth=depth,
-        saturated=saturated,
+        depth=len(rounds_fired),
+        saturated=reason is StopReason.FIXPOINT,
         fact_level=fact_level,
         new_elements=new_elements,
         rounds_fired=rounds_fired,
         provenance=provenance,
         stats=stats,
-        stopped_reason=stopped_reason,
+        stopped_reason=reason,
     )
 
 

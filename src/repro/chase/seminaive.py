@@ -1,23 +1,19 @@
-"""Semi-naive datalog evaluation.
+"""Semi-naive trigger enumeration.
 
-The round-based engine in :mod:`repro.chase.engine` re-evaluates every
-rule against the whole structure each round — faithful to the paper's
-``Chase^i`` but wasteful for pure datalog saturation, where the final
-fixpoint is all that matters.  This module implements the classic
-semi-naive strategy: a rule body with atoms ``B_1 … B_k`` only needs
-the matches where at least one ``B_i`` is matched against the *delta*
-(the facts new in the previous iteration), evaluated as the union of
-the k plans "``B_i`` from delta, the rest from the full structure".
+A rule body with atoms ``B_1 … B_k`` only needs the matches where at
+least one ``B_i`` is matched against the *delta* (the facts new in the
+previous round), evaluated as the union of the k plans "``B_i`` from
+delta, the rest from the full structure" (:func:`_delta_bindings`).
 
-The result is fact-for-fact identical to the naive fixpoint (property
-tested), usually much faster on recursive rules — the
-``bench_ablation_seminaive`` benchmark quantifies it.
-
-The delta machinery below (:func:`_delta_bindings`) is shared with the
-main chase engine: :mod:`repro.chase.engine` generalises it to
-existential TGDs as its default ``"delta"`` strategy (see DESIGN.md §4).
-Insertions are buffered per iteration — the homomorphism matcher hands
-out live index views, so the structure must not grow mid-enumeration.
+The chase engine (:mod:`repro.chase.engine`) enumerates every round
+after its first this way, for existential TGDs as well (see DESIGN.md
+§4); :func:`repro.chase.engine.datalog_saturate` is the datalog
+fixpoint built on it.  :func:`incremental_datalog_saturate` is the
+finite-model search's per-node loop: the same enumeration, kept apart
+from the engine's round loop so that a node does not pay for per-round
+stats, timing and guard checks on a delta of a few facts.  Insertions
+are buffered per round — the homomorphism matcher hands out live index
+views, so the structure must not grow mid-enumeration.
 """
 
 from __future__ import annotations
@@ -121,58 +117,6 @@ def _delta_bindings(
             yield from homomorphisms(rest, structure, seed)
 
 
-def seminaive_saturate(
-    structure: Structure,
-    theory: Theory,
-    max_facts: "Optional[int]" = 1_000_000,
-) -> Structure:
-    """Saturate *structure* under the datalog rules of *theory*.
-
-    Returns a new structure (the input is not mutated) with exactly the
-    naive fixpoint's facts.  Existential rules are ignored, matching
-    :func:`repro.chase.engine.datalog_saturate`.
-
-    Raises
-    ------
-    ChaseBudgetExceeded
-        If the fixpoint exceeds *max_facts* facts.
-    """
-    rules = [r for r in theory.rules if r.is_datalog]
-    working = structure.copy()
-
-    def one_iteration(delta: "Optional[Sequence[Atom]]") -> List[Atom]:
-        """One pass over the rules; new facts are buffered, then
-        inserted (the matcher iterates live index views).  ``delta is
-        None`` means the initial full evaluation."""
-        produced: List[Atom] = []
-        produced_set: Set[Atom] = set()
-        for rule in rules:
-            bindings = (
-                homomorphisms(rule.body, working)
-                if delta is None
-                else _delta_bindings(rule, working, delta)
-            )
-            for binding in bindings:
-                for head in rule.head:
-                    fact = head.substitute(binding)  # type: ignore[arg-type]
-                    if fact not in produced_set and not working.has_fact(fact):
-                        produced_set.add(fact)
-                        produced.append(fact)
-        for fact in produced:
-            working.add_fact(fact)
-        return produced
-
-    # Iteration 0: full naive round (every fact is "new").
-    delta = one_iteration(None)
-    while delta:
-        if max_facts is not None and len(working) > max_facts:
-            raise ChaseBudgetExceeded(
-                f"semi-naive saturation exceeded {max_facts} facts"
-            )
-        delta = one_iteration(delta)
-    return working
-
-
 def incremental_datalog_saturate(
     structure: Structure,
     theory: Theory,
@@ -184,10 +128,11 @@ def incremental_datalog_saturate(
 
     Precondition: ``structure`` minus *seed* was already saturated under
     the datalog rules of *theory* (then only bindings touching the seed
-    can fire, so the initial full round of :func:`seminaive_saturate` is
-    unnecessary — this is the per-node saturation of the finite-model
-    search, where every state extends an already-saturated parent by a
-    handful of head facts).
+    can fire, so the full first round of
+    :func:`~repro.chase.engine.datalog_saturate` is unnecessary — this
+    is the per-node saturation of the finite-model search, where every
+    state extends an already-saturated parent by a handful of head
+    facts).
 
     Returns ``(facts_added, rounds)`` — the seed itself is not counted.
 

@@ -1,21 +1,21 @@
 """Run-level instrumentation for chase runs.
 
-Every chase run (any strategy) records a :class:`ChaseStats` — one
+Every chase run records a :class:`ChaseStats` — one
 :class:`RoundStats` per parallel round — exposed on
 :attr:`repro.chase.ChaseResult.stats` and propagated up through
 ``certain_*``, ``datalog_saturate`` and the Theorem-2 pipeline.  The
 counters are the language the benchmarks and the CLI's ``--stats`` /
 ``--json`` modes speak:
 
-* *triggers evaluated* — body matches enumerated this round (under the
-  delta strategy this is the real work saved: all-old matches are
-  provably settled and never enumerated);
+* *triggers evaluated* — body matches enumerated this round (after the
+  first round only matches touching the previous round's delta: all-old
+  matches are provably settled and never enumerated);
 * *triggers fired* — matches that produced at least one new fact or a
   witness;
 * *triggers suppressed* — existential matches skipped because a witness
   already existed (the non-oblivious "only if needed" check);
 * *delta_in* — how many facts the round joined through as the delta
-  (for the naive strategy: the whole structure);
+  (for the first round: the whole structure);
 * *index_probes* — hash-index lookups performed on the
   :class:`~repro.lf.structures.Structure` during the round.
 
@@ -86,9 +86,6 @@ class ChaseStats:
 
     Attributes
     ----------
-    strategy:
-        The evaluation strategy actually used (``"delta"`` or
-        ``"naive"`` — oblivious runs always report ``"naive"``).
     rounds:
         One entry per evaluated round, including the final empty round
         that certifies saturation (it did real work: it enumerated and
@@ -100,7 +97,6 @@ class ChaseStats:
         backtracks.  ``None`` only on hand-built stats.
     """
 
-    strategy: str = "delta"
     rounds: List[RoundStats] = field(default_factory=list)
     hom: "Optional[HomStats]" = None
 
@@ -135,13 +131,12 @@ class ChaseStats:
 
     @property
     def delta_sizes(self) -> List[int]:
-        """The delta fed into each round (diagnostic for the strategy)."""
+        """The delta fed into each round."""
         return [r.delta_in for r in self.rounds]
 
     def as_dict(self, timings: bool = True) -> Dict[str, Any]:
         """A JSON-ready dict; ``timings=False`` strips every wall time."""
         payload: Dict[str, Any] = {
-            "strategy": self.strategy,
             "rounds": [r.as_dict(timings=timings) for r in self.rounds],
             "totals": {
                 "triggers_evaluated": self.triggers_evaluated,
@@ -162,7 +157,7 @@ class ChaseStats:
 
     def render(self) -> str:
         """Deterministically ordered text lines for the CLI's ``--stats``."""
-        lines = [f"# stats: strategy={self.strategy} rounds={len(self.rounds)}"]
+        lines = [f"# stats: rounds={len(self.rounds)}"]
         for r in self.rounds:
             lines.append(
                 f"# round {r.round}: delta_in={r.delta_in} "
@@ -190,7 +185,7 @@ class ChaseStats:
 
     def __str__(self) -> str:
         return (
-            f"ChaseStats({self.strategy}, {len(self.rounds)} rounds, "
+            f"ChaseStats({len(self.rounds)} rounds, "
             f"{self.triggers_evaluated} triggers, "
             f"{self.index_probes} probes)"
         )
@@ -230,11 +225,9 @@ class IncrStats:
     nulls_orphaned:
         Invented nulls left occurring in no fact after the retraction —
         dead weight the view drops from its level bookkeeping.
-    delta_sizes:
-        The delta fed into each resumed round (``rounds[i].delta_in``).
     rounds:
-        Per-round counters of the resume, shaped exactly like a chase
-        run's (:class:`RoundStats`).
+        Per-round counters of the fallback round and the resume, shaped
+        exactly like a chase run's (:class:`RoundStats`).
     """
 
     adds_in: int = 0
@@ -246,13 +239,17 @@ class IncrStats:
     facts_added: int = 0
     nulls_invented: int = 0
     nulls_orphaned: int = 0
-    delta_sizes: List[int] = field(default_factory=list)
     rounds: List[RoundStats] = field(default_factory=list)
     wall_ms: float = 0.0
 
     @property
     def triggers_evaluated(self) -> int:
         return sum(r.triggers_evaluated for r in self.rounds)
+
+    @property
+    def delta_sizes(self) -> List[int]:
+        """The delta fed into each round (``rounds[i].delta_in``)."""
+        return [r.delta_in for r in self.rounds]
 
     def as_dict(self, timings: bool = True) -> Dict[str, Any]:
         """A JSON-ready dict; ``timings=False`` strips every wall time."""
@@ -266,7 +263,7 @@ class IncrStats:
             "facts_added": self.facts_added,
             "nulls_invented": self.nulls_invented,
             "nulls_orphaned": self.nulls_orphaned,
-            "delta_sizes": list(self.delta_sizes),
+            "delta_sizes": self.delta_sizes,
             "rounds": [r.as_dict(timings=timings) for r in self.rounds],
         }
         if timings:

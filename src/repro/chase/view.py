@@ -5,10 +5,13 @@ fixpoint as the underlying database changes, without rechasing from
 scratch:
 
 * **insert** — resume the semi-naive chase with the delta seeded by
-  exactly the new facts.  Sound for the same reason the delta strategy
-  is sound within one run (:mod:`repro.chase.engine`): the pre-update
+  exactly the new facts.  Sound for the same reason delta rounds are
+  sound within one run (:mod:`repro.chase.engine`): the pre-update
   structure is a fixpoint, so every trigger not touching a new fact is
   already settled, and only delta-touching matches can demand anything.
+  The resume runs through the engine's one round loop
+  (:func:`~repro.chase.engine._run_rounds`), which keeps the guard
+  checks, round stats, budgets and stop policy of a batch chase.
 
 * **delete** — DRed (delete-and-rederive) driven by the recorded
   multi-support provenance (:class:`~repro.chase.provenance.SupportStore`):
@@ -42,7 +45,9 @@ Budgets and cancellation go through the same
 ``update`` is guarded by the config's ``wall_ms`` / ``max_rss_mb`` /
 ``cancel_token``; an interrupted update leaves the view consistent at
 the last completed phase and stashes the remaining frontier, which the
-next ``update`` (or :meth:`ChaseView.refresh`) drains first.
+next ``update`` (or :meth:`ChaseView.refresh`) drains first.  So does
+an update that runs out of ``max_update_rounds`` or over ``max_facts``
+/ ``max_elements``.
 """
 
 from __future__ import annotations
@@ -52,50 +57,42 @@ from collections import deque
 from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..errors import ChaseBudgetExceeded, ChaseError
+from ..errors import ChaseError
 from ..lf.atoms import Atom
 from ..lf.homomorphism import all_answers, satisfies
 from ..lf.rules import Theory
 from ..lf.structures import Structure
 from ..lf.terms import Constant, Element, Null, NullFactory
-from ..runtime.guard import GuardTripped, RuntimeGuard, StopReason
-from .engine import ChaseConfig, ChaseStrategy, _evaluate_round, chase
+from ..runtime.guard import RuntimeGuard, StopReason
+from .engine import ChaseConfig, _recorded_round, _run_rounds, chase
 from .provenance import SupportStore
 from .results import ChaseResult
-from .stats import IncrStats, RoundStats
+from .stats import IncrStats
 
 
 @dataclass
 class IncrementalConfig(ChaseConfig):
     """A :class:`~repro.chase.ChaseConfig` for incremental views.
 
-    Tracing is forced on (the view *is* a consumer of the support
-    records) and the delta strategy is forced (the resume is inherently
-    semi-naive); the oblivious chase is rejected — an oblivious trigger
-    re-fires every round, so "resume from a fixpoint" has no meaning
-    there.
+    Tracing is forced on: the view *is* a consumer of the support
+    records.
 
     Attributes
     ----------
     max_update_rounds:
         Per-``update`` bound on resumed semi-naive rounds (``None`` =
-        unbounded).  Tripping it follows the config's ``on_budget``
-        policy, and the unconsumed delta is stashed for the next
-        update/refresh.
+        unbounded).  Running out stashes the unconsumed delta for the
+        next update/refresh and follows the config's ``on_budget``
+        policy (``RAISE`` raises
+        :class:`~repro.errors.ChaseBudgetExceeded`).  The resume
+        ignores ``max_depth``, which bounds only the initial chase.
     """
 
     max_update_rounds: "Optional[int]" = None
 
     def __post_init__(self) -> None:
         self.trace = True
-        self.strategy = ChaseStrategy.DELTA
         super().__post_init__()
-        if self.oblivious:
-            raise ValueError(
-                "incremental views require the non-oblivious chase "
-                "(oblivious triggers re-fire every round; there is no "
-                "fixpoint to maintain)"
-            )
         if self.max_update_rounds is not None and self.max_update_rounds < 1:
             raise ValueError(
                 f"max_update_rounds must be >= 1, got {self.max_update_rounds}"
@@ -417,28 +414,32 @@ class ChaseView:
                     seen_seed.add(fact)
                     delta_seed.append(fact)
 
-        def finish(reason: StopReason, saturated: bool) -> UpdateResult:
-            self.saturated = saturated
+        def settle(reason: StopReason, frontier: "List[Atom]", completed: int) -> None:
+            # Called before any exception is raised: the view keeps the
+            # frontier it still owes and records the update.
+            stats.resumed_rounds = completed
+            self._pending_delta = frontier
+            self.saturated = reason is StopReason.FIXPOINT
             self.stopped_reason = reason
             stats.wall_ms = (time.perf_counter() - started) * 1000.0
             self.update_stats.append(stats)
+
+        def on_round(level: int, produced: "List[Atom]", invented: "List[Null]") -> None:
+            self._depth = level
+            stats.facts_added += len(produced)
+            stats.nulls_invented += len(invented)
+            for fact in produced:
+                note_added(fact)
+                self._fact_level.setdefault(fact, level)
+
+        def outcome(reason: StopReason) -> UpdateResult:
             return UpdateResult(
                 added=tuple(sorted(came, key=str)),
                 removed=tuple(sorted(gone, key=str)),
-                saturated=saturated,
+                saturated=self.saturated,
                 stopped_reason=reason,
                 stats=stats,
             )
-
-        def budget_stop(reason: StopReason, frontier: "List[Atom]") -> UpdateResult:
-            self._pending_delta = frontier
-            if self.config.should_raise:
-                stats.wall_ms = (time.perf_counter() - started) * 1000.0
-                self.update_stats.append(stats)
-                self.saturated = False
-                self.stopped_reason = reason
-                raise guard.exception(reason, stats=stats)
-            return finish(reason, saturated=False)
 
         # ---- phase 4: goal-directed fallback over affected rules ------
         if self._fallback_lost:
@@ -453,120 +454,53 @@ class ChaseView:
                 lost_by_pred: Dict[str, List[Atom]] = {}
                 for fact in sorted(self._fallback_lost, key=str):
                     lost_by_pred.setdefault(fact.pred, []).append(fact)
-                round_stats = RoundStats(
-                    round=self._depth + 1, delta_in=len(self._fallback_lost)
-                )
-                round_started = time.perf_counter()
-                try:
-                    produced, invented = _evaluate_round(
-                        self._working,
-                        self.theory,
-                        self._nulls,
-                        self._depth + 1,
-                        self.config,
-                        self._provenance,
-                        None,
-                        round_stats,
-                        guard,
-                        rule_indices=indices,
-                        head_delta=lost_by_pred,
-                    )
-                except GuardTripped as trip:
-                    # Nothing was inserted; the fallback is still owed
-                    # (self._fallback_lost is intact) and the seed is
-                    # the whole remaining frontier.
-                    round_stats.wall_ms = (
-                        time.perf_counter() - round_started
-                    ) * 1000.0
-                    stats.rounds.append(round_stats)
-                    stats.delta_sizes.append(round_stats.delta_in)
-                    return budget_stop(trip.reason, delta_seed)
-                round_stats.wall_ms = (time.perf_counter() - round_started) * 1000.0
-                stats.rounds.append(round_stats)
-                stats.delta_sizes.append(round_stats.delta_in)
-                if produced or invented:
-                    self._depth += 1
-                    stats.facts_added += len(produced)
-                    stats.nulls_invented += len(invented)
-                    for fact in produced:
-                        note_added(fact)
-                        self._fact_level.setdefault(fact, self._depth)
-                        if fact not in seen_seed:
-                            seen_seed.add(fact)
-                            delta_seed.append(fact)
-            self._fallback_lost.clear()
-
-        # ---- phase 5: semi-naive delta resume to fixpoint -------------
-        delta = delta_seed
-        while delta:
-            reason = guard.check()
-            if reason is not None:
-                return budget_stop(reason, delta)
-            if (
-                self.config.max_update_rounds is not None
-                and stats.resumed_rounds >= self.config.max_update_rounds
-            ):
-                return budget_stop(StopReason.BUDGET, delta)
-            round_stats = RoundStats(round=self._depth + 1, delta_in=len(delta))
-            round_started = time.perf_counter()
-            try:
-                produced, invented = _evaluate_round(
+                tripped, produced, invented = _recorded_round(
                     self._working,
                     self.theory,
                     self._nulls,
                     self._depth + 1,
                     self.config,
                     self._provenance,
-                    delta,
-                    round_stats,
+                    None,
                     guard,
+                    stats.rounds,
+                    len(self._fallback_lost),
+                    rule_indices=indices,
+                    head_delta=lost_by_pred,
                 )
-            except GuardTripped as trip:
-                round_stats.wall_ms = (time.perf_counter() - round_started) * 1000.0
-                stats.rounds.append(round_stats)
-                stats.delta_sizes.append(round_stats.delta_in)
-                return budget_stop(trip.reason, delta)
-            round_stats.wall_ms = (time.perf_counter() - round_started) * 1000.0
-            stats.rounds.append(round_stats)
-            stats.delta_sizes.append(round_stats.delta_in)
-            stats.resumed_rounds += 1
-            if not produced and not invented:
-                break  # fixpoint certified
-            self._depth += 1
-            stats.facts_added += len(produced)
-            stats.nulls_invented += len(invented)
-            for fact in produced:
-                note_added(fact)
-                self._fact_level.setdefault(fact, self._depth)
-            delta = produced
-            over_facts = (
-                self.config.max_facts is not None
-                and len(self._working) > self.config.max_facts
-            )
-            over_elements = (
-                self.config.max_elements is not None
-                and self._working.domain_size > self.config.max_elements
-            )
-            if over_facts or over_elements:
-                self._pending_delta = delta
-                self.saturated = False
-                self.stopped_reason = StopReason.BUDGET
-                stats.wall_ms = (time.perf_counter() - started) * 1000.0
-                self.update_stats.append(stats)
-                if self.config.should_raise:
-                    raise ChaseBudgetExceeded(
-                        f"view update exceeded budget at depth {self._depth}",
-                        stats=stats,
-                    )
-                return UpdateResult(
-                    added=tuple(sorted(came, key=str)),
-                    removed=tuple(sorted(gone, key=str)),
-                    saturated=False,
-                    stopped_reason=StopReason.BUDGET,
-                    stats=stats,
-                )
+                if tripped is not None:
+                    # Nothing was inserted; the fallback is still owed
+                    # (self._fallback_lost is intact) and the seed is
+                    # the whole remaining frontier.
+                    settle(tripped, delta_seed, 0)
+                    if self.config.should_raise:
+                        raise guard.exception(tripped, stats=stats)
+                    return outcome(tripped)
+                if produced:
+                    on_round(self._depth + 1, produced, invented)
+                    for fact in produced:
+                        if fact not in seen_seed:
+                            seen_seed.add(fact)
+                            delta_seed.append(fact)
+            self._fallback_lost.clear()
 
-        return finish(StopReason.FIXPOINT, saturated=True)
+        # ---- phase 5: semi-naive delta resume to fixpoint -------------
+        reason = _run_rounds(
+            self._working,
+            self.theory,
+            self._nulls,
+            self.config,
+            self._provenance,
+            guard,
+            stats,
+            self._depth,
+            delta_seed,
+            self.config.max_update_rounds,
+            on_round,
+            settle,
+            raise_at_max_rounds=True,
+        )
+        return outcome(reason)
 
     def __str__(self) -> str:
         status = "saturated" if self.saturated else "truncated"

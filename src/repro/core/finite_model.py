@@ -63,6 +63,9 @@ from ..rewriting.rewriter import RewriteConfig
 from ..skeleton.skeleton import SkeletonResult, skeleton_of_chase
 from .normalize import PreparedTheory, prepare
 
+#: At each chase depth, η is searched in ``[κ, κ + ETA_EXTRA]``.
+ETA_EXTRA = 2
+
 
 @dataclass
 class PipelineConfig(BudgetedConfig):
@@ -75,15 +78,12 @@ class PipelineConfig(BudgetedConfig):
     Attributes
     ----------
     chase_depths:
-        The schedule of truncation depths to try, in order.
-    eta_extra:
-        η is searched in ``[κ, κ + eta_extra]`` at each depth.
+        The schedule of truncation depths to try, in order (η is
+        searched in ``[κ, κ + ETA_EXTRA]`` at each).
     rewrite:
         Budget for the κ-computation (BDD rewriting).
     max_facts:
         Fact budget per chase run.
-    verify:
-        Run the final model checks (leave on; off only for benchmarks).
     on_budget:
         :attr:`~repro.config.OnBudget.RAISE` (default) raises
         :class:`~repro.errors.PipelineError` when every (depth, η) in
@@ -93,10 +93,8 @@ class PipelineConfig(BudgetedConfig):
     """
 
     chase_depths: Tuple[int, ...] = (8, 10, 12, 16)
-    eta_extra: int = 2
     rewrite: "Optional[RewriteConfig]" = None
     max_facts: "Optional[int]" = 100_000
-    verify: bool = True
     on_budget: OnBudget = OnBudget.RAISE
 
 
@@ -277,7 +275,7 @@ def build_finite_counter_model(
 
         colored = natural_coloring(skel.structure, kappa)
         gap = _level_gap(skel.structure)
-        for eta in range(kappa, kappa + config.eta_extra + 1):
+        for eta in range(kappa, kappa + ETA_EXTRA + 1):
             reason = guard.check()
             if reason is not None:
                 return guard_stop(reason)
@@ -319,13 +317,12 @@ def build_finite_counter_model(
                     "quotient (conservativity too weak)"
                 )
                 continue
-            if config.verify:
-                verdict, reason = _verify(model, prepared, database, query)
-                if not verdict:
-                    result.attempts.append(
-                        f"depth {depth}, eta {eta}: verification failed: {reason}"
-                    )
-                    continue
+            verdict, reason = _verify(model, prepared, database, query)
+            if not verdict:
+                result.attempts.append(
+                    f"depth {depth}, eta {eta}: verification failed: {reason}"
+                )
+                continue
             result.model = model
             result.eta = eta
             result.depth = depth

@@ -21,8 +21,9 @@ The engine is built for throughput:
 * **copy-on-write states** — a branch records only its parent pointer
   and the handful of head facts it adds; the full structure is
   materialised lazily when (and only when) the state is expanded;
-* **incremental saturation** — a materialised state re-saturates from
-  its delta via the semi-naive machinery
+* **incremental saturation** — the root is saturated once by
+  :func:`repro.chase.engine.datalog_saturate`; every other state
+  re-saturates from its delta
   (:func:`repro.chase.seminaive.incremental_datalog_saturate`) instead
   of re-running the fixpoint from scratch; a state whose saturation
   exceeds ``max_facts`` is treated as a pruned branch;
@@ -43,12 +44,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from ..chase.seminaive import incremental_datalog_saturate, seminaive_saturate
+from ..chase.engine import datalog_saturate
+from ..chase.seminaive import incremental_datalog_saturate
 from ..config import BudgetedConfig, OnBudget, coerce_enum
 from ..errors import ChaseBudgetExceeded, ModelSearchExhausted
 from ..runtime.guard import RuntimeGuard, StopReason
@@ -144,8 +147,6 @@ class SearchStats:
 
     Attributes
     ----------
-    engine:
-        Always ``"delta"`` (the incremental engine).
     heuristic:
         The frontier ordering used.
     nodes:
@@ -186,7 +187,6 @@ class SearchStats:
     pruned_by_query: int = 0
     duplicates: int = 0
     exhausted: bool = True
-    engine: str = "delta"
     heuristic: str = "dfs"
     states_created: int = 0
     states_materialised: int = 0
@@ -205,7 +205,6 @@ class SearchStats:
     def as_dict(self, timings: bool = True) -> Dict[str, Any]:
         """A JSON-ready dict; ``timings=False`` strips every wall time."""
         payload: Dict[str, Any] = {
-            "engine": self.engine,
             "heuristic": self.heuristic,
             "nodes": self.nodes,
             "pruned_by_query": self.pruned_by_query,
@@ -231,7 +230,7 @@ class SearchStats:
     def render(self) -> str:
         """Deterministically ordered text lines for the CLI's ``--stats``."""
         lines = [
-            f"# search: engine={self.engine} heuristic={self.heuristic} "
+            f"# search: heuristic={self.heuristic} "
             f"nodes={self.nodes} duplicates={self.duplicates} "
             f"pruned_by_query={self.pruned_by_query} "
             f"exhausted={self.exhausted}",
@@ -394,16 +393,16 @@ def _head_delta(
 
 
 # ----------------------------------------------------------------------
-# The delta engine
+# The search
 # ----------------------------------------------------------------------
-def _delta_search(
+def _search(
     database: Structure,
     theory: Theory,
     forbidden: "Optional[ConjunctiveQuery | UnionOfConjunctiveQueries]",
     config: SearchConfig,
 ) -> SearchResult:
     started = time.perf_counter()
-    stats = SearchStats(engine="delta", heuristic=config.heuristic.value)
+    stats = SearchStats(heuristic=config.heuristic.value)
     guard = RuntimeGuard.from_config(config, "fc-search")
 
     def finish(
@@ -418,10 +417,13 @@ def _delta_search(
     nulls = NullFactory.above(database.domain())
     datalog_rules = [rule for rule in theory.rules if rule.is_datalog]
 
+    # A datalog fixpoint of a finite structure is finite, so the root
+    # needs no budget of its own; ChaseConfig still asks for one.
+    root_budget = math.inf if config.max_facts is None else config.max_facts
     try:
-        root_structure = seminaive_saturate(
-            database, theory, max_facts=config.max_facts
-        )
+        root_structure = datalog_saturate(
+            database, theory, max_facts=root_budget, on_budget=OnBudget.RAISE
+        ).structure
     except ChaseBudgetExceeded:
         stats.saturation_pruned += 1
         stats.exhausted = False
@@ -611,7 +613,7 @@ def search_finite_model(
     if config is None:
         config = SearchConfig(max_elements=max_elements, max_nodes=max_nodes)
     config = config.with_overrides(**overrides)
-    return _delta_search(database, theory, forbidden, config)
+    return _search(database, theory, forbidden, config)
 
 
 def every_finite_model_satisfies(

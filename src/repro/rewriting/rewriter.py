@@ -365,7 +365,7 @@ def rewrite(
     """
     config = (config or RewriteConfig()).with_overrides(**overrides)
     _require_single_head(theory)
-    stats = RewriteStats(engine="indexed")
+    stats = RewriteStats()
     run_start = time.perf_counter()
     guard = RuntimeGuard.from_config(config, "rewrite")
 

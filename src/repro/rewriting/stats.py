@@ -58,8 +58,6 @@ class RewriteStats:
 
     Attributes
     ----------
-    engine:
-        Always ``"indexed"`` (the worklist engine).
     steps:
         Step applications performed (rewriting + factorisation) — the
         quantity ``RewriteConfig.max_steps`` budgets.
@@ -96,7 +94,6 @@ class RewriteStats:
         :data:`REWRITE_TIMING_FIELDS`).
     """
 
-    engine: str = "indexed"
     steps: int = 0
     rewrite_steps: int = 0
     factor_steps: int = 0
@@ -120,7 +117,6 @@ class RewriteStats:
     def as_dict(self, timings: bool = True) -> Dict[str, Any]:
         """A JSON-ready dict; ``timings=False`` strips every wall time."""
         payload: Dict[str, Any] = {
-            "engine": self.engine,
             "steps": self.steps,
             "rewrite_steps": self.rewrite_steps,
             "factor_steps": self.factor_steps,
@@ -147,7 +143,7 @@ class RewriteStats:
     def render(self) -> str:
         """Deterministically ordered text lines for the CLI's ``--stats``."""
         lines = [
-            f"# stats: engine={self.engine} steps={self.steps} "
+            f"# stats: steps={self.steps} "
             f"(rewrite={self.rewrite_steps} factor={self.factor_steps}) "
             f"prefilter_skips={self.prefilter_skips}",
             f"# candidates: generated={self.candidates} "
@@ -163,7 +159,7 @@ class RewriteStats:
 
     def __str__(self) -> str:
         return (
-            f"RewriteStats({self.engine}, {self.steps} steps, "
+            f"RewriteStats({self.steps} steps, "
             f"{self.candidates} candidates, {self.kept} kept, "
             f"{self.pairwise_checks_avoided} checks avoided)"
         )

@@ -83,12 +83,6 @@ class TestExistentialChase:
         assert result.saturated
         assert not result.new_elements
 
-    def test_oblivious_chase_always_creates(self):
-        theory = parse_theory("E(x,y) -> exists z. E(y,z)")
-        loop = parse_structure("E(a,a)")
-        result = chase(loop, theory, ChaseConfig(max_depth=1, oblivious=True))
-        assert result.new_elements  # created despite the existing loop
-
     def test_shared_witness_per_head_atom(self):
         # Two rules demanding the same head atom R(y, z) on the same y
         # share the witness (Lemma 3(iv) discipline).

@@ -1,17 +1,14 @@
-"""Regression tests for two engine fixes.
+"""Regression tests for ``chase_step``'s config and the witness keys.
 
-1.  ``chase_step`` replaced any *falsy-looking* config via
-    ``config or ChaseConfig(max_depth=1)``; it now substitutes the
-    default only for ``None``, so a passed config is always honored.
-2.  Oblivious witness keys used to derive their uniqueness from the
-    enclosing scope's invented-null count (an evaluation-order
-    accident); they now carry an explicit per-round trigger serial.
+``chase_step`` replaced any *falsy-looking* config via
+``config or ChaseConfig(max_depth=1)``; it now substitutes the default
+only for ``None``, so a passed config is always honored.
 """
 
 import pytest
 
-from repro.chase import ChaseConfig, chase, chase_step
-from repro.chase.engine import _oblivious_key, _witness_key
+from repro.chase import ChaseConfig, chase_step
+from repro.chase.engine import _witness_key
 from repro.errors import NewElementEmbargoViolation
 from repro.lf import Constant, Variable, parse_rule, parse_structure, parse_theory
 from repro.lf.terms import NullFactory
@@ -29,17 +26,6 @@ class TestChaseStepConfig:
             chase_step(structure, theory, NullFactory.above(structure.domain()),
                        level=1, config=config)
 
-    def test_oblivious_config_reaches_the_step(self):
-        # b already has a successor; non-oblivious suppresses, oblivious
-        # must still invent a fresh witness.
-        theory = parse_theory("E(x,y) -> exists z. E(y,z)")
-        plain = parse_structure("E(a,b), E(b,c), E(c,a)")
-        produced, invented = chase_step(
-            plain, theory, NullFactory.above(plain.domain()), level=1,
-            config=ChaseConfig(max_depth=1, oblivious=True),
-        )
-        assert len(invented) == 3  # one witness per trigger, none shared
-
     def test_none_config_defaults_to_one_round(self):
         structure = parse_structure("E(a,b)")
         theory = parse_theory("E(x,y) -> exists z. E(y,z)")
@@ -47,41 +33,6 @@ class TestChaseStepConfig:
             structure, theory, NullFactory.above(structure.domain()), level=1
         )
         assert len(produced) == 1 and len(invented) == 1
-
-
-class TestObliviousKeys:
-    def test_serial_distinguishes_identical_bindings(self):
-        binding = {Variable("x"): Constant("a")}
-        first = _oblivious_key(0, binding, 0)
-        second = _oblivious_key(0, binding, 1)
-        assert first != second
-
-    def test_key_is_independent_of_binding_insertion_order(self):
-        forward = {Variable("x"): Constant("a"), Variable("y"): Constant("b")}
-        backward = {Variable("y"): Constant("b"), Variable("x"): Constant("a")}
-        assert _oblivious_key(2, forward, 5) == _oblivious_key(2, backward, 5)
-
-    def test_oblivious_chase_is_deterministic(self):
-        database = parse_structure("E(a,b), E(b,c)")
-        theory = parse_theory("E(x,y) -> exists z. E(y,z)")
-        config = ChaseConfig(max_depth=3, oblivious=True)
-        first = chase(database, theory, config)
-        second = chase(database, theory, config)
-        assert first.structure.same_facts(second.structure)
-        assert first.fact_level == second.fact_level
-
-    def test_oblivious_never_shares_witnesses(self):
-        # Two rules demanding the same head atom share a witness in the
-        # non-oblivious chase (the "atom" key) but not obliviously.
-        database = parse_structure("E(a,b), R(a,b)")
-        theory = parse_theory(
-            "E(x,y) -> exists z. S(y,z)\nR(x,y) -> exists z. S(y,z)"
-        )
-        restricted = chase(database, theory, ChaseConfig(max_depth=1))
-        oblivious = chase(database, theory,
-                          ChaseConfig(max_depth=1, oblivious=True))
-        assert len(restricted.structure.facts_with_pred("S")) == 1
-        assert len(oblivious.structure.facts_with_pred("S")) == 2
 
 
 class TestWitnessKeys:

@@ -10,7 +10,6 @@ import json
 from repro.chase import (
     ChaseConfig,
     ChaseStats,
-    ChaseStrategy,
     RoundStats,
     chase,
     datalog_saturate,
@@ -43,8 +42,8 @@ class TestCounters:
         assert result.saturated
         last = result.stats.rounds[-1]
         assert last.facts_added == 0
-        # The closing round still enumerated (and rejected) triggers on
-        # the naive path, or proved the delta empty on the delta path.
+        # The closing round joined through the last delta and found
+        # nothing new.
         assert result.stats.facts_added == len(result.structure) - 4
 
     def test_totals_are_sums_of_rounds(self):
@@ -75,12 +74,6 @@ class TestCounters:
         assert result.stats.index_probes > 0
         assert all(r.index_probes >= 0 for r in result.stats.rounds)
 
-    def test_oblivious_runs_report_naive(self):
-        database, theory = growing_chain()
-        result = chase(database, theory,
-                       ChaseConfig(max_depth=3, oblivious=True))
-        assert result.stats.strategy == "naive"
-
     def test_datalog_saturate_carries_stats(self):
         structure = chain_structure(4)
         saturated = datalog_saturate(structure, transitive_theory())
@@ -94,7 +87,6 @@ class TestSerialization:
         database, theory = growing_chain()
         stats = chase(database, theory, ChaseConfig(max_depth=3)).stats
         payload = json.loads(json.dumps(stats.as_dict()))
-        assert payload["strategy"] == "delta"
         assert len(payload["rounds"]) == 3
         assert payload["totals"]["facts_added"] == stats.facts_added
 
@@ -128,6 +120,6 @@ class TestSerialization:
         assert strip_wall(first) == strip_wall(second)
 
     def test_empty_stats_render(self):
-        stats = ChaseStats(strategy="naive", rounds=[RoundStats(round=1)])
+        stats = ChaseStats(rounds=[RoundStats(round=1)])
         assert "round 1" in stats.render()
         assert stats.triggers_evaluated == 0

@@ -17,6 +17,7 @@ from repro.runtime import StopReason
 
 TRANSITIVE = parse_theory("E(x,y), E(y,z) -> E(x,z)")
 CHAIN = parse_structure("E(a,b)\nE(b,c)\nE(c,d)")
+UNARY_CHAIN = parse_theory("A(x) -> B(x)\nB(x) -> C(x)\nC(x) -> D(x)")
 
 
 def rechase_facts(base_facts, theory):
@@ -32,13 +33,12 @@ def rechase_facts(base_facts, theory):
 
 class TestConfig:
     def test_forces_trace_and_delta(self):
-        config = IncrementalConfig()
+        config = IncrementalConfig(max_depth=None, trace=False)
         assert config.trace is True
-        assert config.strategy.value == "delta"
-
-    def test_oblivious_rejected(self):
-        with pytest.raises(ValueError):
-            IncrementalConfig(oblivious=True)
+        # the resume joins through the new fact, not the whole structure
+        view = ChaseView(CHAIN, TRANSITIVE, config)
+        result = view.update(adds=[parse_fact("E(d, e)")])
+        assert result.stats.rounds[0].delta_in == 1
 
     def test_bad_max_update_rounds_rejected(self):
         with pytest.raises(ValueError):
@@ -208,6 +208,39 @@ class TestBudgets:
             result = view.refresh()
         assert view.facts() == rechase_facts(view.base_facts(), TRANSITIVE)
 
+    def test_max_update_rounds_raise_keeps_the_frontier(self):
+        view = ChaseView(
+            parse_structure("Q(b)"), UNARY_CHAIN,
+            max_depth=None, max_update_rounds=2, on_budget=OnBudget.RAISE,
+        )
+        with pytest.raises(ChaseBudgetExceeded) as excinfo:
+            view.update(adds=[parse_fact("A(a)")])
+        # state is recorded before the raise, and the stats travel along
+        assert excinfo.value.stats is view.update_stats[-1]
+        assert excinfo.value.stats.resumed_rounds == 2
+        assert not view.saturated
+        assert view.stopped_reason is StopReason.BUDGET
+        assert parse_fact("C(a)") in view.facts()
+        result = view.refresh()
+        assert result.saturated
+        assert parse_fact("D(a)") in result.added
+
+    def test_max_update_rounds_advances_the_kept_frontier(self):
+        # one round per update: each refresh must resume from the facts
+        # the previous round added, not from the update's seed
+        view = ChaseView(
+            parse_structure("Q(b)"), UNARY_CHAIN,
+            max_depth=None, max_update_rounds=1, on_budget=OnBudget.RETURN,
+        )
+        view.update(adds=[parse_fact("A(a)")])
+        for _ in range(5):
+            if view.saturated:
+                break
+            view.refresh()
+        assert view.saturated
+        for fact in ("B(a)", "C(a)", "D(a)"):
+            assert parse_fact(fact) in view.facts(), fact
+
     def test_max_facts_raises_when_configured(self):
         theory = parse_theory("E(x,y) -> exists z. E(y,z)")
         view = ChaseView(
@@ -267,6 +300,13 @@ class TestIntrospection:
         assert "wall_ms" not in payload
         assert payload["overdeleted"] == second.overdeleted
         assert "# update:" in second.render()
+
+    def test_update_rounds_report_index_probes(self):
+        view = ChaseView(CHAIN, TRANSITIVE, max_depth=None)
+        result = view.update(adds=[parse_fact("E(d, e)")])
+        # E(d,e) reaches its partners E(x,d) through the index
+        assert result.stats.rounds[0].index_probes > 0
+        assert result.stats.delta_sizes == [r.delta_in for r in result.stats.rounds]
 
     def test_str_smoke(self):
         view = ChaseView(CHAIN, TRANSITIVE, max_depth=None)

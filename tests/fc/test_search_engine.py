@@ -14,6 +14,7 @@ from repro.errors import ModelSearchExhausted
 from repro.lf import (
     Atom,
     Null,
+    parse_fact,
     parse_query,
     parse_structure,
     parse_theory,
@@ -186,6 +187,23 @@ class TestBudgets:
         assert outcome.stats.saturation_pruned >= 1
         assert not outcome.stats.exhausted
 
+    def test_no_saturation_budget(self):
+        # max_facts=None: the root and every state saturate unbudgeted
+        theory = parse_theory(
+            """
+            E(x,y) -> exists z. E(y,z)
+            E(x,y), E(y,z) -> E(x,z)
+            """
+        )
+        outcome = search_finite_model(
+            parse_structure("E(a,b), E(b,c)"),
+            theory,
+            config=SearchConfig(max_elements=4, max_facts=None),
+        )
+        assert outcome.found
+        assert outcome.stats.saturation_pruned == 0
+        assert parse_fact("E(a,c)") in outcome.model
+
 
 class TestStats:
     def test_cow_counters(self):
@@ -196,7 +214,6 @@ class TestStats:
             config=SearchConfig(max_elements=4),
         )
         stats = outcome.stats
-        assert stats.engine == "delta"
         assert 0 < stats.states_materialised <= stats.states_created
         assert stats.canonical_keys > 0
         assert stats.frontier_peak >= 1

@@ -5,12 +5,17 @@ as possible and kept out of ``src/``: no index, plan, cache, guard or
 stats.  The chase stays the rewriting engine's semantic reference
 (Definition 2, ``tests/property/test_rewrite_parity.py``);
 :func:`exact_rewriting` is the reference for its eager pruning.
+:func:`naive_chase` is the exception to "no index": it repeats the
+engine's own round with every body enumerated in full, the reference
+for the engine's delta rounds.
 """
 
 import itertools
 from collections import Counter
+from types import SimpleNamespace
 
-from repro.chase import datalog_saturate
+from repro.chase import ChaseConfig, RoundStats, datalog_saturate
+from repro.chase.engine import _evaluate_round
 from repro.lf import ConjunctiveQuery, NullFactory, UnionOfConjunctiveQueries, Variable
 from repro.rewriting import Unifier, minimize_ucq, normalize_equalities
 from repro.rewriting.rewriter import (
@@ -109,6 +114,50 @@ def definitional_search(
                 branch.add_fact(head.substitute(extended))
             stack.append(datalog_saturate(branch, theory).structure)
     return None, True
+
+
+def naive_chase(database, theory, max_depth=None, max_facts=5_000):
+    """The literal iteration ``Chase^{i+1}(D,T) = Chase^1(Chase^i(D,T),T)``.
+
+    Every round enumerates every rule body in full against the
+    round-start structure, as :func:`repro.chase.chase_step` does (its
+    round is called directly to keep the per-round counters).  Stops
+    when a round adds nothing, after *max_depth* rounds, or once the
+    structure holds more than *max_facts* facts.  Returns a namespace
+    with ``structure``, ``fact_level``, ``depth``, ``saturated``,
+    ``new_elements`` and ``rounds`` (one ``RoundStats`` per round).
+    """
+    structure = database.copy()
+    nulls = NullFactory.above(structure.domain())
+    config = ChaseConfig(max_depth=max_depth, max_facts=max_facts)
+    fact_level = {fact: 0 for fact in structure.facts()}
+    new_elements = []
+    rounds = []
+    depth = 0
+    saturated = False
+    while max_depth is None or depth < max_depth:
+        counters = RoundStats(round=depth + 1)
+        produced, invented = _evaluate_round(
+            structure, theory, nulls, depth + 1, config, None, None, counters
+        )
+        rounds.append(counters)
+        if not produced:
+            saturated = True
+            break
+        depth += 1
+        new_elements.extend(invented)
+        for fact in produced:
+            fact_level.setdefault(fact, depth)
+        if len(structure) > max_facts:
+            break
+    return SimpleNamespace(
+        structure=structure,
+        fact_level=fact_level,
+        depth=depth,
+        saturated=saturated,
+        new_elements=new_elements,
+        rounds=rounds,
+    )
 
 
 def _rewriting_steps(query, theory, fresh):

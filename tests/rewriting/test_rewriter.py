@@ -13,6 +13,7 @@ from repro.lf.rules import Theory
 from repro.config import OnBudget
 from repro.rewriting import (
     RewriteConfig,
+    RewriteStats,
     answer_by_rewriting,
     answers_by_rewriting,
     bdd_profile,
@@ -134,8 +135,7 @@ class TestBudgets:
                 config,
             )
         assert excinfo.value.stopped_reason == reason
-        assert excinfo.value.stats is not None
-        assert excinfo.value.stats.engine == "indexed"
+        assert isinstance(excinfo.value.stats, RewriteStats)
 
 
 class TestKappa:

@@ -169,7 +169,7 @@ class TestRewrite:
             "--stats"
         )
         assert code == 0
-        assert "# stats: engine=indexed" in out
+        assert "# stats: steps=" in out
         assert "# candidates:" in out
         assert "# index:" in out
 
@@ -255,7 +255,7 @@ class TestFcSearch:
             "--stats",
         )
         assert code == 0
-        assert "# search: engine=delta" in out
+        assert "# search: heuristic=dfs" in out
         assert "# states:" in out
         assert "# saturation:" in out
 

@@ -8,9 +8,10 @@ import dataclasses
 
 import pytest
 
-from repro.chase import ChaseConfig, ChaseStrategy, chase
+from repro.chase import ChaseConfig, chase
 from repro.config import BudgetedConfig, OnBudget, coerce_enum
 from repro.core import PipelineConfig, build_finite_counter_model
+from repro.fc import SearchHeuristic
 from repro.lf import parse_query, parse_structure, parse_theory
 from repro.rewriting import RewriteConfig, rewrite
 
@@ -37,7 +38,7 @@ class TestOnBudget:
     def test_coerce_enum_without_deprecation_is_silent(self):
         import warnings
         cases = [
-            ("naive", ChaseStrategy, "strategy", ChaseStrategy.NAIVE),
+            ("dfs", SearchHeuristic, "heuristic", SearchHeuristic.DFS),
             ("return", OnBudget, "on_budget", OnBudget.RETURN),
         ]
         for value, enum_cls, field, expected in cases:
