@@ -307,6 +307,10 @@ class TestIntrospection:
         # E(d,e) reaches its partners E(x,d) through the index
         assert result.stats.rounds[0].index_probes > 0
         assert result.stats.delta_sizes == [r.delta_in for r in result.stats.rounds]
+        # the DRed fallback round matches bodies through the index too
+        result = view.update(removes=[parse_fact("E(b, c)")])
+        assert result.stats.fallback_rules == 1
+        assert result.stats.rounds[0].index_probes > 0
 
     def test_str_smoke(self):
         view = ChaseView(CHAIN, TRANSITIVE, max_depth=None)
