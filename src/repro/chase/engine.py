@@ -77,7 +77,9 @@ class ChaseConfig(BudgetedConfig):
     allow_new_elements:
         When ``False``, a TGD trigger with no witness raises
         :class:`~repro.errors.NewElementEmbargoViolation` instead of
-        inventing a null (Lemma 5 saturation mode).
+        inventing a null (Lemma 5 saturation mode).  Such a run keeps
+        the domain it starts with, so it always ends and may leave all
+        three budgets unset; a run that may invent elements needs one.
     on_budget:
         :attr:`~repro.config.OnBudget.RETURN` (default) stops quietly
         with ``saturated=False``; :attr:`~repro.config.OnBudget.RAISE`
@@ -101,7 +103,12 @@ class ChaseConfig(BudgetedConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.max_depth is None and self.max_facts is None and self.max_elements is None:
+        if (
+            self.allow_new_elements
+            and self.max_depth is None
+            and self.max_facts is None
+            and self.max_elements is None
+        ):
             raise ValueError("at least one budget must be set (the chase may diverge)")
 
 
@@ -584,18 +591,24 @@ def datalog_saturate(
     """Saturate *structure* under the *datalog* rules of the theory only.
 
     On a finite structure this always terminates (no new elements are
-    ever created).  Used as a building block by the Theorem-2 pipeline
-    and by model checking.  The returned result carries the run's
-    :class:`~repro.chase.stats.ChaseStats` like any chase.  Extra
-    keyword overrides (``wall_ms=...``, ``cancel_token=...``) are
-    forwarded to the :class:`ChaseConfig`, which is how the pipeline
-    propagates its remaining guard budget into inner saturations.
+    ever created), so every budget may be ``None``.  Used as a building
+    block by the Theorem-2 pipeline and by model checking.  The returned
+    result carries the run's :class:`~repro.chase.stats.ChaseStats` like
+    any chase.  Extra keyword overrides (``wall_ms=...``,
+    ``cancel_token=...``) are forwarded to the :class:`ChaseConfig`,
+    which is how the pipeline propagates its remaining guard budget
+    into inner saturations.
     """
     datalog_only = Theory(theory.datalog_rules(), theory.signature)
     return chase(
         structure,
         datalog_only,
-        ChaseConfig(max_depth=max_depth, max_facts=max_facts, max_elements=None),
+        ChaseConfig(
+            max_depth=max_depth,
+            max_facts=max_facts,
+            max_elements=None,
+            allow_new_elements=False,
+        ),
         **overrides,
     )
 

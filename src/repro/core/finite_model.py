@@ -10,12 +10,15 @@ Given a binary theory T₀, a database D, and a conjunctive query Q with
 3.  compute κ — the maximal number of variables in the positive
     first-order rewriting of any rule body (Section 3.3; the one place
     BDD is used);
-4.  take a natural coloring S̄ of S for size κ, and search for η making
-    it η-conservative up to κ (Lemma 2);
-5.  build ``M_η(S̄)``, strip the colors;
-6.  saturate under T with the **new-element embargo** — Lemma 5 says no
+4.  take a natural coloring S̄ of S for size κ; for each η in turn,
+    build ``M_η(S̄)`` and strip the colors;
+5.  saturate under T with the **new-element embargo** — Lemma 5 says no
     existential witness is ever missing; a violation means the
     truncation/η were too small and the pipeline retries larger;
+6.  check that S̄ is η-conservative up to κ (Lemma 2).  An attempt must
+    pass steps 5 and 6 both, so their order decides nothing but the
+    cost: the saturation is cheaper and rejects most failing attempts,
+    so the report runs only on the attempts it lets through;
 7.  verify: the result contains D, satisfies every rule of T₀, and has
     no F-atom (hence ``M ⊭ Q``).
 
@@ -27,7 +30,7 @@ child element, so the truncated skeleton is atom-complete on its
 elements, and a connected positive type of size ``s`` inspects a radius
 ``< s`` neighbourhood: interior types computed in the truncation agree
 exactly with the infinite skeleton.  If the interior misses a type
-class whose witnesses are needed (possible when d is too small), step 6
+class whose witnesses are needed (possible when d is too small), step 5
 or 7 fails and the pipeline deepens the chase — the final verification
 is therefore unconditional.
 """
@@ -39,12 +42,10 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..chase.engine import ChaseConfig, chase, chase_with_embargo, is_model, violations
 from ..chase.stats import ChaseStats
-from ..coloring.colors import ColoredStructure
 from ..config import BudgetedConfig, OnBudget
 from ..coloring.conservativity import conservativity_report
 from ..coloring.natural import natural_coloring
 from ..errors import (
-    ConservativityError,
     NewElementEmbargoViolation,
     NotBinaryError,
     PipelineError,
@@ -55,12 +56,12 @@ from ..lf.queries import ConjunctiveQuery
 from ..lf.rules import Theory
 from ..lf.structures import Structure
 from ..runtime.guard import RuntimeGuard, StopReason
-from ..lf.terms import Constant, Element, Null
+from ..lf.terms import Element, Null
 from ..ptypes.partition import TypePartition
-from ..ptypes.quotient import Quotient, quotient
+from ..ptypes.quotient import quotient
 from ..rewriting.bdd import bdd_profile
 from ..rewriting.rewriter import RewriteConfig
-from ..skeleton.skeleton import SkeletonResult, skeleton_of_chase
+from ..skeleton.skeleton import skeleton_of_chase
 from .normalize import PreparedTheory, prepare
 
 #: At each chase depth, η is searched in ``[κ, κ + ETA_EXTRA]``.
@@ -289,13 +290,6 @@ def build_finite_counter_model(
                 continue
             partition = TypePartition(colored.structure, eta, elements=interior)
             quotiented = quotient(colored.structure, eta, partition=partition)
-            report = conservativity_report(colored, eta, kappa, prebuilt=quotiented)
-            if not report.conservative:
-                result.attempts.append(
-                    f"depth {depth}, eta {eta}: not conservative "
-                    f"(witness {report.witness_query})"
-                )
-                continue
             candidate = _strip_colors(
                 quotiented.structure, colored.base_relations
             )
@@ -303,13 +297,20 @@ def build_finite_counter_model(
                 saturated = chase_with_embargo(
                     candidate, working_theory, **inner_budgets()
                 )
-                if saturated.stats is not None:
-                    result.chase_stats.append(saturated.stats)
             except NewElementEmbargoViolation as violation:
                 result.attempts.append(
                     f"depth {depth}, eta {eta}: embargo violation: {violation}"
                 )
                 continue
+            report = conservativity_report(colored, eta, kappa, prebuilt=quotiented)
+            if not report.conservative:
+                result.attempts.append(
+                    f"depth {depth}, eta {eta}: not conservative "
+                    f"(witness {report.witness_query})"
+                )
+                continue
+            if saturated.stats is not None:
+                result.chase_stats.append(saturated.stats)
             model = saturated.structure
             if model.facts_with_pred(flag):
                 result.attempts.append(

@@ -27,11 +27,14 @@ The engine is built for throughput:
   (:func:`repro.chase.seminaive.incremental_datalog_saturate`) instead
   of re-running the fixpoint from scratch; a state whose saturation
   exceeds ``max_facts`` is treated as a pruned branch;
-* **canonical dedup** — states are hashed by a null-renaming-invariant
-  key (:func:`repro.lf.canonical.canonical_key`), collapsing branches
-  that differ only in invented null names (sound: rules and queries
-  never mention nulls, so isomorphic-over-constants states have
-  identical futures);
+* **canonical dedup** — branches that differ only in invented null
+  names collapse (sound: rules and queries never mention nulls, so
+  isomorphic-over-constants states have identical futures).  States
+  are bucketed by a cheap isomorphism invariant (:func:`_invariant`);
+  a state alone in its bucket is new, and only states that share a
+  bucket are compared by their null-renaming-invariant keys
+  (:func:`repro.lf.canonical.canonical_key`), each computed at most
+  once;
 * **compiled triggers** — violated-existential detection runs on
   per-rule precompiled join plans (:mod:`repro.lf.plan`), reused across
   every node of the run;
@@ -44,7 +47,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -62,7 +64,7 @@ from ..lf.plan import QueryPlan, plan_for
 from ..lf.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 from ..lf.rules import Rule, Theory
 from ..lf.structures import Structure
-from ..lf.terms import Element, NullFactory, Variable
+from ..lf.terms import Constant, Element, NullFactory, Variable
 
 #: Stats keys that are wall times — not a pure function of the inputs —
 #: mirroring :data:`repro.chase.stats.TIMING_FIELDS`; stripped by
@@ -167,7 +169,8 @@ class SearchStats:
         States actually built into full structures (created minus
         materialised = work the laziness and pre-dedup saved).
     canonical_keys:
-        Canonical-form computations performed.
+        Canonical-form computations performed (a state needs one only
+        when its invariant matches an earlier state's).
     saturation_new_facts:
         Datalog facts derived across all incremental saturations.
     saturation_rounds:
@@ -180,7 +183,8 @@ class SearchStats:
     wall_ms / materialise_ms / saturate_ms / canonical_ms / query_ms /
     expand_ms:
         Phase wall times (the only nondeterministic fields; see
-        :data:`SEARCH_TIMING_FIELDS`).
+        :data:`SEARCH_TIMING_FIELDS`).  ``canonical_ms`` covers the
+        whole dedup check: invariants and canonical keys.
     """
 
     nodes: int = 0
@@ -393,6 +397,81 @@ def _head_delta(
 
 
 # ----------------------------------------------------------------------
+# Dedup up to renaming invented nulls
+# ----------------------------------------------------------------------
+def _invariant(facts: FrozenSet[Atom], domain_size: int) -> Tuple[Any, ...]:
+    """A cheap invariant of a state under bijections fixing the constants.
+
+    The domain size, the fact count, and the sorted multiset of each
+    non-constant element's sorted (predicate, position) occurrences, all
+    read in one pass over the facts.  It never reads a null's name, so
+    states isomorphic over the constants get equal invariants; the
+    converse may fail, which :class:`_SeenStates` settles with keys.
+    """
+    occurrences: Dict[Element, List[Tuple[str, int]]] = {}
+    for fact in facts:
+        pred = fact.pred
+        for position, arg in enumerate(fact.args):
+            if not isinstance(arg, Constant):
+                occurrences.setdefault(arg, []).append((pred, position))
+    profile = sorted(tuple(sorted(places)) for places in occurrences.values())
+    return (domain_size, len(facts), tuple(profile))
+
+
+class _SeenStates:
+    """The expanded states of one search, up to renaming invented nulls.
+
+    States are bucketed by :func:`_invariant`.  A state alone in its
+    bucket is new and costs no canonical key.  When a second state
+    arrives, both get keys, and from then on the bucket holds the key of
+    every state in it; a state is a duplicate iff its key is there.
+    Equal keys mean isomorphic over the constants, and isomorphic states
+    share a bucket, so this decides exactly what comparing every state's
+    key would.
+
+    The lone state of a bucket is kept as its saturated fact set.  Its
+    key is computed on a structure rebuilt from those facts and the
+    root's domain: every state's domain is the root's plus the
+    arguments of its facts.
+    """
+
+    def __init__(self, root_domain: FrozenSet[Element], stats: SearchStats):
+        self.root_domain = root_domain
+        self.stats = stats
+        #: Constant-only states, keyed by their fact sets.
+        self.plain: Set[FrozenSet[Atom]] = set()
+        #: invariant -> the lone state's fact set, or every state's key
+        self.buckets: Dict[Any, "FrozenSet[Atom] | Set[str]"] = {}
+
+    def _key(self, structure: Structure) -> str:
+        self.stats.canonical_keys += 1
+        return canonical_key(structure)
+
+    def add(self, structure: Structure, facts: FrozenSet[Atom]) -> bool:
+        """Record a state; ``False`` when an isomorphic one was recorded."""
+        if not structure.nonconstant_elements():
+            # The identity is the only isomorphism fixing every
+            # constant, so the fact set already is the canonical form.
+            if facts in self.plain:
+                return False
+            self.plain.add(facts)
+            return True
+        invariant = _invariant(facts, structure.domain_size)
+        bucket = self.buckets.get(invariant)
+        if bucket is None:
+            self.buckets[invariant] = facts
+            return True
+        if isinstance(bucket, frozenset):
+            bucket = {self._key(Structure(bucket, self.root_domain))}
+            self.buckets[invariant] = bucket
+        key = self._key(structure)
+        if key in bucket:
+            return False
+        bucket.add(key)
+        return True
+
+
+# ----------------------------------------------------------------------
 # The search
 # ----------------------------------------------------------------------
 def _search(
@@ -417,12 +496,9 @@ def _search(
     nulls = NullFactory.above(database.domain())
     datalog_rules = [rule for rule in theory.rules if rule.is_datalog]
 
-    # A datalog fixpoint of a finite structure is finite, so the root
-    # needs no budget of its own; ChaseConfig still asks for one.
-    root_budget = math.inf if config.max_facts is None else config.max_facts
     try:
         root_structure = datalog_saturate(
-            database, theory, max_facts=root_budget, on_budget=OnBudget.RAISE
+            database, theory, max_facts=config.max_facts, on_budget=OnBudget.RAISE
         ).structure
     except ChaseBudgetExceeded:
         stats.saturation_pruned += 1
@@ -452,7 +528,7 @@ def _search(
 
     push(root, 0)
     stats.states_created = 0  # the root is given, not branched
-    seen: Set[Any] = set()
+    seen = _SeenStates(root_structure.domain(), stats)
     seen_raw: Set[FrozenSet[Atom]] = set()
 
     while stack or heap:
@@ -517,19 +593,11 @@ def _search(
 
         structure = state.structure
         clock = time.perf_counter()
-        if structure.nonconstant_elements():
-            # Constant-only states skip canonicalisation: the identity
-            # is the only isomorphism fixing every constant, so the raw
-            # fact set already is the canonical form.
-            marker: Any = canonical_key(structure)
-            stats.canonical_keys += 1
-        else:
-            marker = state.facts
+        new = seen.add(structure, state.facts)
         stats.canonical_ms += (time.perf_counter() - clock) * 1000.0
-        if marker in seen:
+        if not new:
             stats.duplicates += 1
             continue
-        seen.add(marker)
         stats.nodes += 1
 
         if forbidden is not None:

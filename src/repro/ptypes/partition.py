@@ -6,7 +6,8 @@ expensive test per pair; :class:`TypePartition` makes it practical:
 
 * every element's canonical type generators are computed once and
   cached, all from one incidence index of the structure, so each
-  generator reads only the facts of its own subset;
+  generator reads only the facts of its own subset, and each distinct
+  canonical query is put in canonical form once per partition;
 * elements are pre-grouped by a cheap invariant (their generator
   *set*, which over-refines nothing: equal types need not mean equal
   generator sets, so groups are then merged by the real ``≡_n`` test);
@@ -62,6 +63,7 @@ class TypePartition:
             frozenset(elements) if elements is not None else structure.domain()
         )
         self._index: "Optional[Incidence]" = None
+        self._forms: Dict[ConjunctiveQuery, ConjunctiveQuery] = {}
         self._generators: Dict[Element, Dict[ConjunctiveQuery, ConjunctiveQuery]] = {}
         self._classes: "Optional[List[FrozenSet[Element]]]" = None
         self._class_of: Dict[Element, int] = {}
@@ -78,7 +80,12 @@ class TypePartition:
             if self._index is None:
                 self._index = Incidence(self.structure, self.relation_names)
             cached = type_generators(
-                self.structure, element, self.n, self.relation_names, self._index
+                self.structure,
+                element,
+                self.n,
+                self.relation_names,
+                self._index,
+                self._forms,
             )
             self._generators[element] = cached
         return cached

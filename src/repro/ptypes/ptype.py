@@ -61,6 +61,7 @@ def type_generators(
     n: int,
     relation_names: "Optional[Iterable[str]]" = None,
     index: "Optional[Incidence]" = None,
+    forms: "Optional[Dict[ConjunctiveQuery, ConjunctiveQuery]]" = None,
 ) -> Dict[ConjunctiveQuery, ConjunctiveQuery]:
     """The connected canonical generators of ``ptp_n(C, element, Σ)``,
     keyed by their canonical forms.
@@ -69,13 +70,18 @@ def type_generators(
     :func:`type_queries` and its keys their renaming-invariant markers.
     *index* is the structure's :class:`~repro.lf.canonical.Incidence`
     over *relation_names*; callers typing many elements of one
-    structure build it once and pass it.
+    structure build it once and pass it.  *forms* maps each canonical
+    query met so far to its :meth:`~repro.lf.queries.ConjunctiveQuery.canonical`
+    form, and is filled in here; such callers pass one dict for the
+    whole pass, so each distinct query is put in canonical form once.
     """
     if n < 1:
         raise ValueError("positive n-types need n >= 1")
     names = frozenset(relation_names) if relation_names is not None else None
     index = Incidence.of(structure, names, index)
     constants = index.constants
+    if forms is None:
+        forms = {}
     generators: Dict[ConjunctiveQuery, ConjunctiveQuery] = {}
     for subset in connected_subsets_containing(
         structure, element, n, names, index=index
@@ -88,7 +94,10 @@ def type_generators(
             skip_constant_only=True,
             index=index,
         )
-        generators.setdefault(query.canonical(), query)
+        form = forms.get(query)
+        if form is None:
+            form = forms[query] = query.canonical()
+        generators.setdefault(form, query)
     return generators
 
 

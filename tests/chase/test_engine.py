@@ -220,6 +220,15 @@ class TestDatalogSaturate:
         assert not result.structure.facts_with_pred("R")
         assert atom("E", a, c) in result.structure
 
+    def test_runs_without_a_budget(self):
+        # A datalog fixpoint of a finite structure always terminates, so
+        # leaving every budget unset must run it to the end.
+        theory = parse_theory("E(x,y) -> E(y,x)")
+        result = datalog_saturate(parse_structure("E(a,b)"), theory, max_facts=None)
+        assert result.saturated
+        assert atom("E", b, a) in result.structure
+        assert len(result.structure) == 2
+
 
 class TestModelChecking:
     def test_is_model_positive(self):

@@ -2,7 +2,9 @@
 
 import pytest
 
+import repro.core.finite_model as pipeline
 from repro.chase import is_model
+from repro.coloring.conservativity import ConservativityReport
 from repro.lf import parse_query, parse_structure, parse_theory, satisfies
 from repro.core import (
     PipelineConfig,
@@ -130,3 +132,80 @@ class TestPipeline:
         query = parse_query("E(x,x)")
         result = build_finite_counter_model(LINEAR, DB, query)
         assert result.model_size <= result.skeleton_size
+
+
+#: An Example-9 sub-theory whose first three attempts (depth 8) fail the
+#: embargo saturation and whose fourth (depth 10, eta 2) is accepted.
+EX9_TWO_RULES = parse_theory(
+    """
+    F(x,y) -> exists z. F(y,z)
+    F(x,y) -> exists z. G(y,z)
+    """
+)
+EX9_DB = parse_structure("F(a,b)")
+EX9_QUERY = parse_query("F(x,y), G(x,y)")
+
+
+class TestAttemptChecks:
+    """Each (depth, eta) attempt runs the embargoed saturation first and
+    the conservativity report only on the attempts that saturation lets
+    through; an attempt is accepted only if both pass."""
+
+    @staticmethod
+    def _instrument(monkeypatch, reject_first=False):
+        """Wrap the pipeline's saturation and report; return the log.
+
+        With *reject_first*, the first report (the first attempt whose
+        saturation completed) says "not conservative".
+        """
+        real_saturation = pipeline.chase_with_embargo
+        real_report = pipeline.conservativity_report
+        log = {"saturations": [], "reports": 0, "rejected": None}
+
+        def saturation(*args, **kwargs):
+            outcome = real_saturation(*args, **kwargs)
+            log["saturations"].append(outcome)
+            return outcome
+
+        def report(colored, n, m, prebuilt=None):
+            log["reports"] += 1
+            verdict = real_report(colored, n, m, prebuilt=prebuilt)
+            if reject_first and log["rejected"] is None:
+                log["rejected"] = (n, log["saturations"][-1])
+                return ConservativityReport(
+                    conservative=False, quotient=verdict.quotient
+                )
+            return verdict
+
+        monkeypatch.setattr(pipeline, "chase_with_embargo", saturation)
+        monkeypatch.setattr(pipeline, "conservativity_report", report)
+        return log
+
+    def test_one_report_per_completed_saturation(self, monkeypatch):
+        log = self._instrument(monkeypatch)
+        result = build_finite_counter_model(EX9_TWO_RULES, EX9_DB, EX9_QUERY)
+        assert_counter_model(result, EX9_TWO_RULES, EX9_DB, EX9_QUERY)
+        assert (result.depth, result.eta) == (10, 2)
+        assert len(result.attempts) == 3
+        assert all("embargo violation" in reason for reason in result.attempts)
+        # Reporting before saturating made 4 reports here, one per attempt.
+        assert log["reports"] == len(log["saturations"]) == 1
+
+    def test_rejected_report_rejects_the_attempt(self, monkeypatch):
+        log = self._instrument(monkeypatch, reject_first=True)
+        result = build_finite_counter_model(EX9_TWO_RULES, EX9_DB, EX9_QUERY)
+        eta, rejected = log["rejected"]
+        assert eta == 2
+        # The attempt is recorded as not conservative, the next eta is
+        # tried, and a later attempt (depth 12, eta 2) is accepted.
+        assert result.attempts[3].startswith("depth 10, eta 2: not conservative")
+        assert result.attempts[4].startswith("depth 10, eta 3: ")
+        assert_counter_model(result, EX9_TWO_RULES, EX9_DB, EX9_QUERY)
+        assert (result.depth, result.eta) == (12, 2)
+        assert log["reports"] == 2
+        # The stats list has the three truncation chases and the accepted
+        # saturation; the rejected attempt's saturation is left out.
+        assert rejected.stats is not None
+        assert len(result.chase_stats) == 4
+        assert all(stats is not rejected.stats for stats in result.chase_stats)
+        assert result.chase_stats[-1] is log["saturations"][-1].stats

@@ -28,6 +28,7 @@ from repro.fc import (
     every_finite_model_satisfies,
     search_finite_model,
 )
+from repro.fc import search as search_module
 from repro.zoo import section55_database, section55_query, section55_theory
 
 from ..oracles import definitional_search
@@ -58,6 +59,24 @@ SIBLINGS_DB = parse_structure("K(a), K(b), U(b)")
 SIBLINGS_DB.add_fact(Atom("P", (Null(0),)))
 SIBLINGS_FORBIDDEN = parse_query("R(x,y), K(y)")
 
+#: Reuse branches R(b,b) and R(b,a) share the search's invariant (it
+#: reads only the non-constant element _:0, which is in P alone in both)
+#: but are not isomorphic: the forbidden query prunes R(b,b), and R(b,a)
+#: is the model.  A search that took equal invariants for duplicates
+#: would skip R(b,a) and return R(b,_:0) instead.
+TWINS = parse_theory("U(x) -> exists y. R(x,y)")
+TWINS_DB = parse_structure("K(a), U(b)")
+TWINS_DB.add_fact(Atom("P", (Null(0),)))
+TWINS_FORBIDDEN = parse_query("R(x,x)")
+
+#: The linear rule plus transitivity: every finite model has E(x,x).
+LINEAR_TC = parse_theory(
+    """
+    E(x,y) -> exists z. E(y,z)
+    E(x,y), E(y,z) -> E(x,z)
+    """
+)
+
 
 class TestCanonicalDedupRegression:
     """Two branches differing only in invented null names must count as
@@ -81,6 +100,83 @@ class TestCanonicalDedupRegression:
             FORK_DB, FORK, forbidden=FORK_FORBIDDEN, max_elements=4
         )
         assert exhausted and model is None
+
+
+def decisions(outcome):
+    """What the dedup decides: the counters it moves, and the model."""
+    stats = outcome.stats
+    model = outcome.model.frozen_key() if outcome.found else None
+    return stats.nodes, stats.duplicates, stats.pruned_by_query, stats.exhausted, model
+
+
+class TestInvariantDedup:
+    """States are compared by canonical key only when their cheap
+    invariants collide; the dedup decisions stay those of comparing
+    every state's key."""
+
+    def test_twin_states_are_told_apart_by_keys(self):
+        outcome = search_finite_model(
+            TWINS_DB,
+            TWINS,
+            forbidden=TWINS_FORBIDDEN,
+            config=SearchConfig(max_elements=3),
+        )
+        assert outcome.found
+        assert parse_fact("R(b,a)") in outcome.model
+        assert outcome.stats.nodes == 3
+        assert outcome.stats.duplicates == 0
+        # R(b,b) and R(b,a) collide, so each gets a key; no other does.
+        assert outcome.stats.canonical_keys == 2
+
+    @pytest.mark.parametrize(
+        "database,theory,forbidden",
+        [
+            (section55_database(), section55_theory(), section55_query().boolean()),
+            (DB, LINEAR_TC, parse_query("E(x,x)")),
+        ],
+        ids=["section55", "linear-transitive"],
+    )
+    def test_distinct_invariants_need_no_key(self, database, theory, forbidden):
+        # Keying every state computed 60 keys in each of these searches;
+        # no two of their states share an invariant.
+        outcome = search_finite_model(
+            database,
+            theory,
+            forbidden=forbidden,
+            config=SearchConfig(max_elements=10),
+        )
+        assert not outcome.found
+        assert outcome.stats.exhausted
+        assert outcome.stats.nodes == 63
+        assert outcome.stats.duplicates == 0
+        assert outcome.stats.canonical_keys == 0
+
+    @pytest.mark.parametrize(
+        "theory,db,forbidden,me",
+        [
+            (FORK, FORK_DB, FORK_FORBIDDEN, 4),
+            (SIBLINGS, SIBLINGS_DB, SIBLINGS_FORBIDDEN, 3),
+            (TWINS, TWINS_DB, TWINS_FORBIDDEN, 3),
+            (LINEAR_TC, DB, parse_query("E(x,x)"), 6),
+            (
+                section55_theory(),
+                section55_database(),
+                section55_query().boolean(),
+                6,
+            ),
+        ],
+        ids=["fork", "siblings", "twins", "linear-tc", "section55"],
+    )
+    def test_keying_every_state_decides_the_same(
+        self, monkeypatch, theory, db, forbidden, me
+    ):
+        config = SearchConfig(max_elements=me)
+        real = search_finite_model(db, theory, forbidden=forbidden, config=config)
+        monkeypatch.setattr(search_module, "_invariant", lambda facts, size: 0)
+        keyed = search_finite_model(db, theory, forbidden=forbidden, config=config)
+        assert decisions(keyed) == decisions(real)
+        # Every case has states with nulls, so the patch keyed more.
+        assert keyed.stats.canonical_keys > real.stats.canonical_keys
 
 
 class TestSearchConfig:

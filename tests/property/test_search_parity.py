@@ -8,13 +8,21 @@ workload: same found/not-found verdict, models that are actual models
 avoiding the forbidden query, and matching exhaustiveness claims.  Node
 counts may differ (canonical dedup prunes alpha-variant branches) —
 that is the point, not a bug.
+
+The engine compares canonical keys only between states whose cheap
+invariant collides; the last two tests check that the invariant ignores
+null names and that keying every state decides exactly the same.
 """
 
+from unittest import mock
+
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.chase import is_model
 from repro.fc import SearchConfig, search_finite_model
-from repro.lf import satisfies
+from repro.fc import search as search_module
+from repro.lf import Atom, Null, Structure, satisfies
 
 from ..oracles import definitional_search
 from .strategies import conjunctive_queries, structures, theories
@@ -85,3 +93,51 @@ def test_exhausted_claims_match(database, theory, forbidden):
     if new.stats.saturation_pruned == 0:
         assert new.stats.exhausted == exhausted
 
+
+@settings(max_examples=200, deadline=None)
+@given(structure=structures(max_facts=8), data=st.data())
+def test_invariant_ignores_null_names(structure, data):
+    nulls = sorted(structure.nonconstant_elements(), key=str)
+    idents = data.draw(
+        st.lists(
+            st.integers(min_value=0, max_value=40),
+            min_size=len(nulls),
+            max_size=len(nulls),
+            unique=True,
+        )
+    )
+    renaming = {null: Null(ident) for null, ident in zip(nulls, idents)}
+    renamed = Structure(
+        [
+            Atom(fact.pred, tuple(renaming.get(arg, arg) for arg in fact.args))
+            for fact in structure
+        ],
+        [renaming.get(element, element) for element in structure.domain()],
+    )
+    assert search_module._invariant(
+        renamed.facts(), renamed.domain_size
+    ) == search_module._invariant(structure.facts(), structure.domain_size)
+
+
+def _decisions(outcome):
+    stats = outcome.stats
+    model = outcome.model.frozen_key() if outcome.found else None
+    return stats.nodes, stats.duplicates, stats.pruned_by_query, stats.exhausted, model
+
+
+@RELAXED
+@given(
+    database=structures(max_facts=4),
+    theory=theories(max_rules=2),
+    forbidden=st.none() | conjunctive_queries(max_atoms=2),
+)
+def test_keying_every_state_decides_the_same(database, theory, forbidden):
+    # A constant invariant puts every state in one bucket, so every
+    # state is compared by its canonical key.
+    config = SearchConfig(**BOUNDS)
+    real = search_finite_model(database, theory, forbidden=forbidden, config=config)
+    with mock.patch.object(search_module, "_invariant", lambda facts, size: 0):
+        keyed = search_finite_model(
+            database, theory, forbidden=forbidden, config=config
+        )
+    assert _decisions(keyed) == _decisions(real)
