@@ -155,34 +155,6 @@ class ChaseStats:
             payload["totals"]["wall_ms"] = self.wall_ms
         return payload
 
-    def render(self) -> str:
-        """Deterministically ordered text lines for the CLI's ``--stats``."""
-        lines = [f"# stats: rounds={len(self.rounds)}"]
-        for r in self.rounds:
-            lines.append(
-                f"# round {r.round}: delta_in={r.delta_in} "
-                f"evaluated={r.triggers_evaluated} fired={r.triggers_fired} "
-                f"suppressed={r.triggers_suppressed} facts+={r.facts_added} "
-                f"nulls+={r.nulls_invented} probes={r.index_probes} "
-                f"wall={r.wall_ms:.2f}ms"
-            )
-        lines.append(
-            f"# totals: evaluated={self.triggers_evaluated} "
-            f"fired={self.triggers_fired} suppressed={self.triggers_suppressed} "
-            f"facts={self.facts_added} nulls={self.nulls_invented} "
-            f"probes={self.index_probes} wall={self.wall_ms:.2f}ms"
-        )
-        if self.hom is not None:
-            # deterministic counters only (the hit/miss split is cache
-            # warmth — it lives in as_dict, not in the comparable text)
-            lines.append(
-                f"# hom: plans={self.hom.plan_requests} "
-                f"probes={self.hom.index_probes} "
-                f"scanned={self.hom.candidates_scanned} "
-                f"backtracks={self.hom.backtracks}"
-            )
-        return "\n".join(lines)
-
     def __str__(self) -> str:
         return (
             f"ChaseStats({len(self.rounds)} rounds, "
@@ -196,9 +168,9 @@ class IncrStats:
     """Instrumentation for one incremental view update.
 
     Recorded by :meth:`repro.chase.view.ChaseView.update` on the shared
-    stats contract: :meth:`as_dict` feeds the CLI's ``--json``,
-    :meth:`render` its text-mode ``--stats`` comment lines, and
-    everything except the wall time is a pure function of
+    stats contract: :meth:`as_dict` is what the JSON payloads carry
+    (and what the CLI's text-mode ``--stats`` lines are rendered from),
+    and everything except the wall time is a pure function of
     (view state, adds, removes).
 
     Attributes
@@ -269,19 +241,6 @@ class IncrStats:
         if timings:
             payload["wall_ms"] = self.wall_ms
         return payload
-
-    def render(self) -> str:
-        """Deterministically ordered text lines for the CLI's ``--stats``."""
-        lines = [
-            f"# update: +{self.adds_in} -{self.removes_in} "
-            f"overdeleted={self.overdeleted} rederived={self.rederived} "
-            f"fallback_rules={self.fallback_rules} "
-            f"resumed_rounds={self.resumed_rounds} "
-            f"facts+={self.facts_added} nulls+={self.nulls_invented} "
-            f"nulls_orphaned={self.nulls_orphaned} "
-            f"deltas={self.delta_sizes} wall={self.wall_ms:.2f}ms"
-        ]
-        return "\n".join(lines)
 
     def __str__(self) -> str:
         return (

@@ -17,6 +17,12 @@ Theories/databases are files; pass ``-e`` to treat the arguments as
 inline text instead.  Everything prints deterministic, line-oriented
 output suitable for scripting.
 
+Each engine command is the request ``repro serve`` would receive (the
+``op`` is the command name, ``params`` holds the options given) and
+runs through :func:`repro.serve.jobs.execute_request` on a throwaway
+session, so both front ends share every config, default and error
+mapping.  ``--json`` prints the payload; text mode is a view of it.
+
 Machine-readable surface
 ------------------------
 Four global flags work on every command (before or after the command
@@ -50,14 +56,15 @@ Exit codes
 ----------
 ===========  =========================================================
 ``0``        success (chase ran, answers computed, model found, ...)
-``1``        error: unreadable input, parse failure, or any
+``1``        error: unreadable input, parse failure, invalid flag
+             value, ``chase --explain`` target absent, or any
              :class:`~repro.errors.ReproError` (budget exceptions
              included when a config says raise)
 ``2``        incomplete/unknown: a budget was exhausted before the
              verdict (``certain`` unknown, ``rewrite`` not saturated,
-             ``chase --explain`` target absent, Lemma-3 check failed,
-             ``fc-search`` out of nodes before a verdict) — including
-             a ``deadline`` or ``memory`` guard stop
+             Lemma-3 check failed, ``fc-search`` out of nodes before a
+             verdict) — including a ``deadline`` or ``memory`` guard
+             stop
 ``3``        no counter-model exists: ``countermodel`` found the query
              to be certain, or ``fc-search`` exhausted the bounded
              space without finding a model
@@ -75,22 +82,34 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from .errors import BudgetError, Cancelled, DeadlineExceeded, MemoryBudgetExceeded, ReproError
-from .lf import parse_query, parse_structure, parse_theory
-from .runtime import StopReason, cancellation_scope
+from .errors import Cancelled
+from .runtime import cancellation_scope
 
-# The exit-code table and the per-command payload builders are shared
-# with ``repro serve`` (same run, same JSON); see repro.payloads.
+# The exit-code table is shared with ``repro serve``; see repro.payloads.
 from .payloads import (  # noqa: F401  (EXIT_* are part of the public surface)
     EXIT_ERROR,
     EXIT_INCOMPLETE,
     EXIT_INTERRUPTED,
     EXIT_NO_COUNTERMODEL,
     EXIT_OK,
-    stop_code as _stop_code,
-    stats_dict as _stats_dict,
 )
-from . import payloads
+from .serve.config import ServeConfig
+from .serve.jobs import (
+    FAILURE_STATUSES,
+    REQUEST_ERRORS,
+    execute_request,
+    failure_payload,
+    search_bound,
+)
+from .serve.session import SessionRegistry
+
+#: Command-line options that travel to the op as ``params`` (argparse
+#: dest = param name).  An option the user did not give stays out, so
+#: the op's own default applies.
+PARAMS = (
+    "depth", "max_steps", "max_queries", "max_elements", "max_nodes",
+    "heuristic", "depths", "explain", "wall_ms", "max_rss_mb",
+)
 
 
 def _load(text_or_path: str, inline: bool) -> str:
@@ -99,322 +118,245 @@ def _load(text_or_path: str, inline: bool) -> str:
     return Path(text_or_path).read_text()
 
 
-def _theory(args):
-    return parse_theory(_load(args.theory, args.inline))
-
-
-def _database(args):
-    return parse_structure(_load(args.database, args.inline))
-
-
-def _query(args):
-    free = [name for name in (args.free or "").split(",") if name]
-    return parse_query(args.query, free=free)
-
-
-def _emit_json(payload: Dict[str, Any], exit_code: int) -> int:
-    """Print the one JSON object of the run (sorted keys: determinism)."""
-    payload["exit_code"] = exit_code
-    print(json.dumps(payload, sort_keys=True, default=str))
-    return exit_code
-
-
-def _guard_overrides(args) -> Dict[str, Any]:
-    """The shared config fields from the global CLI flags (the runtime
-    guards)."""
-    return {
-        "wall_ms": args.wall_ms,
-        "max_rss_mb": args.max_rss_mb,
+def build_request(args) -> Dict[str, Any]:
+    """The request a server would receive for this command line."""
+    request: Dict[str, Any] = {"op": args.command}
+    for name in ("theory", "database"):
+        if hasattr(args, name):
+            request[name] = _load(getattr(args, name), args.inline)
+    for name in ("query", "free"):
+        if getattr(args, name, None) is not None:
+            request[name] = getattr(args, name)
+    params = {
+        name: getattr(args, name)
+        for name in PARAMS
+        if getattr(args, name, None) is not None
     }
+    if getattr(args, "updates", None) is not None:
+        params["updates"] = _load(args.updates, args.inline)
+    request["params"] = params
+    return request
 
 
-def _print_stats(args, stats) -> None:
-    """Text-mode ``--stats``: comment lines, deterministic order."""
-    if args.stats and stats is not None:
-        print(stats.render())
+# ----------------------------------------------------------------------
+# Text mode: a view of the payload
+# ----------------------------------------------------------------------
 
-
-def _parse_updates(text: str):
-    """Parse an update script into ``(adds, removes)`` batches.
-
-    One fact per line, prefixed ``+`` (insert) or ``-`` (retract);
-    blank lines separate batches; ``#`` comments are skipped.
-    """
-    from .lf.parser import parse_facts
-
-    batches = []
-    adds: List[Any] = []
-    removes: List[Any] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("#"):
-            continue
-        if not line:
-            if adds or removes:
-                batches.append((adds, removes))
-                adds, removes = [], []
-            continue
-        if line.startswith("+"):
-            adds.extend(parse_facts(line[1:].strip()))
-        elif line.startswith("-"):
-            removes.extend(parse_facts(line[1:].strip()))
-        else:
-            raise ReproError(
-                f"update line {lineno} must start with '+' or '-': {line!r}"
-            )
-    if adds or removes:
-        batches.append((adds, removes))
-    return batches
-
-
-def _cmd_chase_incremental(args, theory, database) -> int:
-    """The ``chase --incremental UPDATES`` path: maintain a view."""
-    from .chase import ChaseView, IncrementalConfig, explain
-
-    batches = _parse_updates(_load(args.incremental, args.inline))
-    view = ChaseView(
-        database,
-        theory,
-        IncrementalConfig(max_depth=args.depth, **_guard_overrides(args)),
-    )
-    results = []
-    for adds, removes in batches:
-        results.append(view.update(adds=adds, removes=removes))
-    status = "saturated" if view.saturated else "truncated"
-    payload, code = payloads.incremental_chase_payload(view, results)
-    if args.json:
-        return _emit_json(payload, code)
-    print(f"# chase {status} after {len(results)} updates: "
-          f"{len(view)} facts over {len(view.base_facts())} base facts, "
-          f"depth {view.depth} (stopped: {view.stopped_reason.value})")
-    if args.stats:
-        _print_stats(args, view.initial_result.stats)
-        for index, update in enumerate(results, start=1):
-            print(f"# update {index}:")
-            print(update.stats.render())
-    for fact in view.structure.sorted_facts():
-        print(fact)
-    if args.explain:
-        result = view.as_result()
-        facts = sorted(view.structure.facts_with_pred(args.explain), key=str)
-        if not facts:
-            print(f"# no {args.explain}-facts to explain", file=sys.stderr)
-            return EXIT_ERROR
-        print(f"# derivation of {facts[0]}:")
-        print(explain(result, facts[0]).render(theory))
-    return code
-
-
-def _cmd_chase(args) -> int:
-    from .chase import ChaseConfig, chase, explain
-
-    theory = _theory(args)
-    database = _database(args)
-    if args.incremental is not None:
-        return _cmd_chase_incremental(args, theory, database)
-    result = chase(
-        database,
-        theory,
-        ChaseConfig(
-            max_depth=args.depth, trace=bool(args.explain), **_guard_overrides(args)
-        ),
-    )
-    status = "saturated" if result.saturated else "truncated"
-    payload, code = payloads.chase_payload(result)
-    if args.json:
-        return _emit_json(payload, code)
-    shown = status if result.saturated else f"truncated at depth {result.depth}"
-    print(f"# chase {shown}: {len(result.structure)} facts, "
-          f"{result.structure.domain_size} elements, "
-          f"{len(result.new_elements)} invented "
-          f"(stopped: {result.stopped_reason.value})")
-    _print_stats(args, result.stats)
-    for fact in result.structure.sorted_facts():
-        print(fact)
-    if args.explain:
-        facts = sorted(result.structure.facts_with_pred(args.explain), key=str)
-        if not facts:
-            print(f"# no {args.explain}-facts to explain", file=sys.stderr)
-            return EXIT_ERROR
-        print(f"# derivation of {facts[0]}:")
-        print(explain(result, facts[0]).render(theory))
-    return code
-
-
-def _cmd_certain(args) -> int:
-    from .chase import ChaseConfig, certain_report
-
-    theory = _theory(args)
-    database = _database(args)
-    query = _query(args)
-    config = ChaseConfig(
-        max_depth=args.depth,
-        max_facts=200_000,
-        max_elements=None,
-        **_guard_overrides(args),
-    )
-    report = certain_report(database, theory, query, config=config)
-    verdict = {True: "certain", False: "not-certain", None: "unknown"}[report.verdict]
-    payload, code = payloads.certain_payload(report)
-    rows = sorted(report.answers, key=str)
-    if args.json:
-        return _emit_json(payload, code)
-    if query.is_boolean:
-        print(verdict)
-        _print_stats(args, report.stats)
-        return code
-    print(f"# {len(report.answers)} certain answers "
-          f"({'complete' if report.complete else 'lower bound'})")
-    _print_stats(args, report.stats)
-    for row in rows:
-        print(", ".join(str(value) for value in row))
-    return code
-
-
-def _cmd_rewrite(args) -> int:
-    from .config import OnBudget
-    from .rewriting import RewriteConfig, rewrite
-
-    theory = _theory(args)
-    query = _query(args)
-    config = RewriteConfig(
-        max_steps=args.max_steps,
-        max_queries=args.max_queries,
-        on_budget=OnBudget.RETURN,
-        **_guard_overrides(args),
-    )
-    result = rewrite(query, theory, config)
-    payload, code = payloads.rewrite_payload(result)
-    if args.json:
-        return _emit_json(payload, code)
-    status = "saturated" if result.saturated else "budget-exhausted (incomplete!)"
-    print(f"# {status}: {len(result.ucq)} disjuncts, max width "
-          f"{result.max_width}, k_psi <= {result.depth_bound}")
-    _print_stats(args, result.stats)
-    for disjunct in result.ucq:
-        print(disjunct)
-    return code
-
-
-def _cmd_classify(args) -> int:
-    from .classes import classify
-
-    profile = classify(_theory(args))
-    if args.json:
-        payload, code = payloads.classify_payload(profile)
-        return _emit_json(payload, code)
-    for name, verdict in sorted(profile.items()):
-        print(f"{name}: {'yes' if verdict else 'no'}")
-    return EXIT_OK
-
-
-def _cmd_countermodel(args) -> int:
-    from .core import PipelineConfig, build_finite_counter_model
-
-    theory = _theory(args)
-    database = _database(args)
-    query = _query(args)
-    config = PipelineConfig(**_guard_overrides(args))
-    if args.depths:
-        config = config.with_overrides(
-            chase_depths=tuple(int(d) for d in args.depths.split(","))
+def render_chase_stats(stats: Dict[str, Any]) -> str:
+    """``--stats`` lines of a chase run, from its ``stats`` payload."""
+    lines = [f"# stats: rounds={len(stats['rounds'])}"]
+    for r in stats["rounds"]:
+        lines.append(
+            f"# round {r['round']}: delta_in={r['delta_in']} "
+            f"evaluated={r['triggers_evaluated']} fired={r['triggers_fired']} "
+            f"suppressed={r['triggers_suppressed']} facts+={r['facts_added']} "
+            f"nulls+={r['nulls_invented']} probes={r['index_probes']} "
+            f"wall={r['wall_ms']:.2f}ms"
         )
-    result = build_finite_counter_model(theory, database, query, config)
-    if args.json:
-        payload, code = payloads.countermodel_payload(result)
-        return _emit_json(payload, code)
-    if result.query_certain:
-        print("# the query is certain: no counter-model exists")
-        return EXIT_NO_COUNTERMODEL
-    print(f"# verified finite counter-model: {result.model_size} elements "
-          f"(kappa={result.kappa}, eta={result.eta}, depth={result.depth})")
-    if args.stats:
-        for stats in result.chase_stats:
-            print(stats.render())
-    for fact in result.model.sorted_facts():
-        print(fact)
-    return EXIT_OK
-
-
-def _cmd_fc_search(args) -> int:
-    from .fc import SearchConfig, search_finite_model
-
-    theory = _theory(args)
-    database = _database(args)
-    forbidden = None
-    if args.query is not None:
-        free = [name for name in (args.free or "").split(",") if name]
-        forbidden = parse_query(args.query, free=free)
-    config = SearchConfig(
-        max_elements=args.max_elements,
-        max_nodes=args.max_nodes,
-        heuristic=args.heuristic,
-        **_guard_overrides(args),
+    totals = stats["totals"]
+    lines.append(
+        f"# totals: evaluated={totals['triggers_evaluated']} "
+        f"fired={totals['triggers_fired']} "
+        f"suppressed={totals['triggers_suppressed']} "
+        f"facts={totals['facts_added']} nulls={totals['nulls_invented']} "
+        f"probes={totals['index_probes']} wall={totals['wall_ms']:.2f}ms"
     )
-    outcome = search_finite_model(
-        database, theory, forbidden=forbidden, config=config
+    hom = stats.get("hom")
+    if hom is not None:
+        # deterministic counters only (the plan-cache hit/miss split is
+        # cache warmth)
+        lines.append(
+            f"# hom: plans={hom['plan_requests']} "
+            f"probes={hom['index_probes']} "
+            f"scanned={hom['candidates_scanned']} "
+            f"backtracks={hom['backtracks']}"
+        )
+    return "\n".join(lines)
+
+
+def render_update_stats(update: Dict[str, Any]) -> str:
+    """The ``--stats`` line of one view update, from its payload entry."""
+    return (
+        f"# update: +{update['adds_in']} -{update['removes_in']} "
+        f"overdeleted={update['overdeleted']} rederived={update['rederived']} "
+        f"fallback_rules={update['fallback_rules']} "
+        f"resumed_rounds={update['resumed_rounds']} "
+        f"facts+={update['facts_added']} nulls+={update['nulls_invented']} "
+        f"nulls_orphaned={update['nulls_orphaned']} "
+        f"deltas={update['delta_sizes']} wall={update['wall_ms']:.2f}ms"
     )
-    stats = outcome.stats
-    payload, code = payloads.fc_search_payload(outcome)
-    if args.json:
-        return _emit_json(payload, code)
-    if outcome.found:
-        print(f"# model found: {outcome.model.domain_size} elements, "
-              f"{len(outcome.model)} facts ({stats.nodes} nodes explored)")
-    elif stats.exhausted:
-        print(f"# no model with <= {args.max_elements} elements "
-              f"(exhaustive: {stats.nodes} nodes)")
+
+
+def render_rewrite_stats(stats: Dict[str, Any]) -> str:
+    """``--stats`` lines of a rewriting, from its ``stats`` payload."""
+    return "\n".join([
+        f"# stats: steps={stats['steps']} "
+        f"(rewrite={stats['rewrite_steps']} factor={stats['factor_steps']}) "
+        f"prefilter_skips={stats['prefilter_skips']}",
+        f"# candidates: generated={stats['candidates']} "
+        f"duplicates={stats['duplicates']} unsat={stats['unsatisfiable']} "
+        f"subsumed={stats['subsumed']} kept={stats['kept']} "
+        f"minimized={stats['minimized']}",
+        f"# index: probes={stats['index_probes']} "
+        f"checks={stats['subsumption_checks']} "
+        f"avoided={stats['pairwise_checks_avoided']} "
+        f"rule_instances={stats['rule_instances']}",
+    ])
+
+
+def render_search_stats(stats: Dict[str, Any]) -> str:
+    """``--stats`` lines of a finite-model search, from its ``stats``
+    payload."""
+    return "\n".join([
+        f"# search: heuristic={stats['heuristic']} "
+        f"nodes={stats['nodes']} duplicates={stats['duplicates']} "
+        f"pruned_by_query={stats['pruned_by_query']} "
+        f"exhausted={stats['exhausted']}",
+        f"# states: created={stats['states_created']} "
+        f"materialised={stats['states_materialised']} "
+        f"canonical_keys={stats['canonical_keys']} "
+        f"frontier_peak={stats['frontier_peak']}",
+        f"# saturation: facts+={stats['saturation_new_facts']} "
+        f"rounds={stats['saturation_rounds']} "
+        f"pruned={stats['saturation_pruned']}",
+        f"# wall: total={stats['wall_ms']:.2f}ms "
+        f"materialise={stats['materialise_ms']:.2f}ms "
+        f"saturate={stats['saturate_ms']:.2f}ms "
+        f"canonical={stats['canonical_ms']:.2f}ms "
+        f"query={stats['query_ms']:.2f}ms expand={stats['expand_ms']:.2f}ms",
+    ])
+
+
+def _chase_lines(payload, request, stats: bool) -> List[str]:
+    counts = payload["counts"]
+    if payload.get("mode") == "incremental":
+        lines = [f"# chase {payload['status']} after {counts['updates']} "
+                 f"updates: {counts['facts']} facts over "
+                 f"{counts['base_facts']} base facts, depth {counts['depth']} "
+                 f"(stopped: {payload['stopped_reason']})"]
+        if stats:
+            lines.append(render_chase_stats(payload["stats"]))
+            for index, update in enumerate(payload["updates"], start=1):
+                lines += [f"# update {index}:", render_update_stats(update)]
     else:
-        print(f"# inconclusive: stopped after {stats.nodes} nodes "
-              f"({outcome.stopped_reason.value})")
-    _print_stats(args, stats)
-    if outcome.model is not None:
-        for fact in outcome.model.sorted_facts():
-            print(fact)
-    return code
+        shown = payload["status"]
+        if shown != "saturated":
+            shown = f"truncated at depth {counts['depth']}"
+        lines = [f"# chase {shown}: {counts['facts']} facts, "
+                 f"{counts['elements']} elements, {counts['invented']} "
+                 f"invented (stopped: {payload['stopped_reason']})"]
+        if stats:
+            lines.append(render_chase_stats(payload["stats"]))
+    lines += payload["facts"]
+    explanation = payload.get("explanation")
+    if explanation is not None:
+        lines += [f"# derivation of {explanation['fact']}:",
+                  explanation["derivation"]]
+    return lines
 
 
-def _cmd_skeleton(args) -> int:
-    from .skeleton import lemma3_report, skeleton
+def _certain_lines(payload, request, stats: bool) -> List[str]:
+    if not request.get("free"):  # a boolean query: the verdict alone
+        lines = [payload["status"]]
+    else:
+        complete = "complete" if payload["complete"] else "lower bound"
+        lines = [f"# {payload['counts']['answers']} certain answers "
+                 f"({complete})"]
+    if stats and payload["stats"] is not None:
+        lines.append(render_chase_stats(payload["stats"]))
+    if request.get("free"):
+        lines += [", ".join(row) for row in payload["answers"]]
+    return lines
 
-    theory = _theory(args)
-    database = _database(args)
-    result = skeleton(
-        database, theory, max_depth=args.depth, **_guard_overrides(args)
-    )
-    report = lemma3_report(result)
-    payload, code = payloads.skeleton_payload(result, report)
+
+def _rewrite_lines(payload, request, stats: bool) -> List[str]:
+    counts = payload["counts"]
+    status = payload["status"]
+    if status != "saturated":
+        status = "budget-exhausted (incomplete!)"
+    lines = [f"# {status}: {counts['disjuncts']} disjuncts, max width "
+             f"{counts['max_width']}, k_psi <= {counts['depth_bound']}"]
+    if stats:
+        lines.append(render_rewrite_stats(payload["stats"]))
+    return lines + payload["disjuncts"]
+
+
+def _classify_lines(payload, request, stats: bool) -> List[str]:
+    return [f"{name}: {'yes' if verdict else 'no'}"
+            for name, verdict in sorted(payload["profile"].items())]
+
+
+def _countermodel_lines(payload, request, stats: bool) -> List[str]:
+    if payload["status"] == "query-certain":
+        return ["# the query is certain: no counter-model exists"]
+    counts = payload["counts"]
+    lines = [f"# verified finite counter-model: {counts['model_size']} "
+             f"elements (kappa={counts['kappa']}, eta={counts['eta']}, "
+             f"depth={counts['depth']})"]
+    if stats:
+        lines += [render_chase_stats(entry) for entry in payload["stats"]]
+    return lines + payload["facts"]
+
+
+def _fc_search_lines(payload, request, stats: bool) -> List[str]:
+    counts = payload["counts"]
+    if payload["status"] == "model-found":
+        lines = [f"# model found: {counts['model_size']} elements, "
+                 f"{len(payload['facts'])} facts "
+                 f"({counts['nodes']} nodes explored)"]
+    elif payload["status"] == "exhausted-no-model":
+        lines = [f"# no model with <= {search_bound(request['params'])} "
+                 f"elements (exhaustive: {counts['nodes']} nodes)"]
+    else:
+        lines = [f"# inconclusive: stopped after {counts['nodes']} nodes "
+                 f"({payload['stopped_reason']})"]
+    if stats:
+        lines.append(render_search_stats(payload["stats"]))
+    return lines + payload["facts"]
+
+
+def _skeleton_lines(payload, request, stats: bool) -> List[str]:
+    counts, lemma3 = payload["counts"], payload["lemma3"]
+    return [
+        f"# skeleton: {counts['skeleton_atoms']} atoms over "
+        f"{counts['elements']} elements; flesh: {counts['flesh_atoms']} atoms",
+        f"# Lemma 3: forest={lemma3['forest']} acyclic={lemma3['acyclic']} "
+        f"in-degree<=1={lemma3['in_degree_at_most_one']} "
+        f"degree {counts['degree_observed']}/{counts['degree_bound']} "
+        f"vtdag={lemma3['vtdag']}",
+        *payload["facts"],
+    ]
+
+
+#: Command -> the text view of its payload, as lines.
+TEXT = {
+    "chase": _chase_lines,
+    "certain": _certain_lines,
+    "rewrite": _rewrite_lines,
+    "classify": _classify_lines,
+    "countermodel": _countermodel_lines,
+    "fc-search": _fc_search_lines,
+    "skeleton": _skeleton_lines,
+}
+
+
+def _emit(args, request, payload: Dict[str, Any]) -> int:
+    """Print the run's payload: one JSON object, or its text view."""
     if args.json:
-        return _emit_json(payload, code)
-    print(f"# skeleton: {len(result.structure)} atoms over "
-          f"{result.structure.domain_size} elements; "
-          f"flesh: {len(result.flesh)} atoms")
-    print(f"# Lemma 3: forest={report.forest} acyclic={report.acyclic} "
-          f"in-degree<=1={report.in_degree_at_most_one} "
-          f"degree {report.degree_observed}/{report.degree_bound} "
-          f"vtdag={report.vtdag}")
-    for fact in result.structure.sorted_facts():
-        print(fact)
-    return code
-
-
-def _serve_env_int(name: str, fallback: "Optional[int]") -> "Optional[int]":
-    """An integer default from the environment (``repro serve`` quotas)."""
-    import os
-
-    value = os.environ.get(name, "").strip()
-    if not value:
-        return fallback
-    try:
-        return int(value)
-    except ValueError:
-        raise SystemExit(
-            f"repro serve: ${name} must be an integer, got {value!r}"
-        ) from None
+        print(json.dumps(payload, sort_keys=True, default=str))
+    elif payload["status"] in FAILURE_STATUSES:
+        detail = f": {payload['error']}" if "error" in payload else ""
+        print(f"{payload['status']}{detail}", file=sys.stderr)
+    else:
+        # through JSON, as --json prints it (a StopReason becomes its value)
+        plain = json.loads(json.dumps(payload, default=str))
+        for line in TEXT[args.command](plain, request, args.stats):
+            print(line)
+    return payload["exit_code"]
 
 
 def _cmd_serve(args) -> int:
-    from .serve import ServeConfig, run_server
+    from .serve import run_server
 
     wall_ms = args.request_wall_ms
     if wall_ms is None:
@@ -457,6 +399,16 @@ def _cmd_serve(args) -> int:
         sys.stdout.flush()
 
     return run_server(config, ready=announce)
+
+
+def _int_list(text: str) -> List[int]:
+    """``--depths``: comma-separated integers."""
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -509,15 +461,14 @@ def build_parser() -> argparse.ArgumentParser:
                                     parents=[global_flags])
     chase_cmd.add_argument("theory")
     chase_cmd.add_argument("database")
-    chase_cmd.add_argument("--depth", type=int, default=8)
+    chase_cmd.add_argument("--depth", type=int)
     chase_cmd.add_argument(
-        "--incremental", metavar="UPDATES",
+        "--incremental", dest="updates", metavar="UPDATES",
         help="maintain an incremental view: apply blank-line-separated "
              "batches of '+ Fact' / '- Fact' lines from this file "
              "(inline text with -e)")
     chase_cmd.add_argument("--explain", metavar="PRED",
                            help="print a derivation tree for a PRED-fact")
-    chase_cmd.set_defaults(handler=_cmd_chase)
 
     certain_cmd = commands.add_parser("certain", help="certain answers",
                                       parents=[global_flags])
@@ -525,22 +476,19 @@ def build_parser() -> argparse.ArgumentParser:
     certain_cmd.add_argument("database")
     certain_cmd.add_argument("query")
     certain_cmd.add_argument("--free", help="comma-separated free variables")
-    certain_cmd.add_argument("--depth", type=int, default=12)
-    certain_cmd.set_defaults(handler=_cmd_certain)
+    certain_cmd.add_argument("--depth", type=int)
 
     rewrite_cmd = commands.add_parser("rewrite", help="UCQ rewriting (BDD)",
                                       parents=[global_flags])
     rewrite_cmd.add_argument("theory")
     rewrite_cmd.add_argument("query")
     rewrite_cmd.add_argument("--free", help="comma-separated free variables")
-    rewrite_cmd.add_argument("--max-steps", type=int, default=20_000)
-    rewrite_cmd.add_argument("--max-queries", type=int, default=2_000)
-    rewrite_cmd.set_defaults(handler=_cmd_rewrite)
+    rewrite_cmd.add_argument("--max-steps", type=int)
+    rewrite_cmd.add_argument("--max-queries", type=int)
 
     classify_cmd = commands.add_parser("classify", help="syntactic classes",
                                        parents=[global_flags])
     classify_cmd.add_argument("theory")
-    classify_cmd.set_defaults(handler=_cmd_classify)
 
     counter_cmd = commands.add_parser(
         "countermodel", help="finite counter-model (Theorem 2/3)",
@@ -550,8 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
     counter_cmd.add_argument("database")
     counter_cmd.add_argument("query")
     counter_cmd.add_argument("--free", help="comma-separated free variables")
-    counter_cmd.add_argument("--depths", help="comma-separated chase depths")
-    counter_cmd.set_defaults(handler=_cmd_countermodel)
+    counter_cmd.add_argument("--depths", type=_int_list,
+                             help="comma-separated chase depths")
 
     search_cmd = commands.add_parser(
         "fc-search",
@@ -565,21 +513,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="forbidden query: search for a model NOT satisfying it",
     )
     search_cmd.add_argument("--free", help="comma-separated free variables")
-    search_cmd.add_argument("--max-elements", type=int, default=10)
-    search_cmd.add_argument("--max-nodes", type=int, default=50_000)
+    search_cmd.add_argument("--max-elements", type=int)
+    search_cmd.add_argument("--max-nodes", type=int)
     search_cmd.add_argument(
-        "--heuristic", default="dfs",
+        "--heuristic",
         choices=["dfs", "smallest-domain", "fewest-violations"],
         help="frontier ordering of the search",
     )
-    search_cmd.set_defaults(handler=_cmd_fc_search)
 
     skeleton_cmd = commands.add_parser("skeleton", help="extract S(D,T)",
                                        parents=[global_flags])
     skeleton_cmd.add_argument("theory")
     skeleton_cmd.add_argument("database")
-    skeleton_cmd.add_argument("--depth", type=int, default=8)
-    skeleton_cmd.set_defaults(handler=_cmd_skeleton)
+    skeleton_cmd.add_argument("--depth", type=int)
 
     serve_cmd = commands.add_parser(
         "serve",
@@ -612,21 +558,16 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="MS",
                            help="default per-request SLA deadline")
     serve_cmd.add_argument(
-        "--max-pending", type=int,
-        default=_serve_env_int("REPRO_SERVE_MAX_PENDING", 1024),
+        "--max-pending", type=int, default=1024,
         help="global bound on queued requests before shedding "
-             "(default $REPRO_SERVE_MAX_PENDING, else 1024)")
+             "(default 1024)")
     serve_cmd.add_argument(
-        "--tenant-max-pending", type=int,
-        default=_serve_env_int("REPRO_SERVE_TENANT_MAX_PENDING", None),
-        help="per-tenant queue bound (default "
-             "$REPRO_SERVE_TENANT_MAX_PENDING, else --max-pending)")
+        "--tenant-max-pending", type=int, default=None,
+        help="per-tenant queue bound (default --max-pending)")
     serve_cmd.add_argument(
-        "--tenant-max-inflight", type=int,
-        default=_serve_env_int("REPRO_SERVE_TENANT_MAX_INFLIGHT", None),
+        "--tenant-max-inflight", type=int, default=None,
         help="per-tenant bound on concurrently-running requests "
-             "(default $REPRO_SERVE_TENANT_MAX_INFLIGHT, else --workers)")
-    serve_cmd.set_defaults(handler=_cmd_serve)
+             "(default --workers)")
 
     return parser
 
@@ -634,49 +575,31 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: "Optional[List[str]]" = None) -> int:
     """Entry point; returns the process exit code (see the docstring table).
 
-    The whole run executes inside a
-    :func:`~repro.runtime.cancellation_scope`: the first Ctrl-C /
-    SIGTERM trips the ambient cancel token, engines unwind
-    cooperatively, and the process exits :data:`EXIT_INTERRUPTED` —
-    with the usual one-line JSON payload under ``--json``.  A second
+    The run executes inside a :func:`~repro.runtime.cancellation_scope`:
+    the first Ctrl-C / SIGTERM trips the scope's cancel token, engines
+    unwind cooperatively, and the process exits :data:`EXIT_INTERRUPTED`
+    — with the usual one-line JSON payload under ``--json``.  A second
     signal (or an interrupt outside any engine checkpoint) lands in the
     ``KeyboardInterrupt`` handler below, which still emits well-formed
     JSON before exiting.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    def fail(status: str, error: "Optional[BaseException]", code: int) -> int:
-        """The uniform non-success surface: one JSON object or one stderr line."""
-        if args.json:
-            payload: Dict[str, Any] = {
-                "command": args.command,
-                "status": status,
-                "exit_code": code,
-            }
-            if error is not None and str(error):
-                payload["error"] = str(error)
-            if isinstance(error, BudgetError):
-                payload["stopped_reason"] = error.stopped_reason
-            elif status == "interrupted":
-                payload["stopped_reason"] = StopReason.CANCELLED.value
-            print(json.dumps(payload, sort_keys=True, default=str))
-        else:
-            detail = f": {error}" if error is not None and str(error) else ""
-            print(f"{status}{detail}", file=sys.stderr)
-        return code
-
+    args = build_parser().parse_args(argv)
+    request: Dict[str, Any] = {}
     try:
-        with cancellation_scope():
-            return args.handler(args)
-    except Cancelled as error:
-        return fail("interrupted", error, EXIT_INTERRUPTED)
-    except (DeadlineExceeded, MemoryBudgetExceeded) as error:
-        return fail("incomplete", error, EXIT_INCOMPLETE)
+        with cancellation_scope() as token:
+            if args.command == "serve":
+                return _cmd_serve(args)
+            request = build_request(args)
+            payload = execute_request(
+                SessionRegistry(), request, ServeConfig(), token
+            )
+    except REQUEST_ERRORS as error:  # an unreadable input, a bad serve flag
+        payload = failure_payload(args.command, error)
     except KeyboardInterrupt:
-        return fail("interrupted", None, EXIT_INTERRUPTED)
-    except (ReproError, OSError) as error:
-        return fail("error", error, EXIT_ERROR)
+        payload = failure_payload(args.command, Cancelled(""))
+    for key in ("id", "ok", "tenant"):
+        payload.pop(key, None)
+    return _emit(args, request, payload)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -231,27 +231,6 @@ class SearchStats:
             payload["expand_ms"] = round(self.expand_ms, 3)
         return payload
 
-    def render(self) -> str:
-        """Deterministically ordered text lines for the CLI's ``--stats``."""
-        lines = [
-            f"# search: heuristic={self.heuristic} "
-            f"nodes={self.nodes} duplicates={self.duplicates} "
-            f"pruned_by_query={self.pruned_by_query} "
-            f"exhausted={self.exhausted}",
-            f"# states: created={self.states_created} "
-            f"materialised={self.states_materialised} "
-            f"canonical_keys={self.canonical_keys} "
-            f"frontier_peak={self.frontier_peak}",
-            f"# saturation: facts+={self.saturation_new_facts} "
-            f"rounds={self.saturation_rounds} pruned={self.saturation_pruned}",
-            f"# wall: total={self.wall_ms:.2f}ms "
-            f"materialise={self.materialise_ms:.2f}ms "
-            f"saturate={self.saturate_ms:.2f}ms "
-            f"canonical={self.canonical_ms:.2f}ms "
-            f"query={self.query_ms:.2f}ms expand={self.expand_ms:.2f}ms",
-        ]
-        return "\n".join(lines)
-
 
 @dataclass
 class SearchResult:

@@ -1,12 +1,11 @@
 """The machine-readable result surface shared by the CLI and the server.
 
-``repro --json`` and ``repro serve`` must describe the same run with
-byte-identical payloads — the server-equivalence battery
-(``tests/property/test_serve_parity.py``) holds them to it.  To make
-that true by construction rather than by duplication, the exit-code
-table, the guard-stop mapping, and the per-command payload builders
-live here; :mod:`repro.cli` renders them to stdout and
-:mod:`repro.serve` renders them to sockets.
+``repro --json`` and ``repro serve`` describe the same run with
+byte-identical payloads: both run the request through
+:func:`repro.serve.jobs.execute_request`, whose ops build their
+payloads here, with the exit-code table and the guard-stop mapping.
+:mod:`repro.cli` prints them to stdout and :mod:`repro.serve` writes
+them to sockets.
 
 Every builder takes an engine result and returns ``(payload, code)``:
 the JSON-able dict (without ``exit_code`` — the emitter stamps that)

@@ -41,10 +41,9 @@ anything else).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional
 
 from ..lf.canonical import (
-    FREE_VARIABLE,
     Incidence,
     canonical_query,
     connected_subsets_containing,

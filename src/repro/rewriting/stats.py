@@ -140,23 +140,6 @@ class RewriteStats:
             payload["minimize_ms"] = round(self.minimize_ms, 3)
         return payload
 
-    def render(self) -> str:
-        """Deterministically ordered text lines for the CLI's ``--stats``."""
-        lines = [
-            f"# stats: steps={self.steps} "
-            f"(rewrite={self.rewrite_steps} factor={self.factor_steps}) "
-            f"prefilter_skips={self.prefilter_skips}",
-            f"# candidates: generated={self.candidates} "
-            f"duplicates={self.duplicates} unsat={self.unsatisfiable} "
-            f"subsumed={self.subsumed} kept={self.kept} "
-            f"minimized={self.minimized}",
-            f"# index: probes={self.index_probes} "
-            f"checks={self.subsumption_checks} "
-            f"avoided={self.pairwise_checks_avoided} "
-            f"rule_instances={self.rule_instances}",
-        ]
-        return "\n".join(lines)
-
     def __str__(self) -> str:
         return (
             f"RewriteStats({self.steps} steps, "

@@ -15,12 +15,14 @@ Request::
      "query": "E(x,y), E(y,z)", "free": [],
      "params": {"depth": 12, "wall_ms": 500}}
 
-Response: the CLI ``--json`` payload for the same run (``command``,
-``status``, ``counts``, ``stopped_reason``, ``stats``, ``exit_code``,
-...) plus the envelope keys ``id`` (echoed), ``ok`` (``status !=
-"error"``), ``tenant``, and ``cached`` (on rewriting-artifact hits).
-Responses to pipelined requests may arrive out of order — match by
-``id``.  Guard trips degrade, never error: a request past its
+Response: the payload of :func:`~repro.serve.jobs.execute_request`
+(``command``, ``status``, ``counts``, ``stopped_reason``, ``stats``,
+``exit_code``, ...) plus the envelope keys ``id`` (echoed), ``ok``
+(``status != "error"``), ``tenant``, and ``cached`` (on
+rewriting-artifact hits).  The CLI runs its commands through the same
+function, so its ``--json`` object is this response without the
+envelope.  Responses to pipelined requests may arrive out of order —
+match by ``id``.  Guard trips degrade, never error: a request past its
 ``wall_ms`` deadline still gets a well-formed payload with
 ``stopped_reason: "deadline"`` and ``exit_code: 2`` from the shared
 exit-code table.
@@ -41,25 +43,38 @@ requests are shed immediately with ``{"ok": false, "error":
 and a request that expires before dispatch is shed with
 ``stopped_reason: "deadline"``.  :meth:`ServeClient.request_with_retry`
 is the matching client-side backoff loop.
+
+The names of :mod:`~repro.serve.server` and :mod:`~repro.serve.client`
+load on first use, because they import :mod:`asyncio` and the CLI's
+engine commands import this package.
 """
 
+import importlib
+
 from .admission import AdmissionController, Pending
-from .client import (
-    IDEMPOTENT_OPS,
-    ServeClient,
-    ServeOverloaded,
-    ServeTimeout,
-)
 from .config import ServeConfig
 from .jobs import JOB_HANDLERS, execute_request, set_serve_fault_hook
-from .server import (
-    ReproServer,
-    ServerThread,
-    WORKER_THREAD_PREFIX,
-    run_server,
-    worker_thread_count,
-)
 from .session import SessionRegistry, TheorySession
+
+#: Names loaded on first access, each from its module.
+_LAZY = {
+    "IDEMPOTENT_OPS": "client",
+    "ServeClient": "client",
+    "ServeOverloaded": "client",
+    "ServeTimeout": "client",
+    "ReproServer": "server",
+    "ServerThread": "server",
+    "WORKER_THREAD_PREFIX": "server",
+    "run_server": "server",
+    "worker_thread_count": "server",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
 
 __all__ = [
     "AdmissionController",

@@ -1,21 +1,28 @@
-"""Worker-side request execution: validate, build configs, run engines.
+"""Request execution for both front ends: validate, build configs, run engines.
 
-Every job runs on a pool thread under its own per-request
-:class:`~repro.runtime.RuntimeGuard`: the effective ``wall_ms`` is the
-request's ``params.wall_ms`` (else the server's default SLA), the
-``max_rss_mb`` ceiling is shared, and the :class:`CancelToken` handed
-in by the event loop is tripped by an explicit ``cancel`` op or by the
-client disconnecting.  Engines run with
-:attr:`~repro.config.OnBudget.RETURN`, so a tripped guard degrades to
-the same partial payload the CLI would print — the response is the CLI
-``--json`` object (built by :mod:`repro.payloads`) plus the envelope
-keys ``id``, ``ok``, ``tenant`` (and ``cached`` on artifact-cache
-hits).
+``repro serve`` runs each request on a pool thread; the CLI
+(:mod:`repro.cli`) parses its argv into the same request dict and runs
+it here on a throwaway :class:`SessionRegistry`.  So each engine
+config, op default and error mapping is written once, here, and the
+CLI's ``--json`` object is the server's response without the envelope
+keys ``id``, ``ok``, ``tenant`` (and ``cached`` on artifact-cache hits).
+
+Every job runs under its own :class:`~repro.runtime.RuntimeGuard`: the
+effective ``wall_ms`` is the request's ``params.wall_ms`` (else the
+server's default SLA), the ``max_rss_mb`` ceiling is shared, and the
+caller's :class:`CancelToken` is tripped by a ``cancel`` op, a client
+disconnect or the CLI's Ctrl-C.  Engines run with
+:attr:`~repro.config.OnBudget.RETURN`, so a tripped guard degrades to a
+partial payload; the Theorem-2 pipeline raises, and
+:func:`failure_payload` maps the raise onto the same exit codes.
 
 Protocol ops
 ------------
 ``ping``           liveness round-trip through the pool
-``chase``          one-shot chase (``theory``, ``database``)
+``chase``          one-shot chase (``theory``, ``database``);
+                   ``params.explain`` (a predicate) adds the derivation
+                   of its least fact, ``params.updates`` (an update
+                   script) maintains a view through the script instead
 ``certain``        certain answers (``theory``, ``database``, ``query``)
 ``rewrite``        UCQ rewriting (``theory``, ``query``); finished
                    (saturated) rewritings are cached per session
@@ -34,11 +41,17 @@ handled on the event loop.)
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from .. import payloads
 from ..errors import BudgetError, ReproError
-from ..payloads import EXIT_ERROR, EXIT_INCOMPLETE, EXIT_OK, stop_code
+from ..payloads import (
+    EXIT_ERROR,
+    EXIT_INCOMPLETE,
+    EXIT_INTERRUPTED,
+    EXIT_OK,
+    stop_code,
+)
 from .config import ServeConfig
 from .session import SessionRegistry, TheorySession, text_key
 
@@ -66,10 +79,45 @@ class RequestError(ReproError):
     """A malformed or unserviceable request (maps to ``exit_code: 1``)."""
 
 
+#: What a request may raise and still get a payload (see
+#: :func:`failure_payload`); anything else is a bug in the program.
+REQUEST_ERRORS = (ReproError, OSError, ValueError, TypeError, KeyError)
+
+#: Exit code -> status of a :func:`failure_payload`.
+_FAILURE_STATUS = {
+    EXIT_INTERRUPTED: "interrupted",
+    EXIT_INCOMPLETE: "incomplete",
+    EXIT_ERROR: "error",
+}
+#: The statuses of :func:`failure_payload`; no engine payload uses them.
+FAILURE_STATUSES = frozenset(_FAILURE_STATUS.values())
+
+
+def failure_payload(command: Any, error: BaseException) -> Dict[str, Any]:
+    """The payload of a request that raised *error*.
+
+    A cancellation is ``interrupted`` (exit 130), a deadline or memory
+    stop ``incomplete`` (exit 2), anything else ``error`` (exit 1).
+    """
+    reason = error.stopped_reason if isinstance(error, BudgetError) else None
+    code = stop_code(reason, EXIT_ERROR)
+    payload: Dict[str, Any] = {
+        "command": command,
+        "status": _FAILURE_STATUS[code],
+        "exit_code": code,
+    }
+    if str(error):
+        payload["error"] = str(error)
+    if reason is not None:
+        payload["stopped_reason"] = reason
+    return payload
+
+
 def _field(request: Dict[str, Any], name: str) -> str:
+    """A source text of the request (an empty one is an empty input)."""
     value = request.get(name)
-    if not isinstance(value, str) or not value.strip():
-        raise RequestError(f"request needs a non-empty string {name!r} field")
+    if not isinstance(value, str):
+        raise RequestError(f"request needs a string {name!r} field")
     return value
 
 
@@ -125,13 +173,70 @@ def _op_ping(session, request, params, guard):
     return {"command": "ping", "status": "pong", "counts": {}}, EXIT_OK
 
 
+def _parse_updates(text: Any) -> List[Tuple[List[Any], List[Any]]]:
+    """Parse an update script into ``(adds, removes)`` batches.
+
+    One fact per line, prefixed ``+`` (insert) or ``-`` (retract);
+    blank lines separate batches; ``#`` comments are skipped.
+    """
+    from ..lf.parser import parse_facts
+
+    if not isinstance(text, str):
+        raise RequestError("params.updates must be an update script")
+    batches: List[Tuple[List[Any], List[Any]]] = [([], [])]
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            batches.append(([], []))
+        elif line[0] in "+-":
+            adds, removes = batches[-1]
+            target = adds if line[0] == "+" else removes
+            target.extend(parse_facts(line[1:].strip()))
+        elif line[0] != "#":
+            raise RequestError(
+                f"update line {lineno} must start with '+' or '-': {line!r}"
+            )
+    return [(adds, removes) for adds, removes in batches if adds or removes]
+
+
+def _explanation(result, predicate: str, theory) -> Dict[str, str]:
+    """``params.explain``: the derivation of the least *predicate*-fact."""
+    from ..chase import explain
+
+    facts = sorted(result.structure.facts_with_pred(predicate), key=str)
+    if not facts:
+        raise RequestError(f"no {predicate}-facts to explain")
+    return {
+        "fact": str(facts[0]),
+        "derivation": explain(result, facts[0]).render(theory),
+    }
+
+
 def _op_chase(session, request, params, guard):
     from ..chase import ChaseConfig, chase
 
     theory = session.theory(_field(request, "theory"))
     database = session.database(_field(request, "database"))
-    config = ChaseConfig(max_depth=_int_param(params, "depth", 8), **guard)
-    return payloads.chase_payload(chase(database, theory, config))
+    predicate = params.get("explain")
+    if "updates" in params:
+        batches = _parse_updates(params["updates"])
+        view = _new_view(theory, database, params, guard)
+        results = [
+            view.update(adds=adds, removes=removes) for adds, removes in batches
+        ]
+        payload, code = payloads.incremental_chase_payload(view, results)
+        result = view.as_result() if predicate else None
+    else:
+        config = ChaseConfig(
+            max_depth=_int_param(params, "depth", 8),
+            trace=bool(predicate),
+            **guard,
+        )
+        result = chase(database, theory, config)
+        payload, code = payloads.chase_payload(result)
+    if predicate:
+        payload["explanation"] = _explanation(result, predicate, theory)
+    return payload, code
 
 
 def _op_certain(session, request, params, guard):
@@ -140,12 +245,8 @@ def _op_certain(session, request, params, guard):
     theory = session.theory(_field(request, "theory"))
     database = session.database(_field(request, "database"))
     query = session.query(_field(request, "query"), _free(request))
-    # Mirrors the CLI's certain defaults exactly (parity battery).
     config = ChaseConfig(
-        max_depth=_int_param(params, "depth", 12),
-        max_facts=200_000,
-        max_elements=None,
-        **guard,
+        max_depth=_int_param(params, "depth", 12), max_elements=None, **guard
     )
     return payloads.certain_payload(
         certain_report(database, theory, query, config=config)
@@ -159,8 +260,8 @@ def _op_rewrite(session, request, params, guard):
     theory_text = _field(request, "theory")
     query_text = _field(request, "query")
     free = _free(request)
-    max_steps = _int_param(params, "max_steps", 20_000)
-    max_queries = _int_param(params, "max_queries", 2_000)
+    max_steps = _int_param(params, "max_steps", RewriteConfig.max_steps)
+    max_queries = _int_param(params, "max_queries", RewriteConfig.max_queries)
 
     # The compiled-artifact cache: a *finished* rewriting is a pure
     # function of (budgets, theory, query) — guard settings cannot
@@ -223,6 +324,13 @@ def _op_countermodel(session, request, params, guard):
     )
 
 
+def search_bound(params: Dict[str, Any]) -> int:
+    """The domain-size bound an ``fc-search`` request runs under."""
+    from ..fc import SearchConfig
+
+    return _int_param(params, "max_elements", SearchConfig.max_elements)
+
+
 def _op_fc_search(session, request, params, guard):
     from ..fc import SearchConfig, search_finite_model
 
@@ -231,12 +339,10 @@ def _op_fc_search(session, request, params, guard):
     forbidden = None
     if request.get("query") is not None:
         forbidden = session.query(_field(request, "query"), _free(request))
-    max_elements = _int_param(params, "max_elements", 10)
-    max_nodes = _int_param(params, "max_nodes", 50_000)
     config = SearchConfig(
-        max_elements=max_elements,
-        max_nodes=max_nodes,
-        heuristic=params.get("heuristic", "dfs"),
+        max_elements=search_bound(params),
+        max_nodes=_int_param(params, "max_nodes", SearchConfig.max_nodes),
+        heuristic=params.get("heuristic", SearchConfig.heuristic),
         **guard,
     )
     outcome = search_finite_model(
@@ -261,7 +367,10 @@ def _op_skeleton(session, request, params, guard):
 # ----------------------------------------------------------------------
 
 def _view_name(request: Dict[str, Any]) -> str:
-    return _field(request, "view")
+    name = _field(request, "view")
+    if not name.strip():
+        raise RequestError("request needs a non-empty 'view' name")
+    return name
 
 
 def _view_counts(view) -> Dict[str, int]:
@@ -273,14 +382,19 @@ def _view_counts(view) -> Dict[str, int]:
     }
 
 
-def _op_view_create(session: TheorySession, request, params, guard):
+def _new_view(theory, database, params, guard):
+    """The view of ``view-create`` and of ``chase`` with ``updates``."""
     from ..chase import ChaseView, IncrementalConfig
 
+    config = IncrementalConfig(max_depth=_int_param(params, "depth", 8), **guard)
+    return ChaseView(database, theory, config)
+
+
+def _op_view_create(session: TheorySession, request, params, guard):
     name = _view_name(request)
     theory = session.theory(_field(request, "theory"))
     database = session.database(_field(request, "database"))
-    config = IncrementalConfig(max_depth=_int_param(params, "depth", 8), **guard)
-    view = ChaseView(database, theory, config)
+    view = _new_view(theory, database, params, guard)
     session.create_view(name, view)
     payload = {
         "command": "view-create",
@@ -405,18 +519,6 @@ def execute_request(
     rid = request.get("id")
     op = request.get("op")
     tenant = request.get("tenant", "default")
-
-    def failure(error: BaseException, code: int) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
-            "command": op,
-            "status": "error",
-            "error": str(error),
-            "exit_code": code,
-        }
-        if isinstance(error, BudgetError):
-            payload["stopped_reason"] = error.stopped_reason
-        return payload
-
     try:
         hook = _serve_fault_hook
         if hook is not None:
@@ -439,9 +541,9 @@ def execute_request(
             params = _params(request)
             guard = _guard_fields(params, config, token, deadline)
             payload, code = handler(session, request, params, guard)
-            payload["exit_code"] = code
-    except (ReproError, OSError, ValueError, TypeError, KeyError) as error:
-        payload, code = failure(error, EXIT_ERROR), EXIT_ERROR
+        payload["exit_code"] = code
+    except REQUEST_ERRORS as error:
+        payload = failure_payload(op, error)
 
     payload["id"] = rid
     payload["ok"] = payload.get("status") != "error"

@@ -15,6 +15,7 @@ from repro.chase import (
     datalog_saturate,
 )
 from repro.chase.stats import TIMING_FIELDS
+from repro.cli import render_chase_stats
 from repro.lf import parse_structure, parse_theory
 from repro.zoo import chain_structure, transitive_theory
 
@@ -115,11 +116,11 @@ class TestSerialization:
         def strip_wall(text):
             return [line.split(" wall=")[0] for line in text.splitlines()]
 
-        first = chase(database, theory, config).stats.render()
-        second = chase(database, theory, config).stats.render()
+        first = render_chase_stats(chase(database, theory, config).stats.as_dict())
+        second = render_chase_stats(chase(database, theory, config).stats.as_dict())
         assert strip_wall(first) == strip_wall(second)
 
     def test_empty_stats_render(self):
         stats = ChaseStats(rounds=[RoundStats(round=1)])
-        assert "round 1" in stats.render()
+        assert "round 1" in render_chase_stats(stats.as_dict())
         assert stats.triggers_evaluated == 0

@@ -12,6 +12,7 @@ from repro.chase import (
     chase_view,
     explain,
 )
+from repro.cli import render_update_stats
 from repro.lf import parse_fact, parse_query, parse_structure, parse_theory
 from repro.runtime import StopReason
 
@@ -299,7 +300,7 @@ class TestIntrospection:
         payload = second.as_dict(timings=False)
         assert "wall_ms" not in payload
         assert payload["overdeleted"] == second.overdeleted
-        assert "# update:" in second.render()
+        assert "# update:" in render_update_stats(second.as_dict())
 
     def test_update_rounds_report_index_probes(self):
         view = ChaseView(CHAIN, TRANSITIVE, max_depth=None)

@@ -9,6 +9,7 @@ with the definitional search of ``tests/oracles.py`` on fixed workloads.
 import pytest
 
 from repro.chase import is_model
+from repro.cli import render_search_stats
 from repro.config import OnBudget
 from repro.errors import ModelSearchExhausted
 from repro.lf import (
@@ -325,7 +326,7 @@ class TestStats:
 
     def test_render_is_hash_prefixed(self):
         stats = SearchStats(nodes=3)
-        lines = stats.render().splitlines()
+        lines = render_search_stats(stats.as_dict()).splitlines()
         assert lines
         assert all(line.startswith("#") for line in lines)
 

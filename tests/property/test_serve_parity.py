@@ -1,13 +1,16 @@
 """Server-equivalence battery: warm server ≡ fresh CLI run.
 
-The service contract is that ``repro serve`` answers exactly what the
-one-shot CLI would print for the same inputs — session caches, the
-artifact cache, and per-request guards must be *transparent*.  Each
-property here draws a random (theory, database, query) triple, asks a
-long-lived warm server and an in-process CLI invocation, and compares
-the full JSON payloads modulo the documented nondeterministic fields
-(wall times), the process-global ``stats.hom`` counters (polluted by
-whatever ran earlier on any thread), and the server's envelope keys.
+The CLI runs each command through the server's own request path
+(:func:`repro.serve.jobs.execute_request`) on a throwaway session, so
+configs, defaults and error mapping cannot differ between the two.
+What can still differ is warmth: a long-lived server keeps parsed
+inputs, finished rewritings and compiled plans across requests, and
+those caches must be *transparent*.  Each property here draws a random
+(theory, database, query) triple, asks a long-lived warm server and an
+in-process CLI invocation, and compares the full JSON payloads modulo
+the documented nondeterministic fields (wall times), the
+process-global ``stats.hom`` counters (polluted by whatever ran earlier
+on any thread), and the server's envelope keys.
 
 Both comparisons run in this one process on purpose: plan-cache
 warmth may legitimately steer tie-breaks in engines that pick *a*
@@ -28,7 +31,7 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is a test extra
     pytest.skip("hypothesis not installed", allow_module_level=True)
 
-from repro.cli import main as cli_main
+from repro.cli import EXIT_INCOMPLETE, main as cli_main
 from repro.lf.io import query_to_text, theory_to_text
 from repro.serve import ServerThread
 from tests.property.strategies import (
@@ -43,20 +46,30 @@ pytestmark = pytest.mark.timeout(600)
 #: Keys the server adds on top of the CLI payload.
 ENVELOPE = {"id", "ok", "tenant", "cached"}
 
+#: One fact of the database vocabulary.
+fact_texts = st.one_of(
+    st.tuples(
+        st.sampled_from(["E", "R", "S"]),
+        st.sampled_from("abc"),
+        st.sampled_from("abc"),
+    ).map(lambda t: f"{t[0]}({t[1]},{t[2]})"),
+    st.tuples(
+        st.sampled_from(["U", "V"]), st.sampled_from("abc")
+    ).map(lambda t: f"{t[0]}({t[1]})"),
+)
+
 #: Constant-only database text (nulls cannot appear in CLI input).
-database_texts = st.lists(
+database_texts = st.lists(fact_texts, min_size=1, max_size=8).map("\n".join)
+
+#: An update script: ``+``/``-`` fact lines, batches split by blank lines
+#: (a retraction of a fact outside the base is an error on both sides).
+update_scripts = st.lists(
     st.one_of(
-        st.tuples(
-            st.sampled_from(["E", "R", "S"]),
-            st.sampled_from("abc"),
-            st.sampled_from("abc"),
-        ).map(lambda t: f"{t[0]}({t[1]},{t[2]})"),
-        st.tuples(
-            st.sampled_from(["U", "V"]), st.sampled_from("abc")
-        ).map(lambda t: f"{t[0]}({t[1]})"),
+        st.just(""),
+        st.tuples(st.sampled_from("+-"), fact_texts).map(" ".join),
     ),
     min_size=1,
-    max_size=8,
+    max_size=6,
 ).map("\n".join)
 
 
@@ -106,6 +119,8 @@ def cli_free_args(query):
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
+LINEAR = "E(x,y) -> exists z. E(y,z)"
+
 
 class TestChaseParity:
     @settings(max_examples=20, **COMMON)
@@ -119,6 +134,40 @@ class TestChaseParity:
         assert canon(response) == canon(expected)
         assert response["exit_code"] == code
         assert response["ok"] is (expected["status"] != "error")
+
+    @settings(max_examples=10, **COMMON)
+    @given(
+        theory=theories(),
+        database=database_texts,
+        predicate=st.sampled_from(["E", "R", "S", "U", "V"]),
+    )
+    def test_chase_explain(self, client, theory, database, predicate):
+        text = theory_to_text(theory)
+        response = client.request(
+            "chase", theory=text, database=database,
+            params={"depth": 3, "explain": predicate},
+        )
+        code, expected = cli_json(
+            "-e", "chase", text, database, "--depth", "3",
+            "--explain", predicate,
+        )
+        assert canon(response) == canon(expected)
+        assert response["exit_code"] == code
+
+    @settings(max_examples=10, **COMMON)
+    @given(theory=theories(), database=database_texts, updates=update_scripts)
+    def test_chase_updates(self, client, theory, database, updates):
+        text = theory_to_text(theory)
+        response = client.request(
+            "chase", theory=text, database=database,
+            params={"depth": 3, "updates": updates},
+        )
+        code, expected = cli_json(
+            "-e", "chase", text, database, "--depth", "3",
+            "--incremental", updates,
+        )
+        assert canon(response) == canon(expected)
+        assert response["exit_code"] == code
 
 
 class TestCertainParity:
@@ -198,6 +247,49 @@ class TestCountermodelParity:
         code, expected = cli_json(
             "-e", "countermodel", ttext, database, qtext,
             *cli_free_args(query), "--depths", "1,2",
+        )
+        assert canon(response) == canon(expected)
+        assert response["exit_code"] == code
+
+    def test_countermodel_past_its_deadline(self, client):
+        # The pipeline raises on a guard trip; both surfaces map the
+        # raise to "incomplete", exit 2.  The server gets a float, as
+        # the CLI's --wall-ms parses to one (the error text repeats it).
+        query = "E(x,x)"
+        response = client.request(
+            "countermodel", theory=LINEAR, database="E(a,b)", query=query,
+            params={"wall_ms": 0.0},
+        )
+        code, expected = cli_json(
+            "-e", "countermodel", LINEAR, "E(a,b)", query, "--wall-ms", "0",
+        )
+        assert canon(response) == canon(expected)
+        assert response["exit_code"] == code == EXIT_INCOMPLETE
+        assert response["status"] == "incomplete"
+        assert response["stopped_reason"] == "deadline"
+
+
+class TestClassifyParity:
+    @settings(max_examples=10, **COMMON)
+    @given(theory=theories())
+    def test_classify(self, client, theory):
+        text = theory_to_text(theory)
+        response = client.request("classify", theory=text)
+        code, expected = cli_json("-e", "classify", text)
+        assert canon(response) == canon(expected)
+        assert response["exit_code"] == code
+
+
+class TestSkeletonParity:
+    @settings(max_examples=10, **COMMON)
+    @given(theory=theories(), database=database_texts)
+    def test_skeleton(self, client, theory, database):
+        text = theory_to_text(theory)
+        response = client.request(
+            "skeleton", theory=text, database=database, params={"depth": 3},
+        )
+        code, expected = cli_json(
+            "-e", "skeleton", text, database, "--depth", "3",
         )
         assert canon(response) == canon(expected)
         assert response["exit_code"] == code

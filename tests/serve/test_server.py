@@ -161,6 +161,7 @@ class TestWarmState:
         client.request("ping", tenant="ephemeral")
         response = client.request("session-close", tenant="ephemeral")
         assert response["status"] == "closed"
+        assert response["exit_code"] == 0
         again = client.request("session-close", tenant="ephemeral")
         assert again["status"] == "not-found"
 

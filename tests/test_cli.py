@@ -182,6 +182,29 @@ class TestClassify:
         assert "guarded: yes" in out
         assert "full_datalog: no" in out
 
+    def test_engine_command_loads_no_asyncio(self):
+        # The CLI runs through repro.serve.jobs; the server and client
+        # modules (and asyncio with them) load only for `repro serve`.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            f"code = main(['-e', 'classify', {LINEAR!r}])\n"
+            "print(code, 'asyncio' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.stdout.splitlines()[-1] == "0 False", done.stderr
+
 
 class TestCounterModel:
     def test_counter_model_found(self, capsys):

@@ -168,11 +168,16 @@ class TestJsonShape:
         assert payload["status"] == "budget-exhausted"
 
     def test_parse_errors_are_json_too(self, capsys):
-        code, payload = run_json(capsys, "--json", "-e", "chase",
-                                 "E(x,y -> broken", DB)
-        assert code == EXIT_ERROR
-        assert payload["status"] == "error"
-        assert "error" in payload
+        for argv in (
+            ["-e", "chase", "E(x,y -> broken", DB],
+            # flag values that no engine config accepts
+            ["-e", "chase", LINEAR, DB, "--wall-ms", "-5"],
+            ["-e", "chase", LINEAR, DB, "--max-rss-mb", "0"],
+        ):
+            code, payload = run_json(capsys, "--json", *argv)
+            assert code == EXIT_ERROR
+            assert payload["status"] == "error"
+            assert "error" in payload
 
     @pytest.mark.parametrize("query, message", [
         # x = z, with z in no relational atom: no match gives x a value
