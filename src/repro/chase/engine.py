@@ -16,7 +16,7 @@ Implements the paper's chase (Section 1.1) faithfully:
 Rounds after the first enumerate triggers semi-naively: a rule body
 ``B_1 … B_k`` is evaluated as the union of the k plans "``B_i`` from
 the previous round's delta, the rest from the full indexed structure"
-(:func:`repro.chase.seminaive._delta_bindings`).  Sound because
+(:meth:`repro.chase.seminaive._RulePlans.delta_triggers`).  Sound because
 visibility only grows: a body match whose facts all predate the last
 round was enumerated in an earlier round, and its head has been
 satisfied ever since (it either fired or was suppressed) — so only
@@ -43,6 +43,7 @@ flag.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
@@ -51,14 +52,14 @@ from ..config import BudgetedConfig, OnBudget
 from ..errors import ChaseBudgetExceeded, NewElementEmbargoViolation
 from ..runtime.guard import NULL_GUARD, GuardTripped, RuntimeGuard, StopReason
 from ..lf.atoms import Atom
-from ..lf.homomorphism import find_homomorphism, homomorphisms
+from ..lf.homomorphism import homomorphisms
 from ..lf.plan import HOM_STATS
 from ..lf.rules import Rule, Theory
 from ..lf.structures import Structure
 from ..lf.terms import Element, Null, NullFactory, Variable
 from .provenance import SupportStore
 from .results import ChaseResult
-from .seminaive import _delta_bindings
+from .seminaive import rule_plans, unsatisfied_triggers
 from .stats import ChaseStats, IncrStats, RoundStats
 
 
@@ -110,19 +111,6 @@ class ChaseConfig(BudgetedConfig):
             and self.max_elements is None
         ):
             raise ValueError("at least one budget must be set (the chase may diverge)")
-
-
-def _head_satisfied(structure: Structure, rule: Rule, binding: Dict[Variable, Element]) -> bool:
-    """Whether the (possibly existential) head already holds under *binding*.
-
-    The frontier variables are bound; the existential ones are left free
-    and searched for — the paper's "there is no y ∈ D satisfying
-    D ⊨ Q(y, ȳ)" condition, generalised to multi-head rules.
-    """
-    frontier_binding = {
-        var: value for var, value in binding.items() if var in rule.head_variables()
-    }
-    return find_homomorphism(rule.head, structure, frontier_binding) is not None
 
 
 def _witness_key(rule: Rule, rule_index: int, binding: Dict[Variable, Element]) -> tuple:
@@ -283,14 +271,13 @@ def _evaluate_round(
     )
     for rule_index, rule in rule_items:
         guard.checkpoint()
+        plans = rule_plans(rule)
         if head_delta is not None:
             bindings = _head_delta_bindings(rule, structure, head_delta)
         elif delta is None:
-            bindings: "Iterator[Dict[Variable, Element]]" = homomorphisms(
-                rule.body, structure
-            )
+            bindings: "Iterator[Dict[Variable, Element]]" = plans.triggers(structure)
         else:
-            bindings = _delta_bindings(rule, structure, delta)
+            bindings = plans.delta_triggers(structure, delta)
         datalog = rule.is_datalog
         for binding in bindings:
             stats.triggers_evaluated += 1
@@ -309,7 +296,9 @@ def _evaluate_round(
                 if fired:
                     stats.triggers_fired += 1
                 continue
-            if _head_satisfied(structure, rule, binding):
+            # the paper's "there is no y ∈ D satisfying D ⊨ Q(y, ȳ)",
+            # generalised to multi-head rules
+            if plans.head_holds(structure, binding):
                 stats.triggers_suppressed += 1
                 continue
             if not config.allow_new_elements:
@@ -646,13 +635,10 @@ def is_model(structure: Structure, theory: Theory) -> bool:
     """Whether every rule of *theory* is satisfied in *structure*.
 
     For each rule and each body match, the head must hold (with the
-    existential variables witnessed by existing elements).
+    existential variables witnessed by existing elements): no
+    :func:`violations`.
     """
-    for rule in theory.rules:
-        for binding in homomorphisms(rule.body, structure):
-            if not _head_satisfied(structure, rule, binding):
-                return False
-    return True
+    return next(unsatisfied_triggers(structure, theory.rules), None) is None
 
 
 def violations(structure: Structure, theory: Theory, limit: int = 10) -> List[Tuple[Rule, Dict[Variable, Element]]]:
@@ -660,11 +646,4 @@ def violations(structure: Structure, theory: Theory, limit: int = 10) -> List[Tu
 
     Useful diagnostics when :func:`is_model` returns ``False``.
     """
-    found: List[Tuple[Rule, Dict[Variable, Element]]] = []
-    for rule in theory.rules:
-        for binding in homomorphisms(rule.body, structure):
-            if not _head_satisfied(structure, rule, binding):
-                found.append((rule, binding))
-                if len(found) >= limit:
-                    return found
-    return found
+    return list(itertools.islice(unsatisfied_triggers(structure, theory.rules), limit))

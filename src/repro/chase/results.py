@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..lf.atoms import Atom
 from ..lf.structures import Structure
-from ..lf.terms import Element, Null
+from ..lf.terms import Null
 from ..runtime.guard import StopReason
 from .stats import ChaseStats
 
@@ -75,11 +75,6 @@ class ChaseResult:
     provenance: "Optional[SupportStore]" = None
     stats: "Optional[ChaseStats]" = None
     stopped_reason: StopReason = StopReason.FIXPOINT
-
-    @property
-    def is_model(self) -> bool:
-        """Alias for :attr:`saturated`: a fixpoint satisfies the theory."""
-        return self.saturated
 
     def level_of(self, fact: Atom) -> int:
         """The round at which *fact* appeared (raises if absent)."""

@@ -1,9 +1,10 @@
-"""Semi-naive trigger enumeration.
+"""Trigger enumeration and the trigger check, compiled once per rule.
 
 A rule body with atoms ``B_1 … B_k`` only needs the matches where at
 least one ``B_i`` is matched against the *delta* (the facts new in the
 previous round), evaluated as the union of the k plans "``B_i`` from
-delta, the rest from the full structure" (:func:`_delta_bindings`).
+delta, the rest from the full structure"
+(:meth:`_RulePlans.delta_triggers`).
 
 The chase engine (:mod:`repro.chase.engine`) enumerates every round
 after its first this way, for existential TGDs as well (see DESIGN.md
@@ -14,6 +15,13 @@ from the engine's round loop so that a node does not pay for per-round
 stats, timing and guard checks on a delta of a few facts.  Insertions
 are buffered per round — the homomorphism matcher hands out live index
 views, so the structure must not grow mid-enumeration.
+
+The *trigger check* (:meth:`_RulePlans.head_holds`) asks whether a
+rule's head already holds under a body match, with the frontier fixed
+and the existential variables searched for.  The chase runs it to
+create new elements "only if needed"; :func:`unsatisfied_triggers`,
+the one loop over the matches whose head fails, is the model check and
+the finite-model search's branching point.
 """
 
 from __future__ import annotations
@@ -21,51 +29,116 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ChaseBudgetExceeded
-from ..lf.atoms import Atom
+from ..lf.atoms import Atom, atoms_variables
 from ..lf.homomorphism import homomorphisms
-from ..lf.plan import plan_for
+from ..lf.plan import Binding, QueryPlan, plan_for
 from ..lf.rules import Rule, Theory
 from ..lf.structures import Structure
-from ..lf.terms import Element, Variable
+from ..lf.terms import Variable
 
 
-#: Per-rule delta-evaluation info: ``rule -> (relational, equalities,
-#: pivot_plans)`` where ``pivot_plans`` is one ``(pivot, rest-plan)``
-#: per body position, or ``None`` when the body has equality atoms (the
-#: planner rejects those; such rules use the generic matcher).  Bounded
-#: like the plan cache: cleared wholesale if it ever fills.
-_RULE_DELTA_CACHE: Dict[Rule, tuple] = {}
-_RULE_DELTA_CACHE_MAX = 4096
+class _RulePlans:
+    """One rule's compiled forms, each fetched through
+    :func:`~repro.lf.plan.plan_for` on its first use, against the
+    structure of that use: the body plan, one rest-plan per pivot, and
+    the head plan with the frontier prebound.  The planner rejects
+    ``=`` atoms, so a body that has any is matched through
+    :func:`homomorphisms` instead.  Threads that race on a first use
+    each store the one plan the plan cache hands out for those atoms.
+    """
+
+    __slots__ = ("rule", "relational", "equalities", "frontier", "_body", "_pivots", "_head")
+
+    def __init__(self, rule: Rule):
+        self.rule = rule
+        self.relational = tuple(a for a in rule.body if not a.is_equality)
+        self.equalities = tuple(a for a in rule.body if a.is_equality)
+        self.frontier = rule.frontier()
+        self._body: "Optional[QueryPlan]" = None
+        self._pivots: "Optional[List[Tuple[Atom, QueryPlan]]]" = None
+        self._head: "Optional[QueryPlan]" = None
+
+    def triggers(self, structure: Structure) -> Iterator[Binding]:
+        """Every body match in *structure*."""
+        if self.equalities:
+            return homomorphisms(self.rule.body, structure)
+        if self._body is None:
+            self._body = plan_for(self.relational, frozenset(), structure)
+        return self._body.bindings(structure)
+
+    def delta_triggers(
+        self, structure: Structure, delta: "Sequence[Atom]"
+    ) -> Iterator[Binding]:
+        """Body matches with at least one atom matched in *delta*.
+
+        The union over the pivot position: the pivot is matched against
+        the delta, the other atoms against the full structure through
+        the indexed matcher.  A match found through two pivots is
+        yielded twice, which is harmless: head insertion is idempotent.
+        Each pivot's rest-plan runs directly per seed; going through
+        :func:`homomorphisms` would re-resolve equalities and re-hash
+        the plan-cache key per seed, pure overhead on small deltas.
+        """
+        relational = self.relational
+        if self.equalities:
+            for index, pivot in enumerate(relational):
+                rest = relational[:index] + relational[index + 1:] + self.equalities
+                for seed in _match_atom_against_facts(pivot, delta, {}):
+                    yield from homomorphisms(rest, structure, seed)
+            return
+        if self._pivots is None:
+            pivots = []
+            for index, pivot in enumerate(relational):
+                rest = relational[:index] + relational[index + 1:]
+                shared = pivot.variable_set() & atoms_variables(rest)
+                pivots.append((pivot, plan_for(rest, shared, structure)))
+            self._pivots = pivots
+        for pivot, plan in self._pivots:
+            for seed in _match_atom_against_facts(pivot, delta, {}):
+                yield from plan.bindings(structure, seed)
+
+    def head_holds(self, structure: Structure, binding: Binding) -> bool:
+        """Whether some values of the existential variables make every
+        head atom a fact of *structure* under the body match *binding*.
+        The head plan reads the frontier's values from *binding* and
+        builds no dict per match."""
+        if self._head is None:
+            self._head = plan_for(self.rule.head, self.frontier, structure)
+        return next(self._head.answers(structure, (), binding), None) is not None
 
 
-def _rule_delta_info(rule: Rule, structure: Structure) -> tuple:
-    info = _RULE_DELTA_CACHE.get(rule)
-    if info is not None:
-        return info
-    relational = tuple(a for a in rule.body if not a.is_equality)
-    equalities = tuple(a for a in rule.body if a.is_equality)
-    pivot_plans = None
-    if not equalities:
-        pivot_plans = []
-        for pivot_index, pivot in enumerate(relational):
-            rest = relational[:pivot_index] + relational[pivot_index + 1:]
-            rest_vars: Set[Variable] = set()
-            for item in rest:
-                rest_vars.update(item.variable_set())
-            prebound = frozenset(pivot.variable_set() & rest_vars)
-            pivot_plans.append((pivot, plan_for(rest, prebound, structure)))
-    info = (relational, equalities, pivot_plans)
-    if len(_RULE_DELTA_CACHE) >= _RULE_DELTA_CACHE_MAX:
-        _RULE_DELTA_CACHE.clear()
-    _RULE_DELTA_CACHE[rule] = info
-    return info
+#: ``rule -> _RulePlans``.  Bounded like the plan cache: cleared
+#: wholesale if it ever fills.
+_RULE_PLANS: Dict[Rule, _RulePlans] = {}
+_RULE_PLANS_MAX = 4096
+
+
+def rule_plans(rule: Rule) -> _RulePlans:
+    """The compiled forms of *rule*, created on its first use."""
+    plans = _RULE_PLANS.get(rule)
+    if plans is None:
+        plans = _RulePlans(rule)
+        if len(_RULE_PLANS) >= _RULE_PLANS_MAX:
+            _RULE_PLANS.clear()
+        _RULE_PLANS[rule] = plans
+    return plans
+
+
+def unsatisfied_triggers(
+    structure: Structure, rules: "Sequence[Rule]"
+) -> "Iterator[Tuple[Rule, Binding]]":
+    """Every ``(rule, body match)`` of *rules* whose head fails in
+    *structure*, rule by rule."""
+    for rule in rules:
+        plans = rule_plans(rule)
+        for binding in plans.triggers(structure):
+            if not plans.head_holds(structure, binding):
+                yield rule, binding
 
 
 def _match_atom_against_facts(
-    atom: Atom,
-    facts: "Sequence[Atom]",
-    binding: Dict[Variable, Element],
-) -> Iterator[Dict[Variable, Element]]:
+    atom: Atom, facts: "Sequence[Atom]", binding: Binding
+) -> Iterator[Binding]:
     """All extensions of *binding* matching *atom* against *facts*."""
     for fact in facts:
         if fact.pred != atom.pred or fact.arity != atom.arity:
@@ -85,36 +158,6 @@ def _match_atom_against_facts(
                 break
         if good:
             yield extended
-
-
-def _delta_bindings(
-    rule: Rule,
-    structure: Structure,
-    delta: "Sequence[Atom]",
-) -> Iterator[Dict[Variable, Element]]:
-    """Bindings of the rule body with at least one atom in *delta*.
-
-    Evaluated as the union over the pivot position; the pivot is
-    matched against the delta, the remaining atoms against the full
-    structure via the indexed matcher.  Duplicate bindings across
-    pivots are fine — head insertion is idempotent.
-
-    When the body has no equality atoms, each pivot's rest-plan is
-    fetched once and run directly per seed — per-seed calls through
-    :func:`homomorphisms` would re-resolve equalities and re-hash the
-    plan-cache key every time, which is pure overhead on the small
-    deltas this is built for.
-    """
-    relational, equalities, pivot_plans = _rule_delta_info(rule, structure)
-    if pivot_plans is not None:
-        for pivot, plan in pivot_plans:
-            for seed in _match_atom_against_facts(pivot, delta, {}):
-                yield from plan.bindings(structure, seed)
-        return
-    for pivot_index, pivot in enumerate(relational):
-        rest = list(relational[:pivot_index] + relational[pivot_index + 1:]) + list(equalities)
-        for seed in _match_atom_against_facts(pivot, delta, {}):
-            yield from homomorphisms(rest, structure, seed)
 
 
 def incremental_datalog_saturate(
@@ -158,7 +201,7 @@ def incremental_datalog_saturate(
         produced: List[Atom] = []
         produced_set: Set[Atom] = set()
         for rule in rules:
-            for binding in _delta_bindings(rule, structure, delta):
+            for binding in rule_plans(rule).delta_triggers(structure, delta):
                 for head in rule.head:
                     fact = head.substitute(binding)  # type: ignore[arg-type]
                     if fact not in produced_set and not structure.has_fact(fact):

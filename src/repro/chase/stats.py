@@ -24,10 +24,10 @@ Each run also snapshots the homomorphism engine's process-global
 on :attr:`ChaseStats.hom` — plans requested, plan-cache hits/misses,
 matcher index probes, candidate facts scanned, and backtracks.
 
-Wall times and the plan-cache hit/miss split are the only
-environment-dependent fields (the split depends on what ran earlier in
-the process); everything else is a pure function of (database, theory,
-config), which the CLI determinism tests rely on.
+Wall times and the plan-cache counters (requests, and their hit/miss
+split) are the only environment-dependent fields: they depend on what
+ran earlier in the process.  Everything else is a pure function of
+(database, theory, config), which the CLI determinism tests rely on.
 """
 
 from __future__ import annotations
@@ -38,14 +38,16 @@ from typing import Any, Dict, List, Optional
 from ..lf.plan import HomStats
 
 #: Keys of the stats dicts that are *not* a pure function of the run's
-#: inputs — wall times plus the plan-cache warmth split — excluded by
-#: ``as_dict(timings=False)``; consumers comparing runs should strip
-#: these.
+#: inputs — wall times plus the plan-cache counters, which depend on
+#: what ran earlier in the process (a rule's plans are fetched on its
+#: first use only) — excluded by ``as_dict(timings=False)``; consumers
+#: comparing runs should strip these.
 TIMING_FIELDS = (
     "wall_ms",
     "plans_compiled",
     "plan_cache_hits",
     "plan_cache_misses",
+    "plan_requests",
 )
 
 
@@ -148,8 +150,8 @@ class ChaseStats:
             },
         }
         if self.hom is not None:
-            # cache warmth (hit/miss split) is environment-dependent:
-            # stripped together with the wall times
+            # the plan-cache counters depend on cache warmth: stripped
+            # together with the wall times
             payload["hom"] = self.hom.as_dict(cache=timings)
         if timings:
             payload["totals"]["wall_ms"] = self.wall_ms

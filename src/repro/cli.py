@@ -163,11 +163,10 @@ def render_chase_stats(stats: Dict[str, Any]) -> str:
     )
     hom = stats.get("hom")
     if hom is not None:
-        # deterministic counters only (the plan-cache hit/miss split is
+        # deterministic counters only (the plan-cache counters are
         # cache warmth)
         lines.append(
-            f"# hom: plans={hom['plan_requests']} "
-            f"probes={hom['index_probes']} "
+            f"# hom: probes={hom['index_probes']} "
             f"scanned={hom['candidates_scanned']} "
             f"backtracks={hom['backtracks']}"
         )

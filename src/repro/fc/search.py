@@ -35,9 +35,10 @@ The engine is built for throughput:
   bucket are compared by their null-renaming-invariant keys
   (:func:`repro.lf.canonical.canonical_key`), each computed at most
   once;
-* **compiled triggers** — violated-existential detection runs on
-  per-rule precompiled join plans (:mod:`repro.lf.plan`), reused across
-  every node of the run;
+* **compiled triggers** — a node's first violated existential trigger
+  comes from :func:`repro.chase.seminaive.unsatisfied_triggers`, whose
+  per-rule body and frontier-prebound head plans are compiled once per
+  process and shared with the chase and with ``is_model``;
 * **configurable frontier** — depth-first, reuse first, by default,
   or best-first by smallest domain / fewest violations via
   :class:`SearchConfig`.
@@ -50,17 +51,16 @@ import itertools
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..chase.engine import datalog_saturate
-from ..chase.seminaive import incremental_datalog_saturate
+from ..chase.seminaive import incremental_datalog_saturate, unsatisfied_triggers
 from ..config import BudgetedConfig, OnBudget, coerce_enum
 from ..errors import ChaseBudgetExceeded, ModelSearchExhausted
 from ..runtime.guard import RuntimeGuard, StopReason
 from ..lf.atoms import Atom
 from ..lf.canonical import canonical_key
-from ..lf.homomorphism import find_homomorphism, homomorphisms, satisfies
-from ..lf.plan import QueryPlan, plan_for
+from ..lf.homomorphism import satisfies
 from ..lf.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 from ..lf.rules import Rule, Theory
 from ..lf.structures import Structure
@@ -260,77 +260,6 @@ class SearchResult:
 
 
 # ----------------------------------------------------------------------
-# Compiled trigger detection (shared plans across every node of a run)
-# ----------------------------------------------------------------------
-class _CompiledRule:
-    """Precompiled plans for one existential rule.
-
-    The body plan enumerates the rule's triggers; the head plan, with
-    the frontier variables prebound, answers "does a witness exist?".
-    Rules whose body or head contains equality atoms fall back to the
-    generic matcher (the planner rejects equalities by design).
-    """
-
-    __slots__ = ("rule", "frontier", "body_plan", "head_plan")
-
-    def __init__(self, rule: Rule, structure: Structure):
-        self.rule = rule
-        self.frontier = frozenset(rule.head_variables() - rule.existential_variables())
-        self.body_plan: "Optional[QueryPlan]" = None
-        self.head_plan: "Optional[QueryPlan]" = None
-        if not any(a.is_equality for a in rule.body):
-            self.body_plan = plan_for(tuple(rule.body), frozenset(), structure)
-        if not any(a.is_equality for a in rule.head):
-            self.head_plan = plan_for(tuple(rule.head), self.frontier, structure)
-
-    def triggers(self, structure: Structure) -> "Iterator[Dict[Variable, Element]]":
-        if self.body_plan is None:
-            return homomorphisms(self.rule.body, structure)
-        return self.body_plan.bindings(structure)
-
-    def head_satisfied(
-        self, structure: Structure, binding: Dict[Variable, Element]
-    ) -> bool:
-        frontier_binding = {var: binding[var] for var in self.frontier}
-        if self.head_plan is None:
-            return (
-                find_homomorphism(self.rule.head, structure, frontier_binding)
-                is not None
-            )
-        return next(self.head_plan.bindings(structure, frontier_binding), None) is not None
-
-
-class _TriggerFinder:
-    """All existential rules of a theory, compiled once per run."""
-
-    def __init__(self, theory: Theory, structure: Structure):
-        self.compiled = [
-            _CompiledRule(rule, structure)
-            for rule in theory.rules
-            if not rule.is_datalog
-        ]
-
-    def first_violation(
-        self, structure: Structure
-    ) -> "Optional[Tuple[Rule, Dict[Variable, Element]]]":
-        for entry in self.compiled:
-            for binding in entry.triggers(structure):
-                if not entry.head_satisfied(structure, binding):
-                    return entry.rule, binding
-        return None
-
-    def count_violations(self, structure: Structure, cap: int = 64) -> int:
-        found = 0
-        for entry in self.compiled:
-            for binding in entry.triggers(structure):
-                if not entry.head_satisfied(structure, binding):
-                    found += 1
-                    if found >= cap:
-                        return found
-        return found
-
-
-# ----------------------------------------------------------------------
 # Copy-on-write search states
 # ----------------------------------------------------------------------
 class _State:
@@ -474,6 +403,7 @@ def _search(
 
     nulls = NullFactory.above(database.domain())
     datalog_rules = [rule for rule in theory.rules if rule.is_datalog]
+    existential_rules = [rule for rule in theory.rules if not rule.is_datalog]
 
     try:
         root_structure = datalog_saturate(
@@ -484,7 +414,6 @@ def _search(
         stats.exhausted = False
         return finish(None, StopReason.BUDGET)
 
-    finder = _TriggerFinder(theory, root_structure)
     root = _State(None, (), root_structure, root_structure.domain_size)
 
     best_first = config.heuristic is not SearchHeuristic.DFS
@@ -588,7 +517,7 @@ def _search(
                 continue
 
         clock = time.perf_counter()
-        trigger = finder.first_violation(structure)
+        trigger = next(unsatisfied_triggers(structure, existential_rules), None)
         if trigger is None:
             stats.expand_ms += (time.perf_counter() - clock) * 1000.0
             return finish(structure)
@@ -599,7 +528,8 @@ def _search(
 
         score = 0
         if config.heuristic is SearchHeuristic.FEWEST_VIOLATIONS:
-            score = finder.count_violations(structure)
+            violated = unsatisfied_triggers(structure, existential_rules)
+            score = sum(1 for _ in itertools.islice(violated, 64))
 
         pushed_deltas: Set[FrozenSet[Atom]] = set()
 

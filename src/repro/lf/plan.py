@@ -73,13 +73,15 @@ class HomStats:
     """Counters of the planned homomorphism engine.
 
     ``plans_compiled`` / ``plan_cache_hits`` / ``plan_cache_misses``
-    describe the plan cache and therefore depend on *cache warmth*
-    (what ran earlier in the process), not only on the inputs — they
-    are treated like wall times by the determinism machinery (see
+    and ``plan_requests`` (plan lookups: hits + misses) describe the
+    plan cache and therefore depend on *cache warmth* (what ran earlier
+    in the process), not only on the inputs: a rule's compiled forms
+    (:func:`repro.chase.seminaive.rule_plans`) fetch their plans on the
+    rule's first use in the process and never again.  They are treated
+    like wall times by the determinism machinery (see
     :data:`repro.chase.stats.TIMING_FIELDS`).  The remaining counters
     are pure functions of (queries, structures, bindings):
 
-    * ``plan_requests`` — plan lookups (hits + misses);
     * ``index_probes`` — hash-index lookups issued by the matcher;
     * ``candidates_scanned`` — candidate facts pulled from index
       buckets;
@@ -96,7 +98,7 @@ class HomStats:
 
     @property
     def plan_requests(self) -> int:
-        """Plan-cache lookups: deterministic, unlike the hit/miss split."""
+        """Plan-cache lookups (hits + misses)."""
         return self.plan_cache_hits + self.plan_cache_misses
 
     def snapshot(self) -> "HomStats":
@@ -114,14 +116,14 @@ class HomStats:
 
     def as_dict(self, cache: bool = True) -> Dict[str, int]:
         """JSON-ready counters; ``cache=False`` drops the warmth-dependent
-        plan-cache split (keeping the deterministic ``plan_requests``)."""
+        plan-cache counters, keeping the matcher's."""
         payload: Dict[str, int] = {
-            "plan_requests": self.plan_requests,
             "index_probes": self.index_probes,
             "candidates_scanned": self.candidates_scanned,
             "backtracks": self.backtracks,
         }
         if cache:
+            payload["plan_requests"] = self.plan_requests
             payload["plans_compiled"] = self.plans_compiled
             payload["plan_cache_hits"] = self.plan_cache_hits
             payload["plan_cache_misses"] = self.plan_cache_misses

@@ -142,10 +142,21 @@ def classify_payload(profile) -> Tuple[Payload, int]:
 
 
 def countermodel_payload(result) -> Tuple[Payload, int]:
-    """``countermodel``: a pipeline :class:`~repro.core.FiniteModelResult`."""
+    """``countermodel``: a pipeline :class:`~repro.core.FiniteModelResult`.
+
+    A run stopped before a verdict (``on_budget=RETURN``) holds neither
+    a model nor a certain query: its status is ``incomplete``.
+    """
+    if result.query_certain:
+        status, code = "query-certain", EXIT_NO_COUNTERMODEL
+    elif result.model is not None:
+        status, code = "model-found", EXIT_OK
+    else:
+        status = "incomplete"
+        code = stop_code(result.stopped_reason, EXIT_INCOMPLETE)
     payload = {
         "command": "countermodel",
-        "status": "query-certain" if result.query_certain else "model-found",
+        "status": status,
         "stopped_reason": result.stopped_reason,
         "counts": {
             "model_size": result.model_size,
@@ -163,7 +174,6 @@ def countermodel_payload(result) -> Tuple[Payload, int]:
         ),
         "stats": [s.as_dict() for s in result.chase_stats],
     }
-    code = EXIT_NO_COUNTERMODEL if result.query_certain else EXIT_OK
     return payload, code
 
 

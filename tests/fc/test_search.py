@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.chase import is_model
 from repro.errors import ModelSearchExhausted
 from repro.lf import parse_query, parse_structure, parse_theory, satisfies
 from repro.fc import (
@@ -12,6 +11,8 @@ from repro.fc import (
 )
 from repro.zoo import section55_database, section55_query, section55_theory
 
+from ..oracles import rule_violations
+
 LINEAR = parse_theory("E(x,y) -> exists z. E(y,z)")
 DB = parse_structure("E(a,b)")
 
@@ -20,7 +21,7 @@ class TestBasicSearch:
     def test_finds_smallest_loop_closure(self):
         outcome = search_finite_model(DB, LINEAR, max_elements=5)
         assert outcome.found
-        assert is_model(outcome.model, LINEAR)
+        assert list(rule_violations(outcome.model, LINEAR)) == []
         assert outcome.model.contains_structure(DB)
         # reuse-first exploration: the 2-element closure E(b,a) or E(b,b)
         assert outcome.model.domain_size <= 3
@@ -30,7 +31,7 @@ class TestBasicSearch:
         outcome = search_finite_model(DB, LINEAR, forbidden=loop, max_elements=5)
         assert outcome.found
         assert not satisfies(outcome.model, loop)
-        assert is_model(outcome.model, LINEAR)
+        assert list(rule_violations(outcome.model, LINEAR)) == []
 
     def test_datalog_saturation_inside_search(self):
         theory = parse_theory(
@@ -41,7 +42,7 @@ class TestBasicSearch:
         )
         outcome = search_finite_model(DB, theory, max_elements=4)
         assert outcome.found
-        assert is_model(outcome.model, theory)
+        assert list(rule_violations(outcome.model, theory)) == []
         assert outcome.model.facts_with_pred("B")
 
     def test_already_model_returned_immediately(self):
@@ -86,7 +87,7 @@ class TestSection55:
         theory, database = section55_theory(), section55_database()
         outcome = search_finite_model(database, theory, max_elements=6)
         assert outcome.found
-        assert is_model(outcome.model, theory)
+        assert list(rule_violations(outcome.model, theory)) == []
 
     def test_phi_true_in_found_models(self):
         theory, database = section55_theory(), section55_database()
@@ -112,6 +113,6 @@ class TestCrossCheckWithPipeline:
         pipeline_result = build_finite_counter_model(LINEAR, DB, query)
         searched = find_counter_model(DB, LINEAR, query, max_elements=6)
         for model in (pipeline_result.model, searched):
-            assert is_model(model, LINEAR)
+            assert list(rule_violations(model, LINEAR)) == []
             assert model.contains_structure(DB)
             assert not satisfies(model, query)

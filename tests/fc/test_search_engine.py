@@ -8,7 +8,6 @@ with the definitional search of ``tests/oracles.py`` on fixed workloads.
 
 import pytest
 
-from repro.chase import is_model
 from repro.cli import render_search_stats
 from repro.config import OnBudget
 from repro.errors import ModelSearchExhausted
@@ -32,7 +31,7 @@ from repro.fc import (
 from repro.fc import search as search_module
 from repro.zoo import section55_database, section55_query, section55_theory
 
-from ..oracles import definitional_search
+from ..oracles import definitional_search, rule_violations
 
 LINEAR = parse_theory("E(x,y) -> exists z. E(y,z)")
 DB = parse_structure("E(a,b)")
@@ -219,7 +218,7 @@ class TestHeuristics:
             config=SearchConfig(max_elements=5, heuristic=heuristic),
         )
         assert outcome.found
-        assert is_model(outcome.model, LINEAR)
+        assert list(rule_violations(outcome.model, LINEAR)) == []
         assert outcome.stats.heuristic == heuristic
 
     @pytest.mark.parametrize(
@@ -369,7 +368,7 @@ class TestLegacyParity:
         assert new.found == (model is not None)
         for found in (new.model, model):
             if found is not None:
-                assert is_model(found, theory)
+                assert list(rule_violations(found, theory)) == []
                 assert found.contains_structure(db)
                 if forbidden is not None:
                     assert not satisfies(found, forbidden)

@@ -3,12 +3,13 @@ against the independent finite-model search and the rewriting engine."""
 
 import pytest
 
-from repro.chase import certain_boolean, is_model
 from repro.core import build_finite_counter_model, certify_counter_model
 from repro.fc import search_finite_model
 from repro.lf import satisfies
 from repro.rewriting import RewriteConfig, answer_by_rewriting
 from repro.zoo import theorem2_corpus
+
+from ..oracles import rule_violations
 
 CORPUS = theorem2_corpus()
 IDS = [name for name, *_ in CORPUS]
@@ -20,6 +21,7 @@ class TestCorpus:
         result = build_finite_counter_model(theory, database, query)
         assert result.model is not None, result.attempts
         assert certify_counter_model(result, theory, database, query)
+        assert list(rule_violations(result.model, theory)) == []
 
     def test_search_agrees(self, name, theory, database, query):
         outcome = search_finite_model(
@@ -28,7 +30,7 @@ class TestCorpus:
         # the search may or may not find one within 6 elements, but if
         # it does, the model must verify like the pipeline's
         if outcome.found:
-            assert is_model(outcome.model, theory)
+            assert list(rule_violations(outcome.model, theory)) == []
             assert not satisfies(outcome.model, query.boolean())
 
     def test_rewriting_confirms_not_certain(self, name, theory, database, query):

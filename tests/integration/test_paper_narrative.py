@@ -5,12 +5,9 @@ these are the executable versions of the prose arguments in Sections
 2.1, 3.2–3.3, and 5.5.
 """
 
-import pytest
-
-from repro.chase import ChaseConfig, certain_boolean, chase, chase_with_embargo, datalog_saturate, is_model
-from repro.coloring import conservativity_report, natural_coloring
-from repro.errors import NewElementEmbargoViolation
-from repro.lf import parse_query, parse_structure, satisfies, structure_homomorphism
+from repro.chase import certain_boolean, chase, chase_with_embargo, datalog_saturate, is_model
+from repro.coloring import natural_coloring
+from repro.lf import parse_structure, satisfies, structure_homomorphism
 from repro.ptypes import TypePartition, quotient
 from repro.skeleton import lemma3_report, skeleton, verify_lemma4
 from repro.vtdag import is_vtdag
@@ -22,12 +19,12 @@ from repro.zoo import (
     example7_theory,
     example9_database,
     example9_theory,
-    remark3_database,
-    remark3_theory,
     section55_database,
     section55_query,
     section55_theory,
 )
+
+from ..oracles import rule_violations
 
 
 class TestSection21Story:
@@ -141,5 +138,5 @@ class TestSection55Story:
             """
         )
         saturated = datalog_saturate(model, theory).structure
-        assert is_model(saturated, theory)
+        assert list(rule_violations(saturated, theory)) == []
         assert satisfies(saturated, section55_query().boolean())

@@ -191,7 +191,8 @@ class TestHomStats:
         assert full["plan_requests"] == 3
         assert full["plan_cache_hits"] == 2
         bare = stats.as_dict(cache=False)
-        assert bare["plan_requests"] == 3
+        assert bare["index_probes"] == 5
+        assert "plan_requests" not in bare
         assert "plan_cache_hits" not in bare
         assert "plans_compiled" not in bare
 

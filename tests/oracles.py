@@ -7,7 +7,9 @@ stats.  The chase stays the rewriting engine's semantic reference
 :func:`exact_rewriting` is the reference for its eager pruning.
 :func:`naive_chase` is the exception to "no index": it repeats the
 engine's own round with every body enumerated in full, the reference
-for the engine's delta rounds.
+for the engine's delta rounds.  :func:`rule_violations`, the model
+check that tier-1 applies to every model an engine builds, groups the
+facts by predicate and nothing more.
 """
 
 import itertools
@@ -52,20 +54,81 @@ def nested_loop_bindings(atoms, structure, binding=None):
     return results
 
 
-def _violated_trigger(structure, theory):
-    """First existential trigger of *theory* whose head has no witness."""
-    for rule in theory.rules:
-        if rule.is_datalog:
+def _extensions(atoms, facts_by_pred, binding):
+    """Every extension of *binding* that maps the relational *atoms*,
+    in the given order, onto facts of *facts_by_pred* (predicate ->
+    facts)."""
+    if not atoms:
+        yield binding
+        return
+    first, rest = atoms[0], atoms[1:]
+    for fact in facts_by_pred.get(first.pred, ()):
+        if fact.arity != first.arity:
             continue
-        for binding in nested_loop_bindings(rule.body, structure):
+        extended = dict(binding)
+        for arg, value in zip(first.args, fact.args):
+            if isinstance(arg, Variable):
+                if extended.setdefault(arg, value) != value:
+                    break
+            elif arg != value:
+                break
+        else:
+            yield from _extensions(rest, facts_by_pred, extended)
+
+
+def _with_equalities(equalities, binding):
+    """*binding* extended by the ``=`` atoms, or ``None`` when one fails.
+
+    An equality with one side unbound binds it to the other side; one
+    between two unbound variables binds neither.
+    """
+    binding = dict(binding)
+    pending = list(equalities)
+    while pending:
+        waiting = []
+        for item in pending:
+            left, right = (
+                binding.get(term) if isinstance(term, Variable) else term
+                for term in item.args
+            )
+            if left is None and right is None:
+                waiting.append(item)
+            elif left is None:
+                binding[item.args[0]] = right
+            elif right is None:
+                binding[item.args[1]] = left
+            elif left != right:
+                return None
+        if len(waiting) == len(pending):
+            break
+        pending = waiting
+    return binding
+
+
+def rule_violations(structure, theory):
+    """Yield every ``(rule, body match)`` of *theory* whose head fails
+    in *structure*, rule by rule.
+
+    The model check written out: each rule body is matched atom by
+    atom against the facts of its predicate, its ``=`` atoms applied
+    afterwards, and the head is searched for the same way with the
+    frontier fixed.  Facts are indexed by predicate only; no plan.
+    """
+    facts_by_pred = {}
+    for fact in structure.facts():
+        facts_by_pred.setdefault(fact.pred, []).append(fact)
+    for rule in theory.rules:
+        relational = [item for item in rule.body if not item.is_equality]
+        equalities = [item for item in rule.body if item.is_equality]
+        for match in _extensions(relational, facts_by_pred, {}):
+            binding = _with_equalities(equalities, match)
+            if binding is None:
+                continue
             frontier = {
-                var: value
-                for var, value in binding.items()
-                if var in rule.head_variables()
+                var: binding[var] for var in rule.frontier() if var in binding
             }
-            if not nested_loop_bindings(rule.head, structure, frontier):
-                return rule, binding
-    return None
+            if next(_extensions(rule.head, facts_by_pred, frontier), None) is None:
+                yield rule, binding
 
 
 def definitional_search(
@@ -95,7 +158,9 @@ def definitional_search(
         nodes += 1
         if forbidden is not None and nested_loop_bindings(forbidden.atoms, state):
             continue
-        trigger = _violated_trigger(state, theory)
+        # datalog rules hold in every saturated state: only existential
+        # triggers can be violated
+        trigger = next(rule_violations(state, theory), None)
         if trigger is None:
             return state, True
         rule, binding = trigger

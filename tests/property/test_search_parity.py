@@ -19,12 +19,11 @@ from unittest import mock
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.chase import is_model
 from repro.fc import SearchConfig, search_finite_model
 from repro.fc import search as search_module
 from repro.lf import Atom, Null, Structure, satisfies
 
-from ..oracles import definitional_search
+from ..oracles import definitional_search, rule_violations
 from .strategies import conjunctive_queries, structures, theories
 
 #: Small bounds keep each example cheap; exhaustiveness within these
@@ -46,7 +45,7 @@ def test_model_search_parity(database, theory):
     assert new.found == (model is not None)
     for found in (new.model, model):
         if found is not None:
-            assert is_model(found, theory)
+            assert list(rule_violations(found, theory)) == []
             assert found.contains_structure(database)
 
 
@@ -66,7 +65,7 @@ def test_forbidden_query_parity(database, theory, forbidden):
     assert new.found == (model is not None)
     for found in (new.model, model):
         if found is not None:
-            assert is_model(found, theory)
+            assert list(rule_violations(found, theory)) == []
             assert not satisfies(found, forbidden.boolean())
     # A completed exhaustive search is a proof; the engine and the
     # oracle must make the same claim when neither hit a budget.

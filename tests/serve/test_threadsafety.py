@@ -1,7 +1,8 @@
 """The thread-safety audit's regression battery.
 
-The server shares three process-wide caches across its worker pool:
-``PLAN_CACHE`` (compiled join plans), the ``cq_subsumes``
+The server shares four process-wide caches across its worker pool:
+``PLAN_CACHE`` (compiled join plans), each rule's compiled forms
+(``repro.chase.seminaive.rule_plans``), the ``cq_subsumes``
 normalise/freeze memos, and the ``enumerate_type_queries`` memo.  Each
 test here hammers one of them from N threads and asserts no corruption
 and agreement with a single-threaded reference — exactly the
@@ -20,6 +21,7 @@ import threading
 
 import pytest
 
+from repro.chase import violations
 from repro.coloring import conservativity_report, natural_coloring
 from repro.lf import Null, parse_query, parse_structure, parse_theory
 from repro.lf.plan import PLAN_CACHE, clear_plan_cache, plan_for
@@ -29,6 +31,8 @@ from repro.ptypes.bruteforce import clear_type_query_cache, enumerate_type_queri
 from repro.rewriting.subsume import clear_subsume_cache, cq_subsumes
 from repro.skeleton import skeleton
 from repro.zoo import example1_database, example1_theory
+
+from ..oracles import rule_violations
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -159,6 +163,42 @@ class TestSubsumeMemo:
                 assert cq_subsumes(b, a) == expected
 
         hammer(worker)
+
+
+class TestRulePlans:
+    def test_first_use_of_a_rule_from_many_threads(self):
+        # each round's rule is new to the process, so the threads race
+        # to fetch its body and head plans on their first use
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            for round_index in range(ROUNDS):
+                theory = parse_theory(
+                    f"T{round_index}(x,y) -> exists z. "
+                    f"R{round_index}(y,z), S{round_index}(z,x)"
+                )
+                structure = parse_structure("\n".join(
+                    f"T{round_index}(n{i},n{i + 1})\nR{round_index}(n{i + 1},m{i})"
+                    f"\nS{round_index}(m{i},n{i - i % 2})"
+                    for i in range(12)
+                ))
+                expected = {
+                    (rule, frozenset(binding.items()))
+                    for rule, binding in rule_violations(structure, theory)
+                }
+                assert expected  # the odd i lack a witness
+                outputs = [None] * THREADS
+
+                def worker(index):
+                    outputs[index] = {
+                        (rule, frozenset(binding.items()))
+                        for rule, binding in violations(structure, theory, limit=10**6)
+                    }
+
+                hammer(worker)
+                assert all(found == expected for found in outputs)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestTypeQueryMemo:

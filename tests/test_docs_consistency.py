@@ -1,16 +1,15 @@
 """Documentation consistency: the docs must not drift from the code.
 
 Parses DESIGN.md, EXPERIMENTS.md, README.md and docs/paper_map.md for
-references to modules, functions, benchmark files and example scripts,
-and checks that each one actually exists.  Cheap insurance against the
-most common open-source rot.
+references to modules, functions, private names, benchmark files and
+example scripts, and checks that each one actually exists.  Cheap
+insurance against the most common open-source rot.
 """
 
+import ast
 import importlib
 import re
 from pathlib import Path
-
-import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,6 +23,7 @@ DOCS = [
 _MODULE_REF = re.compile(r"`(repro(?:\.[a-z_0-9]+)+)(?:\.([A-Za-z_][A-Za-z_0-9]*))?`")
 _BENCH_REF = re.compile(r"bench_[a-z0-9_]+\.py")
 _EXAMPLE_REF = re.compile(r"`([a-z_]+\.py)`")
+_PRIVATE_REF = re.compile(r"`(_[A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)`")
 
 
 def _doc_text():
@@ -60,6 +60,35 @@ class TestModuleReferences:
                     f"{dotted}.{attribute} referenced in docs"
                 )
         assert seen, "no module references found — regex broken?"
+
+
+def _defined_names():
+    """Every function, class and assigned name in src/ and tests/."""
+    names = set()
+    for folder in ("src", "tests"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    names.add(node.name)
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+class TestPrivateNameReferences:
+    def test_referenced_private_names_are_defined(self):
+        # a private name has no import path to check, so each part of
+        # a backticked `_name` or `_Class.method` must be defined in
+        # src/ or tests/ (a deleted helper otherwise lingers in docs)
+        referenced = set(_PRIVATE_REF.findall(_doc_text()))
+        assert referenced, "no private names found — regex broken?"
+        defined = _defined_names()
+        missing = {
+            name for name in referenced
+            if any(part not in defined for part in name.split("."))
+        }
+        assert not missing, f"docs cite undefined private names: {sorted(missing)}"
 
 
 class TestBenchmarkReferences:
