@@ -63,10 +63,10 @@ def test_streaming_churn_incremental(benchmark, delta_size, churn):
     """Streaming churn: maintain a TC view under insert/retract batches.
 
     The workload the incremental view exists for — small deltas against
-    a large settled fixpoint.  The same stream feeds the smoke
-    benchmark's incremental-vs-rechase comparison (BENCH_incr.json);
-    the dials cover single-op and batched deltas plus a pure-insert
-    stream.
+    a large settled fixpoint.  Tier-1 holds the view to a third of a
+    per-batch rechase's matcher work on a stream of the same kind
+    (``tests/chase/test_view.py``); the dials here cover single-op and
+    batched deltas plus a pure-insert stream.
     """
     from repro.chase import ChaseView, IncrementalConfig
     from repro.zoo import churn_stream

@@ -1,6 +1,6 @@
 """P06 — finite-model search throughput.
 
-The three workloads of the ``BENCH_fc`` scoreboard at bench sizes:
+Three workloads:
 
 * the Section 5.5 exhaustive sweep (no model avoids the query, so the
   whole bounded space is visited — the per-node cost of incremental

@@ -2,7 +2,7 @@
 
 Random linear theories (always BDD-friendly shapes) with growing rule
 counts; the UCQ closure and the κ profile; and the extended Theorem-2
-corpus's stress entry, the workload of ``BENCH_rewrite.json``.
+corpus's stress entry.
 """
 
 import pytest

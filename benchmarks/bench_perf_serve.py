@@ -7,9 +7,10 @@ subsumption memo, and finished rewritings all persist between
 requests.  The ``cold`` mode simulates one-shot CLI economics inside
 the same transport: a fresh tenant per request and the process-wide
 caches cleared, so every request pays parse + plan-compile + full
-rewriting again.  The smoke scoreboard (``BENCH_serve.json``, bar:
-warm >= 3x cold on the corpus mix with p99 under the SLA) reports the
-same contrast without pytest-benchmark.
+rewriting again.  The contrast is reported, not gated: tier-1 checks
+what the warm session reuses (``tests/serve/test_server.py``,
+``TestWarmState``), and CI's serve smoke job holds the warm p99 under
+the SLA.
 """
 
 import itertools

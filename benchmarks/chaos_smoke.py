@@ -10,7 +10,9 @@ in-process test harness can fake), then:
    ``error`` + ``retry_after_ms``), at least some of the burst was shed
    (the server was actually overloaded), and the p99 latency of the
    *accepted* requests stays under the SLA — load shedding is the
-   mechanism, bounded latency is the point;
+   mechanism, bounded latency is the point.  With 100 accepted
+   requests or fewer (59–61 of 300 in three runs on a 2-CPU host),
+   that p99 is the slowest accepted request;
 2. samples ``/proc/<pid>/status`` VmRSS throughout and checks the peak
    stays under a hard ceiling — bounded queues mean bounded memory, no
    matter how hard the burst pushes;

@@ -183,16 +183,18 @@ def parse_query(
     if any(item.is_equality for item in atoms):
         unsafe = _unsafe_free_variable(atoms, free_vars)
         if unsafe is not None:
-            raise ParseError(
-                f"unsafe free variable {unsafe}: it occurs in no relational "
-                f"atom, and no equality links it to a constant or to a "
-                f"variable of one",
-                text,
-            )
+            raise ParseError(f"unsafe free variable {unsafe}: {_UNSAFE}", text)
     try:
         return ConjunctiveQuery(atoms, free_vars)
     except ValueError as error:
         raise ParseError(str(error), text) from None
+
+
+#: Why :func:`_unsafe_free_variable` rejected a variable.
+_UNSAFE = (
+    "it occurs in no relational atom, and no equality links it to a "
+    "constant or to a variable of one"
+)
 
 
 def _unsafe_free_variable(
@@ -234,7 +236,8 @@ def parse_rule(text: str, constants: Iterable[str] = (), label: str = "") -> Rul
     An explicit ``exists`` prefix on the head is optional; when present
     it must name exactly the head variables that are absent from the
     body (otherwise a :class:`ParseError` is raised, which catches the
-    common typo of an unsafe variable).
+    common typo of an unsafe variable).  A frontier variable that no
+    body match could give a value is a :class:`ParseError` too.
     """
     tokens = _Tokens(text)
     fixed = set(constants)
@@ -258,6 +261,10 @@ def parse_rule(text: str, constants: Iterable[str] = (), label: str = "") -> Rul
     if not tokens.exhausted:
         raise ParseError("trailing input after rule", text, tokens.peek()[2])
     parsed = Rule(body, head, label)
+    if any(item.is_equality for item in body):
+        unsafe = _unsafe_free_variable(body, tuple(sorted(parsed.frontier())))
+        if unsafe is not None:
+            raise ParseError(f"unsafe frontier variable {unsafe}: {_UNSAFE}", text)
     if declared is not None:
         actual = {v.name for v in parsed.existential_variables()}
         if actual != set(declared):

@@ -36,9 +36,10 @@ The engines interact with the layer through one object:
 is called at every checkpoint.  When the config carries no deadline,
 ceiling, or token — and no fault injector is installed — the factory
 returns the shared :data:`NULL_GUARD`, whose ``check`` is a constant
-no-op, so unguarded runs pay one attribute load per checkpoint (the
-``BENCH_guard.json`` stage of ``benchmarks/run_smoke.py`` holds the
-guarded/unguarded gap under 2%).
+no-op, so unguarded runs pay one attribute load per checkpoint.  An
+active guard that never trips changes no result and no work counter
+(``tests/runtime/test_engine_guards.py``); what it costs in time has
+no gate.
 
 Deterministic fault injection for tests lives in
 :mod:`repro.testing.faults`; it installs itself through

@@ -7,7 +7,7 @@ reproducible run to run.
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..lf.atoms import Atom, atom
 from ..lf.rules import Rule, Theory
@@ -176,7 +176,6 @@ def churn_stream(
     churn: float = 0.5,
     pred: str = "E",
     seed: int = 0,
-    protected: "Optional[Iterable[Atom]]" = None,
 ) -> "List[Tuple[List[Atom], List[Atom]]]":
     """A deterministic streaming-update workload over *database*.
 
@@ -188,13 +187,8 @@ def churn_stream(
     batch is applicable in order — both to a
     :class:`~repro.chase.view.ChaseView` and to a from-scratch rechase.
 
-    *protected* facts are never retracted — how the streaming
-    benchmarks keep a structural core (e.g. the successor cycle that
-    keeps a growth theory's restricted chase saturating) stable while
-    everything else churns.
-
     The stream is a pure function of its arguments (fixed *seed*),
-    which is what lets the smoke benchmark compare incremental
+    which is what lets a test or a benchmark compare incremental
     maintenance against full rechase on identical inputs.
     """
     rng = random.Random(seed)
@@ -204,14 +198,13 @@ def churn_stream(
     )
     if not elements:
         raise ValueError("churn_stream needs a database with constants")
-    immune = frozenset(protected or ())
     live = set(database.facts())
     stream: "List[Tuple[List[Atom], List[Atom]]]" = []
     for _ in range(batches):
         adds: List[Atom] = []
         removes: List[Atom] = []
         for _ in range(delta_size):
-            removable = sorted(live - set(removes) - immune, key=str)
+            removable = sorted(live - set(removes), key=str)
             if removable and rng.random() < churn:
                 victim = removable[rng.randrange(len(removable))]
                 removes.append(victim)

@@ -210,7 +210,8 @@ def theorem2_corpus(
     random linear theory whose 4-cycle query saturates only after a
     600+-disjunct frontier.  It satisfies every corpus invariant but
     is far too heavy for the per-entry pipeline tests, so only the
-    rewriting benchmarks (``BENCH_rewrite.json``) opt in.
+    rewriting benchmark (``benchmarks/bench_perf_rewriting.py``) opts
+    in.
     """
     corpus: List[Tuple[str, Theory, Structure, ConjunctiveQuery]] = []
     corpus.append(

@@ -256,6 +256,15 @@ class TestModelChecking:
         )
         assert len(violations(big, theory, limit=7)) == 7
 
+    def test_body_equality_binds_a_frontier_variable(self):
+        theory = parse_theory("E(u,v), x = u -> exists z. R(x,z)")
+        result = chase(parse_structure("E(a,b)"), theory, max_depth=2)
+        assert result.saturated
+        (witness,) = result.new_elements
+        assert atom("R", a, witness) in result.structure
+        assert is_model(result.structure, theory)
+        assert not is_model(parse_structure("E(a,b), R(b,c)"), theory)
+
     def test_saturated_chase_is_model(self):
         theory = parse_theory(
             """

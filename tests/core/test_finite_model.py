@@ -4,7 +4,7 @@ import pytest
 
 import repro.core.finite_model as pipeline
 from repro.coloring.conservativity import ConservativityReport
-from repro.lf import parse_query, parse_structure, parse_theory, satisfies
+from repro.lf import parse_query, parse_structure, parse_theory
 from repro.core import (
     PipelineConfig,
     build_finite_counter_model,
@@ -12,7 +12,7 @@ from repro.core import (
 )
 from repro.errors import NotBinaryError
 
-from ..oracles import rule_violations
+from ..oracles import query_holds, rule_violations
 
 EXAMPLE1 = parse_theory(
     """
@@ -38,7 +38,7 @@ def assert_counter_model(result, theory, database, query):
     # explicit re-checks, belt and braces:
     assert result.model.contains_structure(database)
     assert list(rule_violations(result.model, theory)) == []
-    assert not satisfies(result.model, query.boolean())
+    assert not query_holds(result.model, query)
 
 
 class TestPipeline:

@@ -4,9 +4,9 @@ import pytest
 
 from repro.core import PipelineConfig, build_finite_counter_model, prepare
 from repro.errors import NotBinaryError
-from repro.lf import parse_query, parse_structure, parse_theory, satisfies
+from repro.lf import parse_query, parse_structure, parse_theory
 
-from ..oracles import rule_violations
+from ..oracles import query_holds, rule_violations
 
 TERNARY_F1 = parse_theory(
     """
@@ -53,7 +53,7 @@ class TestTheorem3Pipeline:
         assert result.model is not None, result.attempts
         assert result.model.contains_structure(DB)
         assert list(rule_violations(result.model, TERNARY_F1)) == []
-        assert not satisfies(result.model, query.boolean())
+        assert not query_holds(result.model, query)
 
     def test_certain_ternary_query_detected(self):
         query = parse_query("T('c', u, w)")

@@ -11,7 +11,7 @@ from repro.fc import (
 )
 from repro.zoo import section55_database, section55_query, section55_theory
 
-from ..oracles import rule_violations
+from ..oracles import query_holds, rule_violations
 
 LINEAR = parse_theory("E(x,y) -> exists z. E(y,z)")
 DB = parse_structure("E(a,b)")
@@ -30,7 +30,7 @@ class TestBasicSearch:
         loop = parse_query("E(x,x)")
         outcome = search_finite_model(DB, LINEAR, forbidden=loop, max_elements=5)
         assert outcome.found
-        assert not satisfies(outcome.model, loop)
+        assert not query_holds(outcome.model, loop)
         assert list(rule_violations(outcome.model, LINEAR)) == []
 
     def test_datalog_saturation_inside_search(self):
@@ -67,7 +67,7 @@ class TestBasicSearch:
 
     def test_find_counter_model_positive(self):
         model = find_counter_model(DB, LINEAR, parse_query("E(x,x)"), max_elements=5)
-        assert not satisfies(model, parse_query("E(x,x)"))
+        assert not query_holds(model, parse_query("E(x,x)"))
 
 
 class TestSection55:
@@ -115,4 +115,4 @@ class TestCrossCheckWithPipeline:
         for model in (pipeline_result.model, searched):
             assert list(rule_violations(model, LINEAR)) == []
             assert model.contains_structure(DB)
-            assert not satisfies(model, query)
+            assert not query_holds(model, query)

@@ -18,7 +18,6 @@ from repro.lf import (
     parse_query,
     parse_structure,
     parse_theory,
-    satisfies,
 )
 from repro.fc import (
     SEARCH_TIMING_FIELDS,
@@ -31,7 +30,7 @@ from repro.fc import (
 from repro.fc import search as search_module
 from repro.zoo import section55_database, section55_query, section55_theory
 
-from ..oracles import definitional_search, rule_violations
+from ..oracles import definitional_search, query_holds, rule_violations
 
 LINEAR = parse_theory("E(x,y) -> exists z. E(y,z)")
 DB = parse_structure("E(a,b)")
@@ -371,7 +370,7 @@ class TestLegacyParity:
                 assert list(rule_violations(found, theory)) == []
                 assert found.contains_structure(db)
                 if forbidden is not None:
-                    assert not satisfies(found, forbidden)
+                    assert not query_holds(found, forbidden)
 
     def test_section55_parity(self):
         theory, database = section55_theory(), section55_database()

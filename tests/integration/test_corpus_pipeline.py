@@ -5,11 +5,10 @@ import pytest
 
 from repro.core import build_finite_counter_model, certify_counter_model
 from repro.fc import search_finite_model
-from repro.lf import satisfies
 from repro.rewriting import RewriteConfig, answer_by_rewriting
 from repro.zoo import theorem2_corpus
 
-from ..oracles import rule_violations
+from ..oracles import query_holds, rule_violations
 
 CORPUS = theorem2_corpus()
 IDS = [name for name, *_ in CORPUS]
@@ -31,7 +30,7 @@ class TestCorpus:
         # it does, the model must verify like the pipeline's
         if outcome.found:
             assert list(rule_violations(outcome.model, theory)) == []
-            assert not satisfies(outcome.model, query.boolean())
+            assert not query_holds(outcome.model, query)
 
     def test_rewriting_confirms_not_certain(self, name, theory, database, query):
         config = RewriteConfig(max_steps=5_000, max_queries=500)

@@ -87,6 +87,20 @@ class TestRules:
         with pytest.raises(ParseError):
             parse_rule("E(x,y) E(y,z)")
 
+    def test_unsafe_frontier_variable_is_named(self):
+        # x reaches the head, but only an equality with the unbound y
+        # mentions it: no body match gives it a value
+        with pytest.raises(ParseError, match="unsafe frontier variable x"):
+            parse_rule("E(u,v), x = y -> exists z. R(x,z)")
+        with pytest.raises(ParseError, match="line 2: unsafe frontier"):
+            parse_theory("E(x,y) -> E(y,x)\nE(u,v), x = y -> exists z. R(x,z)")
+
+    def test_frontier_variable_anchored_by_equality(self):
+        r = parse_rule("E(u,v), x = u -> exists z. R(x,z)")
+        assert r.frontier() == {x}
+        r = parse_rule("E(u,v), x = 'a' -> R(x,v)")
+        assert r.frontier() == {x, Variable("v")}
+
 
 class TestTheories:
     def test_comments_and_blanks_skipped(self):

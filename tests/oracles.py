@@ -9,7 +9,8 @@ stats.  The chase stays the rewriting engine's semantic reference
 engine's own round with every body enumerated in full, the reference
 for the engine's delta rounds.  :func:`rule_violations`, the model
 check that tier-1 applies to every model an engine builds, groups the
-facts by predicate and nothing more.
+facts by predicate and nothing more; so does :func:`query_holds`, the
+check that such a model avoids its query.
 """
 
 import itertools
@@ -105,6 +106,32 @@ def _with_equalities(equalities, binding):
     return binding
 
 
+def _facts_by_pred(structure):
+    """The facts of *structure* grouped by predicate, the only index
+    the planner-free checks use."""
+    facts_by_pred = {}
+    for fact in structure.facts():
+        facts_by_pred.setdefault(fact.pred, []).append(fact)
+    return facts_by_pred
+
+
+def query_holds(structure, query):
+    """Whether *structure* satisfies the conjunctive *query*, every
+    variable read as existential (``M ⊨ Q``).
+
+    The query check written out: the relational atoms are matched atom
+    by atom against the facts of their predicate and the ``=`` atoms
+    applied to each match, as :func:`rule_violations` matches a rule
+    body.  No plan.
+    """
+    relational = [item for item in query.atoms if not item.is_equality]
+    equalities = [item for item in query.atoms if item.is_equality]
+    return any(
+        _with_equalities(equalities, match) is not None
+        for match in _extensions(relational, _facts_by_pred(structure), {})
+    )
+
+
 def rule_violations(structure, theory):
     """Yield every ``(rule, body match)`` of *theory* whose head fails
     in *structure*, rule by rule.
@@ -114,9 +141,7 @@ def rule_violations(structure, theory):
     afterwards, and the head is searched for the same way with the
     frontier fixed.  Facts are indexed by predicate only; no plan.
     """
-    facts_by_pred = {}
-    for fact in structure.facts():
-        facts_by_pred.setdefault(fact.pred, []).append(fact)
+    facts_by_pred = _facts_by_pred(structure)
     for rule in theory.rules:
         relational = [item for item in rule.body if not item.is_equality]
         equalities = [item for item in rule.body if item.is_equality]

@@ -4,11 +4,12 @@
 check, the one the chase's existential suppression and the finite-model
 search run too.  ``tests/oracles.py::rule_violations`` matches atom by
 atom over the facts grouped by predicate.  Both must report the same
-``(rule, body match)`` pairs.
+``(rule, body match)`` pairs.  In the same way ``satisfies``, which
+runs on the planner, must agree with ``tests/oracles.py::query_holds``.
 
 The drawn theories hold only single-head rules whose existential head
-is ``P(frontier, zFresh)``, so the rule shapes they never produce are
-fixed cases here.
+is ``P(frontier, zFresh)``, and the drawn queries hold no ``=`` atom,
+so the shapes they never produce are fixed cases here.
 """
 
 from collections import Counter
@@ -17,10 +18,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.chase import chase, is_model, violations
-from repro.lf import Constant, atom, parse_structure, parse_theory
+from repro.lf import (
+    Constant,
+    atom,
+    parse_query,
+    parse_structure,
+    parse_theory,
+    satisfies,
+)
 
-from ..oracles import rule_violations
-from .strategies import structures, theories
+from ..oracles import query_holds, rule_violations
+from .strategies import conjunctive_queries, structures, theories
 
 RELAXED = settings(
     max_examples=60, suppress_health_check=[HealthCheck.too_slow], deadline=None
@@ -80,3 +88,37 @@ def test_joint_witness_is_invented_once():
     assert atom("R", b, witness) in result.structure
     assert atom("S", witness, a) in result.structure
     assert list(rule_violations(result.structure, theory)) == []
+
+
+#: (query, structure, whether the query holds).
+QUERY_CASES = [
+    # an equality between variables of two relational atoms
+    ("E(x,y), R(z,w), y = z", "E(a,b), R(b,c)", True),
+    ("E(x,y), R(z,w), y = z", "E(a,b), R(c,b)", False),
+    # an equality with a constant
+    ("E(x,y), y = 'b'", "E(a,b)", True),
+    ("E(x,y), y = 'c'", "E(a,b)", False),
+    # a chain of equalities through a variable no relational atom binds
+    ("E(x,y), y = u, u = 'b'", "E(a,b)", True),
+    ("E(x,y), y = u, u = 'c'", "E(a,b)", False),
+    # a constant that reaches a variable of a relational atom through
+    # a variable no relational atom binds
+    ("E(x,y), u = 'a', u = y", "E(a,b), E(a,a)", True),
+    ("E(x,y), u = 'a', u = y", "E(a,b)", False),
+    # an equality between two constants
+    ("E(x,y), 'a' = 'b'", "E(a,b)", False),
+]
+
+
+@RELAXED
+@given(structures(max_facts=10), conjunctive_queries())
+def test_query_holds_matches_satisfies(structure, query):
+    assert query_holds(structure, query) == satisfies(structure, query)
+
+
+@pytest.mark.parametrize("query_text, structure_text, holds", QUERY_CASES)
+def test_fixed_query_shapes(query_text, structure_text, holds):
+    query = parse_query(query_text)
+    structure = parse_structure(structure_text)
+    assert query_holds(structure, query) is holds
+    assert satisfies(structure, query) is holds

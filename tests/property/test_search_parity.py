@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 
 from repro.fc import SearchConfig, search_finite_model
 from repro.fc import search as search_module
-from repro.lf import Atom, Null, Structure, satisfies
+from repro.lf import Atom, Null, Structure
 
-from ..oracles import definitional_search, rule_violations
+from ..oracles import definitional_search, query_holds, rule_violations
 from .strategies import conjunctive_queries, structures, theories
 
 #: Small bounds keep each example cheap; exhaustiveness within these
@@ -66,7 +66,7 @@ def test_forbidden_query_parity(database, theory, forbidden):
     for found in (new.model, model):
         if found is not None:
             assert list(rule_violations(found, theory)) == []
-            assert not satisfies(found, forbidden.boolean())
+            assert not query_holds(found, forbidden)
     # A completed exhaustive search is a proof; the engine and the
     # oracle must make the same claim when neither hit a budget.
     if new.stats.exhausted and exhausted:

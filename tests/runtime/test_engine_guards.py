@@ -26,8 +26,15 @@ from repro.errors import Cancelled, DeadlineExceeded, MemoryBudgetExceeded
 from repro.fc import SearchConfig, search_finite_model
 from repro.lf import parse_query, parse_structure, parse_theory
 from repro.rewriting import RewriteConfig, rewrite
-from repro.runtime import GUARD_REASONS, StopReason
+from repro.runtime import GUARD_REASONS, NULL_GUARD, RuntimeGuard, StopReason
 from repro.testing import inject_fault
+from repro.zoo import (
+    chain_growth_theory,
+    random_edges_database,
+    section55_database,
+    section55_query,
+    section55_theory,
+)
 
 LINEAR = parse_theory("E(x,y) -> exists z. E(y,z)")
 SYMM = parse_theory("E(x,y) -> E(y,x)")
@@ -44,6 +51,11 @@ REASON_EXC = {
 guard_reasons = pytest.mark.parametrize(
     "reason", GUARD_REASONS, ids=[r.value for r in GUARD_REASONS]
 )
+
+
+#: Budgets no run here comes near: the guard is active, so every
+#: checkpoint pays its deadline check and RSS poll, but it never stops.
+NEVER_TRIPS = {"wall_ms": 3_600_000, "max_rss_mb": 1_000_000}
 
 
 def edge_query():
@@ -260,3 +272,40 @@ class TestPipeline:
         clean = build_finite_counter_model(LINEAR, DB, Q_LOOP)
         assert clean.model is not None
         assert clean.stopped_reason is StopReason.FIXPOINT
+
+
+class TestActiveGuardChangesNothing:
+    """A guard that never trips costs checks, never results: the same
+    run under :data:`NULL_GUARD` (no guard field set) gives the same
+    answer and the same work counters."""
+
+    def test_chase(self):
+        theory = chain_growth_theory(3)
+        database = random_edges_database(4, 6, predicates=("P0",), seed=7)
+        guarded_config = ChaseConfig(max_depth=20, **NEVER_TRIPS)
+        plain_config = ChaseConfig(max_depth=20)
+        assert RuntimeGuard.from_config(guarded_config, "chase") is not NULL_GUARD
+        assert RuntimeGuard.from_config(plain_config, "chase") is NULL_GUARD
+        guarded = chase(database, theory, guarded_config)
+        plain = chase(database, theory, plain_config)
+        assert guarded.depth == plain.depth == 20
+        assert guarded.stopped_reason is plain.stopped_reason is StopReason.BUDGET
+        assert guarded.structure.facts() == plain.structure.facts()
+        assert guarded.stats.as_dict(timings=False) == plain.stats.as_dict(
+            timings=False
+        )
+
+    def test_search(self):
+        def run(**guard):
+            return search_finite_model(
+                section55_database(), section55_theory(),
+                forbidden=section55_query(),
+                config=SearchConfig(max_elements=10, **guard),
+            )
+
+        guarded, plain = run(**NEVER_TRIPS), run()
+        assert not guarded.found and not plain.found
+        assert guarded.stopped_reason is plain.stopped_reason is StopReason.FIXPOINT
+        assert guarded.stats.as_dict(timings=False) == plain.stats.as_dict(
+            timings=False
+        )

@@ -108,6 +108,14 @@ class TestEnvelope:
         assert response["exit_code"] == 1
         assert "unsafe free variable x" in response["error"]
 
+    def test_unsafe_frontier_variable_is_named(self, client):
+        response = client.request("chase",
+                                  theory="E(u,v), x = y -> exists z. R(x,z)",
+                                  database=DB, params={"depth": 2})
+        assert response["status"] == "error"
+        assert response["exit_code"] == 1
+        assert "unsafe frontier variable x" in response["error"]
+
     def test_pipelined_responses_tagged(self, client):
         first = client.submit("chase", theory=LINEAR, database=DB,
                               params={"depth": 2})
@@ -153,9 +161,12 @@ class TestWarmState:
         for _ in range(3):
             client.request("chase", theory=LINEAR, database=DB,
                            tenant=tenant, params={"depth": 2})
+            client.request("certain", theory=LINEAR, database=DB,
+                           query="E(x,x)", tenant=tenant, params={"depth": 2})
         stats = client.request("stats")["registry"]["tenants"][tenant]
-        assert stats["parse_misses"] == 2  # one theory + one database
-        assert stats["parse_hits"] >= 4
+        # one theory, one database and one query text
+        assert stats["parse_misses"] == 3
+        assert stats["parse_hits"] == 12
 
     def test_session_close(self, client):
         client.request("ping", tenant="ephemeral")

@@ -2,8 +2,10 @@
 
 Parses DESIGN.md, EXPERIMENTS.md, README.md and docs/paper_map.md for
 references to modules, functions, private names, benchmark files and
-example scripts, and checks that each one actually exists.  Cheap
-insurance against the most common open-source rot.
+example scripts, and checks that each one actually exists.  The
+verification notes (``.claude/skills/verify/SKILL.md``) are checked for
+benchmark paths too.  Cheap insurance against the most common
+open-source rot.
 """
 
 import ast
@@ -20,8 +22,15 @@ DOCS = [
     ROOT / "docs" / "paper_map.md",
 ]
 
+#: Verification notes that cite benchmark scripts and files.
+NOTES = [ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
+
 _MODULE_REF = re.compile(r"`(repro(?:\.[a-z_0-9]+)+)(?:\.([A-Za-z_][A-Za-z_0-9]*))?`")
 _BENCH_REF = re.compile(r"bench_[a-z0-9_]+\.py")
+#: ``benchmarks/<script>.py``, and ``BENCH_<name>.json`` or the brace
+#: form ``BENCH_{a,b}.json``.
+_SCRIPT_REF = re.compile(r"benchmarks/[A-Za-z0-9_]+\.py")
+_SCOREBOARD_REF = re.compile(r"BENCH_(\w+|\{[\w,]+\})\.json")
 _EXAMPLE_REF = re.compile(r"`([a-z_]+\.py)`")
 _PRIVATE_REF = re.compile(r"`(_[A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)`")
 
@@ -98,6 +107,16 @@ class TestBenchmarkReferences:
         assert names
         for name in names:
             assert (ROOT / "benchmarks" / name).exists(), name
+
+    def test_cited_benchmark_paths_exist(self):
+        # a deleted script or scoreboard must not linger in the docs
+        text = "\n".join(path.read_text() for path in DOCS + NOTES if path.exists())
+        cited = set(_SCRIPT_REF.findall(text))
+        for stems in _SCOREBOARD_REF.findall(text):
+            cited.update(f"BENCH_{stem}.json" for stem in stems.strip("{}").split(","))
+        assert any(path.startswith("benchmarks/") for path in cited)
+        missing = sorted(path for path in cited if not (ROOT / path).exists())
+        assert not missing, f"docs cite missing files: {missing}"
 
     def test_every_bench_file_is_documented(self):
         text = _doc_text()
