@@ -11,10 +11,16 @@ Given a binary theory T₀, a database D, and a conjunctive query Q with
     first-order rewriting of any rule body (Section 3.3; the one place
     BDD is used);
 4.  take a natural coloring S̄ of S for size κ; for each η in turn,
-    build ``M_η(S̄)`` and strip the colors;
+    build ``M_η(S̄)`` and strip the colors.  The η attempts of one
+    depth share their type work: the ``≡_κ`` partition is built from
+    scratch, and each later ``≡_η`` partition is refined from the one
+    before it (Lemma 1: ``≡_{η+1}`` refines ``≡_η``), with the same
+    classes in the same order; one canonical-form table serves the
+    whole call;
 5.  saturate under T with the **new-element embargo** — Lemma 5 says no
     existential witness is ever missing; a violation means the
-    truncation/η were too small and the pipeline retries larger;
+    truncation/η were too small and the pipeline retries larger (the
+    next η still refines the rejected attempt's partition);
 6.  check that S̄ is η-conservative up to κ (Lemma 2).  An attempt must
     pass steps 5 and 6 both, so their order decides nothing but the
     cost: the saturation is cheaper and rejects most failing attempts,
@@ -239,6 +245,9 @@ def build_finite_counter_model(
             "cancel_token": config.cancel_token,
         }
 
+    # One canonical-form table for the whole call: forms do not depend
+    # on the structure, and the depths meet mostly the same queries.
+    forms: Dict[ConjunctiveQuery, ConjunctiveQuery] = {}
     for depth in config.chase_depths:
         reason = guard.check()
         if reason is not None:
@@ -276,6 +285,9 @@ def build_finite_counter_model(
 
         colored = natural_coloring(skel.structure, kappa)
         gap = _level_gap(skel.structure)
+        # The last partition built at this depth: by Lemma 1 the next
+        # one refines it, and its interior (a larger margin) is smaller.
+        coarser: "Optional[TypePartition]" = None
         for eta in range(kappa, kappa + ETA_EXTRA + 1):
             reason = guard.check()
             if reason is not None:
@@ -288,8 +300,15 @@ def build_finite_counter_model(
                     f"({len(interior)} elements)"
                 )
                 continue
-            partition = TypePartition(colored.structure, eta, elements=interior)
+            partition = TypePartition(
+                colored.structure,
+                eta,
+                elements=interior,
+                forms=forms,
+                coarser=coarser,
+            )
             quotiented = quotient(colored.structure, eta, partition=partition)
+            coarser = partition
             candidate = _strip_colors(
                 quotiented.structure, colored.base_relations
             )

@@ -13,7 +13,7 @@ that the paper allows inside positive types (Definition 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .terms import Constant, Element, Null, Term, Variable, is_ground
 
@@ -134,6 +134,46 @@ def atoms_variables(atoms: Iterable[Atom]) -> "frozenset[Variable]":
     for item in atoms:
         seen.update(item.variables())
     return frozenset(seen)
+
+
+#: Why :func:`unsafe_free_variable` rejected a variable.
+UNSAFE_REASON = (
+    "it occurs in no relational atom, and no equality links it to a "
+    "constant or to a variable of one"
+)
+
+
+def unsafe_free_variable(
+    atoms: Sequence[Atom], free: Iterable[Variable]
+) -> "Optional[Variable]":
+    """The first of *free* that no match of *atoms* gives a value.
+
+    A free variable has one when it occurs in a relational atom, or a
+    chain of equality atoms links it to a constant or to a variable of
+    a relational atom.
+    """
+    parent: Dict[Term, Term] = {}
+
+    def root(term: Term) -> Term:
+        while term in parent:
+            term = parent[term]
+        return term
+
+    for item in atoms:
+        if item.is_equality:
+            left, right = (root(arg) for arg in item.args)
+            if left != right:
+                parent[left] = right
+    anchored = {
+        root(arg)
+        for item in atoms
+        for arg in item.args
+        if not item.is_equality or isinstance(arg, Constant)
+    }
+    for var in free:
+        if root(var) not in anchored:
+            return var
+    return None
 
 
 def atoms_constants(atoms: Iterable[Atom]) -> "frozenset[Constant]":

@@ -267,8 +267,10 @@ def connected_subsets_containing(
     max_size: int,
     relation_names: "Optional[Iterable[str]]" = None,
     index: "Optional[Incidence]" = None,
+    min_size: int = 1,
 ) -> "Iterable[FrozenSet[Element]]":
-    """Connected subsets of the non-constant elements containing *anchor*.
+    """Connected subsets of the non-constant elements containing *anchor*,
+    of *min_size* to *max_size* elements.
 
     Two non-constant elements are adjacent when they co-occur in a fact
     (of an allowed relation); constants never connect anything — in a
@@ -281,7 +283,8 @@ def connected_subsets_containing(
     through neighbours of its members, and elements already *declined*
     at an earlier branch are excluded, so each subset appears once.
     Adjacency is read from *index* (built for the same
-    *relation_names*; one is built here when it is omitted).
+    *relation_names*; one is built here when it is omitted).  Subsets
+    below *min_size* are still walked through, but not yielded.
     """
     neighbours = Incidence.of(structure, relation_names, index).neighbours
 
@@ -301,7 +304,8 @@ def connected_subsets_containing(
         return sorted(found, key=str)
 
     def walk(remaining: int):
-        yield frozenset(chosen)
+        if len(chosen) >= min_size:
+            yield frozenset(chosen)
         if remaining == 0:
             return
         candidates = frontier()

@@ -28,10 +28,10 @@ of the first offending token.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ParseError
-from .atoms import Atom
+from .atoms import UNSAFE_REASON, Atom, atoms_variables, unsafe_free_variable
 from .queries import ConjunctiveQuery
 from .rules import Rule, Theory
 from .signature import Signature
@@ -181,53 +181,13 @@ def parse_query(
         raise ParseError("trailing input after query", text, tokens.peek()[2])
     free_vars = tuple(Variable(name) for name in free)
     if any(item.is_equality for item in atoms):
-        unsafe = _unsafe_free_variable(atoms, free_vars)
+        unsafe = unsafe_free_variable(atoms, free_vars)
         if unsafe is not None:
-            raise ParseError(f"unsafe free variable {unsafe}: {_UNSAFE}", text)
+            raise ParseError(f"unsafe free variable {unsafe}: {UNSAFE_REASON}", text)
     try:
         return ConjunctiveQuery(atoms, free_vars)
     except ValueError as error:
         raise ParseError(str(error), text) from None
-
-
-#: Why :func:`_unsafe_free_variable` rejected a variable.
-_UNSAFE = (
-    "it occurs in no relational atom, and no equality links it to a "
-    "constant or to a variable of one"
-)
-
-
-def _unsafe_free_variable(
-    atoms: List[Atom], free: Tuple[Variable, ...]
-) -> "Optional[Variable]":
-    """The first of *free* that no match of *atoms* gives a value.
-
-    A free variable has one when it occurs in a relational atom, or a
-    chain of equality atoms links it to a constant or to a variable of
-    a relational atom.
-    """
-    parent: Dict[Term, Term] = {}
-
-    def root(term: Term) -> Term:
-        while term in parent:
-            term = parent[term]
-        return term
-
-    for item in atoms:
-        if item.is_equality:
-            left, right = (root(arg) for arg in item.args)
-            if left != right:
-                parent[left] = right
-    anchored = {
-        root(arg)
-        for item in atoms
-        for arg in item.args
-        if not item.is_equality or isinstance(arg, Constant)
-    }
-    for var in free:
-        if root(var) not in anchored:
-            return var
-    return None
 
 
 def parse_rule(text: str, constants: Iterable[str] = (), label: str = "") -> Rule:
@@ -260,11 +220,14 @@ def parse_rule(text: str, constants: Iterable[str] = (), label: str = "") -> Rul
     tokens.accept("punct", ".")
     if not tokens.exhausted:
         raise ParseError("trailing input after rule", text, tokens.peek()[2])
-    parsed = Rule(body, head, label)
     if any(item.is_equality for item in body):
-        unsafe = _unsafe_free_variable(body, tuple(sorted(parsed.frontier())))
+        frontier = sorted(atoms_variables(head) & atoms_variables(body))
+        unsafe = unsafe_free_variable(body, frontier)
         if unsafe is not None:
-            raise ParseError(f"unsafe frontier variable {unsafe}: {_UNSAFE}", text)
+            raise ParseError(
+                f"unsafe frontier variable {unsafe}: {UNSAFE_REASON}", text
+            )
+    parsed = Rule(body, head, label)
     if declared is not None:
         actual = {v.name for v in parsed.existential_variables()}
         if actual != set(declared):

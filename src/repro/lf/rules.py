@@ -19,7 +19,13 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import RuleError
-from .atoms import Atom, atoms_constants, atoms_variables
+from .atoms import (
+    UNSAFE_REASON,
+    Atom,
+    atoms_constants,
+    atoms_variables,
+    unsafe_free_variable,
+)
 from .queries import ConjunctiveQuery
 from .signature import Signature
 from .terms import Constant, Term, Variable
@@ -35,7 +41,9 @@ class Rule:
     Parameters
     ----------
     body:
-        The body atoms (must be non-empty; equality atoms allowed).
+        The body atoms (must be non-empty; equality atoms allowed, but a
+        frontier variable that no body match gives a value is a
+        :class:`~repro.errors.RuleError`).
     head:
         The head atoms (must be non-empty; usually a single atom).
     label:
@@ -55,6 +63,10 @@ class Rule:
         for item in self._head:
             if item.is_equality:
                 raise RuleError("equality atoms are not allowed in rule heads")
+        if any(item.is_equality for item in self._body):
+            unsafe = unsafe_free_variable(self._body, sorted(self.frontier()))
+            if unsafe is not None:
+                raise RuleError(f"unsafe frontier variable {unsafe}: {UNSAFE_REASON}")
         self._hash = hash((frozenset(self._body), frozenset(self._head)))
 
     # ------------------------------------------------------------------

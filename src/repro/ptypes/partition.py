@@ -6,16 +6,32 @@ expensive test per pair; :class:`TypePartition` makes it practical:
 
 * every element's canonical type generators are computed once and
   cached, all from one incidence index of the structure, so each
-  generator reads only the facts of its own subset, and each distinct
-  canonical query is put in canonical form once per partition;
+  generator reads only the facts of its own subset;
+* each distinct canonical query is put in canonical form once per
+  *forms* table — the Theorem-2 pipeline passes one table for its whole
+  call — and each form's ``str`` label, which orders the classes, is
+  computed once per chain of partitions;
 * elements are pre-grouped by a cheap invariant (their generator
   *set*, which over-refines nothing: equal types need not mean equal
   generator sets, so groups are then merged by the real ``≡_n`` test);
 * constants are singletons by Remark 1 and skip all tests.
+
+A partition built with ``coarser=`` (the partition of the same
+structure at a smaller m) reuses that partition's work, with the same
+classes in the same order as a partition built from scratch:
+
+* it shares the coarser partition's incidence index, and grows each
+  element's n-generators from its m-generators, so canonical queries
+  are built only for the connected subsets of ``m + 1`` to n elements;
+* by Lemma 1, ``≡_n`` refines ``≡_m``, so a class is merged only with
+  the classes of the same ``≡_m`` class, and two ``≡_m``-equal
+  elements already agree on every generator of at most m elements: the
+  ``≡_n`` test between them checks the grown generators only.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..lf.canonical import Incidence
@@ -45,6 +61,18 @@ class TypePartition:
         computed within the whole structure).  The Theorem-2 pipeline
         uses this to quotient only the *interior* of a depth-truncated
         skeleton, whose types provably agree with the infinite chase.
+    forms:
+        The canonical-form table (canonical query → its
+        :meth:`~repro.lf.queries.ConjunctiveQuery.canonical` form),
+        filled in as generators are built.  Forms do not depend on the
+        structure, so one table can serve every partition of a pass;
+        by default the coarser partition's table, else a new one.
+    coarser:
+        A partition of the same structure object over the same
+        relations, at a smaller n, whose elements include these.  Its
+        incidence index, generators, classes and form labels are reused
+        (see the module docstring); the result is unchanged.  Anything
+        else is a :class:`ValueError`.
     """
 
     def __init__(
@@ -53,6 +81,8 @@ class TypePartition:
         n: int,
         relation_names: "Optional[Iterable[str]]" = None,
         elements: "Optional[Iterable[Element]]" = None,
+        forms: "Optional[Dict[ConjunctiveQuery, ConjunctiveQuery]]" = None,
+        coarser: "Optional[TypePartition]" = None,
     ):
         self.structure = structure
         self.n = n
@@ -62,8 +92,18 @@ class TypePartition:
         self.elements = (
             frozenset(elements) if elements is not None else structure.domain()
         )
+        if coarser is not None:
+            _check_coarser(self, coarser)
+            if forms is None:
+                forms = coarser._forms
+        self._coarser = coarser
         self._index: "Optional[Incidence]" = None
-        self._forms: Dict[ConjunctiveQuery, ConjunctiveQuery] = {}
+        self._forms: Dict[ConjunctiveQuery, ConjunctiveQuery] = (
+            forms if forms is not None else {}
+        )
+        self._labels: Dict[ConjunctiveQuery, str] = (
+            coarser._labels if coarser is not None else {}
+        )
         self._generators: Dict[Element, Dict[ConjunctiveQuery, ConjunctiveQuery]] = {}
         self._classes: "Optional[List[FrozenSet[Element]]]" = None
         self._class_of: Dict[Element, int] = {}
@@ -71,31 +111,67 @@ class TypePartition:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _incidence(self) -> Incidence:
+        """The structure's incidence index, shared along the chain."""
+        if self._index is None:
+            if self._coarser is not None:
+                self._index = self._coarser._incidence()
+            else:
+                self._index = Incidence(self.structure, self.relation_names)
+        return self._index
+
     def _generators_of(
         self, element: Element
     ) -> Dict[ConjunctiveQuery, ConjunctiveQuery]:
         """Cached generators of *element*, keyed by canonical form."""
         cached = self._generators.get(element)
         if cached is None:
-            if self._index is None:
-                self._index = Incidence(self.structure, self.relation_names)
+            coarser = self._coarser
+            base = None
+            if coarser is not None:
+                base = (coarser.n, coarser._generators_of(element))
             cached = type_generators(
                 self.structure,
                 element,
                 self.n,
                 self.relation_names,
-                self._index,
+                self._incidence(),
                 self._forms,
+                base,
             )
             self._generators[element] = cached
         return cached
 
     def _subsumed(self, left: Element, right: Element) -> bool:
-        """``ptp_n(left) ⊆ ptp_n(right)`` using cached generators."""
-        for query in self._generators_of(left).values():
+        """``ptp_n(left) ⊆ ptp_n(right)`` using cached generators.
+
+        When *left* and *right* are in one class of the coarser
+        partition, the generators *left* has there (the first ones
+        here) hold at *right* already: only the grown ones are checked.
+        """
+        queries: "Iterable[ConjunctiveQuery]" = self._generators_of(left).values()
+        coarser = self._coarser
+        if coarser is not None and coarser._same_known_class(left, right):
+            queries = islice(queries, len(coarser._generators_of(left)), None)
+        for query in queries:
             if not satisfies(self.structure, query, {query.free[0]: right}):
                 return False
         return True
+
+    def _same_known_class(self, left: Element, right: Element) -> bool:
+        """Whether both elements are partitioned here, in one class."""
+        return (
+            left in self.elements
+            and right in self.elements
+            and self.same_class(left, right)
+        )
+
+    def _label(self, form: ConjunctiveQuery) -> str:
+        """The ``str`` of a canonical form, computed once per chain."""
+        label = self._labels.get(form)
+        if label is None:
+            label = self._labels[form] = str(form)
+        return label
 
     def equivalent(self, left: Element, right: Element) -> bool:
         """Definition 4's ``≡_n`` (cached, constant-aware)."""
@@ -133,20 +209,27 @@ class TypePartition:
             marker = frozenset(self._generators_of(element))
             buckets.setdefault(marker, []).append(element)
 
-        representatives: List[Tuple[Element, List[Element]]] = []
-        for marker in sorted(buckets, key=lambda m: sorted(str(q) for q in m)):
+        # Groups are created in bucket order and each bucket joins the
+        # first group it is ≡_n to.  By Lemma 1 only the groups of its
+        # own coarser class can be: the others are never tested.
+        groups: List[List[Element]] = []
+        by_coarse: Dict[int, List[Tuple[Element, List[Element]]]] = {}
+        coarser = self._coarser
+        for marker in sorted(buckets, key=lambda m: sorted(map(self._label, m))):
             members = buckets[marker]
-            # equal generator sets ⟹ equivalent: one group
-            placed = False
-            for rep, group in representatives:
-                if self.equivalent(rep, members[0]):
+            first = members[0]
+            coarse = coarser.class_index(first) if coarser is not None else 0
+            candidates = by_coarse.setdefault(coarse, [])
+            for rep, group in candidates:
+                if self.equivalent(rep, first):
                     group.extend(members)
-                    placed = True
                     break
-            if not placed:
-                representatives.append((members[0], list(members)))
+            else:
+                group = list(members)
+                candidates.append((first, group))
+                groups.append(group)
 
-        for _, group in representatives:
+        for group in groups:
             classes.append(frozenset(group))
         self._classes = classes
         self._class_of = {}
@@ -166,3 +249,22 @@ class TypePartition:
 
     def __len__(self) -> int:
         return len(self.classes())
+
+
+def _check_coarser(partition: TypePartition, coarser: object) -> None:
+    """Raise :class:`ValueError` unless *coarser* can refine into
+    *partition* (see the ``coarser`` parameter)."""
+    if not isinstance(coarser, TypePartition):
+        raise ValueError(
+            f"coarser must be a TypePartition, not {type(coarser).__name__}"
+        )
+    if coarser.structure is not partition.structure:
+        raise ValueError("coarser must partition the same structure")
+    if coarser.relation_names != partition.relation_names:
+        raise ValueError("coarser must type over the same relations")
+    if not coarser.n < partition.n:
+        raise ValueError(
+            f"coarser must be at a smaller n (got {coarser.n}, not below {partition.n})"
+        )
+    if not partition.elements <= coarser.elements:
+        raise ValueError("coarser must partition every element partitioned here")

@@ -41,7 +41,7 @@ anything else).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..lf.canonical import (
     Incidence,
@@ -61,6 +61,7 @@ def type_generators(
     relation_names: "Optional[Iterable[str]]" = None,
     index: "Optional[Incidence]" = None,
     forms: "Optional[Dict[ConjunctiveQuery, ConjunctiveQuery]]" = None,
+    base: "Optional[Tuple[int, Dict[ConjunctiveQuery, ConjunctiveQuery]]]" = None,
 ) -> Dict[ConjunctiveQuery, ConjunctiveQuery]:
     """The connected canonical generators of ``ptp_n(C, element, Σ)``,
     keyed by their canonical forms.
@@ -73,6 +74,16 @@ def type_generators(
     query met so far to its :meth:`~repro.lf.queries.ConjunctiveQuery.canonical`
     form, and is filled in here; such callers pass one dict for the
     whole pass, so each distinct query is put in canonical form once.
+
+    *base* is ``(m, generators)``: this function's result for the same
+    element, structure and relations at a smaller ``m``.  The
+    generators of ``ptp_m`` are exactly those of the connected subsets
+    of at most m elements, so the result is grown from them: it starts
+    with a copy of *generators* and adds the canonical queries of the
+    connected subsets of ``m + 1`` to ``n`` elements only.  The key set
+    is the one a fresh call gives; the order (the base's keys first)
+    and the query kept per key may differ, though every kept query has
+    the key as its canonical form.
     """
     if n < 1:
         raise ValueError("positive n-types need n >= 1")
@@ -81,9 +92,15 @@ def type_generators(
     constants = index.constants
     if forms is None:
         forms = {}
-    generators: Dict[ConjunctiveQuery, ConjunctiveQuery] = {}
+    if base is None:
+        smallest, generators = 1, {}
+    else:
+        known, generators = base
+        if not 1 <= known < n:
+            raise ValueError(f"base generators of size {known} cannot grow to {n}")
+        smallest, generators = known + 1, dict(generators)
     for subset in connected_subsets_containing(
-        structure, element, n, names, index=index
+        structure, element, n, names, index=index, min_size=smallest
     ):
         query = canonical_query(
             structure,

@@ -1,16 +1,20 @@
 """End-to-end tests for the Theorem-2 pipeline (Section 3.3)."""
 
+import itertools
+
 import pytest
 
 import repro.core.finite_model as pipeline
 from repro.coloring.conservativity import ConservativityReport
-from repro.lf import parse_query, parse_structure, parse_theory
+from repro.lf import Theory, parse_query, parse_structure, parse_theory
 from repro.core import (
     PipelineConfig,
     build_finite_counter_model,
     certify_counter_model,
 )
 from repro.errors import NotBinaryError
+from repro.ptypes import TypePartition
+from repro.zoo import example9_theory, theorem2_corpus
 
 from ..oracles import query_holds, rule_violations
 
@@ -210,3 +214,141 @@ class TestAttemptChecks:
         assert len(result.chase_stats) == 4
         assert all(stats is not rejected.stats for stats in result.chase_stats)
         assert result.chase_stats[-1] is log["saturations"][-1].stats
+
+
+def example9_subtheories():
+    """The ten 2- and 3-rule sub-theories of Example 9, on ``F(a,b)``.
+
+    Each is asked the query the ``finite-models`` workload asks it:
+    ``F(x,y), G(x,y)`` for two rules, ``G(x,y), F(y,x)`` for three.
+    Yields ``(name, theory, database, query)`` with names like
+    ``FF-GF``.
+    """
+    rules = dict(zip(("FF", "FG", "GF", "GG"), example9_theory().rules))
+    queries = {2: parse_query("F(x,y), G(x,y)"), 3: parse_query("G(x,y), F(y,x)")}
+    database = parse_structure("F(a,b)")
+    for size in (2, 3):
+        for names in itertools.combinations(sorted(rules), size):
+            theory = Theory([rules[name] for name in names])
+            yield "-".join(names), theory, database, queries[size]
+
+
+EXAMPLE9_SUBTHEORIES = list(example9_subtheories())
+
+
+class TestExample9SubTheories:
+    """The counter-models of the Example-9 sub-theories: each is checked
+    against the oracles, and its ``(depth, eta, model_size, attempts)``
+    is pinned."""
+
+    PINNED = {
+        "FF-FG": (10, 2, 16, 3),
+        "FF-GF": (10, 2, 9, 3),
+        "FF-GG": (10, 2, 9, 3),
+        "FG-GF": (10, 2, 9, 3),
+        "FG-GG": (10, 2, 9, 3),
+        # the chase saturates: it is the model, no (depth, eta) attempt
+        "GF-GG": (8, 0, 2, 0),
+        "FF-FG-GF": (10, 2, 24, 3),
+        "FF-FG-GG": (10, 2, 23, 3),
+        "FF-GF-GG": (10, 2, 9, 3),
+        "FG-GF-GG": (10, 2, 20, 3),
+    }
+
+    @pytest.mark.parametrize(
+        "name, theory, database, query",
+        EXAMPLE9_SUBTHEORIES,
+        ids=[name for name, *_ in EXAMPLE9_SUBTHEORIES],
+    )
+    def test_counter_model(self, name, theory, database, query):
+        result = build_finite_counter_model(theory, database, query)
+        assert_counter_model(result, theory, database, query)
+        shape = (result.depth, result.eta, result.model_size, len(result.attempts))
+        assert shape == self.PINNED[name]
+
+
+#: The Theorem-2 corpus and the Example-9 sub-theories.
+PIPELINE_INSTANCES = [*theorem2_corpus(), *EXAMPLE9_SUBTHEORIES]
+
+
+class TestPartitionReuse:
+    """Each depth's eta > kappa partitions refine the previous eta's
+    (Lemma 1) instead of starting from scratch, and equal fresh ones."""
+
+    @pytest.mark.parametrize(
+        "name, theory, database, query",
+        PIPELINE_INSTANCES,
+        ids=[name for name, *_ in PIPELINE_INSTANCES],
+    )
+    def test_partitions_match_fresh_ones(
+        self, monkeypatch, name, theory, database, query
+    ):
+        """At every (depth, eta) the schedule reaches, the pipeline's
+        partition has the classes, in the same order, of a partition of
+        the colored skeleton's interior built from scratch."""
+        real_partition, real_quotient = pipeline.TypePartition, pipeline.quotient
+        built, checked = [], []
+
+        def partition(structure, n, **kwargs):
+            made = real_partition(structure, n, **kwargs)
+            built.append((made, kwargs["coarser"]))
+            return made
+
+        def quotient(structure, n, partition=None):
+            fresh = TypePartition(structure, n, elements=partition.elements)
+            assert partition.classes() == fresh.classes(), (name, n)
+            checked.append(partition)
+            return real_quotient(structure, n, partition=partition)
+
+        monkeypatch.setattr(pipeline, "TypePartition", partition)
+        monkeypatch.setattr(pipeline, "quotient", quotient)
+        result = build_finite_counter_model(theory, database, query)
+        assert_counter_model(result, theory, database, query)
+        assert checked == [made for made, _ in built]
+        # the first eta of a depth starts from scratch, each later one
+        # refines the partition built just before it at that depth
+        before = None
+        for made, coarser in built:
+            if made.n == result.kappa:
+                assert coarser is None
+            else:
+                assert coarser is before and coarser.n == made.n - 1
+            before = made
+
+    #: The call counts when every partition starts from scratch, with
+    #: its own form table, over the 14 countermodel instances of the
+    #: ``finite-models`` workload.
+    UNREFINED = {"canonical_query": 5_742, "canonical": 4_073, "equivalent": 2_926}
+
+    def test_work_counts(self, monkeypatch):
+        """Growing generators and testing only within ≡_eta classes cut
+        the canonical queries, canonical forms and ≡ tests."""
+        from repro.lf.queries import ConjunctiveQuery
+        import repro.ptypes.ptype as ptype
+
+        counts = dict.fromkeys(self.UNREFINED, 0)
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(ptype, "canonical_query")
+        counted(ConjunctiveQuery, "canonical")
+        counted(TypePartition, "equivalent")
+        # the workload's instances: the corpus but its binary tree, and
+        # the Example-9 sub-theories
+        instances = [
+            entry for entry in theorem2_corpus() if entry[0] != "binary-tree/F-G-join"
+        ]
+        for name, theory, database, query in instances + EXAMPLE9_SUBTHEORIES:
+            result = build_finite_counter_model(theory, database, query)
+            assert result.model is not None, name
+        unrefined = self.UNREFINED
+        assert counts["canonical_query"] <= unrefined["canonical_query"] * 4 / 5, counts
+        assert counts["canonical"] <= unrefined["canonical"] * 2 / 3, counts
+        assert counts["equivalent"] <= unrefined["equivalent"] * 2 / 3, counts

@@ -15,6 +15,7 @@ from repro.lf import (
     satisfies,
     subsets_containing,
 )
+from repro.lf.canonical import connected_subsets_containing
 
 a, b, c = Constant("a"), Constant("b"), Constant("c")
 n0, n1, n2 = Null(0), Null(1), Null(2)
@@ -89,6 +90,14 @@ class TestSubsets:
         subsets = list(subsets_containing(pool, Null(0), 3))
         # 1 + C(5,1) + C(5,2) = 1 + 5 + 10
         assert len(subsets) == 16
+
+    def test_connected_subsets_of_a_minimum_size(self):
+        s = Structure(atom("E", Null(i), Null(i + 1)) for i in range(5))
+        every = list(connected_subsets_containing(s, Null(2), 3))
+        for smallest in (1, 2, 3):
+            sized = list(connected_subsets_containing(s, Null(2), 3, min_size=smallest))
+            assert sized == [subset for subset in every if len(subset) >= smallest]
+        assert len(sized) == 3  # {n0,n1,n2}, {n1,n2,n3}, {n2,n3,n4}
 
 
 class TestCanonicalLabel:

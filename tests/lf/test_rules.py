@@ -33,6 +33,33 @@ class TestRule:
         with pytest.raises(RuleError):
             rule([atom("E", x, y)], atom("=", x, y))
 
+    def test_unsafe_frontier_variable_rejected(self):
+        # x reaches the head, but only an equality with the unbound u
+        # mentions it: no body match gives it a value
+        u, v = Variable("u"), Variable("v")
+        with pytest.raises(RuleError, match="unsafe frontier variable x"):
+            Rule([atom("E", u, v), atom("=", x, y)], [atom("R", x, z)])
+
+    def test_unsafe_rule_never_reaches_the_chase(self):
+        """The constructor's check is what stops the chase's KeyError."""
+        from repro.chase import chase
+        from repro.lf import parse_structure
+
+        u, v = Variable("u"), Variable("v")
+        with pytest.raises(RuleError):
+            chase(
+                parse_structure("E(a,b)"),
+                Theory([Rule([atom("E", u, v), atom("=", x, y)], [atom("R", x, z)])]),
+                max_depth=2,
+            )
+
+    def test_frontier_variable_anchored_by_equality(self):
+        u, v = Variable("u"), Variable("v")
+        anchored = Rule([atom("E", u, v), atom("=", x, u)], [atom("R", x, z)])
+        assert anchored.frontier() == {x}
+        pinned = Rule([atom("E", u, v), atom("=", x, a)], [atom("R", x, v)])
+        assert pinned.frontier() == {x, v}
+
     def test_head_atom_single(self):
         tgd = rule([atom("E", x, y)], atom("E", y, z))
         assert tgd.head_atom == atom("E", y, z)

@@ -4,7 +4,8 @@ The central invariants of Section 2:
 
 * type generators are true at their origin;
 * ``≼_n`` is a preorder and ``≡_n`` an equivalence;
-* ``≡_n`` refines as n grows (Lemma 1's first claim);
+* ``≡_n`` refines as n grows (Lemma 1's first claim), and a partition
+  refined from a coarser one equals one built from scratch;
 * the quotient map is a homomorphism with minimal relations (Def. 5);
 * quotient projections at consecutive n are compatible (Lemma 1).
 """
@@ -22,6 +23,7 @@ from repro.ptypes import (
     quotient,
     type_queries,
 )
+from repro.ptypes.ptype import type_generators
 
 from .strategies import structures
 
@@ -75,6 +77,27 @@ class TestOrderProperties:
                 if equivalent(structure, a, b, 3):
                     assert equivalent(structure, a, b, 2)
                     assert equivalent(structure, a, b, 1)
+
+    @RELAXED
+    @given(structures(min_facts=1, max_facts=8), SIZES, st.integers(1, 2), st.data())
+    def test_refined_partition_matches_fresh(self, structure, n, step, data):
+        """A partition refined from a coarser one (Lemma 1) has the
+        classes, in the same order, of one built from scratch — also on
+        element subsets, and two sizes up."""
+        domain = structure.domain()
+        dropped = st.sets(st.sampled_from(sorted(domain, key=str)))
+        outer = domain - data.draw(dropped, label="not in the coarse partition")
+        inner = outer - data.draw(dropped, label="not in the fine partition")
+        finer = n + step
+        coarse = TypePartition(structure, n, elements=outer)
+        fine = TypePartition(structure, finer, elements=inner, coarser=coarse)
+        fresh = TypePartition(structure, finer, elements=inner)
+        assert fine.classes() == fresh.classes()
+        assert coarse.classes() == TypePartition(structure, n, elements=outer).classes()
+        for element in sorted(inner, key=str):
+            base = (n, type_generators(structure, element, n))
+            grown = type_generators(structure, element, finer, base=base)
+            assert set(grown) == set(type_generators(structure, element, finer))
 
     @RELAXED
     @given(structures(min_facts=2, max_facts=8), SIZES)

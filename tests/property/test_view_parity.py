@@ -15,7 +15,7 @@ The contract under fuzz (random add/retract streams):
   consistent on every update.
 """
 
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.chase import (
@@ -31,6 +31,8 @@ from .strategies import bdd_theories, conjunctive_queries
 
 #: Constants-only fact material: invented nulls never collide with it.
 _consts = st.builds(Constant, st.sampled_from(["a", "b", "c", "d"]))
+_X, _Y, _B = Variable("x"), Variable("y"), Constant("b")
+_E_BA = Atom("E", (_B, Constant("a")))
 
 
 @st.composite
@@ -121,6 +123,13 @@ class TestDatalogParity:
               suppress_health_check=[HealthCheck.too_slow])
     @given(facts=st.lists(const_facts(), max_size=8),
            theory=datalog_theories(), script=scripts)
+    # Retracting E(b,a) loses U(b); the inserted R(b,c) brings it back
+    # two rounds into the delta resume, which must report it as kept,
+    # not removed (a view that rechased its base instead did not).
+    @example(facts=[_E_BA],
+             theory=Theory([Rule([Atom("R", (_X, _Y))], [Atom("E", (_X, _Y))]),
+                            Rule([Atom("E", (_X, _Y))], [Atom("U", (_X,))])]),
+             script=[([Atom("R", (_B, Constant("c")))], [0])])
     def test_stats_invariants(self, facts, theory, script):
         base = set(facts)
         view = ChaseView(Structure(base), theory,

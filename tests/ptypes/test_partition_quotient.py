@@ -59,6 +59,81 @@ class TestPartition:
         assert len(TypePartition(s, 2)) == 3
 
 
+class TestRefinedPartition:
+    """``TypePartition(..., coarser=...)``: Lemma 1 reuse, same result."""
+
+    def test_refines_like_a_fresh_partition(self):
+        s = Structure([atom("E", a, n[0]), *chain(12).facts(), atom("U", n[6])])
+        interior = [a, *n[:10]]
+        two = TypePartition(s, 2, elements=interior)
+        three = TypePartition(s, 3, elements=interior[:8], coarser=two)
+        four = TypePartition(s, 4, elements=interior[:6], coarser=three)
+        for refined in (three, four):
+            fresh = TypePartition(s, refined.n, elements=refined.elements)
+            assert refined.classes() == fresh.classes()
+        # every ≡_3 class lies inside one ≡_2 class
+        for group in three.classes():
+            assert len({two.class_index(e) for e in group}) == 1
+
+    def test_class_order_is_the_fresh_order(self):
+        """n8 and n6 share a ≡_2 class that ≡_3 splits, and n3's class
+        sorts between theirs: the refined classes keep the order of a
+        fresh partition, not the coarser partition's grouping."""
+        s = Structure(
+            [
+                atom("E", n[3], n[4]), atom("E", n[6], n[0]), atom("E", n[7], n[2]),
+                atom("E", n[8], n[3]), atom("S", n[5], n[4]), atom("U", n[2]),
+                atom("V", n[5]), atom("V", a),
+            ]
+        )
+        two = TypePartition(s, 2)
+        three = TypePartition(s, 3, coarser=two)
+        order = ["a", "_:8", "_:3", "_:6", "_:7", "_:4", "_:0", "_:2", "_:5"]
+        assert [sorted(map(str, group)) for group in three.classes()] == [
+            [name] for name in order
+        ]
+        assert two.class_index(n[8]) == two.class_index(n[6]) != two.class_index(n[3])
+        assert three.classes() == TypePartition(s, 3).classes()
+
+    def test_equivalence_agrees_with_fresh_test(self):
+        s = chain(10)
+        coarse = TypePartition(s, 2)
+        fine = TypePartition(s, 3, coarser=coarse)
+        for left in sorted(s.domain(), key=str):
+            for right in sorted(s.domain(), key=str):
+                assert fine.equivalent(left, right) == equivalent(s, left, right, 3)
+
+    def test_forms_table_is_shared(self):
+        s = chain(8)
+        forms = {}
+        coarse = TypePartition(s, 2, forms=forms)
+        coarse.classes()
+        known = len(forms)
+        TypePartition(s, 3, coarser=coarse).classes()
+        assert len(forms) > known > 0
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"structure": chain(6)}, "same structure"),
+            ({"relation_names": ["E"]}, "same relations"),
+            ({"n": 2}, "smaller n"),
+            ({"elements": [n[0], n[7]]}, "every element"),
+        ],
+    )
+    def test_mismatched_coarser_rejected(self, change, message):
+        s = chain(6)
+        coarse = TypePartition(s, 2, elements=n[:6])
+        arguments = {"structure": s, "n": 3, "elements": n[:4], **change}
+        with pytest.raises(ValueError, match=message):
+            TypePartition(coarser=coarse, **arguments)
+
+    def test_non_partition_coarser_rejected(self):
+        s = chain(6)
+        with pytest.raises(ValueError, match="TypePartition"):
+            TypePartition(s, 3, coarser=quotient(s, 2))
+
+
 class TestQuotient:
     def test_example3_quotient_shape(self):
         """Example 3: M_n of an (uncolored) chain is a chain with a loop."""

@@ -13,6 +13,7 @@ from repro.ptypes import (
     type_subsumed,
     types_equal,
 )
+from repro.ptypes.ptype import type_generators
 
 a, b, c = Constant("a"), Constant("b"), Constant("c")
 n = [Null(i) for i in range(20)]
@@ -164,3 +165,20 @@ class TestGeneratorSets:
     def test_sets_differ_for_distinct_types(self):
         s = chain(10)
         assert ptp_as_query_set(s, n[0], 2) != ptp_as_query_set(s, n[5], 2)
+
+    def test_generators_grow_from_a_smaller_size(self):
+        s = Structure([atom("E", a, n[0]), *chain(8).facts(), atom("U", n[3])])
+        for element in (n[0], n[4]):
+            fresh = type_generators(s, element, 4)
+            for smaller in (1, 2, 3):
+                base = (smaller, type_generators(s, element, smaller))
+                grown = type_generators(s, element, 4, base=base)
+                assert set(grown) == set(fresh)
+                # the base's generators come first, unchanged
+                assert list(grown.items())[: len(base[1])] == list(base[1].items())
+
+    def test_base_must_be_smaller(self):
+        s = chain(4)
+        base = (2, type_generators(s, n[1], 2))
+        with pytest.raises(ValueError, match="cannot grow"):
+            type_generators(s, n[1], 2, base=base)
