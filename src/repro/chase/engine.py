@@ -589,16 +589,8 @@ def datalog_saturate(
     into inner saturations.
     """
     datalog_only = Theory(theory.datalog_rules(), theory.signature)
-    return chase(
-        structure,
-        datalog_only,
-        ChaseConfig(
-            max_depth=max_depth,
-            max_facts=max_facts,
-            max_elements=None,
-            allow_new_elements=False,
-        ),
-        **overrides,
+    return chase_with_embargo(
+        structure, datalog_only, max_depth, max_facts, **overrides
     )
 
 

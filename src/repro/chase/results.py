@@ -10,7 +10,7 @@ budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..lf.atoms import Atom
 from ..lf.structures import Structure
@@ -92,10 +92,6 @@ class ChaseResult:
         """
         kept = [fact for fact, at in self.fact_level.items() if at <= depth]
         return Structure(kept, signature=self.structure.signature)
-
-    def query_depth(self, binding_levels: "Tuple[int, ...]") -> int:
-        """Derivation depth of a match: the max level among its facts."""
-        return max(binding_levels, default=0)
 
     def __str__(self) -> str:
         status = "saturated" if self.saturated else "truncated"

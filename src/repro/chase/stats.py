@@ -26,8 +26,9 @@ matcher index probes, candidate facts scanned, and backtracks.
 
 Wall times and the plan-cache counters (requests, and their hit/miss
 split) are the only environment-dependent fields: they depend on what
-ran earlier in the process.  Everything else is a pure function of
-(database, theory, config), which the CLI determinism tests rely on.
+ran earlier in the process.  :data:`repro.payloads.TIMING_FIELDS` names
+them.  Everything else is a pure function of (database, theory,
+config), which the CLI determinism tests rely on.
 """
 
 from __future__ import annotations
@@ -36,20 +37,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..lf.plan import HomStats
-
-#: Keys of the stats dicts that are *not* a pure function of the run's
-#: inputs — wall times plus the plan-cache counters, which depend on
-#: what ran earlier in the process (a rule's plans are fetched on its
-#: first use only) — excluded by ``as_dict(timings=False)``; consumers
-#: comparing runs should strip these.
-TIMING_FIELDS = (
-    "wall_ms",
-    "plans_compiled",
-    "plan_cache_hits",
-    "plan_cache_misses",
-    "plan_requests",
-)
-
 
 @dataclass
 class RoundStats:
@@ -65,9 +52,9 @@ class RoundStats:
     index_probes: int = 0
     wall_ms: float = 0.0
 
-    def as_dict(self, timings: bool = True) -> Dict[str, Any]:
-        """A JSON-ready dict; ``timings=False`` drops the wall time."""
-        payload: Dict[str, Any] = {
+    def as_dict(self) -> Dict[str, Any]:
+        """A JSON-ready dict."""
+        return {
             "round": self.round,
             "triggers_evaluated": self.triggers_evaluated,
             "triggers_fired": self.triggers_fired,
@@ -76,10 +63,8 @@ class RoundStats:
             "nulls_invented": self.nulls_invented,
             "delta_in": self.delta_in,
             "index_probes": self.index_probes,
+            "wall_ms": self.wall_ms,
         }
-        if timings:
-            payload["wall_ms"] = self.wall_ms
-        return payload
 
 
 @dataclass
@@ -136,10 +121,10 @@ class ChaseStats:
         """The delta fed into each round."""
         return [r.delta_in for r in self.rounds]
 
-    def as_dict(self, timings: bool = True) -> Dict[str, Any]:
-        """A JSON-ready dict; ``timings=False`` strips every wall time."""
+    def as_dict(self) -> Dict[str, Any]:
+        """A JSON-ready dict."""
         payload: Dict[str, Any] = {
-            "rounds": [r.as_dict(timings=timings) for r in self.rounds],
+            "rounds": [r.as_dict() for r in self.rounds],
             "totals": {
                 "triggers_evaluated": self.triggers_evaluated,
                 "triggers_fired": self.triggers_fired,
@@ -147,14 +132,11 @@ class ChaseStats:
                 "facts_added": self.facts_added,
                 "nulls_invented": self.nulls_invented,
                 "index_probes": self.index_probes,
+                "wall_ms": self.wall_ms,
             },
         }
         if self.hom is not None:
-            # the plan-cache counters depend on cache warmth: stripped
-            # together with the wall times
-            payload["hom"] = self.hom.as_dict(cache=timings)
-        if timings:
-            payload["totals"]["wall_ms"] = self.wall_ms
+            payload["hom"] = self.hom.as_dict()
         return payload
 
     def __str__(self) -> str:
@@ -225,9 +207,9 @@ class IncrStats:
         """The delta fed into each round (``rounds[i].delta_in``)."""
         return [r.delta_in for r in self.rounds]
 
-    def as_dict(self, timings: bool = True) -> Dict[str, Any]:
-        """A JSON-ready dict; ``timings=False`` strips every wall time."""
-        payload: Dict[str, Any] = {
+    def as_dict(self) -> Dict[str, Any]:
+        """A JSON-ready dict."""
+        return {
             "adds_in": self.adds_in,
             "removes_in": self.removes_in,
             "overdeleted": self.overdeleted,
@@ -238,11 +220,9 @@ class IncrStats:
             "nulls_invented": self.nulls_invented,
             "nulls_orphaned": self.nulls_orphaned,
             "delta_sizes": self.delta_sizes,
-            "rounds": [r.as_dict(timings=timings) for r in self.rounds],
+            "rounds": [r.as_dict() for r in self.rounds],
+            "wall_ms": self.wall_ms,
         }
-        if timings:
-            payload["wall_ms"] = self.wall_ms
-        return payload
 
     def __str__(self) -> str:
         return (

@@ -108,7 +108,7 @@ from .serve.session import SessionRegistry
 #: the op's own default applies.
 PARAMS = (
     "depth", "max_steps", "max_queries", "max_elements", "max_nodes",
-    "heuristic", "depths", "explain", "wall_ms", "max_rss_mb",
+    "depths", "explain", "wall_ms", "max_rss_mb",
 )
 
 
@@ -207,8 +207,7 @@ def render_search_stats(stats: Dict[str, Any]) -> str:
     """``--stats`` lines of a finite-model search, from its ``stats``
     payload."""
     return "\n".join([
-        f"# search: heuristic={stats['heuristic']} "
-        f"nodes={stats['nodes']} duplicates={stats['duplicates']} "
+        f"# search: nodes={stats['nodes']} duplicates={stats['duplicates']} "
         f"pruned_by_query={stats['pruned_by_query']} "
         f"exhausted={stats['exhausted']}",
         f"# states: created={stats['states_created']} "
@@ -514,11 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     search_cmd.add_argument("--free", help="comma-separated free variables")
     search_cmd.add_argument("--max-elements", type=int)
     search_cmd.add_argument("--max-nodes", type=int)
-    search_cmd.add_argument(
-        "--heuristic",
-        choices=["dfs", "smallest-domain", "fewest-violations"],
-        help="frontier ordering of the search",
-    )
 
     skeleton_cmd = commands.add_parser("skeleton", help="extract S(D,T)",
                                        parents=[global_flags])

@@ -13,8 +13,8 @@ equal lightness certifies isomorphic predecessor neighbourhoods.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional
 
 from ..errors import ColoringError
 from ..lf.atoms import Atom
@@ -78,10 +78,6 @@ class ColoredStructure:
     def base(self) -> Structure:
         """``C̄ ↾ Σ``: the structure without its colors."""
         return self.structure.restrict_signature(self.base_relations)
-
-    def color_of(self, element: Element) -> Color:
-        """The unique color of *element*."""
-        return self.assignment[element]
 
     def colors_used(self) -> FrozenSet[Color]:
         """The set of colors actually assigned."""

@@ -22,16 +22,24 @@ uniqueness used in Lemma 7(iii).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..lf.canonical import Incidence, canonical_label
 from ..lf.structures import Structure
-from ..lf.terms import Constant, Element
+from ..lf.terms import Constant, Element, Null
 from ..vtdag.predecessors import (
     iterated_predecessors,
     predecessor_neighbourhood,
 )
 from .colors import Color, ColoredStructure, apply_coloring
+
+
+def _creation_order(element: Element) -> Tuple[int, int, str]:
+    """Sort key: nulls by numeric identifier (chase-creation order), then
+    every other element by name."""
+    if isinstance(element, Null):
+        return (0, element.ident, "")
+    return (1, 0, str(element))
 
 
 def lightness_classes(structure: Structure) -> Dict[Element, int]:
@@ -101,20 +109,11 @@ def hue_assignment(structure: Structure, m: int) -> Dict[Element, int]:
                 conflicts.setdefault(ancestor, set()).add(element)
 
     hues: Dict[Element, int] = {}
-
-    def creation_order(element: Element):
-        # Nulls sort by numeric identifier (chase-creation order), so a
-        # chain is greedily colored root-to-leaf and gets the paper's
-        # m+1 hues rather than a scrambled-order surplus.
-        from ..lf.terms import Null
-
-        if isinstance(element, Null):
-            return (0, element.ident, "")
-        return (1, 0, str(element))
-
+    # Creation order colors a chain greedily root-to-leaf, so it gets the
+    # paper's m+1 hues rather than a scrambled-order surplus.
     nonconstants = sorted(
         (e for e in structure.domain() if not isinstance(e, Constant)),
-        key=creation_order,
+        key=_creation_order,
     )
     for element in nonconstants:
         used = {hues[other] for other in conflicts[element] if other in hues}
@@ -157,16 +156,8 @@ def cyclic_coloring(structure: Structure, palette: int) -> ColoredStructure:
     """
     if palette < 1:
         raise ValueError("palette must have at least one color")
-
-    def order_key(element: Element):
-        from ..lf.terms import Null
-
-        if isinstance(element, Null):
-            return (0, element.ident, "")
-        return (1, 0, str(element))
-
     assignment: Dict[Element, Color] = {}
-    for index, element in enumerate(sorted(structure.domain(), key=order_key)):
+    for index, element in enumerate(sorted(structure.domain(), key=_creation_order)):
         assignment[element] = Color(index % palette, 0)
     return apply_coloring(structure, assignment)
 

@@ -16,7 +16,7 @@ time (:class:`~repro.chase.stats.ChaseStats`,
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 
 class ReproError(Exception):
@@ -136,11 +136,6 @@ class RewritingBudgetExceeded(BudgetError):
     budget or treat the BDD status as unknown.  ``.stats`` carries the
     run's :class:`~repro.rewriting.stats.RewriteStats` at stop time.
     """
-
-
-class NotBDDWitness(ReproError):
-    """Evidence was found that the theory is *not* BDD for some query
-    (the rewriting diverged past a proven-divergence criterion)."""
 
 
 class ColoringError(ReproError):

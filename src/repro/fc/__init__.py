@@ -9,9 +9,7 @@ from .order import (
     ordering_implies_query,
 )
 from .search import (
-    SEARCH_TIMING_FIELDS,
     SearchConfig,
-    SearchHeuristic,
     SearchResult,
     SearchStats,
     every_finite_model_satisfies,
@@ -21,9 +19,7 @@ from .search import (
 
 __all__ = [
     "OrderingWitness",
-    "SEARCH_TIMING_FIELDS",
     "SearchConfig",
-    "SearchHeuristic",
     "SearchResult",
     "SearchStats",
     "default_candidates",

@@ -39,23 +39,22 @@ The engine is built for throughput:
   comes from :func:`repro.chase.seminaive.unsatisfied_triggers`, whose
   per-rule body and frontier-prebound head plans are compiled once per
   process and shared with the chase and with ``is_model``;
-* **configurable frontier** — depth-first, reuse first, by default,
-  or best-first by smallest domain / fewest violations via
-  :class:`SearchConfig`.
+* **depth-first frontier** — a stack that pops reuse branches before
+  the fresh-element branch, so small models surface first.  Within its
+  bounds the search is complete, so the order decides only how soon a
+  model is found, never the verdict.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import time
 from dataclasses import dataclass
-from enum import Enum
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..chase.engine import datalog_saturate
 from ..chase.seminaive import incremental_datalog_saturate, unsatisfied_triggers
-from ..config import BudgetedConfig, OnBudget, coerce_enum
+from ..config import BudgetedConfig, OnBudget
 from ..errors import ChaseBudgetExceeded, ModelSearchExhausted
 from ..runtime.guard import RuntimeGuard, StopReason
 from ..lf.atoms import Atom
@@ -66,49 +65,9 @@ from ..lf.rules import Rule, Theory
 from ..lf.structures import Structure
 from ..lf.terms import Constant, Element, NullFactory, Variable
 
-#: Stats keys that are wall times — not a pure function of the inputs —
-#: mirroring :data:`repro.chase.stats.TIMING_FIELDS`; stripped by
-#: ``SearchStats.as_dict(timings=False)``.
-SEARCH_TIMING_FIELDS = (
-    "wall_ms",
-    "materialise_ms",
-    "saturate_ms",
-    "canonical_ms",
-    "query_ms",
-    "expand_ms",
-)
-
-
-class SearchHeuristic(str, Enum):
-    """Frontier orderings of the finite-model search.
-
-    Attributes
-    ----------
-    DFS:
-        Depth-first, reuse-combinations first — the classic order of
-        the definitional search, which surfaces small models quickly.
-    SMALLEST_DOMAIN:
-        Best-first by the state's domain size: prefer states that
-        invented fewer elements (a small-model bias that, unlike DFS,
-        never commits to a deep fruitless branch).
-    FEWEST_VIOLATIONS:
-        Best-first by how many existential triggers the expanded parent
-        still violated: prefer branches whose parents were closest to
-        being models.
-    """
-
-    DFS = "dfs"
-    SMALLEST_DOMAIN = "smallest-domain"
-    FEWEST_VIOLATIONS = "fewest-violations"
-
-    @classmethod
-    def coerce(cls, value: "SearchHeuristic | str") -> "SearchHeuristic":
-        return coerce_enum(value, cls, "heuristic")
-
-
 @dataclass
 class SearchConfig(BudgetedConfig):
-    """Budgets and frontier ordering of :func:`search_finite_model`.
+    """Budgets of :func:`search_finite_model`.
 
     Follows the library-wide config contract (:mod:`repro.config`):
     budgets plus an :class:`~repro.config.OnBudget` policy, overridable
@@ -128,19 +87,12 @@ class SearchConfig(BudgetedConfig):
         Per-state saturation budget.  A state whose datalog fixpoint
         exceeds it is pruned (counted in ``stats.saturation_pruned``)
         and the run loses its exhaustiveness claim.
-    heuristic:
-        Frontier ordering (:class:`SearchHeuristic`; strings accepted).
     """
 
     max_elements: int = 10
     max_nodes: int = 50_000
     max_facts: "Optional[int]" = 100_000
-    heuristic: SearchHeuristic = SearchHeuristic.DFS
     on_budget: OnBudget = OnBudget.RETURN
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        self.heuristic = SearchHeuristic.coerce(self.heuristic)
 
 
 @dataclass
@@ -149,8 +101,6 @@ class SearchStats:
 
     Attributes
     ----------
-    heuristic:
-        The frontier ordering used.
     nodes:
         States expanded.
     pruned_by_query:
@@ -183,15 +133,14 @@ class SearchStats:
     wall_ms / materialise_ms / saturate_ms / canonical_ms / query_ms /
     expand_ms:
         Phase wall times (the only nondeterministic fields; see
-        :data:`SEARCH_TIMING_FIELDS`).  ``canonical_ms`` covers the
-        whole dedup check: invariants and canonical keys.
+        :data:`repro.payloads.TIMING_FIELDS`).  ``canonical_ms`` covers
+        the whole dedup check: invariants and canonical keys.
     """
 
     nodes: int = 0
     pruned_by_query: int = 0
     duplicates: int = 0
     exhausted: bool = True
-    heuristic: str = "dfs"
     states_created: int = 0
     states_materialised: int = 0
     canonical_keys: int = 0
@@ -206,10 +155,9 @@ class SearchStats:
     query_ms: float = 0.0
     expand_ms: float = 0.0
 
-    def as_dict(self, timings: bool = True) -> Dict[str, Any]:
-        """A JSON-ready dict; ``timings=False`` strips every wall time."""
-        payload: Dict[str, Any] = {
-            "heuristic": self.heuristic,
+    def as_dict(self) -> Dict[str, Any]:
+        """A JSON-ready dict."""
+        return {
             "nodes": self.nodes,
             "pruned_by_query": self.pruned_by_query,
             "duplicates": self.duplicates,
@@ -221,15 +169,13 @@ class SearchStats:
             "saturation_rounds": self.saturation_rounds,
             "saturation_pruned": self.saturation_pruned,
             "frontier_peak": self.frontier_peak,
+            "wall_ms": round(self.wall_ms, 3),
+            "materialise_ms": round(self.materialise_ms, 3),
+            "saturate_ms": round(self.saturate_ms, 3),
+            "canonical_ms": round(self.canonical_ms, 3),
+            "query_ms": round(self.query_ms, 3),
+            "expand_ms": round(self.expand_ms, 3),
         }
-        if timings:
-            payload["wall_ms"] = round(self.wall_ms, 3)
-            payload["materialise_ms"] = round(self.materialise_ms, 3)
-            payload["saturate_ms"] = round(self.saturate_ms, 3)
-            payload["canonical_ms"] = round(self.canonical_ms, 3)
-            payload["query_ms"] = round(self.query_ms, 3)
-            payload["expand_ms"] = round(self.expand_ms, 3)
-        return payload
 
 
 @dataclass
@@ -389,7 +335,7 @@ def _search(
     config: SearchConfig,
 ) -> SearchResult:
     started = time.perf_counter()
-    stats = SearchStats(heuristic=config.heuristic.value)
+    stats = SearchStats()
     guard = RuntimeGuard.from_config(config, "fc-search")
 
     def finish(
@@ -416,30 +362,12 @@ def _search(
 
     root = _State(None, (), root_structure, root_structure.domain_size)
 
-    best_first = config.heuristic is not SearchHeuristic.DFS
-    stack: List[_State] = []
-    heap: List[Tuple[int, int, _State]] = []
-    pushes = itertools.count()
-
-    def push(state: _State, score: int) -> None:
-        stats.states_created += 1
-        if best_first:
-            heapq.heappush(heap, (score, next(pushes), state))
-        else:
-            stack.append(state)
-        stats.frontier_peak = max(stats.frontier_peak, len(stack) + len(heap))
-
-    def pop() -> _State:
-        if best_first:
-            return heapq.heappop(heap)[2]
-        return stack.pop()
-
-    push(root, 0)
-    stats.states_created = 0  # the root is given, not branched
+    stack: List[_State] = [root]
+    stats.frontier_peak = 1
     seen = _SeenStates(root_structure.domain(), stats)
     seen_raw: Set[FrozenSet[Atom]] = set()
 
-    while stack or heap:
+    while stack:
         reason = guard.check()
         if reason is not None:
             stats.exhausted = False
@@ -457,7 +385,7 @@ def _search(
                     stats=stats,
                 )
             return finish(None, StopReason.BUDGET)
-        state = pop()
+        state = stack.pop()
 
         if state.structure is None:
             # Cheap raw pre-check: saturation is deterministic, so equal
@@ -526,11 +454,6 @@ def _search(
         existentials = sorted(rule.existential_variables())
         domain = sorted(structure.domain(), key=str)
 
-        score = 0
-        if config.heuristic is SearchHeuristic.FEWEST_VIOLATIONS:
-            violated = unsatisfied_triggers(structure, existential_rules)
-            score = sum(1 for _ in itertools.islice(violated, 64))
-
         pushed_deltas: Set[FrozenSet[Atom]] = set()
 
         def branch(witnesses: Dict[Variable, Element], child_domain: int) -> None:
@@ -541,11 +464,9 @@ def _search(
             if key in pushed_deltas:
                 return
             pushed_deltas.add(key)
-            child = _State(state, delta, domain_size=child_domain)
-            child_score = score
-            if config.heuristic is SearchHeuristic.SMALLEST_DOMAIN:
-                child_score = child_domain
-            push(child, child_score)
+            stack.append(_State(state, delta, domain_size=child_domain))
+            stats.states_created += 1
+            stats.frontier_peak = max(stats.frontier_peak, len(stack))
 
         # Fresh pushed first, reuse combinations after: the LIFO stack
         # then explores reuse first.
@@ -575,7 +496,7 @@ def search_finite_model(
 
     Existential triggers branch over every reuse of an existing element
     (per existential variable) and, while the domain is below
-    ``max_elements``, one fresh element.  The default DFS frontier
+    ``max_elements``, one fresh element.  The depth-first frontier
     prefers reuse, so small models surface first.
 
     When ``forbidden`` is given, any state satisfying it is pruned —
@@ -583,7 +504,7 @@ def search_finite_model(
 
     Pass a :class:`SearchConfig` for the full set of knobs (an explicit
     *config* wins over the ``max_elements`` / ``max_nodes`` shorthands);
-    extra keyword overrides (``wall_ms=...``, ``heuristic=...``) are
+    extra keyword overrides (``wall_ms=...``, ``max_facts=...``) are
     applied on top via
     :meth:`~repro.config.BudgetedConfig.with_overrides`.
     """

@@ -79,7 +79,7 @@ class HomStats:
     (:func:`repro.chase.seminaive.rule_plans`) fetch their plans on the
     rule's first use in the process and never again.  They are treated
     like wall times by the determinism machinery (see
-    :data:`repro.chase.stats.TIMING_FIELDS`).  The remaining counters
+    :data:`repro.payloads.TIMING_FIELDS`).  The remaining counters
     are pure functions of (queries, structures, bindings):
 
     * ``index_probes`` — hash-index lookups issued by the matcher;
@@ -114,20 +114,17 @@ class HomStats:
             }
         )
 
-    def as_dict(self, cache: bool = True) -> Dict[str, int]:
-        """JSON-ready counters; ``cache=False`` drops the warmth-dependent
-        plan-cache counters, keeping the matcher's."""
-        payload: Dict[str, int] = {
+    def as_dict(self) -> Dict[str, int]:
+        """JSON-ready counters."""
+        return {
             "index_probes": self.index_probes,
             "candidates_scanned": self.candidates_scanned,
             "backtracks": self.backtracks,
+            "plan_requests": self.plan_requests,
+            "plans_compiled": self.plans_compiled,
+            "plan_cache_hits": self.plan_cache_hits,
+            "plan_cache_misses": self.plan_cache_misses,
         }
-        if cache:
-            payload["plan_requests"] = self.plan_requests
-            payload["plans_compiled"] = self.plans_compiled
-            payload["plan_cache_hits"] = self.plan_cache_hits
-            payload["plan_cache_misses"] = self.plan_cache_misses
-        return payload
 
     def __str__(self) -> str:
         return (

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
-from ..errors import ArityError, SignatureError
+from ..errors import ArityError
 from .atoms import Atom
 from .signature import Signature
-from .terms import Constant, Element, Null, Variable
+from .terms import Constant, Element, Variable
 
 #: Shared empty bucket returned by the index views on a miss.
 _EMPTY: FrozenSet[Atom] = frozenset()
@@ -44,9 +44,6 @@ class Structure:
     signature:
         The ambient signature.  When omitted it is inferred from the
         facts and grows automatically as new predicates appear.
-    strict:
-        When ``True``, adding a fact whose predicate is not in the
-        signature (or has the wrong arity) raises instead of enlarging.
     """
 
     def __init__(
@@ -54,14 +51,12 @@ class Structure:
         facts: Iterable[Atom] = (),
         domain: Iterable[Element] = (),
         signature: Optional[Signature] = None,
-        strict: bool = False,
     ):
         self._facts: Set[Atom] = set()
         self._domain: Set[Element] = set(domain)
         self._by_pred: Dict[str, Set[Atom]] = {}
         self._by_pred_pos: Dict[Tuple[str, int, Element], Set[Atom]] = {}
         self._probe_count = 0
-        self._strict = strict
         self._signature = signature if signature is not None else Signature.make()
         for fact in facts:
             self.add_fact(fact)
@@ -87,10 +82,6 @@ class Structure:
             self._domain.add(arg)
             self._by_pred_pos.setdefault((fact.pred, position, arg), set()).add(fact)
         return True
-
-    def add_facts(self, facts: Iterable[Atom]) -> int:
-        """Insert many facts; return how many were new."""
-        return sum(1 for fact in facts if self.add_fact(fact))
 
     def add_element(self, element: Element) -> None:
         """Add an element to the domain (it may occur in no fact)."""
@@ -129,8 +120,6 @@ class Structure:
                     f"{fact.pred} has arity {self._signature.arity(fact.pred)}, "
                     f"got {fact.arity}"
                 )
-        elif self._strict:
-            raise SignatureError(f"unknown predicate {fact.pred} (strict mode)")
         else:
             self._signature = self._signature.with_relations({fact.pred: fact.arity})
         new_constants = [c for c in fact.constants() if c not in self._signature.constants]
@@ -144,11 +133,6 @@ class Structure:
     def signature(self) -> Signature:
         """The (possibly grown) ambient signature."""
         return self._signature
-
-    @property
-    def strict(self) -> bool:
-        """Whether unknown predicates are rejected instead of adopted."""
-        return self._strict
 
     def facts(self) -> FrozenSet[Atom]:
         """All facts, as a frozen set."""
@@ -235,10 +219,6 @@ class Structure:
                 found.update(self._by_pred_pos.get((pred, position, element), ()))
         return frozenset(found)
 
-    def predicates_in_use(self) -> FrozenSet[str]:
-        """Predicates with at least one fact."""
-        return frozenset(pred for pred, bucket in self._by_pred.items() if bucket)
-
     # ------------------------------------------------------------------
     # Graph view (binary signatures)
     # ------------------------------------------------------------------
@@ -291,7 +271,7 @@ class Structure:
         """
         wanted = set(elements) & self._domain
         kept = [f for f in self._facts if all(a in wanted for a in f.args)]
-        return self._from_validated(kept, wanted, self._signature, self._strict)
+        return self._from_validated(kept, wanted, self._signature)
 
     def restrict_signature(self, names: Iterable[str]) -> "Structure":
         """``C ↾ Σ``: keep only facts of the given relations.
@@ -302,7 +282,7 @@ class Structure:
         wanted = set(names)
         kept = [f for f in self._facts if f.pred in wanted]
         return self._from_validated(
-            kept, set(self._domain), self._signature.restrict_to(wanted), self._strict
+            kept, set(self._domain), self._signature.restrict_to(wanted)
         )
 
     def contains_structure(self, other: "Structure") -> bool:
@@ -337,7 +317,6 @@ class Structure:
         facts: Iterable[Atom],
         domain: Set[Element],
         signature: Signature,
-        strict: bool,
     ) -> "Structure":
         """Build a structure from facts that already passed validation.
 
@@ -353,7 +332,6 @@ class Structure:
         clone._by_pred = {}
         clone._by_pred_pos = {}
         clone._probe_count = 0
-        clone._strict = strict
         clone._signature = signature
         fact_set = clone._facts
         by_pred = clone._by_pred
@@ -387,7 +365,6 @@ class Structure:
             key: set(bucket) for key, bucket in self._by_pred_pos.items() if bucket
         }
         clone._probe_count = 0
-        clone._strict = self._strict
         clone._signature = self._signature
         return clone
 

@@ -30,6 +30,27 @@ EXIT_INTERRUPTED = 130
 
 Payload = Dict[str, Any]
 
+#: Keys of the stats blocks that are *not* a pure function of the
+#: request: every engine's wall times, and the plan-cache counters,
+#: which depend on what ran earlier in the process (a rule's plans are
+#: fetched on its first use only).  Consumers comparing runs strip them.
+TIMING_FIELDS = (
+    "wall_ms",
+    "plans_compiled",
+    "plan_cache_hits",
+    "plan_cache_misses",
+    "plan_requests",
+    "materialise_ms",
+    "saturate_ms",
+    "canonical_ms",
+    "query_ms",
+    "expand_ms",
+    "rewrite_ms",
+    "factor_ms",
+    "subsume_ms",
+    "minimize_ms",
+)
+
 
 def stop_code(stopped_reason, default: int) -> int:
     """Map a guard stop onto the exit-code table (guards win over *default*)."""

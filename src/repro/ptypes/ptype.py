@@ -191,24 +191,17 @@ def type_subsumed(
     target_element: Element,
     n: int,
     relation_names: "Optional[Iterable[str]]" = None,
-    source_queries: "Optional[List[ConjunctiveQuery]]" = None,
     check_boolean: bool = True,
 ) -> bool:
     """``ptp_n(source, source_element) ⊆ ptp_n(target, target_element)``.
 
-    The anchored connected generators of the source (optionally supplied
-    pre-computed via *source_queries*) must hold at the target element;
-    when *source* and *target* are different structures, the connected
-    Boolean sentences of the source with at most ``n - 1`` variables
-    must also hold in the target (set ``check_boolean=False`` to skip,
-    e.g. when the caller checks them once for many elements).
+    The anchored connected generators of the source must hold at the
+    target element; when *source* and *target* are different structures,
+    the connected Boolean sentences of the source with at most ``n - 1``
+    variables must also hold in the target (set ``check_boolean=False``
+    to skip, e.g. when the caller checks them once for many elements).
     """
-    queries = (
-        source_queries
-        if source_queries is not None
-        else type_queries(source, source_element, n, relation_names)
-    )
-    for query in queries:
+    for query in type_queries(source, source_element, n, relation_names):
         if not satisfies(target, query, {query.free[0]: target_element}):
             return False
     if check_boolean and source is not target and not source.same_facts(target):

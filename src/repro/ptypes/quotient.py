@@ -15,8 +15,8 @@ Lemma 1's two claims are executable here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Optional
 
 from ..lf.atoms import Atom
 from ..lf.structures import Structure
@@ -93,8 +93,9 @@ def quotient(
         dropped.  Used by the Theorem-2 pipeline to quotient the
         interior of a truncated skeleton.
     """
-    parts = partition or TypePartition(structure, n, relation_names, elements)
-    classes = parts.classes()
+    if partition is None:
+        partition = TypePartition(structure, n, relation_names, elements)
+    classes = partition.classes()
 
     projection: Dict[Element, Element] = {}
     next_null = 0

@@ -25,7 +25,7 @@ from .bdd import (
 )
 from .index import SubsumptionIndex, signature_of
 from .rewriter import RewriteConfig, RewritingResult, rewrite
-from .stats import REWRITE_TIMING_FIELDS, RewriteStats
+from .stats import RewriteStats
 from .subsume import (
     clear_subsume_cache,
     cq_equivalent,
@@ -40,7 +40,6 @@ from .unify import Unifier, mgu, unify_all
 
 __all__ = [
     "BDDProfile",
-    "REWRITE_TIMING_FIELDS",
     "RewriteConfig",
     "RewriteStats",
     "RewritingResult",

@@ -148,11 +148,6 @@ class SubsumptionIndex:
     def __len__(self) -> int:
         return self._size
 
-    @property
-    def group_count(self) -> int:
-        """Distinct structural signatures currently indexed."""
-        return len(self._groups)
-
     def add(self, query: ConjunctiveQuery) -> None:
         """Index a kept disjunct under its structural signature."""
         key = signature_of(query)

@@ -29,28 +29,15 @@ The counters tell the story of the worklist run:
 
 Wall times (``*_ms``) are the only nondeterministic fields; everything
 else is a pure function of (query, theory, config), which the CLI
-determinism tests rely on.  :data:`REWRITE_TIMING_FIELDS` lists them so
-consumers comparing runs can strip them, mirroring
-:data:`repro.chase.stats.TIMING_FIELDS`.
+determinism tests rely on.  :data:`repro.payloads.TIMING_FIELDS` names
+them, with the other engines' timing keys, so consumers comparing runs
+can strip them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Dict
-
-#: Keys of :meth:`RewriteStats.as_dict` that are *not* a pure function
-#: of the run's inputs (wall-clock phase times) — excluded by
-#: ``as_dict(timings=False)``; consumers comparing runs should strip
-#: these.
-REWRITE_TIMING_FIELDS = (
-    "wall_ms",
-    "rewrite_ms",
-    "factor_ms",
-    "subsume_ms",
-    "minimize_ms",
-)
-
 
 @dataclass
 class RewriteStats:
@@ -91,7 +78,7 @@ class RewriteStats:
         Disjuncts in the final minimised UCQ.
     wall_ms / rewrite_ms / factor_ms / subsume_ms / minimize_ms:
         Phase wall times (the only nondeterministic fields; see
-        :data:`REWRITE_TIMING_FIELDS`).
+        :data:`repro.payloads.TIMING_FIELDS`).
     """
 
     steps: int = 0
@@ -114,9 +101,9 @@ class RewriteStats:
     subsume_ms: float = 0.0
     minimize_ms: float = 0.0
 
-    def as_dict(self, timings: bool = True) -> Dict[str, Any]:
-        """A JSON-ready dict; ``timings=False`` strips every wall time."""
-        payload: Dict[str, Any] = {
+    def as_dict(self) -> Dict[str, Any]:
+        """A JSON-ready dict."""
+        return {
             "steps": self.steps,
             "rewrite_steps": self.rewrite_steps,
             "factor_steps": self.factor_steps,
@@ -131,14 +118,12 @@ class RewriteStats:
             "subsumption_checks": self.subsumption_checks,
             "pairwise_checks_avoided": self.pairwise_checks_avoided,
             "minimized": self.minimized,
+            "wall_ms": round(self.wall_ms, 3),
+            "rewrite_ms": round(self.rewrite_ms, 3),
+            "factor_ms": round(self.factor_ms, 3),
+            "subsume_ms": round(self.subsume_ms, 3),
+            "minimize_ms": round(self.minimize_ms, 3),
         }
-        if timings:
-            payload["wall_ms"] = round(self.wall_ms, 3)
-            payload["rewrite_ms"] = round(self.rewrite_ms, 3)
-            payload["factor_ms"] = round(self.factor_ms, 3)
-            payload["subsume_ms"] = round(self.subsume_ms, 3)
-            payload["minimize_ms"] = round(self.minimize_ms, 3)
-        return payload
 
     def __str__(self) -> str:
         return (

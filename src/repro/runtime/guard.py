@@ -54,7 +54,7 @@ import threading
 import time
 from contextlib import contextmanager
 from enum import Enum
-from typing import Any, Callable, Iterator, Optional, Tuple
+from typing import Any, Callable, Iterator, Optional
 
 from ..errors import Cancelled, DeadlineExceeded, MemoryBudgetExceeded, ReproError
 
@@ -417,10 +417,7 @@ def ambient_cancel_token() -> "Optional[CancelToken]":
 
 
 @contextmanager
-def cancellation_scope(
-    install_signals: bool = True,
-    signals: "Tuple[int, ...]" = (signal.SIGINT, signal.SIGTERM),
-) -> "Iterator[CancelToken]":
+def cancellation_scope(install_signals: bool = True) -> "Iterator[CancelToken]":
     """Make a fresh :class:`CancelToken` ambient for the dynamic extent.
 
     While the scope is open, every guard built from a config without an
@@ -446,7 +443,7 @@ def cancellation_scope(
     _AMBIENT_TOKEN = token
     if install_signals:
         try:
-            for signum in signals:
+            for signum in (signal.SIGINT, signal.SIGTERM):
                 previous_handlers[signum] = signal.signal(signum, _handler)
         except ValueError:  # pragma: no cover - not the main thread
             previous_handlers.clear()

@@ -36,7 +36,7 @@ snapshot), ``shutdown``.
 
 Overload: engine requests pass through the
 :class:`~repro.serve.admission.AdmissionController` (bounded global
-and per-tenant queues, weighted round-robin dispatch).  Over-limit
+and per-tenant queues, round-robin dispatch).  Over-limit
 requests are shed immediately with ``{"ok": false, "error":
 "overloaded", "retry_after_ms": ...}``; an admitted request's
 ``wall_ms`` deadline starts ticking at admission, so queue time counts

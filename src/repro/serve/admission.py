@@ -18,12 +18,12 @@ mechanisms, all deterministic and all observable through the server's
   dispatcher's service-time EWMA, so clients back off proportionally
   to the actual overload.
 
-* **Weighted round-robin dispatch.**  Tenant queues are drained in a
-  deterministic cyclic order (first-queued first; each tenant takes up
-  to ``weight`` consecutive turns, default 1), and no tenant may hold
-  more than ``tenant_max_inflight`` worker slots — one hostile tenant
-  can fill only its own queue, never the pool.  Dispatch order is a
-  pure function of the submit/complete history, which is what the
+* **Round-robin dispatch.**  Tenant queues are drained in a
+  deterministic cyclic order (first-queued first; one request per
+  tenant per turn), and no tenant may hold more than
+  ``tenant_max_inflight`` worker slots — one hostile tenant can fill
+  only its own queue, never the pool.  Dispatch order is a pure
+  function of the submit/complete history, which is what the
   hypothesis battery in ``tests/serve/test_admission.py`` pins.
 
 * **Queue deadlines.**  Every admitted request carries an
@@ -103,22 +103,20 @@ class Pending:
 class _TenantState:
     """A tenant's queue plus its fairness bookkeeping."""
 
-    __slots__ = ("name", "weight", "queue", "inflight", "credit",
-                 "admitted", "dispatched", "shed")
+    __slots__ = ("name", "queue", "inflight", "admitted", "dispatched",
+                 "shed")
 
-    def __init__(self, name: str, weight: int) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.weight = weight
         self.queue: "Deque[Pending]" = deque()
         self.inflight = 0
-        self.credit = weight
         self.admitted = 0
         self.dispatched = 0
         self.shed = 0
 
 
 class AdmissionController:
-    """Bounded queues + weighted round-robin dispatch (module docstring).
+    """Bounded queues + round-robin dispatch (module docstring).
 
     Parameters
     ----------
@@ -137,10 +135,6 @@ class AdmissionController:
     tenant_max_inflight:
         Per-tenant bound on concurrently-running requests; ``None``
         inherits ``workers`` (no per-tenant throttle).
-    tenant_weights:
-        Optional ``{tenant: weight}`` map; a tenant with weight *w*
-        drains up to *w* consecutive requests per round-robin turn.
-        Unlisted tenants get weight 1.
     """
 
     def __init__(
@@ -149,7 +143,6 @@ class AdmissionController:
         max_pending: int = 1024,
         tenant_max_pending: "Optional[int]" = None,
         tenant_max_inflight: "Optional[int]" = None,
-        tenant_weights: "Optional[Dict[str, int]]" = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -171,13 +164,6 @@ class AdmissionController:
             raise ValueError(
                 f"tenant_max_inflight must be >= 1, got {self.tenant_max_inflight}"
             )
-        self._weights = dict(tenant_weights or {})
-        for tenant, weight in self._weights.items():
-            if not isinstance(weight, int) or weight < 1:
-                raise ValueError(
-                    f"tenant weight must be a positive int, got "
-                    f"{tenant!r}: {weight!r}"
-                )
         self._lock = threading.Lock()
         # tenant -> state; kept only while the tenant has queued or
         # inflight work, so adversarially many tenant names cannot grow
@@ -203,7 +189,7 @@ class AdmissionController:
     def _state(self, tenant: str) -> _TenantState:
         state = self._tenants.get(tenant)
         if state is None:
-            state = _TenantState(tenant, self._weights.get(tenant, 1))
+            state = _TenantState(tenant)
             self._tenants[tenant] = state
         return state
 
@@ -263,7 +249,7 @@ class AdmissionController:
     def _pop_next_locked(
         self, expired: "List[Pending]"
     ) -> "Optional[Pending]":
-        """One WRR step: the next dispatchable entry, or ``None``.
+        """One round-robin step: the next dispatchable entry, or ``None``.
 
         Expired-in-queue entries encountered on the way are moved to
         *expired* (shed with ``stopped_reason: "deadline"``) without
@@ -307,21 +293,17 @@ class AdmissionController:
             self.inflight_total += 1
             self.dispatched += 1
             self.dispatch_log.append(name)
-            if not state.queue:
-                self._ring.popleft()
-                state.credit = state.weight
+            if state.queue:
+                self._ring.rotate(-1)
             else:
-                state.credit -= 1
-                if state.credit <= 0:
-                    state.credit = state.weight
-                    self._ring.rotate(-1)
+                self._ring.popleft()
             return entry
         return None
 
     def next_dispatch(self) -> "Tuple[List[Pending], List[Pending]]":
         """``(run, expired)``: entries to start now, and early sheds.
 
-        Pops entries in weighted round-robin order while worker slots
+        Pops entries in round-robin order while worker slots
         are free; entries in *run* are already counted inflight (pair
         each with a later :meth:`complete`).  Entries in *expired*
         passed their queue deadline before a worker could take them —
@@ -390,7 +372,6 @@ class AdmissionController:
                 name: {
                     "pending": len(state.queue),
                     "inflight": state.inflight,
-                    "weight": state.weight,
                     "admitted": state.admitted,
                     "dispatched": state.dispatched,
                     "shed": state.shed,

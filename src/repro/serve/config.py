@@ -19,7 +19,7 @@ they become per-request *defaults* rather than one run's budget:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Optional
 
 from ..config import BudgetedConfig, OnBudget
 
@@ -61,12 +61,8 @@ class ServeConfig(BudgetedConfig):
     tenant_max_inflight:
         Per-tenant bound on concurrently-running requests; ``None``
         inherits ``workers`` (no per-tenant throttle).  Combined with
-        weighted round-robin dispatch this keeps one hostile tenant
-        from occupying the whole pool.
-    tenant_weights:
-        Optional ``{tenant: weight}`` map for the round-robin
-        dispatcher; a tenant with weight *w* drains up to *w*
-        consecutive requests per turn.  Unlisted tenants get weight 1.
+        round-robin dispatch this keeps one hostile tenant from
+        occupying the whole pool.
     max_line_bytes:
         Upper bound on one protocol line.  A connection that sends a
         longer line gets ``{"ok": false, "error": "request_too_large"}``
@@ -83,7 +79,6 @@ class ServeConfig(BudgetedConfig):
     max_pending: int = 1024
     tenant_max_pending: "Optional[int]" = None
     tenant_max_inflight: "Optional[int]" = None
-    tenant_weights: "Optional[Dict[str, int]]" = None
     max_line_bytes: int = MAX_LINE_BYTES
 
     def __post_init__(self) -> None:

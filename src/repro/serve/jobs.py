@@ -342,7 +342,6 @@ def _op_fc_search(session, request, params, guard):
     config = SearchConfig(
         max_elements=search_bound(params),
         max_nodes=_int_param(params, "max_nodes", SearchConfig.max_nodes),
-        heuristic=params.get("heuristic", SearchConfig.heuristic),
         **guard,
     )
     outcome = search_finite_model(

@@ -20,7 +20,7 @@ still listening) reports ``stopped_reason: "cancelled"``.
 
 Overload path: engine requests do not go straight to the pool — they
 pass through the :class:`~repro.serve.admission.AdmissionController`
-(bounded global + per-tenant queues, weighted round-robin dispatch;
+(bounded global + per-tenant queues, round-robin dispatch;
 see that module's docstring).  An over-limit request is *shed*
 immediately with ``{"ok": false, "error": "overloaded",
 "retry_after_ms": ...}``; an admitted request starts its
@@ -169,7 +169,6 @@ class ReproServer:
             max_pending=self.config.max_pending,
             tenant_max_pending=self.config.tenant_max_pending,
             tenant_max_inflight=self.config.tenant_max_inflight,
-            tenant_weights=self.config.tenant_weights,
         )
         self.exit_code = EXIT_OK
         self.requests = 0

@@ -13,7 +13,7 @@ Definition 13 iterates this: ``P_0(e) = P(e)`` and
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Optional, Set
+from typing import FrozenSet, Optional, Set
 
 from ..lf.canonical import Incidence
 from ..lf.structures import Structure
@@ -73,5 +73,5 @@ def predecessor_neighbourhood(
         m for m in predecessor_set(structure, element) if structure.has_element(m)
     } | index.constants
     return Structure._from_validated(
-        index.facts_among(elements), elements, structure.signature, structure.strict
+        index.facts_among(elements), elements, structure.signature
     )

@@ -14,10 +14,12 @@ from repro.chase import (
     chase,
     datalog_saturate,
 )
-from repro.chase.stats import TIMING_FIELDS
 from repro.cli import render_chase_stats
 from repro.lf import parse_structure, parse_theory
+from repro.payloads import TIMING_FIELDS
 from repro.zoo import chain_structure, transitive_theory
+
+from ..test_cli_json import strip_timings
 
 
 def growing_chain():
@@ -91,12 +93,14 @@ class TestSerialization:
         assert len(payload["rounds"]) == 3
         assert payload["totals"]["facts_added"] == stats.facts_added
 
-    def test_timings_false_strips_every_wall_time(self):
+    def test_strip_timings_drops_every_wall_time(self):
         database, theory = growing_chain()
         stats = chase(database, theory, ChaseConfig(max_depth=3)).stats
-        payload = stats.as_dict(timings=False)
+        payload = stats.as_dict()
+        assert "wall_ms" in payload["totals"]
+        payload = strip_timings(payload)
         assert "wall_ms" not in payload["totals"]
-        for entry in payload["rounds"]:
+        for entry in payload["rounds"] + [payload["hom"]]:
             for key in TIMING_FIELDS:
                 assert key not in entry
 
@@ -105,9 +109,9 @@ class TestSerialization:
         # inputs — rerunning must give byte-identical timing-free dicts.
         database, theory = growing_chain()
         config = ChaseConfig(max_depth=4)
-        first = chase(database, theory, config).stats.as_dict(timings=False)
-        second = chase(database, theory, config).stats.as_dict(timings=False)
-        assert first == second
+        first = chase(database, theory, config).stats.as_dict()
+        second = chase(database, theory, config).stats.as_dict()
+        assert strip_timings(first) == strip_timings(second)
 
     def test_render_is_deterministic_modulo_wall(self):
         database, theory = growing_chain()

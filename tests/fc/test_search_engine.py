@@ -1,7 +1,7 @@
 """Tests for the incremental search engine (PR: perf search rebuild).
 
-Covers the engine-specific surface: :class:`SearchConfig`, frontier
-heuristics, the copy-on-write/saturation counters, canonical dedup
+Covers the engine-specific surface: :class:`SearchConfig`, the
+depth-first frontier, the copy-on-write/saturation counters, canonical dedup
 (including the alpha-renaming regression), budget policies, and parity
 with the definitional search of ``tests/oracles.py`` on fixed workloads.
 """
@@ -20,9 +20,7 @@ from repro.lf import (
     parse_theory,
 )
 from repro.fc import (
-    SEARCH_TIMING_FIELDS,
     SearchConfig,
-    SearchHeuristic,
     SearchStats,
     every_finite_model_satisfies,
     search_finite_model,
@@ -182,15 +180,6 @@ class TestSearchConfig:
     def test_defaults(self):
         config = SearchConfig()
         assert config.max_elements == 10
-        assert config.heuristic is SearchHeuristic.DFS
-
-    def test_heuristic_accepts_strings(self):
-        config = SearchConfig(heuristic="smallest-domain")
-        assert config.heuristic is SearchHeuristic.SMALLEST_DOMAIN
-
-    def test_invalid_heuristic_rejected(self):
-        with pytest.raises(ValueError):
-            SearchConfig(heuristic="depth-charge")
 
     def test_with_overrides(self):
         config = SearchConfig(max_elements=4)
@@ -206,38 +195,29 @@ class TestSearchConfig:
         assert outcome.model.domain_size <= 3
 
 
-class TestHeuristics:
-    @pytest.mark.parametrize(
-        "heuristic", ["dfs", "smallest-domain", "fewest-violations"]
-    )
-    def test_all_heuristics_find_a_model(self, heuristic):
+class TestFrontier:
+    def test_finds_a_model(self):
         outcome = search_finite_model(
-            DB,
-            LINEAR,
-            config=SearchConfig(max_elements=5, heuristic=heuristic),
+            DB, LINEAR, config=SearchConfig(max_elements=5)
         )
         assert outcome.found
         assert list(rule_violations(outcome.model, LINEAR)) == []
-        assert outcome.stats.heuristic == heuristic
 
-    @pytest.mark.parametrize(
-        "heuristic", ["dfs", "smallest-domain", "fewest-violations"]
-    )
-    def test_exhaustive_verdicts_agree_across_heuristics(self, heuristic):
+    def test_exhaustive_verdict(self):
         outcome = search_finite_model(
             DB,
             LINEAR,
             forbidden=parse_query("E(x,y)"),
-            config=SearchConfig(max_elements=4, heuristic=heuristic),
+            config=SearchConfig(max_elements=4),
         )
         assert not outcome.found
         assert outcome.stats.exhausted
 
-    def test_smallest_domain_finds_minimal_closure(self):
+    def test_finds_minimal_closure(self):
+        # Reuse branches are popped before the fresh one, so the first
+        # model closes the chain on an existing element.
         outcome = search_finite_model(
-            DB,
-            LINEAR,
-            config=SearchConfig(max_elements=8, heuristic="smallest-domain"),
+            DB, LINEAR, config=SearchConfig(max_elements=8)
         )
         assert outcome.found
         assert outcome.model.domain_size == 2
@@ -312,15 +292,6 @@ class TestStats:
         assert 0 < stats.states_materialised <= stats.states_created
         assert stats.canonical_keys > 0
         assert stats.frontier_peak >= 1
-
-    def test_as_dict_strips_timings(self):
-        stats = SearchStats(nodes=3, wall_ms=1.25)
-        with_timings = stats.as_dict()
-        without = stats.as_dict(timings=False)
-        for field in SEARCH_TIMING_FIELDS:
-            assert field in with_timings
-            assert field not in without
-        assert without["nodes"] == 3
 
     def test_render_is_hash_prefixed(self):
         stats = SearchStats(nodes=3)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import ArityError, SignatureError
-from repro.lf import Atom, Constant, Null, Signature, Structure, Variable, atom
+from repro.errors import ArityError
+from repro.lf import Atom, Constant, Null, Structure, Variable, atom
 
 a, b, c = Constant("a"), Constant("b"), Constant("c")
 n0, n1 = Null(0), Null(1)
@@ -46,11 +46,6 @@ class TestBasics:
         s.add_fact(atom("U", a))
         assert s.signature.arity("U") == 1
         assert a in s.signature.constants
-
-    def test_strict_mode_rejects_unknown(self):
-        s = Structure(signature=Signature.make({"E": 2}), strict=True)
-        with pytest.raises(SignatureError):
-            s.add_fact(atom("U", a))
 
     def test_arity_clash_rejected(self):
         s = Structure([atom("E", a, b)])

@@ -202,3 +202,12 @@ class TestQuotient:
         assert q.structure.domain_size <= len(interior)
         # no fact of the quotient involves an element outside the interior
         assert all(e in q.projection for e in interior)
+
+    def test_given_empty_partition_is_used(self):
+        # An empty partition has no classes, so it is falsy: the quotient
+        # must still use it, not build one of the whole domain.
+        s = chain(4)
+        q = quotient(s, 2, partition=TypePartition(s, 2, elements=[]))
+        assert q.classes == []
+        assert q.projection == {}
+        assert len(q.structure) == 0

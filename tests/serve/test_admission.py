@@ -1,10 +1,10 @@
-"""Admission-layer battery: WRR determinism, caps, bounded queues.
+"""Admission-layer battery: round-robin determinism, caps, bounded queues.
 
 The hypothesis property drives the
 :class:`~repro.serve.admission.AdmissionController` with arbitrary
 interleavings of tenant submissions, dispatch rounds, and completions,
 and checks it against an independent list-based reimplementation of
-the documented weighted-round-robin rules — dispatch order must match
+the documented round-robin rules — dispatch order must match
 *exactly*, and the per-tenant inflight cap and global worker bound
 must never be exceeded.  A second pass over the same event script must
 reproduce the identical dispatch sequence (dispatch order is a pure
@@ -31,17 +31,15 @@ LINEAR = "E(x,y) -> exists z. E(y,z)"
 DB = "E(a,b)"
 
 
-class ReferenceWRR:
+class ReferenceRR:
     """Independent reimplementation of the dispatch rules (lists, no
     deque rotation) — the oracle the controller is checked against."""
 
-    def __init__(self, workers, cap, weights):
+    def __init__(self, workers, cap):
         self.workers = workers
         self.cap = cap
-        self.weights = weights
         self.ring = []
         self.queues = {}
-        self.credit = {}
         self.inflight = {}
         self.total = 0
 
@@ -49,7 +47,6 @@ class ReferenceWRR:
         queue = self.queues.setdefault(tenant, [])
         if not queue:
             self.ring.append(tenant)
-            self.credit[tenant] = self.weights.get(tenant, 1)
         queue.append(rid)
 
     def dispatch(self):
@@ -69,14 +66,11 @@ class ReferenceWRR:
             self.inflight[picked] = self.inflight.get(picked, 0) + 1
             self.total += 1
             out.append((picked, rid))
-            if not self.queues[picked]:
-                self.ring.pop(0)
-                self.credit[picked] = self.weights.get(picked, 1)
-            else:
-                self.credit[picked] -= 1
-                if self.credit[picked] <= 0:
-                    self.credit[picked] = self.weights.get(picked, 1)
-                    self.ring.append(self.ring.pop(0))
+            # one request per turn: the tenant goes to the back of the
+            # ring, or leaves it when its queue is empty
+            self.ring.pop(0)
+            if self.queues[picked]:
+                self.ring.append(picked)
         return out
 
     def complete(self, tenant):
@@ -84,16 +78,15 @@ class ReferenceWRR:
         self.total -= 1
 
 
-def run_script(workers, cap, weights, events):
+def run_script(workers, cap, events):
     """Drive one controller through *events*; returns the dispatch
     sequence, asserting the caps and the oracle along the way."""
     controller = AdmissionController(
         workers=workers,
         max_pending=10_000,  # no shedding: this property is about order
         tenant_max_inflight=cap,
-        tenant_weights=weights,
     )
-    oracle = ReferenceWRR(workers, cap, weights)
+    oracle = ReferenceRR(workers, cap)
     dispatched = []
     running = []  # dispatch-order FIFO of tenants to complete
     rids = iter(range(1, 10_000))
@@ -146,9 +139,6 @@ EVENTS = st.lists(
     ),
     max_size=60,
 )
-WEIGHTS = st.dictionaries(
-    st.sampled_from(TENANTS), st.integers(min_value=1, max_value=3)
-)
 
 
 @settings(max_examples=60, deadline=None,
@@ -156,12 +146,11 @@ WEIGHTS = st.dictionaries(
 @given(
     workers=st.integers(min_value=1, max_value=4),
     cap=st.integers(min_value=1, max_value=4),
-    weights=WEIGHTS,
     events=EVENTS,
 )
-def test_wrr_dispatch_is_deterministic_and_capped(workers, cap, weights, events):
-    first = run_script(workers, cap, weights, events)
-    second = run_script(workers, cap, weights, events)
+def test_wrr_dispatch_is_deterministic_and_capped(workers, cap, events):
+    first = run_script(workers, cap, events)
+    second = run_script(workers, cap, events)
     assert first == second  # pure function of the event history
 
 

@@ -7,7 +7,7 @@ and client-side burst arrivals, and asserts the overload contract:
 * memory stays bounded — the backlog never exceeds the configured
   queue bounds and every admission structure is empty again after the
   storm;
-* no tenant starves — the weighted round-robin dispatcher interleaves
+* no tenant starves — the round-robin dispatcher interleaves
   backlogged tenants;
 * every shed request gets a *well-formed* response (``overloaded`` +
   ``retry_after_ms``, or a ``queue_deadline`` shed with

@@ -278,17 +278,9 @@ class TestFcSearch:
             "--stats",
         )
         assert code == 0
-        assert "# search: heuristic=dfs" in out
+        assert "# search: nodes=" in out
         assert "# states:" in out
         assert "# saturation:" in out
-
-    def test_heuristic_flag(self, capsys):
-        code, out, _err = run(
-            capsys, "-e", "fc-search", LINEAR, DB, "--max-elements", "5",
-            "--heuristic", "smallest-domain", "--stats",
-        )
-        assert code == 0
-        assert "heuristic=smallest-domain" in out
 
 
 class TestServe:

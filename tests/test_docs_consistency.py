@@ -1,13 +1,15 @@
 """Documentation consistency: the docs must not drift from the code.
 
 Parses DESIGN.md, EXPERIMENTS.md, README.md and docs/paper_map.md for
-references to modules, functions, private names, benchmark files and
-example scripts, and checks that each one actually exists.  The
+references to modules, functions, private names, benchmark files,
+example scripts and command-line flags, and checks that each one
+actually exists.  The
 verification notes (``.claude/skills/verify/SKILL.md``) are checked for
 benchmark paths too.  Cheap insurance against the most common
 open-source rot.
 """
 
+import argparse
 import ast
 import importlib
 import re
@@ -33,6 +35,11 @@ _SCRIPT_REF = re.compile(r"benchmarks/[A-Za-z0-9_]+\.py")
 _SCOREBOARD_REF = re.compile(r"BENCH_(\w+|\{[\w,]+\})\.json")
 _EXAMPLE_REF = re.compile(r"`([a-z_]+\.py)`")
 _PRIVATE_REF = re.compile(r"`(_[A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)`")
+_FLAG_REF = re.compile(r"(?<![\w-])(--[a-z][a-z0-9-]*)")
+
+#: The one cited flag that belongs to pytest-benchmark, not to a parser
+#: in this repository.
+PYTEST_BENCHMARK_FLAGS = {"--benchmark-only"}
 
 
 def _doc_text():
@@ -141,3 +148,44 @@ class TestExampleReferences:
         for path in sorted((ROOT / "examples").glob("*.py")):
             text = path.read_text()
             assert "def main()" in text and "__main__" in text, path.name
+
+
+def _option_strings(parser):
+    """Every option string of *parser* and of its subcommands."""
+    options = set()
+    for action in parser._actions:
+        options.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for command in action.choices.values():
+                options |= _option_strings(command)
+    return options
+
+
+def _e2ebench_options():
+    """The flags of ``e2ebench/run.py``, read from its ``add_argument``
+    calls without importing the script."""
+    tree = ast.parse((ROOT / "e2ebench" / "run.py").read_text())
+    return {
+        arg.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_argument"
+        for arg in node.args
+        if isinstance(arg, ast.Constant) and str(arg.value).startswith("--")
+    }
+
+
+class TestFlagReferences:
+    def test_cited_flags_are_accepted(self):
+        from repro.cli import build_parser
+
+        cited = set(_FLAG_REF.findall(_doc_text()))
+        assert "--json" in cited, "no flags found — regex broken?"
+        accepted = (
+            _option_strings(build_parser())
+            | _e2ebench_options()
+            | PYTEST_BENCHMARK_FLAGS
+        )
+        unknown = sorted(cited - accepted)
+        assert not unknown, f"docs cite flags no parser accepts: {unknown}"
