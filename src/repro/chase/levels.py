@@ -10,7 +10,7 @@ rewriting engine's ``k_Ψ``.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..lf.homomorphism import homomorphisms
 from ..lf.queries import ConjunctiveQuery, UnionOfConjunctiveQueries

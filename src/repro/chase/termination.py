@@ -18,9 +18,9 @@ then every chase sequence terminates on every database.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
-from ..lf.rules import Rule, Theory
+from ..lf.rules import Theory
 from ..lf.terms import Variable
 
 #: A position: (predicate name, 0-based argument index).

@@ -17,7 +17,7 @@ These are decidable syntactic conditions, unlike BDD and FC.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..chase.termination import is_weakly_acyclic
 from ..lf.atoms import Atom

@@ -27,14 +27,14 @@ shape of the paper's proof of the Main Lemma.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConservativityError
-from ..lf.canonical import Incidence, canonical_query, subsets_containing
+from ..lf.canonical import Incidence, canonical_query
 from ..lf.homomorphism import satisfies
 from ..lf.queries import ConjunctiveQuery
 from ..lf.structures import Structure
-from ..lf.terms import Constant, Element
+from ..lf.terms import Element
 from ..ptypes.ptype import boolean_type_queries, type_queries
 from ..ptypes.quotient import Quotient, quotient
 from .colors import ColoredStructure

@@ -51,12 +51,7 @@ from ..chase.stats import ChaseStats
 from ..config import BudgetedConfig, OnBudget
 from ..coloring.conservativity import conservativity_report
 from ..coloring.natural import natural_coloring
-from ..errors import (
-    NewElementEmbargoViolation,
-    NotBinaryError,
-    PipelineError,
-    RewritingBudgetExceeded,
-)
+from ..errors import NewElementEmbargoViolation, PipelineError
 from ..lf.homomorphism import satisfies
 from ..lf.queries import ConjunctiveQuery
 from ..lf.rules import Theory

@@ -23,13 +23,12 @@ on the zoo).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..errors import NotBinaryError, RuleError
 from ..lf.atoms import Atom
 from ..lf.queries import ConjunctiveQuery
 from ..lf.rules import Rule, Theory
-from ..lf.signature import Signature
 from ..lf.terms import Variable
 
 

@@ -10,7 +10,7 @@ the smallest model is as hard as the search itself.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Optional
 
 from ..chase.engine import is_model
 from ..lf.homomorphism import satisfies

@@ -17,11 +17,10 @@ natural non-FC example (successor + transitivity).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from ..chase.engine import ChaseConfig, chase
-from ..chase.results import ChaseResult
-from ..lf.atoms import Atom, atom
+from ..lf.atoms import atom
 from ..lf.homomorphism import all_answers, satisfies
 from ..lf.queries import ConjunctiveQuery
 from ..lf.rules import Theory

@@ -12,18 +12,22 @@ that the paper allows inside positive types (Definition 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, Iterator, Optional, Sequence
 
-from .terms import Constant, Element, Null, Term, Variable, is_ground
+from .terms import Constant, Null, Term, Variable, is_ground
 
 #: Reserved predicate name for equality atoms ``x = c`` (Definition 3).
 EQUALITY = "="
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
-    """A predicate applied to arguments.
+class Atom(tuple):
+    """A predicate applied to arguments: the ``tuple`` ``(pred, args)``.
+
+    Being a tuple, an atom is hashed, compared and ordered in C, by
+    ``(pred, args)`` — in every set of facts, index bucket and matcher
+    check — and it equals the plain ``(pred, args)`` tuple, with an
+    equal hash, so no container may mix atoms with raw 2-tuples.
 
     Attributes
     ----------
@@ -34,26 +38,21 @@ class Atom:
         atoms; constants and nulls for facts.
     """
 
-    pred: str
-    args: Tuple[object, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.pred:
+    def __new__(cls, pred: str, args: Iterable[object]) -> "Atom":
+        if not pred:
             raise ValueError("predicate name must be non-empty")
-        if not isinstance(self.args, tuple):
-            object.__setattr__(self, "args", tuple(self.args))
+        if not isinstance(args, tuple):
+            args = tuple(args)
+        return super().__new__(cls, (pred, args))
 
-    def __hash__(self) -> int:
-        # Cached: facts live in sets and index buckets, and the
-        # generated dataclass hash would re-hash the argument tuple
-        # (and every term in it) on each membership test.  Consistent
-        # with the generated __eq__ (same pred, same args).
-        try:
-            return self._hash  # type: ignore[attr-defined]
-        except AttributeError:
-            value = hash((self.pred, self.args))
-            object.__setattr__(self, "_hash", value)
-            return value
+    pred = property(itemgetter(0))
+    args = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        # pickle and copy call Atom(pred, args), not Atom((pred, args))
+        return tuple(self)
 
     # ------------------------------------------------------------------
     # Inspection

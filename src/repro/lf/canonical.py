@@ -373,8 +373,8 @@ def _refine_classes(
     same for isomorphic structures), so renderings may rely on it.
     """
     # Elements are mapped to dense indices up front so the refinement
-    # rounds touch only ints and lists — Element hashes (dataclass
-    # field hashes) are paid once here, not once per lookup per round.
+    # rounds touch only ints and lists — the dict probe that finds an
+    # element's slot is paid once here, not once per neighbour per round.
     #
     # Per-index templates, built once: each incident fact becomes a
     # ``(skeleton, neighbours)`` pair where the skeleton spells out the

@@ -25,7 +25,7 @@ from .atoms import Atom
 from .plan import QueryPlan, plan_for
 from .queries import ConjunctiveQuery, UnionOfConjunctiveQueries, align_free
 from .structures import Structure
-from .terms import Constant, Element, Null, Variable
+from .terms import Constant, Element, Variable
 
 Binding = Dict[Variable, Element]
 

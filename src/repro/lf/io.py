@@ -21,7 +21,7 @@ from .atoms import Atom
 from .queries import ConjunctiveQuery
 from .rules import Rule, Theory
 from .structures import Structure
-from .terms import Constant, Element, Null, Variable
+from .terms import Constant, Element, Null
 
 
 # ----------------------------------------------------------------------

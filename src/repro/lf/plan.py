@@ -177,9 +177,11 @@ class PlanStep:
         Parallel to *lookups*: the :data:`CheckSet` to run when that
         lookup's bucket was chosen.  Every fact in the
         ``(pred, position, element)`` bucket satisfies that position's
-        test by construction, so the corresponding check is dropped —
-        element equality is a Python-level call, and this skips it once
-        per candidate.
+        test by construction, so the corresponding check is dropped.
+        The compare itself runs in C (elements are ``str`` and ``int``
+        subclasses), but each check is a pass of the matcher's Python
+        loop — an unpack, an index and a compare — and this skips it
+        once per candidate.
     full:
         The unfiltered :data:`CheckSet`, for the predicate-wide
         fallback bucket.

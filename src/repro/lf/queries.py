@@ -29,7 +29,7 @@ different forms).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 
 from .atoms import Atom, atoms_constants, atoms_variables
 from .terms import Constant, Term, Variable

@@ -9,7 +9,11 @@ chase level).
 Design notes
 ------------
 * All three classes are immutable and hashable so they can live in sets,
-  dict keys, and frozen atoms.
+  dict keys, and atoms.
+* Elements are builtin subclasses, hashed and compared in C: a
+  :class:`Constant` equals the ``str`` of its name and a :class:`Null`
+  the ``int`` of its ident, so no container may mix them with raw
+  ``str`` or ``int`` keys.  A :class:`Variable` equals no constant.
 * :class:`Constant` doubles as a *domain element*: the interpretation of
   a constant in every structure is itself (Herbrand-style), matching the
   paper's convention ("we are not always going to make this distinction"
@@ -21,8 +25,8 @@ Design notes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Tuple, Union
+from dataclasses import dataclass
+from typing import Union
 
 
 @dataclass(frozen=True, order=True)
@@ -58,43 +62,33 @@ class Variable:
         return self.name
 
 
-@dataclass(frozen=True, order=True)
-class Constant:
-    """A named constant from the signature.
+class Constant(str):
+    """A named constant from the signature: the ``str`` of its name.
 
     Constants are interpreted as themselves in every structure.  The
     paper's structure ``C_con`` (Section 1.1, Notations) is exactly the
     set of :class:`Constant` elements of a structure's domain.
     """
 
-    name: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __new__(cls, name: str) -> "Constant":
+        if not name:
             raise ValueError("constant name must be non-empty")
+        return super().__new__(cls, name)
 
-    def __hash__(self) -> int:
-        # Cached — see Variable.__hash__.
-        try:
-            return self._hash  # type: ignore[attr-defined]
-        except AttributeError:
-            value = hash(("Constant", self.name))
-            object.__setattr__(self, "_hash", value)
-            return value
+    name = property(str.__str__)  # a plain ``str``
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"'{self.name}'"
-
-    def __str__(self) -> str:
-        return self.name
+        return f"'{self}'"
 
 
-@dataclass(frozen=True, order=True)
-class Null:
-    """A labelled null: an element invented by the chase.
+class Null(int):
+    """A labelled null, invented by the chase: the ``int`` of its ident.
 
     The paper writes these elements ``c_{t_i, x̄}`` — one per (rule,
-    trigger) pair.  We carry the same provenance:
+    trigger) pair.  We carry the same provenance, read-only; equality,
+    hash and order see the ident alone.
 
     Attributes
     ----------
@@ -108,26 +102,32 @@ class Null:
         ``Chase^i``); ``-1`` when unknown.
     """
 
-    ident: int
-    rule_index: int = field(default=-1, compare=False)
-    level: int = field(default=-1, compare=False)
+    def __new__(cls, ident: int, rule_index: int = -1, level: int = -1) -> "Null":
+        null = super().__new__(cls, ident)
+        null.__dict__.update(rule_index=rule_index, level=level)
+        return null
 
-    def __hash__(self) -> int:
-        # Cached — see Variable.__hash__.  Only ``ident`` participates,
-        # matching the generated __eq__ (provenance fields are
-        # compare=False).
-        try:
-            return self._hash  # type: ignore[attr-defined]
-        except AttributeError:
-            value = hash(("Null", self.ident))
-            object.__setattr__(self, "_hash", value)
-            return value
+    ident = property(int.__int__)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_:{self.ident}"
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"Null is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __bool__(self) -> bool:
+        return True  # Null(0) too: every element is truthy
+
+    def __format__(self, spec: str) -> str:
+        return format(str(self), spec)  # the rendering, not the bare ident
+
+    def __reduce__(self):
+        # pickle and copy keep the provenance
+        return (type(self), (int(self), self.rule_index, self.level))
 
     def __str__(self) -> str:
-        return f"_:{self.ident}"
+        return f"_:{int(self)}"
+
+    __repr__ = __str__
 
 
 #: A term as it appears in rules and queries.
@@ -135,9 +135,6 @@ Term = Union[Variable, Constant]
 
 #: A domain element of a structure.
 Element = Union[Constant, Null]
-
-#: A tuple of terms (atom arguments in rules/queries).
-Terms = Tuple[Term, ...]
 
 
 def is_variable(term: object) -> bool:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..lf.atoms import Atom
 from ..lf.canonical import FREE_VARIABLE

@@ -17,12 +17,12 @@ budget exhaustion yields ``None`` rather than a guess.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..config import OnBudget
 from ..errors import RewritingBudgetExceeded
 from ..lf.homomorphism import all_answers, satisfies
-from ..lf.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
+from ..lf.queries import ConjunctiveQuery
 from ..lf.rules import Rule, Theory
 from ..lf.structures import Structure
 from ..lf.terms import Constant, Element

@@ -40,7 +40,7 @@ from ..lf.atoms import Atom
 from ..lf.homomorphism import find_homomorphism
 from ..lf.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 from ..lf.structures import Structure
-from ..lf.terms import Constant, Null, Variable
+from ..lf.terms import Null, Variable
 
 #: Bounded memo tables for the containment hot path; cleared wholesale
 #: when full (entries are cheap to rebuild).  Shared across the server's

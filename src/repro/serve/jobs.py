@@ -37,6 +37,10 @@ Protocol ops
 ``session-close``  drop the whole tenant session
 (``cancel``, ``stats``, ``health``, ``metrics``, ``shutdown`` are
 handled on the event loop.)
+
+Each op accepts the params it reads, listed beside its handler in
+:data:`JOB_HANDLERS`, and the guard's :data:`GUARD_PARAMS`; any other
+param is a :class:`RequestError`.
 """
 
 from __future__ import annotations
@@ -121,10 +125,23 @@ def _field(request: Dict[str, Any], name: str) -> str:
     return value
 
 
-def _params(request: Dict[str, Any]) -> Dict[str, Any]:
+#: The params of the runtime guard, which every op takes.
+GUARD_PARAMS = ("wall_ms", "max_rss_mb")
+
+
+def _params(request: Dict[str, Any], reads: Tuple[str, ...]) -> Dict[str, Any]:
+    """The request's params, each one a guard param or one in *reads*."""
     params = request.get("params") or {}
     if not isinstance(params, dict):
         raise RequestError("params must be a JSON object")
+    accepted = reads + GUARD_PARAMS
+    unread = [name for name in params if name not in accepted]
+    if unread:
+        raise RequestError(
+            f"unknown params for {request.get('op')}: "
+            f"{', '.join(map(repr, unread))} "
+            f"(it accepts {', '.join(sorted(accepted))})"
+        )
     return params
 
 
@@ -491,19 +508,20 @@ def _op_view_close(session: TheorySession, request, params, guard):
     }, EXIT_OK
 
 
+#: Each op's handler, and the params it reads besides the guard's.
 JOB_HANDLERS = {
-    "ping": _op_ping,
-    "chase": _op_chase,
-    "certain": _op_certain,
-    "rewrite": _op_rewrite,
-    "classify": _op_classify,
-    "countermodel": _op_countermodel,
-    "fc-search": _op_fc_search,
-    "skeleton": _op_skeleton,
-    "view-create": _op_view_create,
-    "view-update": _op_view_update,
-    "view-query": _op_view_query,
-    "view-close": _op_view_close,
+    "ping": (_op_ping, ()),
+    "chase": (_op_chase, ("depth", "explain", "updates")),
+    "certain": (_op_certain, ("depth",)),
+    "rewrite": (_op_rewrite, ("max_steps", "max_queries")),
+    "classify": (_op_classify, ()),
+    "countermodel": (_op_countermodel, ("depths",)),
+    "fc-search": (_op_fc_search, ("max_elements", "max_nodes")),
+    "skeleton": (_op_skeleton, ("depth",)),
+    "view-create": (_op_view_create, ("depth",)),
+    "view-update": (_op_view_update, ()),
+    "view-query": (_op_view_query, ()),
+    "view-close": (_op_view_close, ()),
 }
 
 
@@ -525,6 +543,7 @@ def execute_request(
         if not isinstance(tenant, str) or not tenant:
             raise RequestError("tenant must be a non-empty string")
         if op == "session-close":
+            _params(request, ())
             payload: Dict[str, Any] = {
                 "command": "session-close",
                 "status": "closed" if registry.close(tenant) else "not-found",
@@ -532,12 +551,13 @@ def execute_request(
             }
             code = EXIT_OK
         else:
-            handler = JOB_HANDLERS.get(op)
-            if handler is None:
+            entry = JOB_HANDLERS.get(op)
+            if entry is None:
                 raise RequestError(f"unknown op {op!r}")
+            handler, reads = entry
             session = registry.get(tenant)
             session.requests += 1
-            params = _params(request)
+            params = _params(request, reads)
             guard = _guard_fields(params, config, token, deadline)
             payload, code = handler(session, request, params, guard)
         payload["exit_code"] = code

@@ -24,8 +24,8 @@ from ..chase.results import ChaseResult
 from ..lf.atoms import Atom
 from ..lf.rules import Theory
 from ..lf.structures import Structure
-from ..lf.terms import Constant, Element
-from ..vtdag.checks import is_forest, is_vtdag, max_degree, vtdag_report
+from ..lf.terms import Constant
+from ..vtdag.checks import is_forest, max_degree, vtdag_report
 
 
 @dataclass

@@ -22,11 +22,10 @@ use one witness).  The tests pin down exactly that agreement.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from ..lf.atoms import Atom
 from ..lf.rules import Rule, Theory
-from ..lf.terms import Variable
 
 
 def is_frontier_one(rule: Rule) -> bool:

@@ -35,7 +35,7 @@ from ..lf.atoms import Atom
 from ..lf.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 from ..lf.rules import Rule, Theory
 from ..lf.structures import Structure
-from ..lf.terms import Constant, Element, Term, Variable
+from ..lf.terms import Constant, Term, Variable
 
 
 def _parent_pred(index: int) -> str:

@@ -25,7 +25,7 @@ from ..lf.atoms import Atom
 from ..lf.rules import Rule, Theory
 from ..lf.signature import Signature
 from ..lf.structures import Structure
-from ..lf.terms import Constant, Element, Null, NullFactory, Variable
+from ..lf.terms import Element, NullFactory, Variable
 
 
 def multihead_to_singlehead(theory: Theory) -> Theory:

@@ -29,14 +29,14 @@ bodies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from ..lf.atoms import Atom
 from ..lf.queries import ConjunctiveQuery
 from ..lf.rules import Rule, Theory
 from ..lf.structures import Structure
-from ..lf.terms import Constant, Element, Term, Variable
+from ..lf.terms import Constant, Variable
 
 
 def _chain_predicates(pred: str, arity: int) -> List[str]:

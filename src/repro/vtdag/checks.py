@@ -16,7 +16,7 @@ ptp-conservative — is exercised over these structures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from ..lf.structures import Structure
 from ..lf.terms import Constant, Element

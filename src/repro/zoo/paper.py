@@ -14,7 +14,7 @@ from ..lf.parser import parse_query, parse_structure, parse_theory
 from ..lf.queries import ConjunctiveQuery
 from ..lf.rules import Theory
 from ..lf.structures import Structure
-from ..lf.terms import Constant, Null
+from ..lf.terms import Null
 
 
 def example1_theory() -> Theory:
