@@ -16,6 +16,8 @@ verdict, the answer relation, and the run's
 :class:`~repro.chase.stats.ChaseStats` in a single
 :class:`CertainReport`.  :func:`certain_boolean` and
 :func:`certain_answers` are thin compatibility wrappers over it.
+:func:`evaluate_certain` reads verdict and answers off a chased
+structure, here and in :meth:`repro.chase.view.ChaseView.certain`.
 """
 
 from __future__ import annotations
@@ -67,6 +69,30 @@ class CertainReport:
         return self.result.stats
 
 
+def evaluate_certain(
+    structure: Structure, query: Query, saturated: bool
+) -> "Tuple[Optional[bool], Set[Tuple[Element, ...]]]":
+    """The verdict and the certain answers of *query* on a chased
+    *structure*, *saturated* when the chase reached its fixpoint.
+
+    A Boolean query stops at its first match; otherwise only the answer
+    rows built from constants are certain (see :class:`CertainReport`).
+    """
+    if getattr(query, "is_boolean", False):
+        answers: "Set[Tuple[Element, ...]]" = (
+            {()} if satisfies(structure, query) else set()
+        )
+    else:
+        answers = {
+            row
+            for row in all_answers(structure, query)
+            if all(isinstance(value, Constant) for value in row)
+        }
+    if answers:
+        return True, answers
+    return (False if saturated else None), answers
+
+
 def certain_report(
     database: Structure,
     theory: Theory,
@@ -87,21 +113,7 @@ def certain_report(
             max_depth=max_depth, max_facts=max_facts, max_elements=None
         )
     result = chase(database, theory, config)
-    if getattr(query, "is_boolean", False):
-        # Short-circuit: one witnessing homomorphism settles a Boolean
-        # query, no need to enumerate the whole answer relation.
-        answers = {()} if satisfies(result.structure, query) else set()
-    else:
-        raw = all_answers(result.structure, query)
-        answers = {
-            row for row in raw if all(isinstance(value, Constant) for value in row)
-        }
-    if answers:
-        verdict: "Optional[bool]" = True
-    elif result.saturated:
-        verdict = False
-    else:
-        verdict = None
+    verdict, answers = evaluate_certain(result.structure, query, result.saturated)
     return CertainReport(
         verdict=verdict,
         answers=answers,

@@ -59,11 +59,11 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..errors import ChaseError
 from ..lf.atoms import Atom
-from ..lf.homomorphism import all_answers, satisfies
 from ..lf.rules import Theory
 from ..lf.structures import Structure
-from ..lf.terms import Constant, Element, Null, NullFactory
+from ..lf.terms import Element, Null, NullFactory
 from ..runtime.guard import RuntimeGuard, StopReason
+from .certain import evaluate_certain
 from .engine import ChaseConfig, _recorded_round, _run_rounds, chase
 from .provenance import SupportStore
 from .results import ChaseResult
@@ -254,23 +254,7 @@ class ChaseView:
         """
         out: List[ViewAnswer] = []
         for query in queries:
-            if getattr(query, "is_boolean", False):
-                answers: Set[Tuple[Element, ...]] = (
-                    {()} if satisfies(self._working, query) else set()
-                )
-            else:
-                raw = all_answers(self._working, query)
-                answers = {
-                    row
-                    for row in raw
-                    if all(isinstance(value, Constant) for value in row)
-                }
-            if answers:
-                verdict: "Optional[bool]" = True
-            elif self.saturated:
-                verdict = False
-            else:
-                verdict = None
+            verdict, answers = evaluate_certain(self._working, query, self.saturated)
             out.append(
                 ViewAnswer(verdict=verdict, answers=answers, complete=self.saturated)
             )

@@ -22,9 +22,9 @@ uniqueness used in Lemma 7(iii).
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from ..lf.canonical import Incidence, canonical_label
+from ..lf.canonical import Incidence, canonical_key, isomorphic_over_constants
 from ..lf.structures import Structure
 from ..lf.terms import Constant, Element, Null
 from ..vtdag.predecessors import (
@@ -45,44 +45,23 @@ def _creation_order(element: Element) -> Tuple[int, int, str]:
 def lightness_classes(structure: Structure) -> Dict[Element, int]:
     """Assign a lightness to every element.
 
-    The lightness is an index of the isomorphism class (fixing the
-    constants) of ``C ↾ (P(e) ∪ C_con)``, so Definition 14's second
-    condition holds by construction.  Constants get the dedicated
-    lightness key of their own identity (they are all forced distinct
-    from non-constants).
+    Each non-constant element is keyed by the
+    :func:`~repro.lf.canonical.canonical_key` of ``C ↾ (P(e) ∪ C_con)``,
+    so equal lightness means isomorphic neighbourhoods (fixing the
+    constants) and Definition 14's second condition holds by
+    construction.  The constants share one lightness of their own.
+    Lightness indices are numbered by first appearance in ``str``
+    order of the elements.
     """
-    table: Dict[Tuple, int] = {}
+    table: Dict[Optional[str], int] = {}
     assignment: Dict[Element, int] = {}
     incidence = Incidence(structure)
     for element in sorted(structure.domain(), key=str):
-        if isinstance(element, Constant):
-            key: Tuple = ("constant",)
-        else:
-            neighbourhood = predecessor_neighbourhood(structure, element, incidence)
-            if len(neighbourhood.nonconstant_elements()) <= 7:
-                key = (
-                    "nonconstant",
-                    canonical_label(neighbourhood),
-                    neighbourhood.domain_size,
-                )
-            else:
-                # Exact iso-labels are exponential; beyond the VTDAG
-                # regime (where P(e) is tiny) fall back to a coarse
-                # invariant.  Definition 14's condition 2 may then be
-                # violated for exotic inputs — naturality_violations
-                # still reports it honestly.
-                profile = tuple(
-                    sorted(
-                        (fact.pred, tuple(arg == element for arg in fact.args))
-                        for fact in neighbourhood.facts_about(element)
-                    )
-                )
-                key = (
-                    "approx",
-                    neighbourhood.domain_size,
-                    len(neighbourhood.facts()),
-                    profile,
-                )
+        key: Optional[str] = None
+        if not isinstance(element, Constant):
+            key = canonical_key(
+                predecessor_neighbourhood(structure, element, incidence)
+            )
         index = table.get(key)
         if index is None:
             index = len(table)
@@ -183,10 +162,8 @@ def naturality_violations(
 
     Condition 2 is checked via isomorphism over fixed constants of the
     predecessor neighbourhoods (on the *base* structure, colors
-    stripped).
+    stripped), by :func:`~repro.lf.canonical.isomorphic_over_constants`.
     """
-    from ..lf.canonical import isomorphic_over_constants
-
     problems: List[str] = []
     base = colored.base
     incidence = Incidence(base)
@@ -219,16 +196,7 @@ def naturality_violations(
                 continue
             if isinstance(reference, Constant):
                 continue  # all constant neighbourhoods are C ↾ C_con
-            try:
-                isomorphic = isomorphic_over_constants(reference_hood, other_hood)
-            except ValueError:
-                # neighbourhoods too large for the exact test: compare
-                # the cheap invariants only (see lightness_classes)
-                isomorphic = (
-                    reference_hood.domain_size == other_hood.domain_size
-                    and len(reference_hood.facts()) == len(other_hood.facts())
-                )
-            if not isomorphic:
+            if not isomorphic_over_constants(reference_hood, other_hood):
                 problems.append(
                     f"lightness {lightness}: P-neighbourhoods of {reference} "
                     f"and {other} are not isomorphic"

@@ -15,7 +15,6 @@ from .atoms import EQUALITY, Atom, atom, atoms_constants, atoms_variables
 from .canonical import (
     FREE_VARIABLE,
     canonical_key,
-    canonical_label,
     canonical_query,
     isomorphic_over_constants,
     subsets_containing,
@@ -40,7 +39,6 @@ from .homomorphism import (
     structure_homomorphism,
     structure_homomorphisms,
     structures_hom_equivalent,
-    structures_isomorphic,
 )
 from .plan import (
     HOM_STATS,
@@ -104,7 +102,6 @@ __all__ = [
     "atoms_constants",
     "atoms_variables",
     "canonical_key",
-    "canonical_label",
     "canonical_query",
     "clear_plan_cache",
     "compile_plan",
@@ -136,7 +133,6 @@ __all__ = [
     "structure_homomorphisms",
     "structure_to_dict",
     "structures_hom_equivalent",
-    "structures_isomorphic",
     "subsets_containing",
     "theory_to_text",
     "to_dot",

@@ -1,4 +1,4 @@
-"""Canonical queries of substructures, and canonical labels.
+"""Canonical queries of substructures, and canonical keys of structures.
 
 Two constructions used throughout the positive-type machinery:
 
@@ -10,15 +10,16 @@ Two constructions used throughout the positive-type machinery:
   ≤ n-element subsets around ``d`` *generate* the positive n-type of
   ``d`` under query homomorphism.
 
-* a **canonical label** of a small structure: a string invariant under
-  isomorphisms that fix the constants — used as the *lightness* of a
-  color in natural colorings (Definition 14 requires equal lightness to
-  imply isomorphic ``C ↾ (P(e) ∪ C_con)``).
+* the **canonical key** of a structure: a string that two structures
+  share exactly when they are isomorphic over the constants — the
+  *lightness* of a color in natural colorings (Definition 14 requires
+  equal lightness to imply isomorphic ``C ↾ (P(e) ∪ C_con)``) and the
+  finite-model search's dedup key.
 
-Both read a structure through an :class:`Incidence` index — each
-element's facts, built in one pass — so a canonical query or a
-neighbourhood costs the facts of its own elements, not a scan of the
-whole structure.
+Canonical queries and neighbourhoods read a structure through an
+:class:`Incidence` index — each element's facts, built in one pass —
+so they cost the facts of their own elements, not a scan of the whole
+structure.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ from .terms import Constant, Element, Variable
 
 #: The free variable of canonical type queries — the paper's ``y``.
 FREE_VARIABLE = Variable("y")
+
+#: The most orders of the non-constant elements :func:`canonical_key`
+#: renders (8!, one class of 8); past it the key is no longer canonical.
+MAX_ORDERS = 40_320
 
 
 class Incidence:
@@ -322,39 +327,6 @@ def connected_subsets_containing(
     yield from walk(max_size - 1)
 
 
-def canonical_label(structure: Structure) -> str:
-    """A string invariant under isomorphisms fixing the constants.
-
-    Non-constant elements are assigned indices; the label is the
-    lexicographically least rendering of the fact set over all
-    assignments.  Exponential in the number of non-constant elements —
-    fine for the paper's use (``P(e) ∪ C_con`` has at most two
-    non-constant elements in a VTDAG skeleton, Definition 10/11).
-    """
-    nonconstants = sorted(structure.nonconstant_elements(), key=str)
-    if len(nonconstants) > 7:
-        raise ValueError(
-            f"canonical_label is exponential; got {len(nonconstants)} "
-            "non-constant elements (max 7)"
-        )
-
-    def render(order: Sequence[Element]) -> str:
-        table = {element: f"#{i}" for i, element in enumerate(order)}
-        lines = []
-        for fact in structure.facts():
-            args = ",".join(
-                table.get(arg, str(arg)) if not isinstance(arg, Constant) else f"c:{arg}"
-                for arg in fact.args
-            )
-            lines.append(f"{fact.pred}({args})")
-        lines.sort()
-        return ";".join(lines)
-
-    if not nonconstants:
-        return render(())
-    return min(render(order) for order in permutations(nonconstants))
-
-
 def _refine_classes(
     structure: Structure, nonconstants: "Sequence[Element]"
 ) -> "List[List[Element]]":
@@ -382,9 +354,12 @@ def _refine_classes(
     # the fact's non-constant arguments (as indices) in position order.
     # A round's view of an element is then just the skeletons with the
     # current neighbour colors appended — no per-round arg inspection.
+    # The same pass records who shares a fact, for the color seed below.
     total = len(nonconstants)
     index: Dict[Element, int] = {element: i for i, element in enumerate(nonconstants)}
     templates: List[List[Tuple]] = [[] for _ in range(total)]
+    neighbours: List[Set[int]] = [set() for _ in range(total)]
+    anchored: Set[int] = set()
     for fact in structure.facts():
         skeleton: List[str] = [fact.pred]
         nulls: List[int] = []
@@ -397,8 +372,12 @@ def _refine_classes(
         if not nulls:
             continue
         entry = (tuple(skeleton), tuple(nulls))
-        for i in set(nulls):
+        members = set(nulls)
+        if len(nulls) < len(fact.args):
+            anchored.update(members)
+        for i in members:
             templates[i].append(entry)
+            neighbours[i].update(members)
 
     # Seed colors with the BFS distance to the constants (through
     # shared facts).  Distance is invariant under any isomorphism
@@ -406,16 +385,6 @@ def _refine_classes(
     # chase builds it discriminates most elements immediately — pure
     # refinement from a uniform coloring would need one round per hop
     # of diameter to propagate the same information.
-    neighbours: List[Set[int]] = [set() for _ in range(total)]
-    anchored: Set[int] = set()
-    for fact in structure.facts():
-        members = [index[arg] for arg in fact.args if not isinstance(arg, Constant)]
-        if not members:
-            continue
-        if len(members) < len(fact.args):
-            anchored.update(members)
-        for i in members:
-            neighbours[i].update(members)
     distance = [total + 1] * total  # sentinel: unreachable from constants
     frontier = sorted(anchored)
     depth = 0
@@ -457,28 +426,32 @@ def _refine_classes(
     return [grouped[key] for key in sorted(grouped)]
 
 
-def canonical_key(structure: Structure, max_orders: int = 40_320) -> str:
-    """A dedup key invariant under renaming the non-constant elements.
+def canonical_key(structure: Structure) -> str:
+    """The canonical form of *structure* up to renaming its non-constant
+    elements: equal keys exactly for structures isomorphic over the
+    constants.
 
-    Two structures with equal keys are isomorphic over the constants
-    (a key spells out the full fact set up to element indexing), and —
-    when the permutation search below is exact — isomorphic structures
-    get equal keys.  This is what the finite-model search hashes its
-    states by: rules and queries never mention nulls, so states that
-    differ only in invented null names have identical futures.
+    A key spells out the full fact set with the non-constant elements
+    indexed, so equal keys imply isomorphism.  The indexing is the one
+    that renders least among the orders of the non-constant elements
+    that keep color refinement's classes in their canonical order, so
+    isomorphic structures render the same least key.  This is the
+    lightness of natural colorings (Definition 14), and what the
+    finite-model search hashes its states by: rules and queries never
+    mention nulls, so states that differ only in invented null names
+    have identical futures.
 
-    Unlike :func:`canonical_label` this has no hard size limit: color
-    refinement first splits the non-constant elements into
-    exchangeability classes, and only permutations within classes are
-    searched.  If that search space still exceeds *max_orders*, the key
-    falls back to the raw element names — still sound for dedup (equal
-    keys still imply isomorphism), merely no longer renaming-invariant
-    for that state.
+    When the classes allow more than :data:`MAX_ORDERS` orders, the key
+    renders the raw element names instead: equal keys still imply
+    isomorphism, but isomorphic structures may get different keys.
     """
+    # Predicates and constants are spelled by the builtin repr of their
+    # names, which no name can imitate: a quoted constant may hold
+    # commas, and a predicate built outside the parser anything.
     nonconstants = sorted(structure.nonconstant_elements(), key=str)
     suffix = "|n=%d|con=%s" % (
         len(nonconstants),
-        ",".join(sorted(str(c) for c in structure.constant_elements())),
+        ",".join(sorted(map(str.__repr__, structure.constant_elements()))),
     )
 
     def render(order: Sequence[Element]) -> str:
@@ -486,22 +459,23 @@ def canonical_key(structure: Structure, max_orders: int = 40_320) -> str:
         lines = []
         for fact in structure.facts():
             args = ",".join(
-                f"c:{arg}" if isinstance(arg, Constant) else table[arg]
+                str.__repr__(arg) if isinstance(arg, Constant) else table[arg]
                 for arg in fact.args
             )
-            lines.append(f"{fact.pred}({args})")
+            lines.append(f"{str.__repr__(fact.pred)}({args})")
         lines.sort()
         return ";".join(lines) + suffix
 
-    if not nonconstants:
-        return render(())
+    if len(nonconstants) <= 2:
+        # At most two orders: rendering both costs less than refining.
+        return min(render(order) for order in permutations(nonconstants))
 
     classes = _refine_classes(structure, nonconstants)
     total = 1
     for group in classes:
         for size in range(2, len(group) + 1):
             total *= size
-        if total > max_orders:
+        if total > MAX_ORDERS:
             return render(nonconstants)
 
     if total == 1:
@@ -514,13 +488,17 @@ def canonical_key(structure: Structure, max_orders: int = 40_320) -> str:
 
 
 def isomorphic_over_constants(left: Structure, right: Structure) -> bool:
-    """Isomorphism fixing every constant, via canonical labels.
+    """Whether a bijection fixing every constant maps *left* onto *right*.
 
-    The two structures must have the same constant elements (otherwise
-    they are trivially non-isomorphic over constants).
+    Structures with different constant elements, domain sizes or fact
+    counts are rejected at once; the others compare their
+    :func:`canonical_key`.  The test is exact unless a side's refinement
+    classes allow more than :data:`MAX_ORDERS` orders (for a single
+    class, more than 8 elements): ``True`` is always a proof, ``False``
+    then may not be.
     """
     if left.constant_elements() != right.constant_elements():
         return False
     if left.domain_size != right.domain_size or len(left.facts()) != len(right.facts()):
         return False
-    return canonical_label(left) == canonical_label(right)
+    return canonical_key(left) == canonical_key(right)

@@ -14,7 +14,7 @@ Public entry points
 ``satisfies``              — boolean satisfaction of a CQ (under a partial binding)
 ``all_answers``            — the answer relation of a CQ over a structure
 ``structure_homomorphism`` — homomorphism between two structures (constants fixed)
-``structures_hom_equivalent`` / ``structures_isomorphic`` — comparisons
+``structures_hom_equivalent`` — homomorphic equivalence (maps both ways)
 """
 
 from __future__ import annotations
@@ -275,37 +275,6 @@ def structures_hom_equivalent(left: Structure, right: Structure) -> bool:
         structure_homomorphism(left, right) is not None
         and structure_homomorphism(right, left) is not None
     )
-
-
-def structures_isomorphic(
-    left: Structure,
-    right: Structure,
-    fixed: "Optional[Dict[Element, Element]]" = None,
-) -> bool:
-    """Isomorphism test by searching for a bijective homomorphism whose
-    inverse is also a homomorphism.
-
-    Exponential in general; intended for the small local structures the
-    paper compares (``C ↾ (P(e) ∪ C_con)`` in Definition 14).
-    """
-    if len(left.facts()) != len(right.facts()):
-        return False
-    if left.domain_size != right.domain_size:
-        return False
-    if left.constant_elements() != right.constant_elements():
-        return False
-    for mapping in structure_homomorphisms(left, right, fixed):
-        values = list(mapping.values())
-        if len(set(values)) != len(values):
-            continue  # not injective
-        image_facts = {fact.substitute(mapping) for fact in left.facts()}
-        if len(image_facts) != len(left.facts()):
-            continue  # two facts collapsed (cannot happen when injective)
-        # Injective + equal fact counts + image ⊆ right ⟹ image = right,
-        # so the inverse is a homomorphism too: this is an isomorphism.
-        if all(right.has_fact(fact) for fact in image_facts):
-            return True
-    return False
 
 
 def count_homomorphisms(

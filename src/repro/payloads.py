@@ -199,7 +199,7 @@ def countermodel_payload(result) -> Tuple[Payload, int]:
 
 
 def fc_search_payload(outcome) -> Tuple[Payload, int]:
-    """``fc-search``: a :class:`~repro.fc.SearchOutcome`."""
+    """``fc-search``: a :class:`~repro.fc.SearchResult`."""
     stats = outcome.stats
     if outcome.found:
         status, code = "model-found", EXIT_OK

@@ -10,8 +10,8 @@ keys ``id``, ``ok``, ``tenant`` (and ``cached`` on artifact-cache hits).
 Every job runs under its own :class:`~repro.runtime.RuntimeGuard`: the
 effective ``wall_ms`` is the request's ``params.wall_ms`` (else the
 server's default SLA), the ``max_rss_mb`` ceiling is shared, and the
-caller's :class:`CancelToken` is tripped by a ``cancel`` op, a client
-disconnect or the CLI's Ctrl-C.  Engines run with
+caller's :class:`~repro.runtime.CancelToken` is tripped by a ``cancel``
+op, a client disconnect or the CLI's Ctrl-C.  Engines run with
 :attr:`~repro.config.OnBudget.RETURN`, so a tripped guard degrades to a
 partial payload; the Theorem-2 pipeline raises, and
 :func:`failure_payload` maps the raise onto the same exit codes.

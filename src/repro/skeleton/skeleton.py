@@ -25,7 +25,7 @@ from ..lf.atoms import Atom
 from ..lf.rules import Theory
 from ..lf.structures import Structure
 from ..lf.terms import Constant
-from ..vtdag.checks import is_forest, max_degree, vtdag_report
+from ..vtdag.checks import _nonconstant_cycle, max_degree, vtdag_report
 
 
 @dataclass
@@ -152,7 +152,7 @@ def lemma3_report(skeleton_result: SkeletonResult) -> Lemma3Report:
     """
     structure = skeleton_result.structure
     report = vtdag_report(structure)
-    acyclic = not any("cycle" in v for v in report.violations)
+    acyclic = _nonconstant_cycle(structure) is None
     in_degree_ok = True
     for element in structure.nonconstant_elements():
         parents = {
@@ -168,7 +168,7 @@ def lemma3_report(skeleton_result: SkeletonResult) -> Lemma3Report:
     return Lemma3Report(
         acyclic=acyclic,
         in_degree_at_most_one=in_degree_ok,
-        forest=is_forest(structure),
+        forest=acyclic and in_degree_ok,
         degree_bound=signature_size + 1,
         degree_observed=observed,
         vtdag=report.is_vtdag,

@@ -14,8 +14,9 @@ covers every ``(engine, reason, policy)`` cell of the contract:
 partial result flagged incomplete under ``OnBudget.RETURN``, typed
 exception carrying ``.stats`` under ``OnBudget.RAISE``.
 
-While a hook is installed, :meth:`RuntimeGuard.from_config` always
-builds an *active* guard — faults reach engines whose configs carry no
+While a hook is installed,
+:meth:`~repro.runtime.RuntimeGuard.from_config` always builds an
+*active* guard — faults reach engines whose configs carry no
 wall/memory budgets at all.
 
 >>> from repro.testing import inject_fault

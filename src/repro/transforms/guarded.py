@@ -148,13 +148,13 @@ class GuardedTranslation:
             variants.append(conjunction)
         return variants
 
-    def translate_query(
-        self, query: ConjunctiveQuery, max_disjuncts: int = 4_096
-    ) -> UnionOfConjunctiveQueries:
+    def translate_query(self, query: ConjunctiveQuery) -> UnionOfConjunctiveQueries:
         """Translate a CQ into a UCQ over the binary signature.
 
         Each atom gets its own (fresh, existential) leading variable;
-        the parent-index choices per atom multiply into the union.
+        the parent-index choices per atom multiply into the union, which
+        keeps every combination: a dropped one could be the only
+        disjunct that holds.
         """
         taken = {v.name for v in query.variables()}
         per_atom: List[List[List[Atom]]] = []
@@ -172,8 +172,6 @@ class GuardedTranslation:
         for combination in itertools.product(*per_atom):
             atoms = [a for conjunction in combination for a in conjunction]
             disjuncts.append(ConjunctiveQuery(atoms, query.free))
-            if len(disjuncts) >= max_disjuncts:
-                break
         return UnionOfConjunctiveQueries(disjuncts)
 
 

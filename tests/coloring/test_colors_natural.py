@@ -25,6 +25,21 @@ def chain(length):
     return Structure(atom("E", n[i], n[i + 1]) for i in range(length))
 
 
+def eight_element_neighbourhoods():
+    """Elements e and f whose predecessor neighbourhoods have 8
+    non-constants and 8 facts each, and are not isomorphic: seven
+    parents with an edge between two of them, against seven parents
+    with a loop on one."""
+    e, f = Null(100), Null(200)
+    ns = [Null(i) for i in range(1, 8)]
+    ms = [Null(10 + i) for i in range(1, 8)]
+    s = Structure(
+        [atom("E", parent, e) for parent in ns] + [atom("E", ns[0], ns[1])]
+        + [atom("E", parent, f) for parent in ms] + [atom("E", ms[0], ms[0])]
+    )
+    return e, f, s
+
+
 class TestColor:
     def test_predicate_roundtrip(self):
         color = Color(3, 7)
@@ -122,6 +137,19 @@ class TestNaturalColoring:
         assignment[n[2]] = Color(98, 5)  # same lightness 5, different hue
         bad = apply_coloring(s, assignment)
         assert any("isomorphic" in v for v in naturality_violations(bad, 1))
+
+    def test_lightness_exact_past_seven_elements(self):
+        e, f, s = eight_element_neighbourhoods()
+        light = lightness_classes(s)
+        assert light[e] != light[f]
+        assert is_natural(natural_coloring(s, 2), 2)
+
+    def test_large_lightness_violation_detected(self):
+        e, f, s = eight_element_neighbourhoods()
+        assignment = dict(natural_coloring(s, 2).assignment)
+        assignment[f] = Color(99, assignment[e].lightness)
+        bad = apply_coloring(s, assignment)
+        assert any("not isomorphic" in v for v in naturality_violations(bad, 2))
 
     def test_tree_coloring(self):
         # binary tree of depth 3

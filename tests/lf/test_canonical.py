@@ -9,13 +9,15 @@ from repro.lf import (
     Structure,
     atom,
     canonical_key,
-    canonical_label,
     canonical_query,
     isomorphic_over_constants,
     satisfies,
     subsets_containing,
 )
+from repro.lf import canonical
 from repro.lf.canonical import connected_subsets_containing
+
+from ..oracles import isomorphic_by_bijection
 
 a, b, c = Constant("a"), Constant("b"), Constant("c")
 n0, n1, n2 = Null(0), Null(1), Null(2)
@@ -100,28 +102,6 @@ class TestSubsets:
         assert len(sized) == 3  # {n0,n1,n2}, {n1,n2,n3}, {n2,n3,n4}
 
 
-class TestCanonicalLabel:
-    def test_invariant_under_null_renaming(self):
-        left = Structure([atom("E", n0, n1), atom("U", n0)])
-        right = Structure([atom("E", Null(7), Null(9)), atom("U", Null(7))])
-        assert canonical_label(left) == canonical_label(right)
-
-    def test_distinguishes_direction(self):
-        left = Structure([atom("E", a, n0)])
-        right = Structure([atom("E", n0, a)])
-        assert canonical_label(left) != canonical_label(right)
-
-    def test_constants_not_renamed(self):
-        left = Structure([atom("E", a, n0)])
-        right = Structure([atom("E", b, n0)])
-        assert canonical_label(left) != canonical_label(right)
-
-    def test_size_guard(self):
-        big = Structure([atom("E", Null(i), Null(i + 1)) for i in range(9)])
-        with pytest.raises(ValueError):
-            canonical_label(big)
-
-
 class TestIsomorphicOverConstants:
     def test_positive(self):
         left = Structure([atom("E", a, n0), atom("E", n0, n1)])
@@ -142,6 +122,38 @@ class TestIsomorphicOverConstants:
         small = Structure([atom("E", n0, n1)])
         big = Structure([atom("E", n0, n1), atom("E", n1, n2)])
         assert not isomorphic_over_constants(small, big)
+
+    def test_constant_names_cannot_spell_other_arguments(self):
+        # Quoted constants may hold commas: spelled out unquoted, both
+        # facts read E(c:a,c:b,#0).
+        odd, other = Constant("a,c:b"), Constant("b,#0")
+        left = Structure([atom("E", odd, n0)], domain=[a, other])
+        right = Structure([atom("E", a, other)], domain=[odd, n1])
+        assert not isomorphic_over_constants(left, right)
+        assert canonical_key(left) != canonical_key(right)
+
+    def test_predicate_names_cannot_spell_other_facts(self):
+        # A predicate built outside the parser may hold anything: spelled
+        # out unquoted, one fact reads as the two of the other side.
+        two = Structure([atom("A", a), atom("B", a)])
+        one = Structure([atom("A('a');B", a)])
+        assert canonical_key(two) != canonical_key(one)
+
+    def test_answers_on_ten_null_chains(self):
+        # No size cap: two 10-null chains from a, and one whose last
+        # edge is reversed (same sizes, another shape).
+        left = Structure([atom("E", a, Null(0))] + [
+            atom("E", Null(i), Null(i + 1)) for i in range(9)
+        ])
+        right = Structure([atom("E", a, Null(50))] + [
+            atom("E", Null(50 + i), Null(51 + i)) for i in range(9)
+        ])
+        reversed_end = Structure(
+            [fact for fact in right.facts() if fact != atom("E", Null(58), Null(59))]
+            + [atom("E", Null(59), Null(58))]
+        )
+        assert isomorphic_over_constants(left, right)
+        assert not isomorphic_over_constants(left, reversed_end)
 
 
 class TestCanonicalKey:
@@ -180,7 +192,6 @@ class TestCanonicalKey:
         assert canonical_key(left) == canonical_key(right)
 
     def test_long_chain_no_size_limit(self):
-        # canonical_label refuses > 7 nulls; canonical_key must not.
         chain = [atom("E", a, Null(0))] + [
             atom("E", Null(i), Null(i + 1)) for i in range(12)
         ]
@@ -190,27 +201,33 @@ class TestCanonicalKey:
         assert canonical_key(Structure(chain)) == canonical_key(Structure(renamed))
 
     def test_agrees_with_isomorphism_check(self):
-        # On structures small enough for canonical_label, equal keys
-        # must coincide with isomorphic_over_constants.
+        # Equal keys exactly when the brute-force oracle finds a
+        # bijection fixing the constants.
         candidates = [
             Structure([atom("E", a, n0), atom("E", n0, n1)]),
             Structure([atom("E", a, n1), atom("E", n1, n2)]),
             Structure([atom("E", a, n0), atom("E", n1, n0)]),
             Structure([atom("E", n0, a), atom("E", a, n1)]),
+            Structure([atom("E", a, n0), atom("E", n0, n1), atom("E", n1, n2)]),
+            Structure([atom("E", a, n2), atom("E", n2, n0), atom("E", n0, n1)]),
+            Structure([atom("E", a, n0), atom("E", n0, n1), atom("E", n0, n2)]),
         ]
         for left in candidates:
             for right in candidates:
                 same_key = canonical_key(left) == canonical_key(right)
-                assert same_key == isomorphic_over_constants(left, right)
+                assert same_key == isomorphic_by_bijection(left, right)
 
-    def test_fallback_still_sound(self):
-        # With max_orders=0 every keyed structure falls back to the raw
-        # rendering; equal keys must still imply equal fact sets.
-        left = Structure([atom("E", a, n0), atom("E", a, n1)])
-        right = Structure([atom("E", a, Null(9)), atom("E", a, Null(3))])
-        key_left = canonical_key(left, max_orders=0)
-        key_right = canonical_key(right, max_orders=0)
-        # Possibly unequal (no renaming invariance in fallback mode) but
-        # deterministic, and identical structures agree.
-        assert key_left == canonical_key(left, max_orders=0)
-        assert key_right == canonical_key(right, max_orders=0)
+    def test_fallback_still_sound(self, monkeypatch):
+        # Past MAX_ORDERS the key renders the raw element names: a
+        # renaming may change it, but equal keys still mean equal fact
+        # sets up to renaming.
+        path = Structure([atom("E", a, n0), atom("E", n0, n1), atom("E", a, n2)])
+        renamed = Structure(
+            [atom("E", a, Null(5)), atom("E", Null(5), Null(3)), atom("E", a, Null(4))]
+        )
+        fork = Structure([atom("E", a, n0), atom("E", n0, n1), atom("E", n0, n2)])
+        assert canonical_key(path) == canonical_key(renamed)
+        monkeypatch.setattr(canonical, "MAX_ORDERS", 0)
+        assert canonical_key(path) != canonical_key(renamed)
+        assert canonical_key(path) == canonical_key(Structure(path.facts()))
+        assert canonical_key(path) != canonical_key(fork)

@@ -10,7 +10,9 @@ engine's own round with every body enumerated in full, the reference
 for the engine's delta rounds.  :func:`rule_violations`, the model
 check that tier-1 applies to every model an engine builds, groups the
 facts by predicate and nothing more; so does :func:`query_holds`, the
-check that such a model avoids its query.
+check that such a model avoids its query.  :func:`isomorphic_by_bijection`
+tries every bijection of the non-constant elements: the reference for
+:func:`repro.lf.canonical.canonical_key`.
 """
 
 import itertools
@@ -53,6 +55,23 @@ def nested_loop_bindings(atoms, structure, binding=None):
                     extended.append(candidate)
         results = extended
     return results
+
+
+def isomorphic_by_bijection(left, right):
+    """Whether some bijection fixing every constant maps the facts of
+    *left* onto those of *right*, trying the bijections one by one."""
+    if left.constant_elements() != right.constant_elements():
+        return False
+    mine = sorted(left.nonconstant_elements(), key=str)
+    theirs = sorted(right.nonconstant_elements(), key=str)
+    if len(mine) != len(theirs):
+        return False
+    target = right.facts()
+    for image in itertools.permutations(theirs):
+        table = dict(zip(mine, image))
+        if {fact.substitute(table) for fact in left.facts()} == target:
+            return True
+    return False
 
 
 def _extensions(atoms, facts_by_pred, binding):

@@ -16,6 +16,12 @@ enumerated here by brute force over all small subsets.  The lightness
 neighbourhoods ``C ↾ (P(e) ∪ C_con)``, also read from the index, must
 equal the restriction of the whole structure.
 
+:func:`repro.lf.canonical.canonical_key` is checked against the
+brute-force isomorphism test of ``tests/oracles.py``: on structures
+with at most six non-constant elements, their renamed copies and
+tampered copies, two keys are equal exactly when some bijection fixing
+the constants maps one fact set onto the other.
+
 Finally, the ``≡_η`` partition and quotient of three Theorem-2 colored
 skeletons are pinned as literals.
 
@@ -39,13 +45,19 @@ from repro.chase import ChaseConfig, chase
 from repro.coloring import conservativity_report, natural_coloring
 from repro.core.normalize import prepare
 from repro.lf import Atom, ConjunctiveQuery, Constant, Null, Structure, Variable
-from repro.lf.canonical import FREE_VARIABLE, canonical_query
+from repro.lf.canonical import (
+    FREE_VARIABLE,
+    canonical_key,
+    canonical_query,
+    isomorphic_over_constants,
+)
 from repro.ptypes import TypePartition, boolean_type_queries, quotient, type_queries
 from repro.rewriting.bdd import bdd_profile
 from repro.skeleton.skeleton import skeleton_of_chase
 from repro.vtdag import predecessor_neighbourhood, predecessor_set
 from repro.zoo import theorem2_corpus
 
+from ..oracles import isomorphic_by_bijection
 from .strategies import facts
 
 RELAXED = settings(
@@ -193,6 +205,43 @@ def oracle_queries(draw, constant_names=CONSTANT_NAMES):
     occurring = sorted({arg for item in atoms for arg in item.args if isinstance(arg, Variable)})
     free = draw(st.lists(st.sampled_from(occurring), max_size=2, unique=True)) if occurring else []
     return ConjunctiveQuery(atoms, free)
+
+
+@st.composite
+def keyed_pairs(draw):
+    """A structure with at most six nulls and two constants, and a
+    second one: a copy with its nulls renamed, such a copy with one
+    argument of one fact replaced, or a fresh draw."""
+    elements = st.sampled_from(
+        [Constant("a"), Constant("b")] + [Null(i) for i in range(6)]
+    )
+
+    def structure():
+        pool = []
+        for _ in range(draw(st.integers(0, 8))):
+            pred = draw(st.sampled_from(("E", "E", "R", "U")))
+            arity = 1 if pred == "U" else 2
+            pool.append(Atom(pred, tuple(draw(elements) for _ in range(arity))))
+        isolated = draw(st.lists(elements, max_size=2))
+        return Structure(pool, domain=isolated)
+
+    left = structure()
+    kind = draw(st.sampled_from(("renamed", "tampered", "fresh")))
+    if kind == "fresh":
+        return left, structure()
+    nulls = sorted(left.nonconstant_elements(), key=str)
+    fresh = draw(st.permutations([Null(10 + i) for i in range(len(nulls))]))
+    mapping = dict(zip(nulls, fresh))
+    copied = [fact.substitute(mapping) for fact in sorted(left.facts(), key=str)]
+    if kind == "tampered" and copied:
+        where = draw(st.integers(0, len(copied) - 1))
+        args = list(copied[where].args)
+        args[draw(st.integers(0, len(args) - 1))] = draw(
+            st.sampled_from(sorted(set(mapping.values()) | {Constant("a")}, key=str))
+        )
+        copied[where] = Atom(copied[where].pred, tuple(args))
+    domain = [mapping.get(element, element) for element in left.domain()]
+    return left, Structure(copied, domain=domain)
 
 
 @st.composite
@@ -346,6 +395,16 @@ class TestNeighbourhoodOracle:
             )
             built = predecessor_neighbourhood(structure, element)
             assert built == expected
+
+
+class TestCanonicalKeyOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(keyed_pairs())
+    def test_equal_exactly_when_isomorphic(self, pair):
+        left, right = pair
+        isomorphic = isomorphic_by_bijection(left, right)
+        assert (canonical_key(left) == canonical_key(right)) == isomorphic
+        assert isomorphic_over_constants(left, right) == isomorphic
 
 
 def colored_skeleton(entry, depth):

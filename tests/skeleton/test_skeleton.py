@@ -4,6 +4,7 @@ import pytest
 
 from repro.chase import chase
 from repro.lf import Constant, atom, parse_structure, parse_theory
+from repro.payloads import skeleton_payload
 from repro.skeleton import (
     lemma3_report,
     skeleton,
@@ -80,6 +81,25 @@ class TestLemma3:
         result = skeleton(parse_structure("F(a,b)"), TREE, max_depth=4)
         report = lemma3_report(result)
         assert report.degree_bound == len(result.structure.signature.relation_names()) + 1
+
+
+    def test_verdicts_do_not_read_relation_names(self):
+        # The same transitive DAG spelled with E and with a relation
+        # named "cycle": acyclic, not a forest, under either name.
+        blocks = []
+        for name in ("E", "cycle"):
+            theory = parse_theory(
+                f"""
+                A(x) -> exists z. {name}(x,z)
+                {name}(x,y) -> A(y)
+                {name}(x,y), {name}(y,w) -> {name}(x,w)
+                """
+            )
+            result = skeleton(parse_structure("A(a)"), theory, max_depth=12)
+            payload, _ = skeleton_payload(result, lemma3_report(result))
+            blocks.append(payload["lemma3"])
+        assert blocks[0] == blocks[1]
+        assert blocks[0]["acyclic"] and not blocks[0]["forest"]
 
 
 class TestLemma4:

@@ -5,12 +5,15 @@ references to modules, functions, private names, benchmark files,
 example scripts and command-line flags, and checks that each one
 actually exists.  The
 verification notes (``.claude/skills/verify/SKILL.md``) are checked for
-benchmark paths too.  Cheap insurance against the most common
-open-source rot.
+benchmark paths too, and every ``:func:``-style cross-reference in the
+docstrings of ``src/repro`` must name something.  Cheap insurance
+against the most common open-source rot.
 """
 
 import argparse
 import ast
+import builtins
+import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -40,6 +43,8 @@ _FLAG_REF = re.compile(r"(?<![\w-])(--[a-z][a-z0-9-]*)")
 #: The one cited flag that belongs to pytest-benchmark, not to a parser
 #: in this repository.
 PYTEST_BENCHMARK_FLAGS = {"--benchmark-only"}
+#: A cross-reference role in a docstring; the group is its target.
+_ROLE_REF = re.compile(r":(?:func|class|meth|attr|data|mod|exc):`~?([^`]+)`")
 
 
 def _doc_text():
@@ -189,3 +194,78 @@ class TestFlagReferences:
         )
         unknown = sorted(cited - accepted)
         assert not unknown, f"docs cite flags no parser accepts: {unknown}"
+
+
+def _member(owner, parts):
+    """What the dotted *parts* name below *owner*, through attributes
+    and dataclass fields (a field without a default is no class
+    attribute); ``AttributeError`` when a part names nothing."""
+    for part in parts:
+        if hasattr(owner, part):
+            owner = getattr(owner, part)
+        elif dataclasses.is_dataclass(owner) and part in {
+            field.name for field in dataclasses.fields(owner)
+        }:
+            owner = None
+        else:
+            raise AttributeError(part)
+    return owner
+
+
+def _resolves(target, module):
+    """Whether a cross-reference *target* in *module*'s docstrings names
+    something, tried in order as a dotted import path, a name in the
+    module's namespace, a member of a class the module defines, and a
+    builtin."""
+    parts = target.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            found = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        try:
+            _member(found, parts[cut:])
+            return True
+        except AttributeError:
+            break
+    owners = [module] + [
+        value
+        for value in vars(module).values()
+        if isinstance(value, type) and value.__module__ == module.__name__
+    ]
+    for owner in owners:
+        try:
+            _member(owner, parts)
+            return True
+        except AttributeError:
+            continue
+    return len(parts) == 1 and hasattr(builtins, target)
+
+
+def _docstring_references():
+    """(module name, target) for every cross-reference role in the
+    module, class and function docstrings of ``src/repro``."""
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        parts = path.relative_to(ROOT / "src").with_suffix("").parts
+        if parts[-1] == "__main__":
+            continue  # importing it would run the CLI
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(
+                node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+            ):
+                for target in _ROLE_REF.findall(ast.get_docstring(node) or ""):
+                    yield ".".join(parts), target
+
+
+class TestDocstringReferences:
+    def test_cross_references_resolve(self):
+        references = set(_docstring_references())
+        assert references, "no cross-references found — regex broken?"
+        missing = sorted(
+            (name, target)
+            for name, target in references
+            if not _resolves(target, importlib.import_module(name))
+        )
+        assert not missing, f"docstrings cite names that resolve to nothing: {missing}"

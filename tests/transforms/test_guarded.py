@@ -41,6 +41,13 @@ class TestTranslationShape:
         with pytest.raises(ValueError):
             guarded_to_binary(theory)
 
+    def test_query_translation_keeps_every_disjunct(self):
+        # Seven atoms of four variants each: 4^7 = 16,384 combinations,
+        # 2,366 of them distinct up to renaming.
+        translation = guarded_to_binary(GUARDED)
+        query = parse_query("G(x1), S(x2), G(x3), S(x4), G(x5), S(x6), G(x7)")
+        assert len(translation.translate_query(query)) == 2_366
+
 
 class TestDatabaseTranslation:
     def test_tgp_fact_guarded_by_own_element(self):
