@@ -102,6 +102,38 @@ class TestSubsets:
         assert len(sized) == 3  # {n0,n1,n2}, {n1,n2,n3}, {n2,n3,n4}
 
 
+class TestCanonicalLabel:
+    """canonical_key past two non-constant elements, where color
+    refinement and the search over within-class orders label them."""
+
+    def test_invariant_under_null_renaming(self):
+        # A directed 3-cycle: refinement leaves one class of three, so
+        # only the order search makes the two namings agree.
+        left = Structure([atom("E", n0, n1), atom("E", n1, n2), atom("E", n2, n0)])
+        right = Structure([
+            atom("E", Null(7), Null(3)),
+            atom("E", Null(3), Null(9)),
+            atom("E", Null(9), Null(7)),
+        ])
+        assert canonical_key(left) == canonical_key(right)
+
+    def test_distinguishes_direction(self):
+        left = Structure([atom("E", a, n0), atom("U", n1), atom("U", n2)])
+        right = Structure([atom("E", n0, a), atom("U", n1), atom("U", n2)])
+        assert canonical_key(left) != canonical_key(right)
+
+    def test_constants_not_renamed(self):
+        # Both sides hold a and b, so only the facts tell them apart:
+        # swapping a and b would map one onto the other.
+        left = Structure(
+            [atom("E", a, n0), atom("E", n0, n1), atom("E", n0, n2)], domain=[b]
+        )
+        right = Structure(
+            [atom("E", b, n0), atom("E", n0, n1), atom("E", n0, n2)], domain=[a]
+        )
+        assert canonical_key(left) != canonical_key(right)
+
+
 class TestIsomorphicOverConstants:
     def test_positive(self):
         left = Structure([atom("E", a, n0), atom("E", n0, n1)])
