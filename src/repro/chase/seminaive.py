@@ -4,7 +4,7 @@ A rule body with atoms ``B_1 … B_k`` only needs the matches where at
 least one ``B_i`` is matched against the *delta* (the facts new in the
 previous round), evaluated as the union of the k plans "``B_i`` from
 delta, the rest from the full structure"
-(:meth:`_RulePlans.delta_triggers`).
+(:meth:`_BodyPlans.delta_triggers`).
 
 The chase engine (:mod:`repro.chase.engine`) enumerates every round
 after its first this way, for existential TGDs as well (see DESIGN.md
@@ -14,7 +14,9 @@ finite-model search's per-node loop: the same enumeration, kept apart
 from the engine's round loop so that a node does not pay for per-round
 stats, timing and guard checks on a delta of a few facts.  Insertions
 are buffered per round — the homomorphism matcher hands out live index
-views, so the structure must not grow mid-enumeration.
+views, so the structure must not grow mid-enumeration.  The same pivot
+plans, compiled for a forbidden query's disjuncts, stop that loop at
+the query's first match.
 
 The *trigger check* (:meth:`_RulePlans.head_holds`) asks whether a
 rule's head already holds under a body match, with the frontier fixed
@@ -32,36 +34,35 @@ from ..errors import ChaseBudgetExceeded
 from ..lf.atoms import Atom, atoms_variables
 from ..lf.homomorphism import homomorphisms
 from ..lf.plan import Binding, QueryPlan, plan_for
-from ..lf.rules import Rule, Theory
+from ..lf.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
+from ..lf.rules import Rule
 from ..lf.structures import Structure
 from ..lf.terms import Variable
 
 
-class _RulePlans:
-    """One rule's compiled forms, each fetched through
+class _BodyPlans:
+    """One conjunction's compiled forms, each fetched through
     :func:`~repro.lf.plan.plan_for` on its first use, against the
-    structure of that use: the body plan, one rest-plan per pivot, and
-    the head plan with the frontier prebound.  The planner rejects
-    ``=`` atoms, so a body that has any is matched through
-    :func:`homomorphisms` instead.  Threads that race on a first use
-    each store the one plan the plan cache hands out for those atoms.
+    structure of that use: the plan of the whole body and one
+    rest-plan per pivot.  The planner rejects ``=`` atoms, so a body
+    that has any is matched through :func:`homomorphisms` instead.
+    Threads that race on a first use each store the one plan the plan
+    cache hands out for those atoms.
     """
 
-    __slots__ = ("rule", "relational", "equalities", "frontier", "_body", "_pivots", "_head")
+    __slots__ = ("atoms", "relational", "equalities", "_body", "_pivots")
 
-    def __init__(self, rule: Rule):
-        self.rule = rule
-        self.relational = tuple(a for a in rule.body if not a.is_equality)
-        self.equalities = tuple(a for a in rule.body if a.is_equality)
-        self.frontier = rule.frontier()
+    def __init__(self, atoms: "Sequence[Atom]"):
+        self.atoms = tuple(atoms)
+        self.relational = tuple(a for a in self.atoms if not a.is_equality)
+        self.equalities = tuple(a for a in self.atoms if a.is_equality)
         self._body: "Optional[QueryPlan]" = None
         self._pivots: "Optional[List[Tuple[Atom, QueryPlan]]]" = None
-        self._head: "Optional[QueryPlan]" = None
 
     def triggers(self, structure: Structure) -> Iterator[Binding]:
         """Every body match in *structure*."""
         if self.equalities:
-            return homomorphisms(self.rule.body, structure)
+            return homomorphisms(self.atoms, structure)
         if self._body is None:
             self._body = plan_for(self.relational, frozenset(), structure)
         return self._body.bindings(structure)
@@ -97,6 +98,19 @@ class _RulePlans:
             for seed in _match_atom_against_facts(pivot, delta, {}):
                 yield from plan.bindings(structure, seed)
 
+
+class _RulePlans(_BodyPlans):
+    """A rule's body plans (:class:`_BodyPlans`) and its head plan with
+    the frontier prebound."""
+
+    __slots__ = ("rule", "frontier", "_head")
+
+    def __init__(self, rule: Rule):
+        super().__init__(rule.body)
+        self.rule = rule
+        self.frontier = rule.frontier()
+        self._head: "Optional[QueryPlan]" = None
+
     def head_holds(self, structure: Structure, binding: Binding) -> bool:
         """Whether some values of the existential variables make every
         head atom a fact of *structure* under the body match *binding*.
@@ -107,21 +121,30 @@ class _RulePlans:
         return next(self._head.answers(structure, (), binding), None) is not None
 
 
-#: ``rule -> _RulePlans``.  Bounded like the plan cache: cleared
-#: wholesale if it ever fills.
-_RULE_PLANS: Dict[Rule, _RulePlans] = {}
-_RULE_PLANS_MAX = 4096
+#: ``rule -> _RulePlans`` and ``conjunctive query -> _BodyPlans``.
+#: Bounded like the plan cache: cleared wholesale if it ever fills.
+_PLANS: "Dict[Rule | ConjunctiveQuery, _BodyPlans]" = {}
+_PLANS_MAX = 4096
+
+
+def _cached_plans(key: "Rule | ConjunctiveQuery", build) -> _BodyPlans:
+    plans = _PLANS.get(key)
+    if plans is None:
+        plans = build(key)
+        if len(_PLANS) >= _PLANS_MAX:
+            _PLANS.clear()
+        _PLANS[key] = plans
+    return plans
 
 
 def rule_plans(rule: Rule) -> _RulePlans:
     """The compiled forms of *rule*, created on its first use."""
-    plans = _RULE_PLANS.get(rule)
-    if plans is None:
-        plans = _RulePlans(rule)
-        if len(_RULE_PLANS) >= _RULE_PLANS_MAX:
-            _RULE_PLANS.clear()
-        _RULE_PLANS[rule] = plans
-    return plans
+    return _cached_plans(rule, _RulePlans)  # type: ignore[return-value]
+
+
+def query_plans(query: ConjunctiveQuery) -> _BodyPlans:
+    """The compiled body forms of *query*, created on its first use."""
+    return _cached_plans(query, lambda cq: _BodyPlans(cq.atoms))
 
 
 def unsatisfied_triggers(
@@ -162,40 +185,64 @@ def _match_atom_against_facts(
 
 def incremental_datalog_saturate(
     structure: Structure,
-    theory: Theory,
+    rules: "Sequence[Rule]",
     seed: "Sequence[Atom]",
+    forbidden: "Optional[ConjunctiveQuery | UnionOfConjunctiveQueries]" = None,
     max_facts: "Optional[int]" = 1_000_000,
-    rules: "Optional[Sequence[Rule]]" = None,
-) -> "Tuple[int, int]":
-    """Re-saturate *structure* **in place** after adding the *seed* facts.
+) -> "Tuple[int, int, bool]":
+    """Re-saturate *structure* **in place** after adding the *seed* facts,
+    stopping at the first match of *forbidden*.
 
     Precondition: ``structure`` minus *seed* was already saturated under
-    the datalog rules of *theory* (then only bindings touching the seed
-    can fire, so the full first round of
+    the datalog *rules* (then only bindings touching the seed can fire,
+    so the full first round of
     :func:`~repro.chase.engine.datalog_saturate` is unnecessary — this
     is the per-node saturation of the finite-model search, where every
     state extends an already-saturated parent by a handful of head
-    facts).
+    facts).  *rules* are the datalog rules of a theory
+    (:meth:`~repro.lf.rules.Theory.datalog_rules`); callers saturating
+    many states against one theory compute the list once.
 
-    Returns ``(facts_added, rounds)`` — the seed itself is not counted.
+    When *forbidden* is given, ``structure`` minus *seed* must not
+    satisfy it.  Then a match of any disjunct in a later structure uses
+    a fact that the seed or some round added, so after the seed and
+    after each round every disjunct's body is matched with one atom
+    pivoted on those new facts (the pivot plans of
+    :meth:`_BodyPlans.delta_triggers`), and the first match ends the
+    saturation.  A run that reaches the fixpoint without one leaves a
+    structure that does not satisfy *forbidden*.
 
-    *rules*, when given, must be exactly the datalog rules of *theory*
-    — callers saturating many states against one theory precompute the
-    list once instead of re-filtering (and re-deriving variable sets)
-    per state.
+    Returns ``(facts_added, rounds, matched)``: the facts and rounds
+    actually added and run (the seed itself is not counted), and
+    whether *forbidden* matched.  A matched structure is partially
+    saturated; callers prune it.
 
     Raises
     ------
     ChaseBudgetExceeded
-        If the fixpoint exceeds *max_facts* facts; the structure is left
-        partially saturated (callers treating this as a pruned branch
-        must discard it).
+        If the structure exceeds *max_facts* facts after a round in
+        which *forbidden* did not match; the structure is left partially
+        saturated (callers treating this as a pruned branch must
+        discard it).
     """
-    if rules is None:
-        rules = [r for r in theory.rules if r.is_datalog]
+    if forbidden is None:
+        stops: "List[_BodyPlans]" = []
+    elif isinstance(forbidden, UnionOfConjunctiveQueries):
+        stops = [query_plans(cq) for cq in forbidden]
+    else:
+        stops = [query_plans(forbidden)]
+
+    def matched(delta: "Sequence[Atom]") -> bool:
+        return any(
+            next(plans.delta_triggers(structure, delta), None) is not None
+            for plans in stops
+        )
+
     added = 0
     rounds = 0
-    delta: "Sequence[Atom]" = list(seed)
+    delta: "Sequence[Atom]" = seed
+    if matched(delta):
+        return added, rounds, True
     while delta and rules:
         rounds += 1
         produced: List[Atom] = []
@@ -210,9 +257,11 @@ def incremental_datalog_saturate(
         for fact in produced:
             structure.add_fact(fact)
         added += len(produced)
+        if matched(produced):
+            return added, rounds, True
         if max_facts is not None and len(structure) > max_facts:
             raise ChaseBudgetExceeded(
                 f"incremental saturation exceeded {max_facts} facts"
             )
         delta = produced
-    return added, rounds
+    return added, rounds, False

@@ -28,7 +28,7 @@ from ..lf.canonical import Incidence, canonical_key, isomorphic_over_constants
 from ..lf.structures import Structure
 from ..lf.terms import Constant, Element, Null
 from ..vtdag.predecessors import (
-    iterated_predecessors,
+    iterated_predecessor_table,
     predecessor_neighbourhood,
 )
 from .colors import Color, ColoredStructure, apply_coloring
@@ -78,11 +78,12 @@ def hue_assignment(structure: Structure, m: int) -> Dict[Element, int]:
     assigns each element the least hue unused among its already-colored
     conflicts.  Constants get unique hues from a disjoint range.
     """
+    ancestors = iterated_predecessor_table(structure, m)
     conflicts: Dict[Element, Set[Element]] = {e: set() for e in structure.domain()}
     for element in structure.domain():
         if isinstance(element, Constant):
             continue
-        for ancestor in iterated_predecessors(structure, element, m):
+        for ancestor in ancestors[element]:
             if ancestor != element:
                 conflicts[element].add(ancestor)
                 conflicts.setdefault(ancestor, set()).add(element)
@@ -167,9 +168,10 @@ def naturality_violations(
     problems: List[str] = []
     base = colored.base
     incidence = Incidence(base)
+    ancestors = iterated_predecessor_table(base, m)
     elements = sorted(base.domain(), key=str)
     for element in elements:
-        for ancestor in iterated_predecessors(base, element, m):
+        for ancestor in ancestors[element]:
             if ancestor == element:
                 continue
             mine = colored.assignment[element]

@@ -27,6 +27,15 @@ The engine is built for throughput:
   (:func:`repro.chase.seminaive.incremental_datalog_saturate`) instead
   of re-running the fixpoint from scratch; a state whose saturation
   exceeds ``max_facts`` is treated as a pruned branch;
+* **the forbidden query as a stop condition** — the root is checked
+  in full; every other state extends a saturated parent that avoids
+  the query, so any match uses a fact of its delta or of one of its
+  saturation rounds.  The saturation matches the query's disjuncts
+  pivoted on each of those deltas and stops at the first match: the
+  state is pruned there, before its fixpoint, its dedup check and any
+  canonical key, and a state that reaches its fixpoint without a match
+  needs no further check.  A match found before the saturation passes
+  ``max_facts`` prunes the state by the query, not by the budget;
 * **canonical dedup** — branches that differ only in invented null
   names collapse (sound: rules and queries never mention nulls, so
   isomorphic-over-constants states have identical futures).  States
@@ -102,9 +111,16 @@ class SearchStats:
     Attributes
     ----------
     nodes:
-        States expanded.
+        States expanded, and states pruned by the query.
     pruned_by_query:
-        Branches cut because the forbidden query became true.
+        Branches cut because the forbidden query became true.  Such a
+        state is dropped where its saturation first matches the query,
+        before the dedup check: it counts in ``nodes`` and here, never
+        in ``duplicates`` or ``canonical_keys``.  An isomorphic copy of
+        a pruned state is therefore pruned again, not skipped as a
+        duplicate: against deduplicating pruned states, ``duplicates``
+        and ``canonical_keys`` can only fall, and ``nodes`` rises by
+        what ``duplicates`` loses.
     duplicates:
         States skipped as already seen, including states identical
         only up to renaming invented nulls (canonical dedup).
@@ -124,7 +140,9 @@ class SearchStats:
     saturation_new_facts:
         Datalog facts derived across all incremental saturations.
     saturation_rounds:
-        Semi-naive rounds across all incremental saturations.
+        Semi-naive rounds across all incremental saturations.  Both
+        count only what was run: a saturation stopped by a query match
+        contributes the rounds and facts up to that match.
     saturation_pruned:
         States discarded because their saturation exceeded
         ``max_facts``.
@@ -135,6 +153,9 @@ class SearchStats:
         Phase wall times (the only nondeterministic fields; see
         :data:`repro.payloads.TIMING_FIELDS`).  ``canonical_ms`` covers
         the whole dedup check: invariants and canonical keys.
+        ``query_ms`` is the root's full query check; the query matches
+        of every other state are part of its saturation, in
+        ``saturate_ms``.
     """
 
     nodes: int = 0
@@ -222,15 +243,12 @@ class _State:
         self,
         parent: "Optional[_State]",
         delta: Tuple[Atom, ...],
-        structure: "Optional[Structure]" = None,
         domain_size: int = 0,
     ):
         self.parent = parent
         self.delta = delta
-        self.structure = structure
-        self.facts: "Optional[FrozenSet[Atom]]" = (
-            structure.facts() if structure is not None else None
-        )
+        self.structure: "Optional[Structure]" = None
+        self.facts: "Optional[FrozenSet[Atom]]" = None
         self.domain_size = domain_size
 
 
@@ -348,7 +366,7 @@ def _search(
         return SearchResult(model=model, stats=stats, stopped_reason=reason)
 
     nulls = NullFactory.above(database.domain())
-    datalog_rules = [rule for rule in theory.rules if rule.is_datalog]
+    datalog_rules = theory.datalog_rules()
     existential_rules = [rule for rule in theory.rules if not rule.is_datalog]
 
     try:
@@ -360,7 +378,7 @@ def _search(
         stats.exhausted = False
         return finish(None, StopReason.BUDGET)
 
-    root = _State(None, (), root_structure, root_structure.domain_size)
+    root = _State(None, ())
 
     stack: List[_State] = [root]
     stats.frontier_peak = 1
@@ -387,7 +405,14 @@ def _search(
             return finish(None, StopReason.BUDGET)
         state = stack.pop()
 
-        if state.structure is None:
+        if state.parent is None:
+            # The root has no saturated parent that avoids the query, so
+            # it is the one state checked in full.
+            working = root_structure
+            clock = time.perf_counter()
+            matched = forbidden is not None and satisfies(working, forbidden)
+            stats.query_ms += (time.perf_counter() - clock) * 1000.0
+        else:
             # Cheap raw pre-check: saturation is deterministic, so equal
             # pre-saturation fact sets yield equal states — skip before
             # paying for materialisation.
@@ -406,12 +431,8 @@ def _search(
 
             clock = time.perf_counter()
             try:
-                added, rounds = incremental_datalog_saturate(
-                    working,
-                    theory,
-                    state.delta,
-                    max_facts=config.max_facts,
-                    rules=datalog_rules,
+                added, rounds, matched = incremental_datalog_saturate(
+                    working, datalog_rules, state.delta, forbidden, config.max_facts
                 )
             except ChaseBudgetExceeded:
                 stats.saturation_pruned += 1
@@ -421,13 +442,14 @@ def _search(
             stats.saturation_rounds += rounds
             stats.saturate_ms += (time.perf_counter() - clock) * 1000.0
 
-            state.structure = working
-            state.facts = working.facts()
-            state.domain_size = working.domain_size
-        else:
-            seen_raw.add(state.facts)
+        if matched:
+            stats.nodes += 1
+            stats.pruned_by_query += 1
+            continue
 
-        structure = state.structure
+        state.structure = structure = working
+        state.facts = working.facts()
+        state.domain_size = working.domain_size
         clock = time.perf_counter()
         new = seen.add(structure, state.facts)
         stats.canonical_ms += (time.perf_counter() - clock) * 1000.0
@@ -435,14 +457,6 @@ def _search(
             stats.duplicates += 1
             continue
         stats.nodes += 1
-
-        if forbidden is not None:
-            clock = time.perf_counter()
-            forbidden_holds = satisfies(structure, forbidden)
-            stats.query_ms += (time.perf_counter() - clock) * 1000.0
-            if forbidden_holds:
-                stats.pruned_by_query += 1
-                continue
 
         clock = time.perf_counter()
         trigger = next(unsatisfied_triggers(structure, existential_rules), None)
@@ -500,7 +514,8 @@ def search_finite_model(
     prefers reuse, so small models surface first.
 
     When ``forbidden`` is given, any state satisfying it is pruned —
-    sound because states only grow along a branch and CQs are monotone.
+    sound because states only grow along a branch and CQs are monotone;
+    a state is pruned as soon as its saturation derives a match.
 
     Pass a :class:`SearchConfig` for the full set of knobs (an explicit
     *config* wins over the ``max_elements`` / ``max_nodes`` shorthands);

@@ -13,7 +13,7 @@ Definition 13 iterates this: ``P_0(e) = P(e)`` and
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Set
+from typing import Callable, Dict, FrozenSet, Optional, Set
 
 from ..lf.canonical import Incidence
 from ..lf.structures import Structure
@@ -36,22 +36,43 @@ def predecessor_set(structure: Structure, element: Element) -> FrozenSet[Element
     return frozenset(found)
 
 
+def _iterate(
+    parents: "Callable[[Element], FrozenSet[Element]]", element: Element, k: int
+) -> FrozenSet[Element]:
+    """``P_k(element)``, reading each ``P(a)`` as ``parents(a)``."""
+    current: Set[Element] = set(parents(element))
+    for _ in range(k):
+        grown: Set[Element] = set()
+        for member in current:
+            grown.update(parents(member))
+        if grown == current:
+            break  # reached the ancestor closure early
+        current = grown
+    return frozenset(current)
+
+
 def iterated_predecessors(
     structure: Structure, element: Element, k: int
 ) -> FrozenSet[Element]:
     """The paper's ``P_k(e)`` (Definition 13): ``P`` iterated ``k`` times.
 
-    ``P_0(e) = P(e)``; each further step closes under ``P`` once.
+    ``P_0(e) = P(e)``; each further step closes under ``P`` once.  This
+    is the one-element case of :func:`iterated_predecessor_table`.
     """
-    current: Set[Element] = set(predecessor_set(structure, element))
-    for _ in range(k):
-        grown: Set[Element] = set()
-        for member in current:
-            grown.update(predecessor_set(structure, member))
-        if grown == current:
-            break  # reached the ancestor closure early
-        current = grown
-    return frozenset(current)
+    return _iterate(lambda member: predecessor_set(structure, member), element, k)
+
+
+def iterated_predecessor_table(
+    structure: Structure, k: int
+) -> Dict[Element, FrozenSet[Element]]:
+    """``P_k(e)`` for every element ``e`` of *structure* (Definition 13).
+
+    Each ``P(a)`` is computed once, into a table, and every ``P_k(e)``
+    is iterated from that table, so a pass over all elements costs one
+    ``P(·)`` per element instead of one per ancestor visited.
+    """
+    table = {element: predecessor_set(structure, element) for element in structure.domain()}
+    return {element: _iterate(table.__getitem__, element, k) for element in table}
 
 
 def predecessor_neighbourhood(

@@ -2,8 +2,12 @@
 
 import pytest
 
+import repro.core.finite_model as pipeline
+from repro.core import build_finite_counter_model
 from repro.errors import ColoringError
 from repro.lf import Constant, Null, Structure, atom
+from repro.vtdag import iterated_predecessor_table, iterated_predecessors
+from repro.zoo import theorem2_corpus
 from repro.coloring import (
     Color,
     apply_coloring,
@@ -166,6 +170,71 @@ class TestNaturalColoring:
         tree = Structure(facts)
         colored = natural_coloring(tree, 2)
         assert is_natural(colored, 2)
+
+
+def definition13_hues(structure, m):
+    """The greedy hues of :func:`hue_assignment`, with each element's
+    ``P_m(e)`` computed on its own by the Definition-13 entry point
+    ``iterated_predecessors``: nulls in creation order, then the other
+    non-constants by name, each taking the least hue unused among its
+    colored conflicts; the constants follow with distinct hues."""
+    conflicts = {e: set() for e in structure.domain()}
+    for element in structure.domain():
+        if isinstance(element, Constant):
+            continue
+        for ancestor in iterated_predecessors(structure, element, m):
+            if ancestor != element:
+                conflicts[element].add(ancestor)
+                conflicts[ancestor].add(element)
+    order = sorted(
+        (e for e in structure.domain() if not isinstance(e, Constant)),
+        key=lambda e: (0, e.ident, "") if isinstance(e, Null) else (1, 0, str(e)),
+    )
+    hues = {}
+    for element in order:
+        used = {hues[other] for other in conflicts[element] if other in hues}
+        hues[element] = min(set(range(len(used) + 1)) - used)
+    highest = max(hues.values(), default=-1)
+    constants = sorted(structure.constant_elements(), key=str)
+    for offset, constant in enumerate(constants, start=1):
+        hues[constant] = highest + offset
+    return hues
+
+
+class TestHuesOnTheCorpus:
+    def test_pipeline_hues_match_definition13(self, monkeypatch):
+        """Every natural coloring the Theorem-2 pipeline builds over the
+        corpus gives each element the hue of the per-element
+        Definition-13 computation, and passes the naturality check."""
+        real = pipeline.natural_coloring
+        colorings = []
+
+        def recording(structure, m):
+            colored = real(structure, m)
+            colorings.append((structure, m, colored))
+            return colored
+
+        monkeypatch.setattr(pipeline, "natural_coloring", recording)
+        for _name, theory, database, query in theorem2_corpus():
+            assert build_finite_counter_model(theory, database, query).model is not None
+        assert len(colorings) == 14
+        for structure, m, colored in colorings:
+            hues = {e: color.hue for e, color in colored.assignment.items()}
+            assert hues == definition13_hues(structure, m)
+            assert hue_assignment(structure, m) == hues
+            assert not naturality_violations(colored, m)
+
+    def test_table_is_the_per_element_computation(self):
+        tree = Structure(
+            [atom("F", n[i], n[2 * i + 1]) for i in range(7)]
+            + [atom("G", n[i], n[2 * i + 2]) for i in range(7)]
+            + [atom("E", a, n[0]), atom("E", n[3], n[3])]
+        )
+        for k in range(5):
+            table = iterated_predecessor_table(tree, k)
+            assert table == {
+                e: iterated_predecessors(tree, e, k) for e in tree.domain()
+            }
 
 
 class TestBoundedPalettes:

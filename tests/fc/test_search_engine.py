@@ -26,6 +26,7 @@ from repro.fc import (
     search_finite_model,
 )
 from repro.fc import search as search_module
+from repro.payloads import fc_search_payload
 from repro.zoo import section55_database, section55_query, section55_theory
 
 from ..oracles import definitional_search, query_holds, rule_violations
@@ -36,15 +37,19 @@ DB = parse_structure("E(a,b)")
 #: A theory whose search tree contains two branches that differ *only*
 #: in the names of invented nulls: the A-rule invents two exchangeable
 #: witnesses n1, n2 for E(a,·), and the B-rule's reuse branches
-#: F(a,n1) / F(a,n2) are then isomorphic over the constants.
+#: F(a,n1) / F(a,n2) are then isomorphic over the constants.  The
+#: forbidden query holds only once the F-rule adds a G fact, so both
+#: branches reach the dedup check, and every branch is pruned a step
+#: later: there is no model.
 FORK = parse_theory(
     """
     A(x) -> exists y, z. E(x,y), E(x,z)
     B(x) -> exists w. F(x,w)
+    F(x,w) -> exists v. G(w,v)
     """
 )
 FORK_DB = parse_structure("A(a), B(a)")
-FORK_FORBIDDEN = parse_query("E(x,y), F(x,z)")
+FORK_FORBIDDEN = parse_query("G(x,y)")
 
 #: Three reuse branches R(b,b), R(b,a), R(b,_:0) with equal fact counts,
 #: domain sizes and predicates but pairwise non-isomorphic: the
@@ -58,13 +63,19 @@ SIBLINGS_FORBIDDEN = parse_query("R(x,y), K(y)")
 
 #: Reuse branches R(b,b) and R(b,a) share the search's invariant (it
 #: reads only the non-constant element _:0, which is in P alone in both)
-#: but are not isomorphic: the forbidden query prunes R(b,b), and R(b,a)
-#: is the model.  A search that took equal invariants for duplicates
-#: would skip R(b,a) and return R(b,_:0) instead.
-TWINS = parse_theory("U(x) -> exists y. R(x,y)")
+#: but are not isomorphic.  Both avoid the forbidden query; R(b,b) then
+#: needs an S fact, which the query forbids, and R(b,a) is the model.
+#: A search that took equal invariants for duplicates would skip R(b,a)
+#: and return R(b,_:0) instead.
+TWINS = parse_theory(
+    """
+    U(x) -> exists y. R(x,y)
+    R(x,x) -> exists v. S(x,v)
+    """
+)
 TWINS_DB = parse_structure("K(a), U(b)")
 TWINS_DB.add_fact(Atom("P", (Null(0),)))
-TWINS_FORBIDDEN = parse_query("R(x,x)")
+TWINS_FORBIDDEN = parse_query("S(x,y)")
 
 #: The linear rule plus transitivity: every finite model has E(x,x).
 LINEAR_TC = parse_theory(
@@ -87,8 +98,8 @@ class TestCanonicalDedupRegression:
             config=SearchConfig(max_elements=4, max_nodes=5000),
         )
         # F(a,n1) and F(a,n2) are one node: keyed on the raw fact sets
-        # the search takes 9 nodes and finds no duplicate.
-        assert outcome.stats.nodes == 8
+        # the search takes 30 nodes and finds no duplicate.
+        assert outcome.stats.nodes == 25
         assert outcome.stats.duplicates == 1
         assert outcome.stats.exhausted
         assert not outcome.found
@@ -120,7 +131,7 @@ class TestInvariantDedup:
         )
         assert outcome.found
         assert parse_fact("R(b,a)") in outcome.model
-        assert outcome.stats.nodes == 3
+        assert outcome.stats.nodes == 6
         assert outcome.stats.duplicates == 0
         # R(b,b) and R(b,a) collide, so each gets a key; no other does.
         assert outcome.stats.canonical_keys == 2
@@ -174,6 +185,79 @@ class TestInvariantDedup:
         assert decisions(keyed) == decisions(real)
         # Every case has states with nulls, so the patch keyed more.
         assert keyed.stats.canonical_keys > real.stats.canonical_keys
+
+
+def section55_totals():
+    """The §5.5 search's counters summed over the bounds 10-19."""
+    totals = {}
+    for bound in range(10, 20):
+        outcome = search_finite_model(
+            section55_database(),
+            section55_theory(),
+            forbidden=section55_query().boolean(),
+            config=SearchConfig(max_elements=bound),
+        )
+        assert not outcome.found
+        assert outcome.stats.exhausted
+        for name, value in outcome.stats.as_dict().items():
+            totals[name] = totals.get(name, 0) + value
+    return totals
+
+
+class TestQueryStop:
+    """A state's saturation stops at the forbidden query's first match;
+    the state counts as a node pruned by the query and is dropped before
+    the dedup check."""
+
+    def test_section55_visits_the_same_states(self):
+        totals = section55_totals()
+        assert totals["nodes"] == 1290
+        assert totals["pruned_by_query"] == 1155
+        assert totals["states_created"] == 1280
+        assert totals["duplicates"] == 0
+
+    def test_section55_stops_saturating_at_the_match(self):
+        # Saturating every state to its fixpoint runs 7,290 rounds over
+        # these bounds; stopping at the match runs 4,084.
+        assert section55_totals()["saturation_rounds"] <= 4100
+
+    def test_match_before_the_fact_budget_keeps_the_run_exhausted(self):
+        # Closing the E-chain into a cycle derives E(x,x) in the first
+        # round, with more than 3 facts: the query prunes those states
+        # before the budget does, and only the chains, of at most 3
+        # facts, are saturated to their fixpoint.  Saturating to the
+        # fixpoint before testing the query would prune 4 states on the
+        # budget and report budget-exhausted.
+        outcome = search_finite_model(
+            DB,
+            LINEAR_TC,
+            forbidden=parse_query("E(x,x)"),
+            config=SearchConfig(max_elements=3, max_facts=3),
+        )
+        assert not outcome.found
+        assert outcome.stats.saturation_pruned == 0
+        assert outcome.stats.pruned_by_query == 5
+        assert outcome.stats.exhausted
+        payload, _code = fc_search_payload(outcome)
+        assert payload["status"] == "exhausted-no-model"
+        model, exhausted = definitional_search(
+            DB, LINEAR_TC, forbidden=parse_query("E(x,x)"), max_elements=3
+        )
+        assert exhausted and model is None
+
+    def test_the_root_is_checked_in_full(self):
+        # The root has no parent to pivot from: a database that already
+        # satisfies the query is pruned before any branch.
+        outcome = search_finite_model(
+            parse_structure("E(a,a)"),
+            LINEAR,
+            forbidden=parse_query("E(x,x)"),
+            config=SearchConfig(max_elements=3),
+        )
+        assert not outcome.found
+        assert outcome.stats.exhausted
+        assert (outcome.stats.nodes, outcome.stats.pruned_by_query) == (1, 1)
+        assert outcome.stats.states_created == 0
 
 
 class TestSearchConfig:

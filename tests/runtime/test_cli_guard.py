@@ -21,6 +21,13 @@ from repro.cli import (
 LINEAR = "E(x,y) -> exists z. E(y,z)"
 DB = "E(a,b)"
 
+#: Section 5.5's theory, database and query (``repro.zoo``): every
+#: finite model satisfies the query, and the search through every state
+#: of up to 200 elements runs for over ten seconds.
+SECTION55 = "E(x,y) -> exists z. E(y,z)\nR(x,y), E(x,u), E(y,z), E(z,w) -> R(u,w)"
+SECTION55_DB = "E(a0,a1), R(a0,a0)"
+SECTION55_QUERY = "E(x,y), R(y,y)"
+
 
 def run_json(capsys, *argv):
     code = main(list(argv))
@@ -88,20 +95,20 @@ class TestWallClockFlag:
 class TestSigint:
     @pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
     def test_interrupted_run_emits_well_formed_json(self, tmp_path):
-        # An fc-search with no finite counter-model (LINEAR plus
-        # transitivity forces E(x,x) in any finite model) and huge
-        # budgets, interrupted for real: the payload must still be one
+        # An fc-search with no finite counter-model (Section 5.5: every
+        # finite model satisfies the query) and huge budgets,
+        # interrupted for real: the payload must still be one
         # well-formed JSON object with stopped_reason "cancelled" and
-        # exit code 130.  At 40 elements the exhaustive search runs for
-        # seconds (at 10 it ends in well under the 1.5 s below).
+        # exit code 130.  At 200 elements the exhaustive search runs
+        # for over ten seconds (at 20 it ends in well under the 1.5 s
+        # below).
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.abspath("src")
-        theory = LINEAR + "\nE(x,y), E(y,z) -> E(x,z)"
         process = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli",
-                "-e", "fc-search", theory, DB, "E(x,x)",
-                "--max-elements", "40",
+                "-e", "fc-search", SECTION55, SECTION55_DB, SECTION55_QUERY,
+                "--max-elements", "200",
                 "--max-nodes", "100000000",
                 "--json",
             ],

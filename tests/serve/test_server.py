@@ -249,11 +249,15 @@ class TestLifecycle:
                 # backlogged connect would be orphaned by the listener
                 # close below)
                 assert busy.ping() and late.ping()
+                # Section 5.5: no finite model avoids the query, and the
+                # search through every state of up to 200 elements runs
+                # for over ten seconds
                 rid = busy.submit(
                     "fc-search",
-                    theory="E(x,y) -> exists z. E(y,z)\n" + TC,
-                    database=DB, query="E(x,x)",
-                    params={"max_elements": 30, "max_nodes": 100_000_000},
+                    theory="E(x,y) -> exists z. E(y,z)\n"
+                    "R(x,y), E(x,u), E(y,z), E(z,w) -> R(u,w)",
+                    database="E(a0,a1), R(a0,a0)", query="E(x,y), R(y,y)",
+                    params={"max_elements": 200, "max_nodes": 100_000_000},
                 )
                 # wait until the fc-search is truly dispatched: the two
                 # pings plus the search make three counted requests

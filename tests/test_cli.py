@@ -378,15 +378,21 @@ class TestServe:
 
         from repro.serve import ServeClient
 
-        nonterm = "E(x,y) -> exists z. E(y,z)\nE(x,y), E(y,z) -> E(x,z)"
+        # Section 5.5: no finite model avoids the query, and the search
+        # through every state of up to 200 elements runs for over ten
+        # seconds
+        section55 = (
+            "E(x,y) -> exists z. E(y,z)\n"
+            "R(x,y), E(x,u), E(y,z), E(z,w) -> R(u,w)"
+        )
         proc, ready = self._spawn("--drain-ms", "500")
         try:
             with ServeClient(("127.0.0.1", ready["port"]), timeout=60) as c:
                 assert c.ping()  # the connection is accepted and live
                 rid = c.submit(
-                    "fc-search", theory=nonterm, database=DB,
-                    query="E(x,x)",
-                    params={"max_elements": 30,
+                    "fc-search", theory=section55,
+                    database="E(a0,a1), R(a0,a0)", query="E(x,y), R(y,y)",
+                    params={"max_elements": 200,
                             "max_nodes": 100_000_000},
                 )
                 time.sleep(0.5)  # the single worker picks the job up
