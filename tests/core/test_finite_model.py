@@ -1,12 +1,14 @@
 """End-to-end tests for the Theorem-2 pipeline (Section 3.3)."""
 
+import hashlib
 import itertools
 
 import pytest
 
 import repro.core.finite_model as pipeline
 from repro.coloring.conservativity import ConservativityReport
-from repro.lf import Theory, parse_query, parse_structure, parse_theory
+from repro.lf import Null, Structure, Theory, parse_query, parse_structure, parse_theory
+from repro.lf.canonical import canonical_key
 from repro.core import (
     PipelineConfig,
     build_finite_counter_model,
@@ -269,6 +271,52 @@ class TestExample9SubTheories:
 
 #: The Theorem-2 corpus and the Example-9 sub-theories.
 PIPELINE_INSTANCES = [*theorem2_corpus(), *EXAMPLE9_SUBTHEORIES]
+
+
+def model_digest(model):
+    """A short digest of the model's isomorphism class over the constants."""
+    return hashlib.sha256(canonical_key(model).encode()).hexdigest()[:16]
+
+
+class TestPinnedModels:
+    """Every pipeline countermodel, pinned up to renaming its nulls: a
+    change that only renumbers the quotient's nulls keeps these."""
+
+    DIGESTS = {
+        "example1/triangle-query": "b3b6521cf1b6cb20",
+        "linear/loop-query": "1ae66a30cbdc4b00",
+        "example7/foreign-pred": "1ea7b4738bf256c3",
+        "binary-tree/F-G-join": "739d46288ae66652",
+        "two-chains/merge-query": "b97c04947514a71c",
+        "FF-FG": "bc244cb027addeb9",
+        "FF-GF": "34275155cc92f0dd",
+        "FF-GG": "34275155cc92f0dd",
+        "FG-GF": "df7136ae56b20b75",
+        "FG-GG": "afb5060fe22032ea",
+        "GF-GG": "f100cdc98dfe9fe4",
+        "FF-FG-GF": "b73cd8fd71f1c3e3",
+        "FF-FG-GG": "418d8f200a5633c9",
+        "FF-GF-GG": "34275155cc92f0dd",
+        "FG-GF-GG": "b98a29c7a5f107a5",
+    }
+
+    @pytest.mark.parametrize(
+        "name, theory, database, query",
+        PIPELINE_INSTANCES,
+        ids=[name for name, *_ in PIPELINE_INSTANCES],
+    )
+    def test_model_up_to_isomorphism(self, name, theory, database, query):
+        model = build_finite_counter_model(theory, database, query).model
+        assert model_digest(model) == self.DIGESTS[name]
+        # the key is the isomorphism class, not the null names: renaming
+        # the nulls in reverse keeps it (a key past MAX_ORDERS would not)
+        nulls = sorted(model.nonconstant_elements())
+        renaming = {old: Null(len(nulls) - i) for i, old in enumerate(nulls)}
+        renamed = Structure(
+            [fact.substitute(renaming) for fact in model.facts()],
+            [renaming.get(e, e) for e in model.domain()],
+        )
+        assert model_digest(renamed) == self.DIGESTS[name]
 
 
 class TestPartitionReuse:
