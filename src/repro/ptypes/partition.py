@@ -4,35 +4,44 @@ The quotient structures ``M_n(C)`` of Definition 5 live on exactly this
 partition.  Computing it naively is quadratic in the domain with an
 expensive test per pair; :class:`TypePartition` makes it practical:
 
-* every element's canonical type generators are computed once and
-  cached, all from one incidence index of the structure, so each
-  generator reads only the facts of its own subset;
+* the classes come in the ``str`` order of their least members, so the
+  order is fixed by the class *sets* alone, whatever work found them;
+* constants are singletons by Remark 1 and skip all tests;
+* by Lemma 1, ``≡_n`` refines ``≡_m`` for every m < n, so each
+  partition refines a coarser one: an element alone (among the
+  partitioned ones) in its ``≡_m`` class is alone in its ``≡_n``
+  class, with no type computed.  Without a given ``coarser=``, a
+  partition at n > 1 refines its own ``≡_1`` partition;
+* at n = 1 an element's only generator is the query of its 1-subset,
+  which has no existential variable, so ``≡_1`` is equality of that
+  query's canonical form: the ``≡_1`` partition runs no ``≡`` test;
+* inside a coarser class of two or more elements, every element's
+  canonical type generators are computed once and cached, all from one
+  incidence index of the structure, so each generator reads only the
+  facts of its own subset;
 * each distinct canonical query is put in canonical form once per
   *forms* table — the Theorem-2 pipeline passes one table for its whole
-  call — and each form's ``str`` label, which orders the classes, is
-  computed once per chain of partitions;
-* elements are pre-grouped by a cheap invariant (their generator
+  call;
+* the elements of one coarser class are pre-grouped by their generator
   *set*, which over-refines nothing: equal types need not mean equal
-  generator sets, so groups are then merged by the real ``≡_n`` test);
-* constants are singletons by Remark 1 and skip all tests.
+  generator sets, so groups are then merged by the real ``≡_n`` test.
 
-A partition built with ``coarser=`` (the partition of the same
-structure at a smaller m) reuses that partition's work, with the same
-classes in the same order as a partition built from scratch:
+A partition refined from a coarser one at m (given, or its own
+``≡_1`` one) has the classes, in the same order, of one computed by
+pairwise tests, and reuses the coarser partition's work:
 
 * it shares the coarser partition's incidence index, and grows each
   element's n-generators from its m-generators, so canonical queries
   are built only for the connected subsets of ``m + 1`` to n elements;
-* by Lemma 1, ``≡_n`` refines ``≡_m``, so a class is merged only with
-  the classes of the same ``≡_m`` class, and two ``≡_m``-equal
-  elements already agree on every generator of at most m elements: the
-  ``≡_n`` test between them checks the grown generators only.
+* two ``≡_m``-equal elements already agree on every generator of at
+  most m elements: the ``≡_n`` test between them checks the grown
+  generators only.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional
 
 from ..lf.canonical import Incidence
 from ..lf.homomorphism import satisfies
@@ -70,9 +79,10 @@ class TypePartition:
     coarser:
         A partition of the same structure object over the same
         relations, at a smaller n, whose elements include these.  Its
-        incidence index, generators, classes and form labels are reused
-        (see the module docstring); the result is unchanged.  Anything
-        else is a :class:`ValueError`.
+        incidence index, generators and classes are reused (see the
+        module docstring); the result is unchanged.  Anything else is a
+        :class:`ValueError`.  Without it, a partition at n > 1 refines
+        its own ``≡_1`` partition.
     """
 
     def __init__(
@@ -96,14 +106,15 @@ class TypePartition:
             _check_coarser(self, coarser)
             if forms is None:
                 forms = coarser._forms
-        self._coarser = coarser
         self._index: "Optional[Incidence]" = None
         self._forms: Dict[ConjunctiveQuery, ConjunctiveQuery] = (
             forms if forms is not None else {}
         )
-        self._labels: Dict[ConjunctiveQuery, str] = (
-            coarser._labels if coarser is not None else {}
-        )
+        if coarser is None and n > 1:
+            coarser = TypePartition(
+                structure, 1, self.relation_names, self.elements, self._forms
+            )
+        self._coarser = coarser
         self._generators: Dict[Element, Dict[ConjunctiveQuery, ConjunctiveQuery]] = {}
         self._classes: "Optional[List[FrozenSet[Element]]]" = None
         self._class_of: Dict[Element, int] = {}
@@ -166,13 +177,6 @@ class TypePartition:
             and self.same_class(left, right)
         )
 
-    def _label(self, form: ConjunctiveQuery) -> str:
-        """The ``str`` of a canonical form, computed once per chain."""
-        label = self._labels.get(form)
-        if label is None:
-            label = self._labels[form] = str(form)
-        return label
-
     def equivalent(self, left: Element, right: Element) -> bool:
         """Definition 4's ``≡_n`` (cached, constant-aware)."""
         if left == right:
@@ -185,58 +189,70 @@ class TypePartition:
     # The partition
     # ------------------------------------------------------------------
     def classes(self) -> List[FrozenSet[Element]]:
-        """The equivalence classes, deterministically ordered."""
+        """The equivalence classes, in the ``str`` order of their least
+        members."""
         if self._classes is not None:
             return self._classes
 
-        classes: List[FrozenSet[Element]] = []
-        # Constants are singletons (Remark 1) — no tests needed.
-        for constant in sorted(self.structure.constant_elements(), key=str):
-            if constant in self.elements:
-                classes.append(frozenset([constant]))
-
-        # Pre-group by the canonical generator set: a sound
-        # under-approximation of ≡_n (equal sets ⟹ equal types) —
-        # those groups merge instantly; the remaining merges use the
-        # pairwise test.
-        buckets: Dict[FrozenSet, List[Element]] = {}
-        chosen = [
-            e
-            for e in sorted(self.structure.nonconstant_elements(), key=str)
-            if e in self.elements
-        ]
-        for element in chosen:
-            marker = frozenset(self._generators_of(element))
-            buckets.setdefault(marker, []).append(element)
-
-        # Groups are created in bucket order and each bucket joins the
-        # first group it is ≡_n to.  By Lemma 1 only the groups of its
-        # own coarser class can be: the others are never tested.
+        # Members are met in str order, so each group's first member is
+        # its least.  Constants are singletons (Remark 1): no tests.
+        # The others are keyed by their coarser class (Lemma 1: ≡_n
+        # classes lie inside it), or at n = 1 by their generator set,
+        # which there is the class itself.
         groups: List[List[Element]] = []
-        by_coarse: Dict[int, List[Tuple[Element, List[Element]]]] = {}
+        keyed: Dict[object, List[Element]] = {}
         coarser = self._coarser
-        for marker in sorted(buckets, key=lambda m: sorted(map(self._label, m))):
-            members = buckets[marker]
-            first = members[0]
-            coarse = coarser.class_index(first) if coarser is not None else 0
-            candidates = by_coarse.setdefault(coarse, [])
-            for rep, group in candidates:
-                if self.equivalent(rep, first):
-                    group.extend(members)
-                    break
+        for element in sorted(self.elements & self.structure.domain(), key=str):
+            if isinstance(element, Constant):
+                groups.append([element])
             else:
-                group = list(members)
-                candidates.append((first, group))
-                groups.append(group)
+                key = (
+                    coarser.class_index(element)
+                    if coarser is not None
+                    else self._marker(element)
+                )
+                keyed.setdefault(key, []).append(element)
+        for members in keyed.values():
+            if coarser is None or len(members) == 1:
+                groups.append(members)
+            else:
+                groups.extend(self._refine(members))
+        groups.sort(key=lambda group: str(group[0]))
 
-        for group in groups:
-            classes.append(frozenset(group))
+        classes = [frozenset(group) for group in groups]
         self._classes = classes
         self._class_of = {}
         for index, group in enumerate(classes):
             for member in group:
                 self._class_of[member] = index
         return classes
+
+    def _marker(self, element: Element) -> FrozenSet[ConjunctiveQuery]:
+        """The canonical generator set of *element*: equal sets mean
+        ``≡_n`` (and at n = 1 the converse holds too)."""
+        return frozenset(self._generators_of(element))
+
+    def _refine(self, members: List[Element]) -> List[List[Element]]:
+        """Split one coarser class (its members here, in ``str`` order)
+        into ``≡_n`` classes.
+
+        Members are pre-grouped by their generator set — a sound
+        under-approximation of ``≡_n`` — and each pre-group joins the
+        first class it is ``≡_n`` to.  Pre-groups come in the order of
+        their first members, so each class's first member is its least.
+        """
+        buckets: Dict[FrozenSet[ConjunctiveQuery], List[Element]] = {}
+        for element in members:
+            buckets.setdefault(self._marker(element), []).append(element)
+        groups: List[List[Element]] = []
+        for bucket in buckets.values():
+            for group in groups:
+                if self.equivalent(group[0], bucket[0]):
+                    group.extend(bucket)
+                    break
+            else:
+                groups.append(bucket)
+        return groups
 
     def class_index(self, element: Element) -> int:
         """Index of the class containing *element*."""

@@ -429,8 +429,9 @@ def colored_skeleton(entry, depth):
 
 
 class TestPinnedPartitions:
-    """``TypePartition(...).classes()`` and the quotient size, as the
-    full-scan construction computed them."""
+    """``TypePartition(...).classes()`` and the quotient size: the class
+    sets the full-scan construction computed, in the ``str`` order of
+    their least members."""
 
     @pytest.mark.parametrize(
         "entry, depth, classes, size",
@@ -438,15 +439,15 @@ class TestPinnedPartitions:
             (
                 "example1/triangle-query",
                 8,
-                [["a"], ["b"], ["_:0"], ["_:1"], ["_:2"], ["_:4"], ["_:3"]],
+                [["_:0"], ["_:1"], ["_:2"], ["_:3"], ["_:4"], ["a"], ["b"]],
                 7,
             ),
             (
                 "example1/triangle-query",
                 16,
                 [
-                    ["a"], ["b"], ["_:0"], ["_:1"], ["_:2"], ["_:10", "_:5"],
-                    ["_:4", "_:9"], ["_:3"], ["_:8"], ["_:11", "_:6"], ["_:12", "_:7"],
+                    ["_:0"], ["_:1"], ["_:10", "_:5"], ["_:11", "_:6"], ["_:12", "_:7"],
+                    ["_:2"], ["_:3"], ["_:4", "_:9"], ["_:8"], ["a"], ["b"],
                 ],
                 11,
             ),
@@ -454,9 +455,9 @@ class TestPinnedPartitions:
                 "two-chains/merge-query",
                 10,
                 [
-                    ["a"], ["b"], ["c"], ["d"], ["_:0"], ["_:2"], ["_:1"], ["_:3"],
-                    ["_:8", "_:9"], ["_:14", "_:15", "_:6", "_:7"], ["_:10", "_:11"],
-                    ["_:12", "_:13"], ["_:4"], ["_:5"],
+                    ["_:0"], ["_:1"], ["_:10", "_:11"], ["_:12", "_:13"],
+                    ["_:14", "_:15", "_:6", "_:7"], ["_:2"], ["_:3"], ["_:4"], ["_:5"],
+                    ["_:8", "_:9"], ["a"], ["b"], ["c"], ["d"],
                 ],
                 14,
             ),

@@ -76,9 +76,10 @@ class TestRefinedPartition:
             assert len({two.class_index(e) for e in group}) == 1
 
     def test_class_order_is_the_fresh_order(self):
-        """n8 and n6 share a ≡_2 class that ≡_3 splits, and n3's class
+        """n8 and n6 share a ≡_2 class that ≡_3 splits, and n7's class
         sorts between theirs: the refined classes keep the order of a
-        fresh partition, not the coarser partition's grouping."""
+        fresh partition, least member first, not the coarser
+        partition's grouping."""
         s = Structure(
             [
                 atom("E", n[3], n[4]), atom("E", n[6], n[0]), atom("E", n[7], n[2]),
@@ -88,11 +89,11 @@ class TestRefinedPartition:
         )
         two = TypePartition(s, 2)
         three = TypePartition(s, 3, coarser=two)
-        order = ["a", "_:8", "_:3", "_:6", "_:7", "_:4", "_:0", "_:2", "_:5"]
+        order = ["_:0", "_:2", "_:3", "_:4", "_:5", "_:6", "_:7", "_:8", "a"]
         assert [sorted(map(str, group)) for group in three.classes()] == [
             [name] for name in order
         ]
-        assert two.class_index(n[8]) == two.class_index(n[6]) != two.class_index(n[3])
+        assert two.class_index(n[8]) == two.class_index(n[6]) != two.class_index(n[7])
         assert three.classes() == TypePartition(s, 3).classes()
 
     def test_equivalence_agrees_with_fresh_test(self):
