@@ -95,7 +95,8 @@ class SearchConfig(BudgetedConfig):
     max_facts:
         Per-state saturation budget.  A state whose datalog fixpoint
         exceeds it is pruned (counted in ``stats.saturation_pruned``)
-        and the run loses its exhaustiveness claim.
+        and the run loses its exhaustiveness claim: if it then finds no
+        model, it stops with ``stopped_reason`` ``budget``.
     """
 
     max_elements: int = 10
@@ -362,7 +363,11 @@ def _search(
     ) -> SearchResult:
         stats.wall_ms = (time.perf_counter() - started) * 1000.0
         if stats.saturation_pruned:
+            # A pruned saturation leaves part of the space unexplored:
+            # without a model, the run ended on the saturation budget.
             stats.exhausted = False
+            if model is None and reason is StopReason.FIXPOINT:
+                reason = StopReason.BUDGET
         return SearchResult(model=model, stats=stats, stopped_reason=reason)
 
     nulls = NullFactory.above(database.domain())

@@ -6,6 +6,8 @@ depth-first frontier, the copy-on-write/saturation counters, canonical dedup
 with the definitional search of ``tests/oracles.py`` on fixed workloads.
 """
 
+import json
+
 import pytest
 
 from repro.cli import render_search_stats
@@ -26,7 +28,8 @@ from repro.fc import (
     search_finite_model,
 )
 from repro.fc import search as search_module
-from repro.payloads import fc_search_payload
+from repro.payloads import EXIT_INCOMPLETE, fc_search_payload
+from repro.runtime import StopReason
 from repro.zoo import section55_database, section55_query, section55_theory
 
 from ..oracles import definitional_search, query_holds, rule_violations
@@ -244,6 +247,27 @@ class TestQueryStop:
             DB, LINEAR_TC, forbidden=parse_query("E(x,x)"), max_elements=3
         )
         assert exhausted and model is None
+
+    def test_saturation_prune_reports_the_budget(self):
+        # Here a saturation passes 4 facts before it matches E(x,x): the
+        # state is pruned on the budget, so the run found no model
+        # without exploring the whole space, and says why.
+        outcome = search_finite_model(
+            DB,
+            LINEAR_TC,
+            forbidden=parse_query("E(x,x)"),
+            config=SearchConfig(max_elements=6, max_facts=4),
+        )
+        assert not outcome.found
+        assert outcome.stats.saturation_pruned > 0
+        assert not outcome.stats.exhausted
+        assert outcome.stopped_reason is StopReason.BUDGET
+        payload, code = fc_search_payload(outcome)
+        assert code == EXIT_INCOMPLETE
+        # the payload as ``--json`` prints it
+        printed = json.loads(json.dumps(payload, sort_keys=True, default=str))
+        assert printed["status"] == "budget-exhausted"
+        assert printed["stopped_reason"] == "budget"
 
     def test_the_root_is_checked_in_full(self):
         # The root has no parent to pivot from: a database that already
