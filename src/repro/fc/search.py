@@ -133,8 +133,9 @@ class SearchStats:
         Branch states pushed onto the frontier (copy-on-write: a
         created state holds only its delta until materialised).
     states_materialised:
-        States actually built into full structures (created minus
-        materialised = work the laziness and pre-dedup saved).
+        States actually built into full structures: every popped state
+        but the root (created minus materialised = the states still on
+        the frontier when the run ended, which laziness never built).
     canonical_keys:
         Canonical-form computations performed (a state needs one only
         when its invariant matches an earlier state's).
@@ -234,11 +235,11 @@ class _State:
     """A search state: parent pointer + local delta, materialised lazily.
 
     Until expanded, a state costs only its delta (the substituted head
-    facts of one trigger).  ``structure`` and ``facts`` are filled in
-    at expansion time, after incremental saturation.
+    facts of one trigger).  ``structure`` is filled in at expansion
+    time, after incremental saturation.
     """
 
-    __slots__ = ("parent", "delta", "structure", "facts", "domain_size")
+    __slots__ = ("parent", "delta", "structure", "domain_size")
 
     def __init__(
         self,
@@ -249,7 +250,6 @@ class _State:
         self.parent = parent
         self.delta = delta
         self.structure: "Optional[Structure]" = None
-        self.facts: "Optional[FrozenSet[Atom]]" = None
         self.domain_size = domain_size
 
 
@@ -388,7 +388,6 @@ def _search(
     stack: List[_State] = [root]
     stats.frontier_peak = 1
     seen = _SeenStates(root_structure.domain(), stats)
-    seen_raw: Set[FrozenSet[Atom]] = set()
 
     while stack:
         reason = guard.check()
@@ -418,15 +417,6 @@ def _search(
             matched = forbidden is not None and satisfies(working, forbidden)
             stats.query_ms += (time.perf_counter() - clock) * 1000.0
         else:
-            # Cheap raw pre-check: saturation is deterministic, so equal
-            # pre-saturation fact sets yield equal states — skip before
-            # paying for materialisation.
-            raw = state.parent.facts.union(state.delta)  # type: ignore[union-attr]
-            if raw in seen_raw:
-                stats.duplicates += 1
-                continue
-            seen_raw.add(raw)
-
             clock = time.perf_counter()
             working = state.parent.structure.copy()  # type: ignore[union-attr]
             for fact in state.delta:
@@ -453,10 +443,9 @@ def _search(
             continue
 
         state.structure = structure = working
-        state.facts = working.facts()
         state.domain_size = working.domain_size
         clock = time.perf_counter()
-        new = seen.add(structure, state.facts)
+        new = seen.add(structure, working.facts())
         stats.canonical_ms += (time.perf_counter() - clock) * 1000.0
         if not new:
             stats.duplicates += 1
