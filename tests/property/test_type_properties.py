@@ -6,6 +6,8 @@ The central invariants of Section 2:
 * ``≼_n`` is a preorder and ``≡_n`` an equivalence;
 * ``≡_n`` refines as n grows (Lemma 1's first claim), and a partition
   refined from a coarser one equals one built from scratch;
+* a partition, fresh or refined, agrees with the pairwise ``≡_n`` test
+  and lists its classes in the ``str`` order of their least members;
 * the quotient map is a homomorphism with minimal relations (Def. 5);
 * quotient projections at consecutive n are compatible (Lemma 1).
 """
@@ -98,6 +100,35 @@ class TestOrderProperties:
             base = (n, type_generators(structure, element, n))
             grown = type_generators(structure, element, finer, base=base)
             assert set(grown) == set(type_generators(structure, element, finer))
+
+    @RELAXED
+    @given(structures(min_facts=1, max_facts=8), SIZES, st.integers(1, 2), st.data())
+    def test_partition_matches_pairwise_equivalence(self, structure, n, step, data):
+        """Two partitioned elements share a class exactly when the
+        pairwise test says they are ``≡_n``, in a partition built from
+        scratch and in one refined from a coarser partition (itself
+        checked too), and the classes come least member first."""
+        domain = structure.domain()
+        dropped = st.sets(st.sampled_from(sorted(domain, key=str)))
+        outer = domain - data.draw(dropped, label="not in the coarse partition")
+        inner = outer - data.draw(dropped, label="not in the fine partition")
+        coarse = TypePartition(structure, n, elements=outer)
+        finer = n + step
+        for partition in (
+            coarse,
+            TypePartition(structure, finer, elements=inner),
+            TypePartition(structure, finer, elements=inner, coarser=coarse),
+        ):
+            classes = partition.classes()
+            assert {e for group in classes for e in group} == partition.elements
+            least = [min(map(str, group)) for group in classes]
+            assert least == sorted(least)
+            members = sorted(partition.elements, key=str)
+            for i, left in enumerate(members):
+                for right in members[i + 1 :]:
+                    assert partition.same_class(left, right) == equivalent(
+                        structure, left, right, partition.n
+                    )
 
     @RELAXED
     @given(structures(min_facts=2, max_facts=8), SIZES)
