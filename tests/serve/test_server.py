@@ -251,7 +251,7 @@ class TestLifecycle:
                 assert busy.ping() and late.ping()
                 # Section 5.5: no finite model avoids the query, and the
                 # search through every state of up to 200 elements runs
-                # for over ten seconds
+                # for over ten seconds (about 13 s on a 2-CPU host)
                 rid = busy.submit(
                     "fc-search",
                     theory="E(x,y) -> exists z. E(y,z)\n"

@@ -380,7 +380,7 @@ class TestServe:
 
         # Section 5.5: no finite model avoids the query, and the search
         # through every state of up to 200 elements runs for over ten
-        # seconds
+        # seconds (about 13 s on a 2-CPU host)
         section55 = (
             "E(x,y) -> exists z. E(y,z)\n"
             "R(x,y), E(x,u), E(y,z), E(z,w) -> R(u,w)"
