@@ -67,6 +67,25 @@ class ConservativityReport:
         return self.conservative
 
 
+def _quotient_over_base(
+    colored: ColoredStructure, n: int, prebuilt: "Optional[Quotient]"
+) -> "Tuple[Quotient, Structure]":
+    """``M_n^{Σ̄}(C̄)`` (*prebuilt*, or built here) and its restriction
+    ``M_n^{Σ̄}(C̄) ↾ Σ``, whose types are the quotient's types over Σ.
+
+    A *prebuilt* quotient must be of ``colored.structure`` at *n*.
+    """
+    if prebuilt is None:
+        quotiented = quotient(colored.structure, n)
+    elif prebuilt.source is not colored.structure:
+        raise ValueError("the prebuilt quotient must be of the colored structure")
+    elif prebuilt.n != n:
+        raise ValueError(f"the prebuilt quotient is at n = {prebuilt.n}, not {n}")
+    else:
+        quotiented = prebuilt
+    return quotiented, quotiented.structure.restrict_signature(colored.base_relations)
+
+
 def conservativity_report(
     colored: ColoredStructure,
     n: int,
@@ -75,24 +94,23 @@ def conservativity_report(
 ) -> ConservativityReport:
     """Check whether *colored* is n-conservative up to size *m* (Def. 8).
 
-    Types in the quotient are computed over the **base** signature Σ
-    (colors are only the glue that keeps the quotient fine enough);
-    types used to *build* the quotient are over the full Σ̄.
+    Types in the quotient are computed over the **base** signature Σ,
+    as the types of ``M_n^{Σ̄}(C̄) ↾ Σ`` (colors are only the glue that
+    keeps the quotient fine enough); types used to *build* the quotient
+    are over the full Σ̄.  A *prebuilt* quotient must be of
+    ``colored.structure`` at *n*, else :class:`ValueError`.
     """
-    quotiented = prebuilt or quotient(colored.structure, n)
-    base_names = colored.base_relations
+    quotiented, base = _quotient_over_base(colored, n, prebuilt)
     source = colored.structure  # queries over Σ see through the colors
-    # One incidence index of the quotient serves the Boolean sentences
-    # and every image's type queries below.
-    index = Incidence(quotiented.structure, base_names)
+    # One incidence index of the quotient over Σ serves the Boolean
+    # sentences and every image's type queries below.
+    index = Incidence(base)
 
     # Boolean components first: every connected sentence of the quotient
     # with at most m-1 variables must already hold in the source (this
     # is the (♠3) part of a full m-variable query whose y-component is
     # checked per element below).
-    for sentence in boolean_type_queries(
-        quotiented.structure, m - 1, relation_names=base_names, index=index
-    ):
+    for sentence in boolean_type_queries(base, m - 1, index=index):
         if not satisfies(source, sentence):
             return ConservativityReport(
                 conservative=False,
@@ -110,9 +128,7 @@ def conservativity_report(
         fibers.setdefault(quotiented.project(element), []).append(element)
 
     for image in sorted(fibers, key=str):
-        image_queries = type_queries(
-            quotiented.structure, image, m, relation_names=base_names, index=index
-        )
+        image_queries = type_queries(base, image, m, index=index)
         for element in sorted(fibers[image], key=str):
             for query in image_queries:
                 if not satisfies(source, query, {query.free[0]: element}):
@@ -205,14 +221,12 @@ def spade3_holds(
 
     Every Boolean CQ over Σ with at most *m* variables true in the
     quotient must be true in C (the converse is automatic).  Returns
-    ``(verdict, counterexample_query)``.
+    ``(verdict, counterexample_query)``.  A *prebuilt* quotient must be
+    of ``colored.structure`` at *n*, else :class:`ValueError`.
     """
-    quotiented = prebuilt or quotient(colored.structure, n)
-    base_names = colored.base_relations
+    _, base = _quotient_over_base(colored, n, prebuilt)
     source = colored.structure
-    for sentence in boolean_type_queries(
-        quotiented.structure, m, relation_names=base_names
-    ):
+    for sentence in boolean_type_queries(base, m):
         if not satisfies(source, sentence):
             return False, sentence
     return True, None

@@ -44,7 +44,7 @@ is therefore unconditional.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..chase.engine import ChaseConfig, chase, chase_with_embargo, is_model, violations
 from ..chase.stats import ChaseStats
@@ -179,11 +179,6 @@ def _level_gap(skeleton_structure: Structure) -> int:
     return gap
 
 
-def _strip_colors(colored_quotient: Structure, base_relations: Iterable[str]) -> Structure:
-    """Drop color atoms from a quotient structure."""
-    return colored_quotient.restrict_signature(set(base_relations))
-
-
 def build_finite_counter_model(
     theory: Theory,
     database: Structure,
@@ -304,8 +299,8 @@ def build_finite_counter_model(
             )
             quotiented = quotient(colored.structure, eta, partition=partition)
             coarser = partition
-            candidate = _strip_colors(
-                quotiented.structure, colored.base_relations
+            candidate = quotiented.structure.restrict_signature(
+                colored.base_relations
             )
             try:
                 saturated = chase_with_embargo(

@@ -3,12 +3,14 @@
 Two constructions used throughout the positive-type machinery:
 
 * the **canonical query** of ``C ↾ S`` around a distinguished element
-  ``d``: every fact of C whose arguments lie in S becomes an atom, with
+  ``d``: every fact of C whose arguments lie in S becomes an atom, but
+  those whose arguments are all constants other than ``d``, with
   non-constant elements turned into variables (``d`` becoming the free
   variable ``y``) and constants kept.  The key property (proved in
   :mod:`repro.ptypes.ptype`) is that the canonical queries of the
   ≤ n-element subsets around ``d`` *generate* the positive n-type of
-  ``d`` under query homomorphism.
+  ``d`` under query homomorphism.  The query ranges over every relation
+  of C: a caller that types over a sub-signature Σ passes ``C ↾ Σ``.
 
 * the **canonical key** of a structure: a string that two structures
   share exactly when they are isomorphic over the constants — the
@@ -43,10 +45,9 @@ MAX_ORDERS = 40_320
 class Incidence:
     """Which facts mention each element, for one structure.
 
-    Built in one pass over the structure's facts, restricted to
-    *relation_names* when given.  The readers below then touch only the
-    facts of the elements they care about, instead of scanning the
-    whole structure once per subset.
+    Built in one pass over the structure's facts.  The readers below
+    then touch only the facts of the elements they care about, instead
+    of scanning the whole structure once per subset.
 
     The index is a snapshot: it does not follow later changes to the
     structure.  Build one per pass (a partition, a report, a coloring)
@@ -54,8 +55,6 @@ class Incidence:
 
     Attributes
     ----------
-    relation_names:
-        The relations the index was restricted to (``None``: all).
     constants:
         ``C_con``, the constant elements of the structure's domain.
     pinned:
@@ -64,22 +63,14 @@ class Incidence:
         ``C ↾ (S ∪ C_con)`` keeps whatever S is.
     """
 
-    __slots__ = ("relation_names", "constants", "pinned", "_facts", "_neighbours")
+    __slots__ = ("constants", "pinned", "_facts", "_neighbours")
 
-    def __init__(
-        self,
-        structure: Structure,
-        relation_names: "Optional[Iterable[str]]" = None,
-    ):
-        allowed = frozenset(relation_names) if relation_names is not None else None
-        self.relation_names: "Optional[FrozenSet[str]]" = allowed
+    def __init__(self, structure: Structure):
         self.constants: FrozenSet[Constant] = structure.constant_elements()
         self.pinned: List[Atom] = []
         self._facts: Dict[Element, List[Atom]] = {}
         self._neighbours: Dict[Element, List[Element]] = {}
         for fact in structure:
-            if allowed is not None and fact.pred not in allowed:
-                continue
             pinned = True
             for arg in set(fact.args):
                 self._facts.setdefault(arg, []).append(fact)
@@ -88,49 +79,22 @@ class Incidence:
             if pinned:
                 self.pinned.append(fact)
 
-    @classmethod
-    def of(
-        cls,
-        structure: Structure,
-        relation_names: "Optional[Iterable[str]]" = None,
-        index: "Optional[Incidence]" = None,
-    ) -> "Incidence":
-        """*index* when one is given, else a new index of *structure*.
-
-        A given index must have been built for *relation_names*: reading
-        facts of other relations would change the queries built from it.
-        """
-        if index is None:
-            return cls(structure, relation_names)
-        wanted = frozenset(relation_names) if relation_names is not None else None
-        if index.relation_names != wanted:
-            raise ValueError(
-                "the incidence index was built for other relations "
-                f"({sorted(index.relation_names or ())} vs {sorted(wanted or ())})"
-            )
-        return index
-
     def facts_of(self, element: Element) -> "Sequence[Atom]":
-        """The facts (of the indexed relations) that mention *element*."""
+        """The facts that mention *element*."""
         return self._facts.get(element, ())
 
-    def facts_among(
-        self, chosen: "Set[Element]", pinned: bool = True
-    ) -> List[Atom]:
-        """The indexed facts whose arguments all lie in *chosen*.
+    def facts_among(self, chosen: "Set[Element]") -> List[Atom]:
+        """The facts whose arguments all lie in *chosen*.
 
         A fact with a non-constant argument is listed under that
         argument, which must itself be chosen, so the candidates are the
-        chosen non-constant elements' facts plus, when *pinned* is true,
-        the pinned facts.  With *pinned* false the facts among constants
-        only are left out.
+        chosen non-constant elements' facts plus the pinned facts.
         """
         candidates: Set[Atom] = set()
         for element in chosen:
             if not isinstance(element, Constant):
                 candidates.update(self.facts_of(element))
-        if pinned:
-            candidates.update(self.pinned)
+        candidates.update(self.pinned)
         return [fact for fact in candidates if chosen.issuperset(fact.args)]
 
     def neighbours(self, element: Element) -> List[Element]:
@@ -154,16 +118,21 @@ def canonical_query(
     structure: Structure,
     elements: Iterable[Element],
     distinguished: Element,
-    relation_names: "Optional[Iterable[str]]" = None,
-    skip_constant_only: bool = False,
     index: "Optional[Incidence]" = None,
 ) -> ConjunctiveQuery:
     """The canonical CQ of ``structure ↾ elements`` around *distinguished*.
 
+    Atoms whose arguments are all constants other than *distinguished*
+    are left out: as the paper notes in Section 4, they are irrelevant,
+    because projections leave the constant part of a structure
+    unchanged.
+
     Parameters
     ----------
     structure:
-        The ambient structure.
+        The ambient structure; the query ranges over all its relations
+        (to type over a sub-signature Σ, pass ``C ↾ Σ``, see
+        :meth:`~repro.lf.structures.Structure.restrict_signature`).
     elements:
         The subset S (must contain *distinguished*).
     distinguished:
@@ -171,20 +140,11 @@ def canonical_query(
         constant, the query additionally contains the equality atom
         ``y = c`` — this is how Remark 1's separation of constants is
         realised.
-    relation_names:
-        Restrict to these relations (the paper's ``Σ`` inside ``Σ̄``,
-        Definition 8 computes types over Σ only, ignoring colors).
-    skip_constant_only:
-        Drop atoms whose arguments are all constants (and differ from
-        the distinguished element).  The positive-type machinery sets
-        this: as the paper notes in Section 4, atoms between constants
-        are irrelevant because the constant part of the structure is
-        unchanged by projections.
     index:
-        The structure's :class:`Incidence`, built for the same
-        *relation_names*.  Callers that build many canonical queries of
-        one structure pass it so each query reads only the facts of its
-        own elements; without it one is built here.
+        The structure's :class:`Incidence`.  Callers that build many
+        canonical queries of one structure pass it so each query reads
+        only the facts of its own elements; without it one is built
+        here.
 
     Returns
     -------
@@ -195,7 +155,8 @@ def canonical_query(
     chosen = set(elements)
     if distinguished not in chosen:
         raise ValueError("distinguished element must belong to the subset")
-    index = Incidence.of(structure, relation_names, index)
+    if index is None:
+        index = Incidence(structure)
 
     # The distinguished element becomes y, the other non-constant
     # elements x0, x1, ... in str order; constants stay themselves.
@@ -206,23 +167,21 @@ def canonical_query(
     )
     table.update(zip(others, numbered_variables("x", len(others))))
 
-    # The facts are distinct and the table is injective, so the atoms
-    # are distinct too, and y = c cannot repeat one (c itself maps to
-    # y).  The pinned facts matter only when constant-only atoms are
-    # kept, or when they may mention a constant distinguished element;
-    # the other facts all have a non-constant argument, so only that
-    # second case has constant-only atoms to skip.
+    # A fact that is not constant-only (bar y) has a non-constant
+    # argument or y among its arguments, so it is listed under a chosen
+    # non-constant element or under y.  The facts are distinct and the
+    # table is injective, so the atoms are distinct too, and y = c
+    # cannot repeat one (c itself maps to y).
+    candidates: Set[Atom] = set()
+    for element in chosen:
+        if not isinstance(element, Constant) or element == distinguished:
+            candidates.update(index.facts_of(element))
     constant_anchor = isinstance(distinguished, Constant)
-    check_pins = skip_constant_only and constant_anchor
     anchored = constant_anchor
     atoms: List[Atom] = []
-    for fact in index.facts_among(
-        chosen, pinned=not skip_constant_only or constant_anchor
-    ):
+    for fact in candidates:
         args = fact.args
-        if check_pins and all(
-            isinstance(arg, Constant) and arg != distinguished for arg in args
-        ):
+        if not chosen.issuperset(args):
             continue
         terms = tuple(map(table.get, args, args))
         if not anchored and FREE_VARIABLE in terms:
@@ -270,28 +229,29 @@ def connected_subsets_containing(
     structure: Structure,
     anchor: Element,
     max_size: int,
-    relation_names: "Optional[Iterable[str]]" = None,
     index: "Optional[Incidence]" = None,
     min_size: int = 1,
 ) -> "Iterable[FrozenSet[Element]]":
     """Connected subsets of the non-constant elements containing *anchor*,
     of *min_size* to *max_size* elements.
 
-    Two non-constant elements are adjacent when they co-occur in a fact
-    (of an allowed relation); constants never connect anything — in a
-    query, constants are fixed pins, so components joined only through
-    a constant are independently satisfiable.  Enumerating connected
-    subsets (instead of all subsets) is exactly what the positive-type
-    machinery needs; see :mod:`repro.ptypes.ptype` for the argument.
+    Two non-constant elements are adjacent when they co-occur in a fact;
+    constants never connect anything — in a query, constants are fixed
+    pins, so components joined only through a constant are
+    independently satisfiable.  Enumerating connected subsets (instead
+    of all subsets) is exactly what the positive-type machinery needs;
+    see :mod:`repro.ptypes.ptype` for the argument.
 
     Uses the standard extension enumeration: a subset is grown only
     through neighbours of its members, and elements already *declined*
     at an earlier branch are excluded, so each subset appears once.
-    Adjacency is read from *index* (built for the same
-    *relation_names*; one is built here when it is omitted).  Subsets
-    below *min_size* are still walked through, but not yielded.
+    Adjacency is read from the structure's *index* (one is built here
+    when it is omitted).  Subsets below *min_size* are still walked
+    through, but not yielded.
     """
-    neighbours = Incidence.of(structure, relation_names, index).neighbours
+    if index is None:
+        index = Incidence(structure)
+    neighbours = index.neighbours
 
     # The anchor itself is always connectable — even when it is a
     # constant: in the canonical query the distinguished element becomes

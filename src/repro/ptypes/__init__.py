@@ -8,7 +8,6 @@ Lemma 1, and the (♠1) induced projections.
 from .bruteforce import (
     brute_force_equivalent,
     brute_force_subsumed,
-    brute_force_type,
     clear_type_query_cache,
     enumerate_type_queries,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "boolean_type_queries",
     "brute_force_equivalent",
     "brute_force_subsumed",
-    "brute_force_type",
     "clear_type_query_cache",
     "enumerate_type_queries",
     "equivalent",

@@ -8,8 +8,7 @@ reduction argument.  This module provides the *definitionally obvious*
 the structure's signature, and compare memberships directly.
 
 The two implementations are cross-validated in the property suite
-(``tests/property/test_bruteforce_validation.py``); the enumerator also
-powers small didactic inspections (listing an element's type).
+(``tests/property/test_bruteforce_validation.py``).
 
 Only practical for tiny parameters: the query count is roughly
 ``(#atom-shapes)^k`` with ``#atom-shapes = Σ_R (n+#constants)^arity``.
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Iterable, Iterator, List, Set, Tuple
 
 from ..lf.atoms import Atom
 from ..lf.canonical import FREE_VARIABLE
@@ -132,28 +131,6 @@ def _enumerate_type_queries(
             yield query
 
 
-def brute_force_type(
-    structure: Structure,
-    element: Element,
-    n: int,
-    max_atoms: int,
-    relation_names: "Optional[Iterable[str]]" = None,
-) -> FrozenSet[ConjunctiveQuery]:
-    """The atom-bounded slice of ``ptp_n``: every enumerated query true
-    at *element* (as canonical forms)."""
-    relations = structure.signature.relations
-    if relation_names is not None:
-        wanted = set(relation_names)
-        relations = {p: a for p, a in relations.items() if p in wanted}
-    holds = set()
-    for query in enumerate_type_queries(
-        relations, structure.constant_elements(), n, max_atoms
-    ):
-        if satisfies(structure, query, {FREE_VARIABLE: element}):
-            holds.add(query.canonical())
-    return frozenset(holds)
-
-
 def brute_force_subsumed(
     source: Structure,
     source_element: Element,
@@ -161,7 +138,6 @@ def brute_force_subsumed(
     target_element: Element,
     n: int,
     max_atoms: int,
-    relation_names: "Optional[Iterable[str]]" = None,
 ) -> bool:
     """Reference for :func:`repro.ptypes.type_subsumed`, restricted to
     queries with at most *max_atoms* atoms: every enumerated query true
@@ -173,12 +149,10 @@ def brute_force_subsumed(
     *(real says ⊆) ⟹ (bounded says ⊆)* exactly, and treats a bounded-⊆
     with real-⊄ as expected slack when ``max_atoms`` is small.
     """
-    relations = source.signature.relations
-    if relation_names is not None:
-        wanted = set(relation_names)
-        relations = {p: a for p, a in relations.items() if p in wanted}
     constants = source.constant_elements() | target.constant_elements()
-    for query in enumerate_type_queries(relations, constants, n, max_atoms):
+    for query in enumerate_type_queries(
+        source.signature.relations, constants, n, max_atoms
+    ):
         if satisfies(source, query, {FREE_VARIABLE: source_element}):
             if not satisfies(target, query, {FREE_VARIABLE: target_element}):
                 return False

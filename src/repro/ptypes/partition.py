@@ -1,8 +1,11 @@
 """Partitioning a structure's domain by ``≡_n`` (Definition 4).
 
 The quotient structures ``M_n(C)`` of Definition 5 live on exactly this
-partition.  Computing it naively is quadratic in the domain with an
-expensive test per pair; :class:`TypePartition` makes it practical:
+partition.  Types range over every relation of the partitioned
+structure: the Theorem-2 pipeline partitions a colored skeleton ``S̄``,
+colors included, since ``M_n^{Σ̄}(S̄)`` types over ``Σ̄``.  Computing
+the partition naively is quadratic in the domain with an expensive
+test per pair; :class:`TypePartition` makes it practical:
 
 * the classes come in the ``str`` order of their least members, so the
   order is fixed by the class *sets* alone, whatever work found them;
@@ -60,11 +63,9 @@ class TypePartition:
         The structure whose domain is partitioned.
     n:
         The type size (Definition 3's bound: at most ``n`` variables).
-    relation_names:
-        Optional sub-signature over which types are computed — when
-        partitioning a colored structure ``C̄`` the types are taken over
-        the *full* colored signature (that is what ``M_n^Σ̄(C̄)`` uses),
-        so this is usually left ``None``.
+        Types range over all the structure's relations: partitioning a
+        colored structure ``C̄`` types over the full colored signature,
+        which is what ``M_n^Σ̄(C̄)`` uses.
     elements:
         Restrict the partition to these elements (types are still
         computed within the whole structure).  The Theorem-2 pipeline
@@ -77,28 +78,23 @@ class TypePartition:
         structure, so one table can serve every partition of a pass;
         by default the coarser partition's table, else a new one.
     coarser:
-        A partition of the same structure object over the same
-        relations, at a smaller n, whose elements include these.  Its
-        incidence index, generators and classes are reused (see the
-        module docstring); the result is unchanged.  Anything else is a
-        :class:`ValueError`.  Without it, a partition at n > 1 refines
-        its own ``≡_1`` partition.
+        A partition of the same structure object, at a smaller n,
+        whose elements include these.  Its incidence index, generators
+        and classes are reused (see the module docstring); the result is
+        unchanged.  Anything else is a :class:`ValueError`.  Without it,
+        a partition at n > 1 refines its own ``≡_1`` partition.
     """
 
     def __init__(
         self,
         structure: Structure,
         n: int,
-        relation_names: "Optional[Iterable[str]]" = None,
         elements: "Optional[Iterable[Element]]" = None,
         forms: "Optional[Dict[ConjunctiveQuery, ConjunctiveQuery]]" = None,
         coarser: "Optional[TypePartition]" = None,
     ):
         self.structure = structure
         self.n = n
-        self.relation_names = (
-            frozenset(relation_names) if relation_names is not None else None
-        )
         self.elements = (
             frozenset(elements) if elements is not None else structure.domain()
         )
@@ -111,9 +107,7 @@ class TypePartition:
             forms if forms is not None else {}
         )
         if coarser is None and n > 1:
-            coarser = TypePartition(
-                structure, 1, self.relation_names, self.elements, self._forms
-            )
+            coarser = TypePartition(structure, 1, self.elements, self._forms)
         self._coarser = coarser
         self._generators: Dict[Element, Dict[ConjunctiveQuery, ConjunctiveQuery]] = {}
         self._classes: "Optional[List[FrozenSet[Element]]]" = None
@@ -128,7 +122,7 @@ class TypePartition:
             if self._coarser is not None:
                 self._index = self._coarser._incidence()
             else:
-                self._index = Incidence(self.structure, self.relation_names)
+                self._index = Incidence(self.structure)
         return self._index
 
     def _generators_of(
@@ -142,13 +136,7 @@ class TypePartition:
             if coarser is not None:
                 base = (coarser.n, coarser._generators_of(element))
             cached = type_generators(
-                self.structure,
-                element,
-                self.n,
-                self.relation_names,
-                self._incidence(),
-                self._forms,
-                base,
+                self.structure, element, self.n, self._incidence(), self._forms, base
             )
             self._generators[element] = cached
         return cached
@@ -276,8 +264,6 @@ def _check_coarser(partition: TypePartition, coarser: object) -> None:
         )
     if coarser.structure is not partition.structure:
         raise ValueError("coarser must partition the same structure")
-    if coarser.relation_names != partition.relation_names:
-        raise ValueError("coarser must type over the same relations")
     if not coarser.n < partition.n:
         raise ValueError(
             f"coarser must be at a smaller n (got {coarser.n}, not below {partition.n})"

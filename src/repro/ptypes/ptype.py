@@ -2,9 +2,15 @@
 
 ``ptp_n(C, e, Σ)`` is the set of all conjunctive queries ``Ψ(x̄, y)``
 over Σ with ``|x̄| < n`` (so at most ``n`` variables counting ``y``)
-such that ``C ⊨ Ψ(x̄, e)``.  The set is infinite, but it is *generated*
-under query homomorphism by finitely many **canonical subqueries**, and
-the generators can be restricted to *connected* subsets.
+such that ``C ⊨ Ψ(x̄, e)``.  Every function here types the structure it
+is given, over all of its relations.  A query over Σ holds in C exactly
+when it holds in ``C ↾ Σ``, which keeps the whole domain (Definition
+7), so ``ptp_n(C, e, Σ) = ptp_n(C ↾ Σ, e)``: a caller that types over
+Σ passes ``C ↾ Σ``
+(:meth:`~repro.lf.structures.Structure.restrict_signature`).  The set
+is infinite, but it is *generated* under query homomorphism by finitely
+many **canonical subqueries**, and the generators can be restricted to
+*connected* subsets.
 
 Soundness/completeness of the reduction
 ----------------------------------------
@@ -41,7 +47,7 @@ anything else).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..lf.canonical import (
     Incidence,
@@ -58,27 +64,26 @@ def type_generators(
     structure: Structure,
     element: Element,
     n: int,
-    relation_names: "Optional[Iterable[str]]" = None,
     index: "Optional[Incidence]" = None,
     forms: "Optional[Dict[ConjunctiveQuery, ConjunctiveQuery]]" = None,
     base: "Optional[Tuple[int, Dict[ConjunctiveQuery, ConjunctiveQuery]]]" = None,
 ) -> Dict[ConjunctiveQuery, ConjunctiveQuery]:
-    """The connected canonical generators of ``ptp_n(C, element, Σ)``,
+    """The connected canonical generators of ``ptp_n(C, element)``,
     keyed by their canonical forms.
 
     The dict keeps enumeration order, so its values are exactly
     :func:`type_queries` and its keys their renaming-invariant markers.
-    *index* is the structure's :class:`~repro.lf.canonical.Incidence`
-    over *relation_names*; callers typing many elements of one
-    structure build it once and pass it.  *forms* maps each canonical
-    query met so far to its :meth:`~repro.lf.queries.ConjunctiveQuery.canonical`
-    form, and is filled in here; such callers pass one dict for the
-    whole pass, so each distinct query is put in canonical form once.
+    *index* is the structure's :class:`~repro.lf.canonical.Incidence`;
+    callers typing many elements of one structure build it once and
+    pass it.  *forms* maps each canonical query met so far to its
+    :meth:`~repro.lf.queries.ConjunctiveQuery.canonical` form, and is
+    filled in here; such callers pass one dict for the whole pass, so
+    each distinct query is put in canonical form once.
 
     *base* is ``(m, generators)``: this function's result for the same
-    element, structure and relations at a smaller ``m``.  The
-    generators of ``ptp_m`` are exactly those of the connected subsets
-    of at most m elements, so the result is grown from them: it starts
+    element and structure at a smaller ``m``.  The generators of
+    ``ptp_m`` are exactly those of the connected subsets of at most m
+    elements, so the result is grown from them: it starts
     with a copy of *generators* and adds the canonical queries of the
     connected subsets of ``m + 1`` to ``n`` elements only.  The key set
     is the one a fresh call gives; the order (the base's keys first)
@@ -87,8 +92,8 @@ def type_generators(
     """
     if n < 1:
         raise ValueError("positive n-types need n >= 1")
-    names = frozenset(relation_names) if relation_names is not None else None
-    index = Incidence.of(structure, names, index)
+    if index is None:
+        index = Incidence(structure)
     constants = index.constants
     if forms is None:
         forms = {}
@@ -100,16 +105,9 @@ def type_generators(
             raise ValueError(f"base generators of size {known} cannot grow to {n}")
         smallest, generators = known + 1, dict(generators)
     for subset in connected_subsets_containing(
-        structure, element, n, names, index=index, min_size=smallest
+        structure, element, n, index=index, min_size=smallest
     ):
-        query = canonical_query(
-            structure,
-            subset | constants,
-            element,
-            relation_names=names,
-            skip_constant_only=True,
-            index=index,
-        )
+        query = canonical_query(structure, subset | constants, element, index=index)
         form = forms.get(query)
         if form is None:
             form = forms[query] = query.canonical()
@@ -121,25 +119,20 @@ def type_queries(
     structure: Structure,
     element: Element,
     n: int,
-    relation_names: "Optional[Iterable[str]]" = None,
     index: "Optional[Incidence]" = None,
 ) -> List[ConjunctiveQuery]:
-    """The connected canonical generators of ``ptp_n(C, element, Σ)``.
+    """The connected canonical generators of ``ptp_n(C, element)``.
 
-    De-duplicated up to variable renaming.  ``relation_names`` restricts
-    to a sub-signature (the Σ of a colored signature Σ̄).  Constant-only
-    atoms are skipped — the constant part of a structure is unchanged by
-    the quotient operations this machinery serves.
+    De-duplicated up to variable renaming.  Constant-only atoms are
+    skipped — the constant part of a structure is unchanged by the
+    quotient operations this machinery serves.
     """
-    return list(
-        type_generators(structure, element, n, relation_names, index).values()
-    )
+    return list(type_generators(structure, element, n, index).values())
 
 
 def boolean_type_queries(
     structure: Structure,
     max_variables: int,
-    relation_names: "Optional[Iterable[str]]" = None,
     index: "Optional[Incidence]" = None,
 ) -> List[ConjunctiveQuery]:
     """The connected Boolean sentences of ≤ ``max_variables`` variables
@@ -151,21 +144,16 @@ def boolean_type_queries(
     """
     if max_variables < 1:
         return []
-    names = frozenset(relation_names) if relation_names is not None else None
-    index = Incidence.of(structure, names, index)
+    if index is None:
+        index = Incidence(structure)
     constants = index.constants
     sentences: Dict[ConjunctiveQuery, ConjunctiveQuery] = {}
     for anchor in sorted(structure.domain(), key=str):
         for subset in connected_subsets_containing(
-            structure, anchor, max_variables, names, index=index
+            structure, anchor, max_variables, index=index
         ):
             query = canonical_query(
-                structure,
-                subset | constants,
-                anchor,
-                relation_names=names,
-                skip_constant_only=True,
-                index=index,
+                structure, subset | constants, anchor, index=index
             ).boolean()
             sentences.setdefault(query.canonical(), query)
     return list(sentences.values())
@@ -190,7 +178,6 @@ def type_subsumed(
     target: Structure,
     target_element: Element,
     n: int,
-    relation_names: "Optional[Iterable[str]]" = None,
     check_boolean: bool = True,
 ) -> bool:
     """``ptp_n(source, source_element) ⊆ ptp_n(target, target_element)``.
@@ -201,11 +188,11 @@ def type_subsumed(
     variables must also hold in the target (set ``check_boolean=False``
     to skip, e.g. when the caller checks them once for many elements).
     """
-    for query in type_queries(source, source_element, n, relation_names):
+    for query in type_queries(source, source_element, n):
         if not satisfies(target, query, {query.free[0]: target_element}):
             return False
     if check_boolean and source is not target and not source.same_facts(target):
-        for sentence in boolean_type_queries(source, n - 1, relation_names):
+        for sentence in boolean_type_queries(source, n - 1):
             if not satisfies(target, sentence):
                 return False
     return True
@@ -217,14 +204,11 @@ def types_equal(
     target: Structure,
     target_element: Element,
     n: int,
-    relation_names: "Optional[Iterable[str]]" = None,
 ) -> bool:
     """``ptp_n(source, e) = ptp_n(target, e')`` — both inclusions."""
     return type_subsumed(
-        source, source_element, target, target_element, n, relation_names
-    ) and type_subsumed(
-        target, target_element, source, source_element, n, relation_names
-    )
+        source, source_element, target, target_element, n
+    ) and type_subsumed(target, target_element, source, source_element, n)
 
 
 def less_equal(
@@ -232,13 +216,10 @@ def less_equal(
     left: Element,
     right: Element,
     n: int,
-    relation_names: "Optional[Iterable[str]]" = None,
 ) -> bool:
     """The preorder ``≼_n`` within one structure:
     ``ptp_n(C, left) ⊆ ptp_n(C, right)``."""
-    return type_subsumed(
-        structure, left, structure, right, n, relation_names, check_boolean=False
-    )
+    return type_subsumed(structure, left, structure, right, n, check_boolean=False)
 
 
 def equivalent(
@@ -246,7 +227,6 @@ def equivalent(
     left: Element,
     right: Element,
     n: int,
-    relation_names: "Optional[Iterable[str]]" = None,
 ) -> bool:
     """Definition 4's ``≡_n``: equal positive n-types.
 
@@ -257,8 +237,8 @@ def equivalent(
         return True
     if isinstance(left, Constant) or isinstance(right, Constant):
         return False
-    return less_equal(structure, left, right, n, relation_names) and less_equal(
-        structure, right, left, n, relation_names
+    return less_equal(structure, left, right, n) and less_equal(
+        structure, right, left, n
     )
 
 
@@ -266,7 +246,6 @@ def ptp_as_query_set(
     structure: Structure,
     element: Element,
     n: int,
-    relation_names: "Optional[Iterable[str]]" = None,
 ) -> FrozenSet[ConjunctiveQuery]:
     """The canonical generators as a frozen set of canonical forms.
 
@@ -275,4 +254,4 @@ def ptp_as_query_set(
     may fail, so use :func:`equivalent` for the real comparison.  This
     set is still handy as a cheap pre-partitioning key.
     """
-    return frozenset(type_generators(structure, element, n, relation_names))
+    return frozenset(type_generators(structure, element, n))

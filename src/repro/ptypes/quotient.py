@@ -70,7 +70,6 @@ class Quotient:
 def quotient(
     structure: Structure,
     n: int,
-    relation_names: "Optional[Iterable[str]]" = None,
     partition: "Optional[TypePartition]" = None,
     elements: "Optional[Iterable[Element]]" = None,
 ) -> Quotient:
@@ -79,22 +78,30 @@ def quotient(
     Parameters
     ----------
     structure:
-        The structure C (usually a colored skeleton ``S̄``).
+        The structure C (usually a colored skeleton ``S̄``).  Types range
+        over all its relations — the paper's ``M_n^{Σ̄}(C̄)`` when C is
+        colored.
     n:
         The type size.
-    relation_names:
-        Sub-signature for the types; ``None`` uses the full signature of
-        C — this is the paper's ``M_n^{Σ̄}(C̄)`` when C is colored.
     partition:
-        A pre-computed partition to reuse (must match the arguments).
+        A pre-computed ``≡_n`` partition of this structure object to
+        reuse; one of another structure, at another n, or of other
+        elements than *elements* (when given) is a :class:`ValueError`.
     elements:
         Quotient only this subset of the domain (types still computed in
         the whole structure); facts touching excluded elements are
         dropped.  Used by the Theorem-2 pipeline to quotient the
-        interior of a truncated skeleton.
+        interior of a truncated skeleton.  With a *partition*, the
+        default is the partition's elements.
     """
     if partition is None:
-        partition = TypePartition(structure, n, relation_names, elements)
+        partition = TypePartition(structure, n, elements)
+    elif partition.structure is not structure:
+        raise ValueError("the partition must be of the quotiented structure")
+    elif partition.n != n:
+        raise ValueError(f"the partition is at n = {partition.n}, not {n}")
+    elif elements is not None and frozenset(elements) != partition.elements:
+        raise ValueError("the partition must be of the given elements")
     classes = partition.classes()
 
     projection: Dict[Element, Element] = {}

@@ -21,7 +21,6 @@ from .bdd import (
     bdd_profile,
     is_bdd_for,
     kappa,
-    rewrite_query,
 )
 from .index import SubsumptionIndex, signature_of
 from .rewriter import RewriteConfig, RewritingResult, rewrite
@@ -59,7 +58,6 @@ __all__ = [
     "minimize_ucq",
     "normalize_equalities",
     "rewrite",
-    "rewrite_query",
     "signature_of",
     "ucq_equivalent",
     "ucq_subsumes",

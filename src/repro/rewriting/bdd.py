@@ -84,16 +84,6 @@ class BDDProfile:
         raise KeyError(f"rule not in profile: {rule}")
 
 
-def rewrite_query(
-    query: ConjunctiveQuery,
-    theory: Theory,
-    config: "Optional[RewriteConfig]" = None,
-) -> RewritingResult:
-    """Alias of :func:`repro.rewriting.rewriter.rewrite` (re-exported
-    here so the BDD-facing API is self-contained)."""
-    return rewrite(query, theory, config)
-
-
 def is_bdd_for(
     theory: Theory,
     query: ConjunctiveQuery,

@@ -89,7 +89,8 @@ def predecessor_neighbourhood(
     structure passes one index instead of rescanning the structure per
     element.
     """
-    index = Incidence.of(structure, None, index)
+    if index is None:
+        index = Incidence(structure)
     elements = {
         m for m in predecessor_set(structure, element) if structure.has_element(m)
     } | index.constants

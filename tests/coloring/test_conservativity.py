@@ -139,12 +139,57 @@ class TestRemark3:
         assert counterexample is not None
 
 
+class TestTypesOverBase:
+    """Definition 8 compares types over the base signature Σ: the
+    quotient is typed as ``M_n^{Σ̄}(C̄) ↾ Σ``.  Typing the colored
+    quotient instead names colors in every witness below, and makes the
+    loop-and-chain witness a Boolean sentence with color atoms."""
+
+    @pytest.mark.parametrize(
+        "colored, n_value, m",
+        [
+            (cyclic_coloring(chain(25), 3), 6, 3),
+            (cyclic_coloring(chain(25), 3), 1, 2),
+            (apply_coloring(chain(12), {e: Color(0, 0) for e in chain(12).domain()}), 3, 1),
+            (cyclic_coloring(total_order(8), 2), 2, 1),
+            (cyclic_coloring(total_order(12), 3), 2, 1),
+            (cyclic_coloring(TestRemark3.loop_and_chain(), 3), 2, 2),
+            (cyclic_coloring(chain(15), 3), 1, 2),
+        ],
+        ids=["example4", "example4-small-n", "example3", "example6-2", "example6-3",
+             "remark3", "chain15-small-n"],
+    )
+    def test_witnesses_name_base_relations_only(self, colored, n_value, m):
+        report = conservativity_report(colored, n=n_value, m=m)
+        assert not report.conservative
+        assert report.witness_query.relation_names() <= colored.base_relations
+
+    def test_loop_and_chain_witness_is_an_element(self):
+        colored = cyclic_coloring(TestRemark3.loop_and_chain(), 3)
+        report = conservativity_report(colored, n=2, m=3)
+        assert str(report.witness_element) == "_:0"
+
+
 class TestReportMechanics:
     def test_quotient_reusable(self):
         colored = cyclic_coloring(chain(15), 3)
         report = conservativity_report(colored, n=4, m=2)
         again = conservativity_report(colored, n=4, m=2, prebuilt=report.quotient)
         assert again.conservative == report.conservative
+
+    @pytest.mark.parametrize("check", [conservativity_report, spade3_holds])
+    def test_prebuilt_at_another_n_rejected(self, check):
+        colored = cyclic_coloring(chain(15), 3)
+        prebuilt = conservativity_report(colored, n=4, m=2).quotient
+        with pytest.raises(ValueError, match="at n = 4, not 3"):
+            check(colored, n=3, m=2, prebuilt=prebuilt)
+
+    @pytest.mark.parametrize("check", [conservativity_report, spade3_holds])
+    def test_prebuilt_of_another_structure_rejected(self, check):
+        colored = cyclic_coloring(chain(15), 3)
+        prebuilt = conservativity_report(cyclic_coloring(chain(9), 3), n=4, m=2).quotient
+        with pytest.raises(ValueError, match="colored structure"):
+            check(colored, n=4, m=2, prebuilt=prebuilt)
 
     def test_bool_protocol(self):
         colored = cyclic_coloring(chain(15), 3)

@@ -47,11 +47,6 @@ class TestCanonicalQuery:
         q = canonical_query(s, [n0, n1, n2], n1)
         assert satisfies(s, q, {FREE_VARIABLE: n1})
 
-    def test_restricted_relations(self):
-        s = Structure([atom("E", n0, n1), atom("K", n0)])
-        q = canonical_query(s, [n0, n1], n0, relation_names=["E"])
-        assert q.relation_names() == {"E"}
-
     def test_isolated_distinguished_yields_trivial_query(self):
         s = Structure([atom("E", n0, n1)], domain=[n2])
         q = canonical_query(s, [n2], n2)

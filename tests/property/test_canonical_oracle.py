@@ -3,11 +3,14 @@
 :func:`repro.lf.canonical.canonical_query` reads a subset's facts from
 an incidence index.  The reference below is the direct reading of the
 definition instead: scan every fact of the structure and keep those
-whose arguments all lie in the subset.  The two must build the same
-query for every subset, distinguished element, relation restriction
-and ``skip_constant_only`` value — including the edge cases of nullary
-facts, facts among constants, and a constant as the distinguished
-element.
+whose arguments all lie in the subset, but those whose arguments are
+all constants other than the distinguished element.  The two must
+build the same query for every subset, distinguished element and
+relation restriction — including the edge cases of nullary facts,
+facts among constants, and a constant as the distinguished element.
+A restriction to relations Σ is typed as the structure ``C ↾ Σ``
+(:meth:`~repro.lf.structures.Structure.restrict_signature`) and
+compared with the reference's filter of the whole structure.
 
 The type generators are checked one level up: the canonical forms of
 :func:`type_queries` and :func:`boolean_type_queries` must be exactly
@@ -66,10 +69,9 @@ RELAXED = settings(
 PREDICATES = ("E", "R", "S", "U", "V", "P", "Q")
 
 
-def reference_canonical_query(
-    structure, elements, distinguished, relation_names=None, skip_constant_only=False
-):
-    """The canonical query by a scan of every fact of *structure*."""
+def reference_canonical_query(structure, elements, distinguished, relation_names=None):
+    """The canonical query by a scan of every fact of *structure* (of
+    *relation_names* when given), without constant-only atoms."""
     chosen = set(elements)
     allowed = set(relation_names) if relation_names is not None else None
     table, counter = {}, 0
@@ -87,9 +89,7 @@ def reference_canonical_query(
             continue
         if not all(arg in chosen for arg in fact.args):
             continue
-        if skip_constant_only and all(
-            isinstance(arg, Constant) and arg != distinguished for arg in fact.args
-        ):
+        if all(isinstance(arg, Constant) and arg != distinguished for arg in fact.args):
             continue
         atoms.append(Atom(fact.pred, tuple(table[arg] for arg in fact.args)))
     if isinstance(distinguished, Constant):
@@ -251,42 +251,38 @@ def relation_restrictions(draw):
     return frozenset(draw(st.sets(st.sampled_from(PREDICATES))))
 
 
+def typed(structure, names):
+    """The structure whose types are those over *names*: ``C ↾ names``."""
+    return structure if names is None else structure.restrict_signature(names)
+
+
 class TestCanonicalQueryOracle:
     @RELAXED
-    @given(structures_with_pins(), st.data(), relation_restrictions(), st.booleans())
-    def test_matches_full_scan(self, structure, data, names, skip):
+    @given(structures_with_pins(), st.data(), relation_restrictions())
+    def test_matches_full_scan(self, structure, data, names):
         domain = sorted(structure.domain(), key=str)
         distinguished = data.draw(st.sampled_from(domain))
         others = data.draw(st.sets(st.sampled_from(domain), max_size=4))
         chosen = {distinguished, *others}
-        expected = reference_canonical_query(
-            structure, chosen, distinguished, names, skip
-        )
-        built = canonical_query(structure, chosen, distinguished, names, skip)
+        expected = reference_canonical_query(structure, chosen, distinguished, names)
+        built = canonical_query(typed(structure, names), chosen, distinguished)
         assert built.atoms == expected.atoms
         assert built.free == expected.free
         assert hash(built) == hash(expected)
 
-    def test_nullary_and_constant_facts_are_kept(self):
+    def test_constant_only_facts_are_left_out(self):
         a, b, n0, n1 = Constant("a"), Constant("b"), Null(0), Null(1)
         structure = Structure(
             [Atom("P", ()), Atom("E", (a, b)), Atom("E", (a, n0)), Atom("E", (n0, n1))]
         )
+        assert str(canonical_query(structure, {a, b, n0}, n0)) == "(y) <- E(a, y)"
+        # a fact among constants stays when one of them is y
         assert (
-            str(canonical_query(structure, {a, b, n0}, n0))
-            == "(y) <- E(a, b) & E(a, y) & P()"
+            str(canonical_query(structure, {a, b}, a)) == "(y) <- y = a & E(y, b)"
         )
         assert (
-            str(canonical_query(structure, {a, b, n0}, n0, skip_constant_only=True))
-            == "(y) <- E(a, y)"
-        )
-        assert (
-            str(canonical_query(structure, {a, b}, a, skip_constant_only=True))
-            == "(y) <- y = a & E(y, b)"
-        )
-        assert (
-            str(canonical_query(structure, {a, b, n0}, n0, relation_names={"P"}))
-            == "(y) <- y = y & P()"
+            str(canonical_query(structure.restrict_signature({"P"}), {a, b, n0}, n0))
+            == "(y) <- y = y"
         )
 
 
@@ -356,11 +352,11 @@ class TestGeneratorOracle:
         constants = structure.constant_elements()
         expected = {
             reference_canonical_query(
-                structure, subset | constants, element, names, True
+                structure, subset | constants, element, names
             ).canonical()
             for subset in reference_connected_subsets(structure, element, n, names)
         }
-        built = type_queries(structure, element, n, names)
+        built = type_queries(typed(structure, names), element, n)
         assert {query.canonical() for query in built} == expected
         assert len(built) == len(expected)
 
@@ -373,13 +369,13 @@ class TestGeneratorOracle:
     def test_boolean_type_query_markers(self, structure, names, k):
         constants = structure.constant_elements()
         expected = {
-            reference_canonical_query(structure, subset | constants, anchor, names, True)
+            reference_canonical_query(structure, subset | constants, anchor, names)
             .boolean()
             .canonical()
             for anchor in structure.domain()
             for subset in reference_connected_subsets(structure, anchor, k, names)
         }
-        built = boolean_type_queries(structure, k, names)
+        built = boolean_type_queries(typed(structure, names), k)
         assert {query.canonical() for query in built} == expected
         assert len(built) == len(expected)
 

@@ -117,7 +117,6 @@ class TestRefinedPartition:
         "change, message",
         [
             ({"structure": chain(6)}, "same structure"),
-            ({"relation_names": ["E"]}, "same relations"),
             ({"n": 2}, "smaller n"),
             ({"elements": [n[0], n[7]]}, "every element"),
         ],
@@ -212,3 +211,25 @@ class TestQuotient:
         assert q.classes == []
         assert q.projection == {}
         assert len(q.structure) == 0
+
+    def test_partition_of_the_given_elements_is_used(self):
+        s = chain(8)
+        partition = TypePartition(s, 2, elements=n[:3])
+        for elements in (None, [n[2], n[1], n[0]]):
+            q = quotient(s, 2, partition=partition, elements=elements)
+            assert set(q.projection) == set(n[:3])
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"n": 3}, "at n = 2, not 3"),
+            ({"elements": n[:3]}, "given elements"),
+            ({"structure": chain(4)}, "quotiented structure"),
+        ],
+    )
+    def test_mismatched_partition_rejected(self, change, message):
+        # chain(8) has 9 elements and 3 classes of ≡_2 (5 of ≡_3)
+        s = chain(8)
+        arguments = {"structure": s, "n": 2, **change}
+        with pytest.raises(ValueError, match=message):
+            quotient(partition=TypePartition(s, 2), **arguments)

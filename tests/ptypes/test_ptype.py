@@ -60,7 +60,7 @@ class TestTypeQueries:
 
     def test_relation_restriction(self):
         s = Structure([atom("E", n[0], n[1]), atom("K", n[0])])
-        queries = type_queries(s, n[0], 2, relation_names=["E"])
+        queries = type_queries(s.restrict_signature(["E"]), n[0], 2)
         assert not any("K" in str(q) for q in queries)
 
 
