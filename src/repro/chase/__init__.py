@@ -23,6 +23,7 @@ from .engine import (
     chase_step,
     chase_with_embargo,
     datalog_saturate,
+    deepen,
     is_model,
     violations,
 )
@@ -75,6 +76,7 @@ __all__ = [
     "chase_view",
     "chase_with_embargo",
     "datalog_saturate",
+    "deepen",
     "deepest_derivation",
     "dependency_graph",
     "explain",

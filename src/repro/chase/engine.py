@@ -32,13 +32,14 @@ start of the round" semantics.  Witnesses are assigned in a canonical
 order at the end of the round, making null identities independent of
 enumeration order.
 
-One loop, :func:`_run_rounds`, runs the rounds of every :func:`chase`
-and of every resume of an incremental view
-(:meth:`repro.chase.view.ChaseView.update`): it owns the guard checks,
-the per-round :class:`~repro.chase.stats.RoundStats`, the size budgets
-and the ``on_budget`` stop policy.  A *new-element embargo* mode (used
-by the Theorem-2 pipeline to realise Lemma 5's claim) is provided as a
-flag.
+One loop, :func:`_run_rounds`, runs the rounds of every :func:`chase`,
+of every :func:`deepen` (which continues a truncated result by more
+rounds instead of chasing the database again) and of every resume of an
+incremental view (:meth:`repro.chase.view.ChaseView.update`): it owns
+the guard checks, the per-round :class:`~repro.chase.stats.RoundStats`,
+the size budgets and the ``on_budget`` stop policy.  A *new-element
+embargo* mode (used by the Theorem-2 pipeline to realise Lemma 5's
+claim) is provided as a flag.
 """
 
 from __future__ import annotations
@@ -50,10 +51,16 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tupl
 
 from ..config import BudgetedConfig, OnBudget
 from ..errors import ChaseBudgetExceeded, NewElementEmbargoViolation
-from ..runtime.guard import NULL_GUARD, GuardTripped, RuntimeGuard, StopReason
+from ..runtime.guard import (
+    GUARD_REASONS,
+    NULL_GUARD,
+    GuardTripped,
+    RuntimeGuard,
+    StopReason,
+)
 from ..lf.atoms import Atom
 from ..lf.homomorphism import homomorphisms
-from ..lf.plan import HOM_STATS
+from ..lf.plan import HOM_STATS, HomStats
 from ..lf.rules import Rule, Theory
 from ..lf.structures import Structure
 from ..lf.terms import Element, Null, NullFactory, Variable
@@ -419,6 +426,15 @@ def _recorded_round(
     return tripped, produced, invented
 
 
+def _over_budget(structure: Structure, config: ChaseConfig) -> bool:
+    """Whether *structure* exceeds the ``max_facts``/``max_elements`` budgets."""
+    over_facts = config.max_facts is not None and len(structure) > config.max_facts
+    over_elements = (
+        config.max_elements is not None and structure.domain_size > config.max_elements
+    )
+    return over_facts or over_elements
+
+
 def _run_rounds(
     structure: Structure,
     theory: Theory,
@@ -482,11 +498,7 @@ def _run_rounds(
             continue  # the fixpoint: the loop condition ends the run
         level += 1
         on_round(level, produced, invented)
-        over_facts = config.max_facts is not None and len(structure) > config.max_facts
-        over_elements = (
-            config.max_elements is not None and structure.domain_size > config.max_elements
-        )
-        if over_facts or over_elements:
+        if _over_budget(structure, config):
             reason = StopReason.BUDGET
             overrun = f"chase exceeded budget at depth {level}"
             break
@@ -533,14 +545,101 @@ def chase(
     if config is None:
         config = ChaseConfig()
     config = config.with_overrides(**overrides)
-
     working = database.copy()
+    return _chase_on(
+        working, theory, config, {fact: 0 for fact in working.facts()},
+        [], [], ChaseStats(hom=HomStats()), None, config.max_depth,
+    )
+
+
+def deepen(
+    result: ChaseResult,
+    theory: Theory,
+    config: ChaseConfig,
+    **overrides,
+) -> ChaseResult:
+    """Continue the truncated chase *result* to ``config.max_depth`` rounds.
+
+    ``Chase^b(D,T) = Chase^{b-a}(Chase^a(D,T), T)`` (Section 1.1).
+    *result* must come from :func:`chase` (or :func:`deepen`) of some
+    database D under *theory* and a config that differs from *config*
+    (with the *overrides* applied) at most in ``max_depth`` and the
+    guard fields.  The new rounds run through :func:`_run_rounds` as a
+    fresh chase's would: the first joins through *result*'s last-level
+    facts, in the order they were produced, and new nulls are numbered
+    on from *result*'s.  So the returned result equals
+    ``chase(D, theory, config)`` but for wall times and plan-cache
+    counters: its round list continues *result*'s, and its ``hom``
+    counters are *result*'s plus the new rounds'.  A saturated result,
+    or one whose last round left it over the size budgets, gets no new
+    round, because a fresh chase stops at that same round.  *result* is
+    never mutated;
+    the rounds run under a ``chase`` guard.
+
+    Raises
+    ------
+    ValueError
+        When *result* evaluated more rounds than ``config.max_depth``, was
+        stopped by a guard (its last round was cut short), or was traced
+        (its supports are not carried on).
+    """
+    config = config.with_overrides(**overrides)
+    evaluated = result.depth + (1 if result.saturated else 0)
+    if config.max_depth is not None and config.max_depth < evaluated:
+        raise ValueError(
+            f"cannot deepen a chase of {evaluated} rounds to {config.max_depth}"
+        )
+    if result.stopped_reason in GUARD_REASONS:
+        raise ValueError(
+            f"cannot deepen a chase stopped by {result.stopped_reason.value}"
+        )
+    if config.trace or result.provenance is not None:
+        raise ValueError("cannot deepen a traced chase")
+    working = result.structure.copy()
+    if result.saturated:
+        frontier: "Optional[List[Atom]]" = []  # its empty round already ran
+    elif result.depth == 0:
+        frontier = None  # no round ran: a full first round
+    else:
+        frontier = [
+            fact for fact, level in result.fact_level.items() if level == result.depth
+        ]
+    if result.depth and _over_budget(working, config):
+        # a chase checks the size budgets after each round: it stopped here
+        max_rounds: "Optional[int]" = 0
+    elif config.max_depth is None:
+        max_rounds = None
+    else:
+        max_rounds = config.max_depth - result.depth
+    return _chase_on(
+        working, theory, config, dict(result.fact_level),
+        list(result.new_elements), list(result.rounds_fired),
+        ChaseStats(rounds=list(result.stats.rounds), hom=result.stats.hom),
+        frontier, max_rounds,
+    )
+
+
+def _chase_on(
+    working: Structure,
+    theory: Theory,
+    config: ChaseConfig,
+    fact_level: Dict[Atom, int],
+    new_elements: List[Null],
+    rounds_fired: List[int],
+    stats: ChaseStats,
+    frontier: "Optional[List[Atom]]",
+    max_rounds: "Optional[int]",
+) -> ChaseResult:
+    """Chase *working* in place from round ``len(rounds_fired) + 1``.
+
+    The shared body of :func:`chase` and :func:`deepen`: the bookkeeping
+    arguments hold the run so far and grow with each round; *frontier*
+    and *max_rounds* are :func:`_run_rounds`' *delta* and cap.  The
+    run's ``HOM_STATS`` delta is added to ``stats.hom``.
+    """
     nulls = NullFactory.above(working.domain())
-    fact_level: Dict[Atom, int] = {fact: 0 for fact in working.facts()}
-    new_elements: List[Null] = []
-    rounds_fired: List[int] = []
     provenance = SupportStore() if config.trace else None
-    stats = ChaseStats()
+    hom_so_far = stats.hom
     hom_before = HOM_STATS.snapshot()
 
     def on_round(level: int, produced: List[Atom], invented: List[Null]) -> None:
@@ -549,13 +648,13 @@ def chase(
         for fact in produced:
             fact_level.setdefault(fact, level)
 
-    def on_stop(reason: StopReason, frontier: object, completed: int) -> None:
-        stats.hom = HOM_STATS.since(hom_before)
+    def on_stop(reason: StopReason, delta: object, completed: int) -> None:
+        stats.hom = hom_so_far.plus(HOM_STATS.since(hom_before))
 
     reason = _run_rounds(
         working, theory, nulls, config, provenance,
-        RuntimeGuard.from_config(config, "chase"), stats, 0, None,
-        config.max_depth, on_round, on_stop,
+        RuntimeGuard.from_config(config, "chase"), stats, len(rounds_fired),
+        frontier, max_rounds, on_round, on_stop,
     )
     return ChaseResult(
         structure=working,

@@ -12,6 +12,7 @@ equal lightness certifies isomorphic predecessor neighbourhoods.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional
@@ -19,7 +20,7 @@ from typing import Dict, FrozenSet, List, Optional
 from ..errors import ColoringError
 from ..lf.atoms import Atom
 from ..lf.structures import Structure
-from ..lf.terms import Element
+from ..lf.terms import Constant, Element
 
 _COLOR_NAME = re.compile(r"^K_h(\d+)_l(\d+)$")
 
@@ -140,9 +141,21 @@ def apply_coloring(
     for name in base_names:
         if Color.parse(name) is not None:
             raise ColoringError(f"base relation {name} collides with color namespace")
-    colored = structure.copy()
-    for element in sorted(structure.domain(), key=str):
-        colored.add_fact(Atom(assignment[element].predicate, (element,)))
+    domain = structure.domain()
+    color_facts = [
+        Atom(assignment[element].predicate, (element,))
+        for element in sorted(domain, key=str)
+    ]
+    # One signature extension: the color predicates, and the constants
+    # that only a color fact names (an isolated domain constant).
+    signature = structure.signature.with_relations(
+        {fact.pred: 1 for fact in color_facts}
+    ).with_constants(
+        element for element in domain if isinstance(element, Constant)
+    )
+    colored = Structure._from_validated(
+        itertools.chain(structure, color_facts), set(domain), signature
+    )
     return ColoredStructure(
         structure=colored,
         base_relations=frozenset(base_names),

@@ -99,6 +99,11 @@ def conservativity_report(
     keeps the quotient fine enough); types used to *build* the quotient
     are over the full Σ̄.  A *prebuilt* quotient must be of
     ``colored.structure`` at *n*, else :class:`ValueError`.
+
+    Each image's type queries are checked at its fiber's least member
+    only when ``m ≤ n`` (the members of an ``≡_n`` class agree on them),
+    and at every member otherwise; the verdict and the witness are
+    those of checking every member.
     """
     quotiented, base = _quotient_over_base(colored, n, prebuilt)
     source = colored.structure  # queries over Σ see through the colors
@@ -129,7 +134,13 @@ def conservativity_report(
 
     for image in sorted(fibers, key=str):
         image_queries = type_queries(base, image, m, index=index)
-        for element in sorted(fibers[image], key=str):
+        members = sorted(fibers[image], key=str)
+        if m <= n:
+            # A fiber is one ≡_n class, and its members answer every
+            # query of at most n variables alike (Lemma 1): the least
+            # member speaks for the class, witness included.
+            members = members[:1]
+        for element in members:
             for query in image_queries:
                 if not satisfies(source, query, {query.free[0]: element}):
                     return ConservativityReport(

@@ -5,8 +5,14 @@ Given a binary theory T₀, a database D, and a conjunctive query Q with
 ``M ⊭ Q`` exists, by the construction this module executes:
 
 1.  (♠4)+(♠5): hide Q behind a fresh flag F and normalise (Section 3.1);
-2.  chase D (Section 3.2) and extract the skeleton S — if an F-atom
-    ever appears, the query was certain and no counter-model exists;
+2.  chase D (Section 3.2) to the schedule's next depth and extract the
+    skeleton S — if an F-atom ever appears, the query was certain and
+    no counter-model exists.  The chase runs in parallel rounds, so
+    ``Chase^b = Chase^{b−a}(Chase^a)``: a depth past the deepest one
+    chased so far continues that chase by the missing rounds
+    (:func:`repro.chase.deepen`), and only a shallower depth chases D
+    from scratch.  Either way the depth sees the same structure and
+    stats;
 3.  compute κ — the maximal number of variables in the positive
     first-order rewriting of any rule body (Section 3.3; the one place
     BDD is used);
@@ -37,7 +43,8 @@ elements, and a connected positive type of size ``s`` inspects a radius
 ``< s`` neighbourhood: interior types computed in the truncation agree
 exactly with the infinite skeleton.  If the interior misses a type
 class whose witnesses are needed (possible when d is too small), step 5
-or 7 fails and the pipeline deepens the chase — the final verification
+or 7 fails and the pipeline moves on to the next depth, continuing the
+truncation it has rather than chasing D again — the final verification
 is therefore unconditional.
 """
 
@@ -46,7 +53,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..chase.engine import ChaseConfig, chase, chase_with_embargo, is_model, violations
+from ..chase.engine import (
+    ChaseConfig,
+    chase,
+    chase_with_embargo,
+    deepen,
+    is_model,
+    violations,
+)
+from ..chase.results import ChaseResult
 from ..chase.stats import ChaseStats
 from ..config import BudgetedConfig, OnBudget
 from ..coloring.conservativity import conservativity_report
@@ -56,7 +71,7 @@ from ..lf.homomorphism import satisfies
 from ..lf.queries import ConjunctiveQuery
 from ..lf.rules import Theory
 from ..lf.structures import Structure
-from ..runtime.guard import RuntimeGuard, StopReason
+from ..runtime.guard import GUARD_REASONS, RuntimeGuard, StopReason
 from ..lf.terms import Element, Null
 from ..ptypes.partition import TypePartition
 from ..ptypes.quotient import quotient
@@ -123,7 +138,9 @@ class FiniteModelResult:
     chase_stats:
         Instrumentation of every chase the pipeline ran (the truncation
         chase per depth and each embargo saturation), in execution
-        order — see :class:`~repro.chase.stats.ChaseStats`.
+        order — see :class:`~repro.chase.stats.ChaseStats`.  A depth
+        that deepened an earlier truncation has the stats of a chase to
+        that depth: the earlier rounds, then its own.
     stopped_reason:
         Why the pipeline ended (:class:`~repro.runtime.StopReason`):
         ``fixpoint`` on a verdict (model built, or query certain),
@@ -238,19 +255,30 @@ def build_finite_counter_model(
     # One canonical-form table for the whole call: forms do not depend
     # on the structure, and the depths meet mostly the same queries.
     forms: Dict[ConjunctiveQuery, ConjunctiveQuery] = {}
+    # The deepest truncation chased so far: Chase^b is Chase^a plus b − a
+    # rounds, so a deeper depth continues it instead of starting over.
+    deepest: "Optional[ChaseResult]" = None
+    deepest_depth = -1
     for depth in config.chase_depths:
         reason = guard.check()
         if reason is not None:
             return guard_stop(reason)
-        chased = chase(
-            database,
-            working_theory,
-            ChaseConfig(max_depth=depth, max_facts=config.max_facts, max_elements=None),
-            **inner_budgets(),
+        truncation = ChaseConfig(
+            max_depth=depth, max_facts=config.max_facts, max_elements=None
         )
+        if deepest is None or depth <= deepest_depth:
+            chased = chase(database, working_theory, truncation, **inner_budgets())
+        else:
+            chased = deepen(deepest, working_theory, truncation, **inner_budgets())
+        if depth > deepest_depth:
+            deepest, deepest_depth = chased, depth
         if chased.stats is not None:
             result.chase_stats.append(chased.stats)
         reason = guard.check()
+        if reason is None and chased.stopped_reason in GUARD_REASONS:
+            # A guard that stopped the chase stops the pipeline: the
+            # truncation is shallower than its depth says.
+            reason = chased.stopped_reason
         if reason is not None:
             return guard_stop(reason)
         if chased.structure.facts_with_pred(flag):

@@ -16,7 +16,9 @@ Grammar (informal)
 * **Atom**: ``R(t1, ..., tk)`` or the equality ``t1 = t2``.
 * **Term**: an identifier.  In rules and queries identifiers are
   *variables* unless quoted (``'a'``) or listed in the ``constants``
-  argument.  In facts every identifier is a constant.
+  argument.  In facts every identifier is a constant, and ``_:N`` is
+  the null ``Null(N)``, as facts print it (so a printed model reads
+  back); rules and queries have no nulls.
 * **Theory**: one rule per line; blank lines and ``#``/``%``/``//``
   comments ignored.
 * **Facts / structures**: one atom per line (trailing ``.`` allowed).
@@ -36,12 +38,13 @@ from .queries import ConjunctiveQuery
 from .rules import Rule, Theory
 from .signature import Signature
 from .structures import Structure
-from .terms import Constant, Term, Variable
+from .terms import Constant, Null, Term, Variable
 
 _TOKEN = re.compile(
     r"\s*(?:"
     r"(?P<arrow>->|=>|⇒|→)"
     r"|(?P<quoted>'[^']*')"
+    r"|(?P<null>_:\d+)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_']*)"
     r"|(?P<punct>[(),.&=])"
     r"|(?P<exists>∃)"
@@ -67,11 +70,8 @@ class _Tokens:
                     )
                 break
             position = match.end()
-            for kind in ("arrow", "quoted", "name", "punct", "exists"):
-                value = match.group(kind)
-                if value is not None:
-                    self.items.append((kind, value, match.start()))
-                    break
+            kind = match.lastgroup  # the one alternative that matched
+            self.items.append((kind, match.group(kind), match.start()))
         self.index = 0
 
     def peek(self) -> "Optional[Tuple[str, str, int]]":
@@ -115,6 +115,8 @@ def _term(tokens: _Tokens, constants: Set[str], all_constants: bool) -> Term:
         if all_constants or value in constants:
             return Constant(value)
         return Variable(value)
+    if kind == "null" and all_constants:
+        return Null(int(value[2:]))
     raise ParseError(f"expected a term, got {value!r}", tokens.text, position)
 
 

@@ -114,6 +114,15 @@ class HomStats:
             }
         )
 
+    def plus(self, other: "HomStats") -> "HomStats":
+        """Field-wise sum ``self + other`` (a run continued by another)."""
+        return HomStats(
+            **{
+                f.name: getattr(self, f.name) + getattr(other, f.name)
+                for f in fields(self)
+            }
+        )
+
     def as_dict(self) -> Dict[str, int]:
         """JSON-ready counters."""
         return {

@@ -70,19 +70,19 @@ def skeleton_of_chase(
 ) -> SkeletonResult:
     """Extract ``S(D, T)`` from an already-run chase (Definition 12)."""
     tgps = theory.tgp_predicates()
-    kept: List[Atom] = []
-    for fact in chase_result.structure.facts():
-        if fact in database.facts() or fact.pred in tgps:
-            kept.append(fact)
-    structure = Structure(
-        kept,
-        domain=chase_result.structure.domain(),
-        signature=chase_result.structure.signature,
+    database_facts = database.facts()
+    chased = chase_result.structure
+    kept = [
+        fact for fact in chased.facts() if fact in database_facts or fact.pred in tgps
+    ]
+    # Chase facts passed the signature checks when the chase added them.
+    structure = Structure._from_validated(
+        kept, set(chased.domain()), chased.signature
     )
     return SkeletonResult(
         structure=structure,
         tgp_predicates=tgps,
-        database_facts=database.facts(),
+        database_facts=database_facts,
         chase_result=chase_result,
     )
 

@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.errors import ChaseBudgetExceeded, NewElementEmbargoViolation
+from repro.errors import (
+    ChaseBudgetExceeded,
+    DeadlineExceeded,
+    NewElementEmbargoViolation,
+)
 from repro.lf import (
     Constant,
     Null,
@@ -19,9 +23,14 @@ from repro.chase import (
     chase,
     chase_with_embargo,
     datalog_saturate,
+    deepen,
     is_model,
     violations,
 )
+from repro.runtime import StopReason
+from repro.testing import inject_fault
+
+from ..property.test_strategy_parity import run_record
 
 a, b, c = Constant("a"), Constant("b"), Constant("c")
 
@@ -275,3 +284,90 @@ class TestModelChecking:
         result = chase(parse_structure("E(a,b)\nE(b,c)"), theory)
         assert result.saturated
         assert is_model(result.structure, theory)
+
+
+class TestDeepen:
+    """``deepen`` continues a chase by more rounds; the fixed cases where
+    it runs none, or a guard stops it."""
+
+    GROWTH = parse_theory("E(x,y) -> exists z. E(y,z)")
+    TRANSITIVE = parse_theory("E(x,y), E(y,z) -> E(x,z)")
+
+    def test_continues_the_rounds_and_nulls(self):
+        database = parse_structure("E(a,b)")
+        shallow = chase(database, self.GROWTH, max_depth=3)
+        deeper = deepen(shallow, self.GROWTH, ChaseConfig(max_depth=5))
+        assert [n.level for n in deeper.new_elements] == [1, 2, 3, 4, 5]
+        assert deeper.stats.rounds[:3] == shallow.stats.rounds
+        assert [r.round for r in deeper.stats.rounds] == [1, 2, 3, 4, 5]
+        assert run_record(deeper) == run_record(
+            chase(database, self.GROWTH, max_depth=5)
+        )
+
+    def test_saturated_result_gets_no_round(self):
+        database = parse_structure("E(a,b)\nE(b,c)\nE(c,d)")
+        saturated = chase(database, self.TRANSITIVE, max_depth=8)
+        assert saturated.saturated and saturated.depth < 7
+        deeper = deepen(saturated, self.TRANSITIVE, ChaseConfig(max_depth=16))
+        assert deeper.stats.rounds == saturated.stats.rounds
+        assert run_record(deeper) == run_record(
+            chase(database, self.TRANSITIVE, max_depth=16)
+        )
+
+    def test_overrun_result_gets_no_round(self):
+        database = parse_structure("E(a,b)")
+        config = ChaseConfig(max_depth=8, max_facts=4, max_elements=None)
+        overrun = chase(database, self.GROWTH, config)
+        assert overrun.stopped_reason is StopReason.BUDGET and overrun.depth < 8
+        deeper = deepen(overrun, self.GROWTH, config, max_depth=12)
+        assert deeper.depth == overrun.depth
+        assert run_record(deeper) == run_record(
+            chase(database, self.GROWTH, config, max_depth=12)
+        )
+
+    def test_database_over_budget_gets_its_first_round(self):
+        # the budgets are checked after a round, so a chase of a database
+        # already past max_facts still runs one
+        database = parse_structure("E(a,b)\nE(b,c)\nE(c,d)")
+        config = ChaseConfig(max_depth=3, max_facts=2, max_elements=None)
+        unchased = chase(database, self.GROWTH, config, max_depth=0)
+        deeper = deepen(unchased, self.GROWTH, config)
+        assert deeper.depth == 1
+        assert run_record(deeper) == run_record(chase(database, self.GROWTH, config))
+
+    def test_deadline_stops_before_a_round(self):
+        shallow = chase(parse_structure("E(a,b)"), self.GROWTH, max_depth=3)
+        kept = run_record(shallow)
+        config = ChaseConfig(max_depth=6, wall_ms=0)
+        stopped = deepen(shallow, self.GROWTH, config)
+        assert stopped.stopped_reason is StopReason.DEADLINE
+        assert stopped.structure == shallow.structure
+        assert stopped.depth == 3 and not stopped.saturated
+        assert run_record(shallow) == kept
+        with pytest.raises(DeadlineExceeded):
+            deepen(shallow, self.GROWTH, config, on_budget=OnBudget.RAISE)
+
+    def test_injected_fault_stops_mid_round(self):
+        shallow = chase(parse_structure("E(a,b)"), self.GROWTH, max_depth=3)
+        with inject_fault("chase", "deadline", at_checkpoint=2) as injector:
+            stopped = deepen(shallow, self.GROWTH, ChaseConfig(max_depth=6))
+        assert injector.tripped
+        assert stopped.stopped_reason is StopReason.DEADLINE
+        assert stopped.structure == shallow.structure
+        # the cut round's counters are kept, as a chase keeps them
+        assert len(stopped.stats.rounds) == 4
+
+    def test_refused_results(self):
+        database = parse_structure("E(a,b)")
+        shallow = chase(database, self.GROWTH, max_depth=3)
+        with pytest.raises(ValueError, match="3 rounds to 2"):
+            deepen(shallow, self.GROWTH, ChaseConfig(max_depth=2))
+        with pytest.raises(ValueError, match="traced"):
+            deepen(shallow, self.GROWTH, ChaseConfig(max_depth=4, trace=True))
+        stopped = deepen(shallow, self.GROWTH, ChaseConfig(max_depth=6, wall_ms=0))
+        with pytest.raises(ValueError, match="deadline"):
+            deepen(stopped, self.GROWTH, ChaseConfig(max_depth=6))
+        # a saturated chase evaluated its empty round too
+        saturated = chase(database, self.TRANSITIVE, max_depth=4)
+        with pytest.raises(ValueError):
+            deepen(saturated, self.TRANSITIVE, ChaseConfig(max_depth=saturated.depth))

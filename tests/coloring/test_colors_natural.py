@@ -58,7 +58,49 @@ class TestColor:
         assert len({Color(1, 1), Color(1, 1)}) == 1
 
 
+def coloring_by_insertion(structure, assignment):
+    """C̄ built one checked fact at a time: the reference for
+    :func:`apply_coloring`'s single pass."""
+    colored = structure.copy()
+    for element in sorted(structure.domain(), key=str):
+        colored.add_fact(atom(assignment[element].predicate, element))
+    return colored
+
+
+def assert_same_structure(built, reference):
+    assert built.facts() == reference.facts()
+    assert built.domain() == reference.domain()
+    assert built.signature == reference.signature
+
+
 class TestApplyColoring:
+    def test_isolated_constant_joins_the_signature(self):
+        c = Constant("c")
+        s = Structure([atom("E", a, n[0])], domain=[c, n[1]])
+        assignment = {e: Color(0, i) for i, e in enumerate(sorted(s.domain(), key=str))}
+        colored = apply_coloring(s, assignment).structure
+        assert c in colored.signature.constants
+        assert c not in s.signature.constants
+        assert_same_structure(colored, coloring_by_insertion(s, assignment))
+
+    def test_pipeline_colorings_match_insertion(self, monkeypatch):
+        real = pipeline.natural_coloring
+        colorings = []
+
+        def recording(structure, m):
+            colored = real(structure, m)
+            colorings.append((structure, colored))
+            return colored
+
+        monkeypatch.setattr(pipeline, "natural_coloring", recording)
+        for _name, theory, database, query in theorem2_corpus():
+            assert build_finite_counter_model(theory, database, query).model is not None
+        assert colorings
+        for structure, colored in colorings:
+            assert_same_structure(
+                colored.structure, coloring_by_insertion(structure, colored.assignment)
+            )
+
     def test_each_element_one_color_atom(self):
         s = chain(3)
         colored = apply_coloring(s, {e: Color(0, 0) for e in s.domain()})

@@ -1,9 +1,12 @@
 """Tests for conservativity (Def. 8, 9) and the (♠2)/(♠3) distinction."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConservativityError
 from repro.lf import Constant, Null, Structure, atom
+from repro.lf.homomorphism import satisfies
 from repro.coloring import (
     Color,
     apply_coloring,
@@ -14,8 +17,40 @@ from repro.coloring import (
     natural_coloring,
     spade3_holds,
 )
+from repro.ptypes import quotient
+from repro.ptypes.ptype import boolean_type_queries, type_queries
+
+from ..property.strategies import structures
 
 n = [Null(i) for i in range(40)]
+
+
+def report_by_element(colored, n, m, prebuilt=None):
+    """``(conservative, witness_element, witness_query)`` of the report
+    with every member of every fiber checked, whatever m and n are: the
+    reference for the report's least-member shortcut."""
+    quotiented = prebuilt if prebuilt is not None else quotient(colored.structure, n)
+    base = quotiented.structure.restrict_signature(colored.base_relations)
+    source = colored.structure
+    for sentence in boolean_type_queries(base, m - 1):
+        if not satisfies(source, sentence):
+            return False, None, sentence
+    fibers = {}
+    for element in source.domain():
+        if element in quotiented.projection:
+            fibers.setdefault(quotiented.project(element), []).append(element)
+    for image in sorted(fibers, key=str):
+        queries = type_queries(base, image, m)
+        for element in sorted(fibers[image], key=str):
+            for query in queries:
+                if not satisfies(source, query, {query.free[0]: element}):
+                    return False, element, query
+    return True, None, None
+
+
+def report_summary(report):
+    """The verdict and witness of a :class:`ConservativityReport`."""
+    return report.conservative, report.witness_element, report.witness_query
 
 
 def chain(length):
@@ -195,3 +230,47 @@ class TestReportMechanics:
         colored = cyclic_coloring(chain(15), 3)
         assert conservativity_report(colored, n=4, m=2)
         assert not conservativity_report(colored, n=1, m=2)
+
+
+#: Three colors, so that drawn colorings both merge and split classes.
+PALETTE = (Color(0, 0), Color(0, 1), Color(1, 0))
+
+
+class TestLeastMember:
+    """For m ≤ n the report checks each fiber's least member only: a
+    fiber is one ``≡_n`` class, whose members answer every query of at
+    most n variables alike (Lemma 1).  For m > n it checks them all."""
+
+    def test_later_member_fails_when_m_exceeds_n(self):
+        # _:1 and _:2 share a color and no loop, so one ≡_1 class; the
+        # image has the 2-cycle of _:1 (with _:3), which _:2 lacks
+        structure = Structure(
+            [atom("E", n[1], n[3]), atom("E", n[3], n[1]), atom("E", n[2], n[4])]
+        )
+        colored = apply_coloring(
+            structure,
+            {n[1]: PALETTE[0], n[2]: PALETTE[0], n[3]: PALETTE[1], n[4]: PALETTE[2]},
+        )
+        report = conservativity_report(colored, n=1, m=2)
+        assert report.quotient.project(n[1]) == report.quotient.project(n[2])
+        assert not report.conservative
+        assert report.witness_element == n[2]
+        assert satisfies(
+            colored.structure, report.witness_query,
+            {report.witness_query.free[0]: n[1]},
+        )
+        assert report_summary(report) == report_by_element(colored, 1, 2)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(structures(min_facts=1, max_facts=8), st.data())
+    def test_drawn_colorings_match_every_member(self, structure, data):
+        assignment = {
+            element: data.draw(st.sampled_from(PALETTE))
+            for element in sorted(structure.domain(), key=str)
+        }
+        n_value = data.draw(st.integers(1, 3))
+        m = data.draw(st.integers(1, n_value))
+        colored = apply_coloring(structure, assignment)
+        report = conservativity_report(colored, n_value, m)
+        assert report_summary(report) == report_by_element(colored, n_value, m)

@@ -6,7 +6,9 @@ import itertools
 import pytest
 
 import repro.core.finite_model as pipeline
+from repro.chase import chase
 from repro.coloring.conservativity import ConservativityReport
+from repro.config import OnBudget
 from repro.lf import Null, Structure, Theory, parse_query, parse_structure, parse_theory
 from repro.lf.canonical import canonical_key
 from repro.core import (
@@ -14,11 +16,17 @@ from repro.core import (
     build_finite_counter_model,
     certify_counter_model,
 )
-from repro.errors import NotBinaryError
+from repro.errors import DeadlineExceeded, NotBinaryError
+from repro.payloads import countermodel_payload
 from repro.ptypes import TypePartition
+from repro.runtime import CancelToken, StopReason
+from repro.serve import ServeConfig, SessionRegistry, execute_request
+from repro.testing import inject_fault
 from repro.zoo import example9_theory, theorem2_corpus
 
+from ..coloring.test_conservativity import report_by_element, report_summary
 from ..oracles import query_holds, rule_violations
+from ..test_cli_json import strip_timings
 
 EXAMPLE1 = parse_theory(
     """
@@ -403,3 +411,214 @@ class TestPartitionReuse:
         assert counts["canonical_query"] <= typed["canonical_query"] * 3 / 4, counts
         assert counts["canonical"] <= typed["canonical"] * 2 / 3, counts
         assert counts["equivalent"] <= typed["equivalent"] / 4, counts
+
+
+#: The 14 countermodel instances of the ``finite-models`` workload: the
+#: corpus but its binary tree, and the Example-9 sub-theories.
+WORKLOAD_INSTANCES = [
+    entry for entry in theorem2_corpus() if entry[0] != "binary-tree/F-G-join"
+] + EXAMPLE9_SUBTHEORIES
+
+#: A chain that takes three rounds per witness: the pipeline fails at
+#: depths 8, 12 and 16 alike, so each depth of a schedule runs.
+SLOW_CHAIN = parse_theory(
+    """
+    E(x,y) -> A(x,y)
+    A(x,y) -> B(x,y)
+    B(x,y) -> exists z. E(y,z)
+    """
+)
+
+
+class TestDeepening:
+    """A depth past the deepest one chased so far continues that chase
+    (``repro.chase.deepen``); any other depth is chased from scratch.
+    Either way each depth sees the structure, and records the stats, of
+    a chase of the database to that depth."""
+
+    @staticmethod
+    def _log_chases(monkeypatch):
+        """Record ``(kind, depth, new rounds)`` per truncation chase."""
+        real_chase, real_deepen = pipeline.chase, pipeline.deepen
+        log = []
+
+        def logged_chase(database, theory, config, **overrides):
+            chased = real_chase(database, theory, config, **overrides)
+            log.append(("chase", config.max_depth, len(chased.stats.rounds)))
+            return chased
+
+        def logged_deepen(result, theory, config, **overrides):
+            deeper = real_deepen(result, theory, config, **overrides)
+            new_rounds = len(deeper.stats.rounds) - len(result.stats.rounds)
+            log.append(("deepen", config.max_depth, new_rounds))
+            return deeper
+
+        monkeypatch.setattr(pipeline, "chase", logged_chase)
+        monkeypatch.setattr(pipeline, "deepen", logged_deepen)
+        return log
+
+    @staticmethod
+    def _restart(monkeypatch, database):
+        """Make the pipeline chase every depth from scratch."""
+
+        def restart(result, theory, config, **overrides):
+            return chase(database, theory, config, **overrides)
+
+        monkeypatch.setattr(pipeline, "deepen", restart)
+
+    def test_truncation_rounds(self, monkeypatch):
+        """Chasing every depth from scratch evaluated 291 truncation
+        rounds over the workload's instances."""
+        log = self._log_chases(monkeypatch)
+        for name, theory, database, query in WORKLOAD_INSTANCES:
+            assert build_finite_counter_model(theory, database, query).model, name
+        assert sum(rounds for _, _, rounds in log) == 143
+
+    def test_out_of_order_depths_give_the_restart_payload(self, monkeypatch):
+        query = parse_query("E(x,x)")
+        config = PipelineConfig(chase_depths=(12, 8, 16), on_budget=OnBudget.RETURN)
+        request = {
+            "op": "countermodel",
+            "theory": "E(x,y) -> A(x,y)\nA(x,y) -> B(x,y)\nB(x,y) -> exists z. E(y,z)",
+            "database": "E(a,b)",
+            "query": "E(x,x)",
+            "params": {"depths": [12, 8, 16]},
+        }
+
+        def run():
+            payload, _ = countermodel_payload(
+                build_finite_counter_model(SLOW_CHAIN, DB, query, config)
+            )
+            response = execute_request(
+                SessionRegistry(), dict(request), ServeConfig(), CancelToken()
+            )
+            return strip_timings(payload), strip_timings(response)
+
+        log = self._log_chases(monkeypatch)
+        deepened = run()
+        assert [entry[:2] for entry in log[:3]] == [
+            ("chase", 12), ("chase", 8), ("deepen", 16)
+        ]
+        assert len(deepened[0]["stats"]) == 3
+        self._restart(monkeypatch, DB)
+        assert run() == deepened
+
+    def test_deadline_in_a_deepening_stops_the_pipeline(self, monkeypatch):
+        """A deepening out of time leaves the truncation shallower than
+        its depth: the pipeline stops rather than type it."""
+        real_deepen = pipeline.deepen
+        stopped = []
+
+        def out_of_time(result, theory, config, **overrides):
+            deeper = real_deepen(result, theory, config, **{**overrides, "wall_ms": 0})
+            stopped.append((result, deeper))
+            return deeper
+
+        monkeypatch.setattr(pipeline, "deepen", out_of_time)
+        config = PipelineConfig(on_budget=OnBudget.RETURN)
+        result = build_finite_counter_model(EX9_TWO_RULES, EX9_DB, EX9_QUERY, config)
+        assert result.stopped_reason is StopReason.DEADLINE
+        assert result.model is None
+        [(shallow, deeper)] = stopped
+        assert deeper.stopped_reason is StopReason.DEADLINE
+        assert deeper.structure == shallow.structure
+        assert result.chase_stats[-1] is deeper.stats
+        with pytest.raises(DeadlineExceeded):
+            build_finite_counter_model(EX9_TWO_RULES, EX9_DB, EX9_QUERY)
+
+    def test_injected_chase_fault_in_a_deepening(self, monkeypatch):
+        real_deepen = pipeline.deepen
+        entered = []
+
+        def deepen(result, theory, config, **overrides):
+            entered.append(injector.calls)
+            return real_deepen(result, theory, config, **overrides)
+
+        monkeypatch.setattr(pipeline, "deepen", deepen)
+        with inject_fault("chase", "deadline", at_checkpoint=10**9) as injector:
+            build_finite_counter_model(EX9_TWO_RULES, EX9_DB, EX9_QUERY)
+        # trip at the deepening's second checkpoint: past its first check
+        trip_at = entered[0] + 2
+        entered.clear()
+        config = PipelineConfig(on_budget=OnBudget.RETURN)
+        with inject_fault("chase", "deadline", at_checkpoint=trip_at) as injector:
+            result = build_finite_counter_model(EX9_TWO_RULES, EX9_DB, EX9_QUERY, config)
+        assert injector.tripped and len(entered) == 1
+        assert result.stopped_reason is StopReason.DEADLINE
+        assert result.model is None
+        with inject_fault("chase", "deadline", at_checkpoint=trip_at):
+            with pytest.raises(DeadlineExceeded):
+                build_finite_counter_model(EX9_TWO_RULES, EX9_DB, EX9_QUERY)
+
+
+class TestLeastMemberReports:
+    """The pipeline's reports (m = κ ≤ η = n) check one member per
+    fiber, and say what checking every member says."""
+
+    @pytest.mark.parametrize(
+        "name, theory, database, query",
+        PIPELINE_INSTANCES,
+        ids=[name for name, *_ in PIPELINE_INSTANCES],
+    )
+    def test_every_attempt_matches_every_member(
+        self, monkeypatch, name, theory, database, query
+    ):
+        """At every (depth, eta) the schedule reaches, whether or not
+        the pipeline asks for the report there."""
+        real_coloring, real_quotient = pipeline.natural_coloring, pipeline.quotient
+        coloring, checked = {}, []
+
+        def natural_coloring(structure, m):
+            coloring.update(colored=real_coloring(structure, m), m=m)
+            return coloring["colored"]
+
+        def quotient(structure, n, partition=None):
+            made = real_quotient(structure, n, partition=partition)
+            colored, m = coloring["colored"], coloring["m"]
+            report = pipeline.conservativity_report(colored, n, m, prebuilt=made)
+            assert report_summary(report) == report_by_element(
+                colored, n, m, prebuilt=made
+            ), (name, n)
+            checked.append(n)
+            return made
+
+        monkeypatch.setattr(pipeline, "natural_coloring", natural_coloring)
+        monkeypatch.setattr(pipeline, "quotient", quotient)
+        result = build_finite_counter_model(theory, database, query)
+        assert_counter_model(result, theory, database, query)
+        # every attempt past the interior check builds a quotient; a
+        # saturated chase is its own model and makes none
+        assert checked or result.eta == 0
+
+    def test_satisfies_calls(self, monkeypatch):
+        """Checking every member of every fiber made 1,461 calls over the
+        workload's instances."""
+        import repro.coloring.conservativity as conservativity
+
+        calls = []
+        real = conservativity.satisfies
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(conservativity, "satisfies", counted)
+        for name, theory, database, query in WORKLOAD_INSTANCES:
+            assert build_finite_counter_model(theory, database, query).model, name
+        assert len(calls) <= 700
+
+
+class TestPayloadFactsReadBack:
+    """A ``countermodel`` payload's ``facts`` parse back, nulls included,
+    to a structure isomorphic to the model over the constants."""
+
+    @pytest.mark.parametrize(
+        "name, theory, database, query",
+        PIPELINE_INSTANCES,
+        ids=[name for name, *_ in PIPELINE_INSTANCES],
+    )
+    def test_parsed_facts_have_the_model_key(self, name, theory, database, query):
+        result = build_finite_counter_model(theory, database, query)
+        payload, _ = countermodel_payload(result)
+        parsed = parse_structure("\n".join(payload["facts"]))
+        assert canonical_key(parsed) == canonical_key(result.model)

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ParseError
 from repro.lf import (
     Constant,
+    Null,
     Variable,
     atom,
     parse_atom,
@@ -149,6 +150,25 @@ class TestFactsAndStructures:
         with pytest.raises(ParseError) as excinfo:
             parse_facts("E(a,b)\nE(a,")
         assert "line 2" in str(excinfo.value)
+
+    def test_nulls_read_back(self):
+        s = parse_structure("E(a, _:0), E(_:0, _:12)")
+        assert s.domain() == {a, Null(0), Null(12)}
+        assert all(type(e) is Null for e in s.nonconstant_elements())
+        assert [str(f) for f in s.sorted_facts()] == ["E(_:0, _:12)", "E(a, _:0)"]
+
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_query, "E(x, _:0)"),
+            (parse_rule, "E(x, _:1) -> E(x, x)"),
+            (parse_rule, "E(x, y) -> exists _:1. E(y, _:1)"),
+            (parse_fact, "E(a, _:)"),
+        ],
+    )
+    def test_nulls_only_in_facts(self, parse, text):
+        with pytest.raises(ParseError):
+            parse(text)
 
 
 class TestQueries:

@@ -8,12 +8,17 @@ canonical witness assignment designed so that even the invented null
 *identities* coincide.  These tests pin that contract fact-for-fact:
 same facts, same ``fact_level`` map, same depth, same saturation flag —
 on random theories/databases and on the named theories of the zoo.
+
+A chase continued by :func:`repro.chase.deepen` must be the chase run
+to the deeper depth from the start: the same facts, nulls, levels and
+per-round counters, and the naive chase's facts and levels.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.chase import ChaseConfig, chase
+from repro.chase import ChaseConfig, chase, deepen
 from repro.zoo import (
     chain_growth_theory,
     chain_structure,
@@ -30,6 +35,7 @@ from repro.zoo import (
 )
 
 from ..oracles import naive_chase
+from ..test_cli_json import strip_timings
 from .strategies import structures, theories
 
 RELAXED = settings(
@@ -100,3 +106,51 @@ class TestZooParity:
             naive_fired = sum(r.triggers_fired for r in naive.rounds)
             assert delta.stats.triggers_evaluated <= naive_evaluated, name
             assert delta.stats.triggers_fired == naive_fired, name
+
+
+def run_record(result):
+    """Every field of a chase result but its wall times and plan-cache
+    counters; nulls with their provenance (equality sees the ident)."""
+    return {
+        "facts": result.structure.facts(),
+        "domain": result.structure.domain(),
+        "fact_level": result.fact_level,
+        "nulls": [(n.ident, n.rule_index, n.level) for n in result.new_elements],
+        "rounds_fired": result.rounds_fired,
+        "depth": result.depth,
+        "saturated": result.saturated,
+        "stopped_reason": result.stopped_reason,
+        "stats": strip_timings(result.stats.as_dict()),
+    }
+
+
+def assert_deepens(database, theory, shallow, deep, max_facts=5_000):
+    """``deepen`` of the chase to *shallow* is the chase to *deep*, and
+    agrees with the naive chase; the shallow result is left as it was."""
+    config = ChaseConfig(max_depth=deep, max_facts=max_facts)
+    first = chase(database, theory, config, max_depth=shallow)
+    kept = run_record(first)
+    deepened = deepen(first, theory, config)
+    assert run_record(deepened) == run_record(chase(database, theory, config))
+    assert_parity(naive_chase(database, theory, deep, max_facts), deepened)
+    assert run_record(first) == kept
+
+
+class TestDeepenParity:
+    @RELAXED
+    @given(
+        structures(min_facts=1, max_facts=8),
+        theories(),
+        st.integers(0, 4),
+        st.integers(0, 3),
+    )
+    def test_deepened_run_is_the_deeper_run(self, database, theory, shallow, extra):
+        assert_deepens(database, theory, shallow, shallow + extra)
+
+    @pytest.mark.parametrize(
+        "theory, database, depth",
+        [pytest.param(t, d, k, id=name) for name, t, d, k in ZOO],
+    )
+    def test_zoo_theory_deepens(self, theory, database, depth):
+        for shallow in (0, 1, depth // 2, depth - 1):
+            assert_deepens(database, theory, shallow, depth)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.chase import chase
-from repro.lf import Constant, atom, parse_structure, parse_theory
+from repro.core.normalize import prepare
+from repro.lf import Constant, Structure, atom, parse_structure, parse_theory
 from repro.payloads import skeleton_payload
 from repro.skeleton import (
     lemma3_report,
@@ -12,8 +13,25 @@ from repro.skeleton import (
     verify_lemma4,
 )
 from repro.vtdag import is_vtdag
+from repro.zoo import theorem2_corpus
 
 a, b = Constant("a"), Constant("b")
+
+
+def skeleton_by_insertion(chase_result, database, theory):
+    """S(D, T) built one checked fact at a time: the reference for
+    :func:`skeleton_of_chase`'s single pass."""
+    tgps = theory.tgp_predicates()
+    kept = [
+        fact
+        for fact in chase_result.structure.facts()
+        if fact in database.facts() or fact.pred in tgps
+    ]
+    return Structure(
+        kept,
+        domain=chase_result.structure.domain(),
+        signature=chase_result.structure.signature,
+    )
 
 # Example 7's theory: one TGP (E... E is TGP; R is datalog-derived flesh)
 EXAMPLE7 = parse_theory(
@@ -126,3 +144,32 @@ class TestLemma4:
         verdict, reason = verify_lemma4(result, EXAMPLE7)
         assert not verdict
         assert "witness" in reason or "not rebuilt" in reason
+
+
+class TestSinglePass:
+    """The skeleton is built from the chase facts in one pass, without
+    re-checking them: the same facts, domain and signature as inserting
+    them one at a time."""
+
+    @staticmethod
+    def assert_matches(chased, database, theory):
+        built = skeleton_of_chase(chased, database, theory).structure
+        reference = skeleton_by_insertion(chased, database, theory)
+        assert built.facts() == reference.facts()
+        assert built.domain() == reference.domain()
+        assert built.signature == reference.signature
+
+    @pytest.mark.parametrize(
+        "name, theory, database, query",
+        theorem2_corpus(),
+        ids=[name for name, *_ in theorem2_corpus()],
+    )
+    def test_corpus(self, name, theory, database, query):
+        prepared = prepare(theory, query).theory
+        self.assert_matches(chase(database, prepared, max_depth=8), database, prepared)
+
+    def test_isolated_constant(self):
+        database = Structure([atom("E", a, b)], domain=[Constant("c")])
+        chased = chase(database, EXAMPLE7, max_depth=4)
+        self.assert_matches(chased, database, EXAMPLE7)
+        assert Constant("c") in skeleton_of_chase(chased, database, EXAMPLE7).structure.domain()
