@@ -60,7 +60,7 @@ from ..runtime.guard import (
 )
 from ..lf.atoms import Atom
 from ..lf.homomorphism import homomorphisms
-from ..lf.plan import HOM_STATS, HomStats
+from ..lf.plan import HOM_STATS
 from ..lf.rules import Rule, Theory
 from ..lf.structures import Structure
 from ..lf.terms import Element, Null, NullFactory, Variable
@@ -548,7 +548,7 @@ def chase(
     working = database.copy()
     return _chase_on(
         working, theory, config, {fact: 0 for fact in working.facts()},
-        [], [], ChaseStats(hom=HomStats()), None, config.max_depth,
+        [], [], ChaseStats(), None, config.max_depth,
     )
 
 
@@ -573,8 +573,7 @@ def deepen(
     counters are *result*'s plus the new rounds'.  A saturated result,
     or one whose last round left it over the size budgets, gets no new
     round, because a fresh chase stops at that same round.  *result* is
-    never mutated;
-    the rounds run under a ``chase`` guard.
+    never mutated; the rounds run under a ``chase`` guard.
 
     Raises
     ------
@@ -649,7 +648,8 @@ def _chase_on(
             fact_level.setdefault(fact, level)
 
     def on_stop(reason: StopReason, delta: object, completed: int) -> None:
-        stats.hom = hom_so_far.plus(HOM_STATS.since(hom_before))
+        hom = HOM_STATS.since(hom_before)
+        stats.hom = hom if hom_so_far is None else hom_so_far.plus(hom)
 
     reason = _run_rounds(
         working, theory, nulls, config, provenance,
