@@ -15,7 +15,6 @@ from .certain import (
     certain_answers,
     certain_boolean,
     certain_report,
-    chase_entails,
 )
 from .engine import (
     ChaseConfig,
@@ -41,7 +40,7 @@ from .provenance import (
 from .results import ChaseResult
 from .seminaive import incremental_datalog_saturate
 from .stats import ChaseStats, IncrStats, RoundStats
-from .view import ChaseView, IncrementalConfig, UpdateResult, ViewAnswer, chase_view
+from .view import ChaseView, IncrementalConfig, UpdateResult, ViewAnswer
 from .termination import (
     DependencyGraph,
     dependency_graph,
@@ -70,10 +69,8 @@ __all__ = [
     "certain_boolean",
     "certain_report",
     "chase",
-    "chase_entails",
     "chase_levels",
     "chase_step",
-    "chase_view",
     "chase_with_embargo",
     "datalog_saturate",
     "deepen",

@@ -15,7 +15,7 @@ harness below works level by level and reports three-valued verdicts:
 verdict, the answer relation, and the run's
 :class:`~repro.chase.stats.ChaseStats` in a single
 :class:`CertainReport`.  :func:`certain_boolean` and
-:func:`certain_answers` are thin compatibility wrappers over it.
+:func:`certain_answers` are thin wrappers over it.
 :func:`evaluate_certain` reads verdict and answers off a chased
 structure, here and in :meth:`repro.chase.view.ChaseView.certain`.
 """
@@ -93,26 +93,23 @@ def evaluate_certain(
     return (False if saturated else None), answers
 
 
+#: The default budgets of :func:`certain_report` and its wrappers.
+_CERTAIN = ChaseConfig(max_depth=20, max_elements=None)
+
+
 def certain_report(
     database: Structure,
     theory: Theory,
     query: Query,
     config: "Optional[ChaseConfig]" = None,
-    max_depth: "Optional[int]" = 20,
-    max_facts: "Optional[int]" = 200_000,
+    **overrides,
 ) -> CertainReport:
     """Chase once and report verdict, answers, and instrumentation.
 
-    When *config* is given it is used as-is (the ``max_depth`` /
-    ``max_facts`` shorthands are ignored); otherwise a config is built
-    from the shorthands with ``max_elements=None``, matching the legacy
-    wrappers.
+    The chase runs under *config* (by default 20 rounds, 200,000 facts
+    and no element cap) with the keyword *overrides* applied on top.
     """
-    if config is None:
-        config = ChaseConfig(
-            max_depth=max_depth, max_facts=max_facts, max_elements=None
-        )
-    result = chase(database, theory, config)
+    result = chase(database, theory, config or _CERTAIN, **overrides)
     verdict, answers = evaluate_certain(result.structure, query, result.saturated)
     return CertainReport(
         verdict=verdict,
@@ -126,46 +123,31 @@ def certain_boolean(
     database: Structure,
     theory: Theory,
     query: Query,
-    max_depth: int = 20,
-    max_facts: "Optional[int]" = 200_000,
+    config: "Optional[ChaseConfig]" = None,
+    **overrides,
 ) -> "Optional[bool]":
     """Three-valued certain answer for a Boolean query.
 
-    See the module docstring for the meaning of the verdicts.
+    See the module docstring for the meaning of the verdicts, and
+    :func:`certain_report` for the budgets.
     """
-    report = certain_report(
-        database, theory, query, max_depth=max_depth, max_facts=max_facts
-    )
-    return report.verdict
+    return certain_report(database, theory, query, config, **overrides).verdict
 
 
 def certain_answers(
     database: Structure,
     theory: Theory,
     query: Query,
-    max_depth: int = 20,
-    max_facts: "Optional[int]" = 200_000,
+    config: "Optional[ChaseConfig]" = None,
+    **overrides,
 ) -> "Tuple[Set[Tuple[Element, ...]], bool]":
     """Certain answers of a query with free variables.
 
     Returns ``(answers, complete)``: the answer tuples built from
     *constants only* (tuples containing nulls are not certain answers —
     nulls are not part of any real database), and whether the chase
-    saturated (making the answer set provably complete).
+    saturated (making the answer set provably complete).  The budgets
+    are :func:`certain_report`'s.
     """
-    report = certain_report(
-        database, theory, query, max_depth=max_depth, max_facts=max_facts
-    )
+    report = certain_report(database, theory, query, config, **overrides)
     return report.answers, report.complete
-
-
-def chase_entails(
-    chased: ChaseResult,
-    query: Query,
-) -> "Optional[bool]":
-    """Verdict from an already-run chase (see :func:`certain_boolean`)."""
-    if satisfies(chased.structure, query):
-        return True
-    if chased.saturated:
-        return False
-    return None

@@ -669,57 +669,38 @@ def _chase_on(
     )
 
 
-def datalog_saturate(
-    structure: Structure,
-    theory: Theory,
-    max_depth: "Optional[int]" = None,
-    max_facts: "Optional[int]" = 500_000,
-    **overrides,
-) -> ChaseResult:
+#: The default budgets of :func:`chase_with_embargo` and
+#: :func:`datalog_saturate`: no depth or element cap (an embargoed run
+#: keeps its domain, so it always ends) and a fact cap.
+_EMBARGO = ChaseConfig(
+    max_depth=None, max_facts=500_000, max_elements=None, allow_new_elements=False
+)
+
+
+def datalog_saturate(structure: Structure, theory: Theory, **overrides) -> ChaseResult:
     """Saturate *structure* under the *datalog* rules of the theory only.
 
     On a finite structure this always terminates (no new elements are
-    ever created), so every budget may be ``None``.  Used as a building
-    block by the Theorem-2 pipeline and by model checking.  The returned
-    result carries the run's :class:`~repro.chase.stats.ChaseStats` like
-    any chase.  Extra keyword overrides (``wall_ms=...``,
-    ``cancel_token=...``) are forwarded to the :class:`ChaseConfig`,
-    which is how the pipeline propagates its remaining guard budget
-    into inner saturations.
+    ever created).  Used as a building block by the Theorem-2 pipeline,
+    the finite-model search and model checking.  Its budgets are
+    :func:`chase_with_embargo`'s; the returned result carries the run's
+    :class:`~repro.chase.stats.ChaseStats` like any chase.
     """
     datalog_only = Theory(theory.datalog_rules(), theory.signature)
-    return chase_with_embargo(
-        structure, datalog_only, max_depth, max_facts, **overrides
-    )
+    return chase_with_embargo(structure, datalog_only, **overrides)
 
 
-def chase_with_embargo(
-    structure: Structure,
-    theory: Theory,
-    max_depth: "Optional[int]" = None,
-    max_facts: "Optional[int]" = 500_000,
-    **overrides,
-) -> ChaseResult:
+def chase_with_embargo(structure: Structure, theory: Theory, **overrides) -> ChaseResult:
     """Chase *structure* under the full theory, forbidding new elements.
 
     This is the executable form of Lemma 5: on the quotient of a
     conservative coloring the full chase needs no new elements, so this
     call saturates; on an insufficient quotient it raises
-    :class:`~repro.errors.NewElementEmbargoViolation`.  Extra keyword
-    overrides are forwarded to the :class:`ChaseConfig` (guard-budget
-    propagation, as in :func:`datalog_saturate`).
+    :class:`~repro.errors.NewElementEmbargoViolation`.  Runs with no
+    depth or element cap and at most 500,000 facts, the keyword
+    *overrides* applied on top.
     """
-    return chase(
-        structure,
-        theory,
-        ChaseConfig(
-            max_depth=max_depth,
-            max_facts=max_facts,
-            max_elements=None,
-            allow_new_elements=False,
-        ),
-        **overrides,
-    )
+    return chase(structure, theory, _EMBARGO, **overrides)
 
 
 def is_model(structure: Structure, theory: Theory) -> bool:

@@ -21,17 +21,16 @@ from .results import ChaseResult
 
 
 def chase_levels(
-    database: Structure,
-    theory: Theory,
-    depth: int,
-    max_facts: "Optional[int]" = 200_000,
+    database: Structure, theory: Theory, depth: int, **overrides
 ) -> List[Structure]:
     """The sequence ``Chase^0, Chase^1, ..., Chase^depth`` (as far as the
-    budgets allow; shorter if the chase saturates earlier)."""
+    budgets allow; shorter if the chase saturates earlier).
+
+    The chase keeps at most 200,000 facts and any number of elements;
+    keyword *overrides* apply on top.
+    """
     result = chase(
-        database,
-        theory,
-        ChaseConfig(max_depth=depth, max_facts=max_facts, max_elements=None),
+        database, theory, ChaseConfig(max_depth=depth, max_elements=None), **overrides
     )
     return [result.truncate(level) for level in range(result.depth + 1)]
 

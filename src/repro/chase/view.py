@@ -494,12 +494,3 @@ class ChaseView:
             f"{len(self.update_stats)} updates)"
         )
 
-
-def chase_view(
-    database: Structure,
-    theory: Theory,
-    config: "Optional[ChaseConfig]" = None,
-    **overrides,
-) -> ChaseView:
-    """Build a :class:`ChaseView` (chases *database* once, eagerly)."""
-    return ChaseView(database, theory, config, **overrides)

@@ -568,8 +568,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: "Optional[List[str]]" = None) -> int:
     """Entry point; returns the process exit code (see the docstring table).
 
-    The run executes inside a :func:`~repro.runtime.cancellation_scope`:
-    the first Ctrl-C / SIGTERM trips the scope's cancel token, engines
+    The request runs under the cancel token of a
+    :func:`~repro.runtime.cancellation_scope`, which the first Ctrl-C /
+    SIGTERM trips: the request's engines, and the engines they run,
     unwind cooperatively, and the process exits :data:`EXIT_INTERRUPTED`
     — with the usual one-line JSON payload under ``--json``.  A second
     signal (or an interrupt outside any engine checkpoint) lands in the

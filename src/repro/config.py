@@ -27,6 +27,14 @@ place that contract lives:
   already-ticking deadline).  A config that sets none of them runs
   under the shared inactive guard.
 
+Every engine entry point takes its budgets from one place: its config
+(``None`` selects the entry point's default config), with any keyword
+``**overrides`` applied on top by :meth:`~BudgetedConfig.with_overrides`,
+so ``chase(D, T, config, max_depth=3)`` runs *config* with three rounds.
+An engine that runs another engine hands it its guard
+(:meth:`repro.runtime.RuntimeGuard.fields`): one deadline, cancel token
+and memory ceiling bound the whole run.
+
 Hitting any guard obeys the same :class:`OnBudget` policy as the count
 budgets: ``RETURN`` yields a partial result whose ``stopped_reason``
 names the cause, ``RAISE`` raises the matching typed exception
@@ -130,9 +138,7 @@ class BudgetedConfig:
         ``resource.getrusage``; degrades to a partial result.
     cancel_token:
         A :class:`~repro.runtime.CancelToken` polled at every
-        checkpoint.  ``None`` falls back to the ambient token installed
-        by :func:`~repro.runtime.cancellation_scope` (the CLI's
-        Ctrl-C/SIGTERM path), if any.
+        checkpoint (``None`` = not cancellable).
     """
 
     on_budget: OnBudget = OnBudget.RETURN

@@ -66,7 +66,13 @@ from ..chase.stats import ChaseStats
 from ..config import BudgetedConfig, OnBudget
 from ..coloring.conservativity import conservativity_report
 from ..coloring.natural import natural_coloring
-from ..errors import NewElementEmbargoViolation, PipelineError
+from ..errors import (
+    Cancelled,
+    DeadlineExceeded,
+    MemoryBudgetExceeded,
+    NewElementEmbargoViolation,
+    PipelineError,
+)
 from ..lf.homomorphism import satisfies
 from ..lf.queries import ConjunctiveQuery
 from ..lf.rules import Theory
@@ -98,7 +104,8 @@ class PipelineConfig(BudgetedConfig):
         The schedule of truncation depths to try, in order (η is
         searched in ``[κ, κ + ETA_EXTRA]`` at each).
     rewrite:
-        Budget for the κ-computation (BDD rewriting).
+        Budget for the κ-computation (BDD rewriting), which runs under
+        the pipeline's guard.
     max_facts:
         Fact budget per chase run.
     on_budget:
@@ -221,18 +228,16 @@ def build_finite_counter_model(
     """
     config = config or PipelineConfig()
     guard = RuntimeGuard.from_config(config, "pipeline")
+    # Inner engines run under the pipeline's guard.  The chases stop
+    # with a partial result (OnBudget.RETURN), and the pipeline's own
+    # checkpoint right after translates the stop into its policy.
+    inner = guard.fields()
     # prepare() accepts binary theories and Theorem 3's frontier-1
     # shape (splitting heads via §5.1); anything else raises there.
     prepared = prepare(theory, query)
     working_theory = prepared.theory
     flag = prepared.flag_predicate
-
-    profile = bdd_profile(prepared.theory_for_kappa, config.rewrite)
-    kappa = max(profile.kappa, working_theory.max_body_width(), 2)
-
-    result = FiniteModelResult(
-        model=None, query_certain=False, kappa=kappa, prepared=prepared
-    )
+    result = FiniteModelResult(model=None, query_certain=False, prepared=prepared)
 
     def guard_stop(reason: StopReason) -> FiniteModelResult:
         """Apply the on_budget policy for a tripped guard *reason*."""
@@ -241,16 +246,19 @@ def build_finite_counter_model(
             raise guard.exception(reason, stats=result)
         return result
 
-    # Inner chases inherit the pipeline's remaining wall budget, memory
-    # ceiling, and cancel token (always OnBudget.RETURN: they stop
-    # promptly with a partial result, and the pipeline's own checkpoint
-    # right after translates the stop into the configured policy).
-    def inner_budgets() -> Dict[str, object]:
-        return {
-            "wall_ms": guard.remaining_ms(),
-            "max_rss_mb": config.max_rss_mb,
-            "cancel_token": config.cancel_token,
-        }
+    # A guard stop of the κ rewriting ends the pipeline by the pipeline's
+    # policy, whichever the rewriting's own; its step budget is its own.
+    try:
+        profile = bdd_profile(
+            prepared.theory_for_kappa,
+            (config.rewrite or RewriteConfig()).with_overrides(**inner),
+        )
+    except (DeadlineExceeded, Cancelled, MemoryBudgetExceeded) as stop:
+        return guard_stop(StopReason(stop.stopped_reason))
+    for entry in profile.entries:
+        if entry.result.stopped_reason in GUARD_REASONS:
+            return guard_stop(entry.result.stopped_reason)
+    kappa = result.kappa = max(profile.kappa, working_theory.max_body_width(), 2)
 
     # One canonical-form table for the whole call: forms do not depend
     # on the structure, and the depths meet mostly the same queries.
@@ -267,9 +275,9 @@ def build_finite_counter_model(
             max_depth=depth, max_facts=config.max_facts, max_elements=None
         )
         if deepest is None or depth <= deepest_depth:
-            chased = chase(database, working_theory, truncation, **inner_budgets())
+            chased = chase(database, working_theory, truncation, **inner)
         else:
-            chased = deepen(deepest, working_theory, truncation, **inner_budgets())
+            chased = deepen(deepest, working_theory, truncation, **inner)
         if depth > deepest_depth:
             deepest, deepest_depth = chased, depth
         if chased.stats is not None:
@@ -331,9 +339,7 @@ def build_finite_counter_model(
                 colored.base_relations
             )
             try:
-                saturated = chase_with_embargo(
-                    candidate, working_theory, **inner_budgets()
-                )
+                saturated = chase_with_embargo(candidate, working_theory, **inner)
             except NewElementEmbargoViolation as violation:
                 result.attempts.append(
                     f"depth {depth}, eta {eta}: embargo violation: {violation}"

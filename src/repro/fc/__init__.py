@@ -13,7 +13,6 @@ from .search import (
     SearchResult,
     SearchStats,
     every_finite_model_satisfies,
-    find_counter_model,
     search_finite_model,
 )
 
@@ -24,7 +23,6 @@ __all__ = [
     "SearchStats",
     "default_candidates",
     "every_finite_model_satisfies",
-    "find_counter_model",
     "find_ordering",
     "minimize_model",
     "ordering_implies_query",

@@ -107,17 +107,21 @@ def _strict_total_chain(
     return best
 
 
+#: The default budgets of :func:`find_ordering`'s chase.
+_ORDERING = ChaseConfig(max_depth=8, max_facts=50_000, max_elements=None)
+
+
 def find_ordering(
     theory: Theory,
     database: Structure,
     min_size: int = 5,
-    max_depth: int = 8,
     candidates: "Optional[List[ConjunctiveQuery]]" = None,
-    max_facts: "Optional[int]" = 50_000,
+    **overrides,
 ) -> "Optional[OrderingWitness]":
     """Bounded search for a defined ordering (Conjecture 2's premise).
 
-    Chases the database to *max_depth*, then tests each candidate Φ:
+    Chases the database (8 rounds and 50,000 facts, unless the keyword
+    *overrides* say otherwise), then tests each candidate Φ:
     Φ must be irreflexive on the whole truncation, and must totally
     order at least *min_size* elements.  Returns the first witness, or
     ``None`` (which, being a bounded search, refutes nothing — but on
@@ -125,11 +129,7 @@ def find_ordering(
     natural ordering exists, while on successor+transitivity it finds
     ``E`` itself immediately).
     """
-    result = chase(
-        database,
-        theory,
-        ChaseConfig(max_depth=max_depth, max_facts=max_facts, max_elements=None),
-    )
+    result = chase(database, theory, _ORDERING, **overrides)
     structure = result.structure
     pool = candidates if candidates is not None else default_candidates(theory)
     elements = sorted(structure.domain(), key=str)

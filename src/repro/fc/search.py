@@ -65,7 +65,7 @@ from ..chase.engine import datalog_saturate
 from ..chase.seminaive import incremental_datalog_saturate, unsatisfied_triggers
 from ..config import BudgetedConfig, OnBudget
 from ..errors import ChaseBudgetExceeded, ModelSearchExhausted
-from ..runtime.guard import RuntimeGuard, StopReason
+from ..runtime.guard import GUARD_REASONS, RuntimeGuard, StopReason
 from ..lf.atoms import Atom
 from ..lf.canonical import canonical_key
 from ..lf.homomorphism import satisfies
@@ -370,18 +370,30 @@ def _search(
                 reason = StopReason.BUDGET
         return SearchResult(model=model, stats=stats, stopped_reason=reason)
 
+    def guard_stop(reason: StopReason) -> SearchResult:
+        """Apply the on_budget policy for a tripped guard *reason*."""
+        stats.exhausted = False
+        if config.should_raise:
+            stats.wall_ms = (time.perf_counter() - started) * 1000.0
+            raise guard.exception(reason, stats=stats)
+        return finish(None, reason)
+
     nulls = NullFactory.above(database.domain())
     datalog_rules = theory.datalog_rules()
     existential_rules = [rule for rule in theory.rules if not rule.is_datalog]
 
-    try:
-        root_structure = datalog_saturate(
-            database, theory, max_facts=config.max_facts, on_budget=OnBudget.RAISE
-        ).structure
-    except ChaseBudgetExceeded:
+    # The root saturation runs under the search's guard, and a guard stop
+    # there ends the search as one in its loop does.
+    saturated_root = datalog_saturate(
+        database, theory, max_facts=config.max_facts, **guard.fields()
+    )
+    if saturated_root.stopped_reason in GUARD_REASONS:
+        return guard_stop(saturated_root.stopped_reason)
+    if saturated_root.stopped_reason is StopReason.BUDGET:
         stats.saturation_pruned += 1
         stats.exhausted = False
         return finish(None, StopReason.BUDGET)
+    root_structure = saturated_root.structure
 
     root = _State(None, ())
 
@@ -392,11 +404,7 @@ def _search(
     while stack:
         reason = guard.check()
         if reason is not None:
-            stats.exhausted = False
-            if config.should_raise:
-                stats.wall_ms = (time.perf_counter() - started) * 1000.0
-                raise guard.exception(reason, stats=stats)
-            return finish(None, reason)
+            return guard_stop(reason)
         if stats.nodes >= config.max_nodes:
             stats.exhausted = False
             if config.should_raise:
@@ -495,8 +503,6 @@ def search_finite_model(
     database: Structure,
     theory: Theory,
     forbidden: "Optional[ConjunctiveQuery | UnionOfConjunctiveQueries]" = None,
-    max_elements: int = 10,
-    max_nodes: int = 50_000,
     config: "Optional[SearchConfig]" = None,
     **overrides,
 ) -> SearchResult:
@@ -511,15 +517,12 @@ def search_finite_model(
     sound because states only grow along a branch and CQs are monotone;
     a state is pruned as soon as its saturation derives a match.
 
-    Pass a :class:`SearchConfig` for the full set of knobs (an explicit
-    *config* wins over the ``max_elements`` / ``max_nodes`` shorthands);
-    extra keyword overrides (``wall_ms=...``, ``max_facts=...``) are
-    applied on top via
+    The search runs under *config* (by default :class:`SearchConfig`'s
+    budgets) with the keyword *overrides* (``max_elements=...``,
+    ``wall_ms=...``) applied on top via
     :meth:`~repro.config.BudgetedConfig.with_overrides`.
     """
-    if config is None:
-        config = SearchConfig(max_elements=max_elements, max_nodes=max_nodes)
-    config = config.with_overrides(**overrides)
+    config = (config or SearchConfig()).with_overrides(**overrides)
     return _search(database, theory, forbidden, config)
 
 
@@ -527,58 +530,18 @@ def every_finite_model_satisfies(
     database: Structure,
     theory: Theory,
     query: "ConjunctiveQuery | UnionOfConjunctiveQueries",
-    max_elements: int = 8,
-    max_nodes: int = 50_000,
     config: "Optional[SearchConfig]" = None,
+    **overrides,
 ) -> Tuple[bool, SearchStats]:
     """Check the Section 5.5 phenomenon: within the bounds, does *every*
     finite model of (database, theory) satisfy *query*?
 
     Returns ``(verdict, stats)``.  A ``True`` verdict with
     ``stats.exhausted`` is a proof for models with at most
-    *max_elements* elements; without exhaustion it is only "none
+    ``max_elements`` elements; without exhaustion it is only "none
     found".  A ``False`` verdict is always a hard counterexample (a
-    model avoiding the query was found).
+    model avoiding the query was found).  The budgets are
+    :func:`search_finite_model`'s.
     """
-    outcome = search_finite_model(
-        database,
-        theory,
-        forbidden=query,
-        max_elements=max_elements,
-        max_nodes=max_nodes,
-        config=config,
-    )
+    outcome = search_finite_model(database, theory, query, config, **overrides)
     return (not outcome.found), outcome.stats
-
-
-def find_counter_model(
-    database: Structure,
-    theory: Theory,
-    query: "ConjunctiveQuery | UnionOfConjunctiveQueries",
-    max_elements: int = 10,
-    max_nodes: int = 50_000,
-    config: "Optional[SearchConfig]" = None,
-) -> Structure:
-    """A finite model of (database, theory) avoiding *query*.
-
-    Raises
-    ------
-    ModelSearchExhausted
-        When the bounded search finds none (see
-        :func:`every_finite_model_satisfies` for what that means).
-    """
-    outcome = search_finite_model(
-        database,
-        theory,
-        forbidden=query,
-        max_elements=max_elements,
-        max_nodes=max_nodes,
-        config=config,
-    )
-    if outcome.model is None:
-        raise ModelSearchExhausted(
-            f"no finite model avoiding the query within bounds "
-            f"(exhausted={outcome.stats.exhausted})",
-            stats=outcome.stats,
-        )
-    return outcome.model

@@ -21,7 +21,6 @@ from .guard import (
     GuardTripped,
     RuntimeGuard,
     StopReason,
-    ambient_cancel_token,
     cancellation_scope,
     current_rss_mb,
     fault_hook_installed,
@@ -38,7 +37,6 @@ __all__ = [
     "GuardTripped",
     "RuntimeGuard",
     "StopReason",
-    "ambient_cancel_token",
     "cancellation_scope",
     "current_rss_mb",
     "fault_hook_installed",

@@ -14,9 +14,9 @@ and no partial result.  This module is the one place the three
   per search node expansion, per pipeline attempt.
 * :class:`CancelToken` — cooperative cancellation on a
   :class:`threading.Event`.  The CLI installs SIGINT/SIGTERM handlers
-  (:func:`cancellation_scope`) that trip an ambient token, so an
-  interrupted run returns its partial result and stats instead of a
-  traceback.
+  (:func:`cancellation_scope`) that trip the token it runs its request
+  under, so an interrupted run returns its partial result and stats
+  instead of a traceback.
 * a soft memory ceiling (``BudgetedConfig.max_rss_mb``) — peak RSS
   polled cheaply every :data:`RSS_POLL_INTERVAL` checkpoints via
   ``resource.getrusage``, degrading gracefully to a partial result.
@@ -39,7 +39,9 @@ returns the shared :data:`NULL_GUARD`, whose ``check`` is a constant
 no-op, so unguarded runs pay one attribute load per checkpoint.  An
 active guard that never trips changes no result and no work counter
 (``tests/runtime/test_engine_guards.py``); what it costs in time has
-no gate.
+no gate.  An engine that runs another engine hands it its guard as
+config fields (:meth:`RuntimeGuard.fields`): the inner run polls the
+same deadline, token and ceiling.
 
 Deterministic fault injection for tests lives in
 :mod:`repro.testing.faults`; it installs itself through
@@ -54,7 +56,7 @@ import threading
 import time
 from contextlib import contextmanager
 from enum import Enum
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Dict, Iterator, Optional
 
 from ..errors import Cancelled, DeadlineExceeded, MemoryBudgetExceeded, ReproError
 
@@ -296,11 +298,20 @@ class RuntimeGuard:
         if reason is not None:
             raise GuardTripped(reason)
 
-    def remaining_ms(self) -> "Optional[float]":
-        """Wall budget left, for propagating into sub-engine configs."""
-        if self.deadline is None:
-            return None
-        return self.deadline.remaining_ms()
+    def fields(self) -> "Dict[str, Any]":
+        """The guard's set limits, as overrides for an inner engine's config.
+
+        An inner engine built with them polls the same
+        :class:`Deadline`, :class:`CancelToken` and memory ceiling, so
+        one stop ends the inner run and the outer one alike.  A limit
+        this guard lacks is left out, so the inner config keeps its own.
+        """
+        limits = (
+            ("deadline", self.deadline),
+            ("cancel_token", self.token),
+            ("max_rss_mb", self.max_rss_mb),
+        )
+        return {name: value for name, value in limits if value is not None}
 
     def describe(self, reason: StopReason) -> str:
         """A one-line human message for the tripped *reason*."""
@@ -328,10 +339,7 @@ class RuntimeGuard:
         ``cancel_token``, ``deadline``) by attribute, so any
         config-like object works.  Returns the shared
         :data:`NULL_GUARD` when nothing could ever trip (no guard
-        field set, no ambient cancel token, no fault hook installed);
-        otherwise an active guard.  A config without an explicit
-        ``cancel_token`` picks up the ambient token installed by
-        :func:`cancellation_scope` (the CLI's Ctrl-C path).
+        field set, no fault hook installed); otherwise an active guard.
 
         A config may carry an already-ticking :class:`Deadline` on
         ``deadline`` instead of a fresh ``wall_ms`` budget; it wins
@@ -344,8 +352,6 @@ class RuntimeGuard:
         wall_ms = getattr(config, "wall_ms", None)
         max_rss_mb = getattr(config, "max_rss_mb", None)
         token = getattr(config, "cancel_token", None)
-        if token is None:
-            token = _AMBIENT_TOKEN
         if (
             preset is None
             and wall_ms is None
@@ -393,9 +399,6 @@ class _NullGuard(RuntimeGuard):
     def checkpoint(self) -> None:
         return None
 
-    def remaining_ms(self) -> "Optional[float]":
-        return None
-
     def __repr__(self) -> str:
         return "RuntimeGuard(inactive)"
 
@@ -405,34 +408,21 @@ NULL_GUARD = _NullGuard()
 
 
 # ----------------------------------------------------------------------
-# Ambient cancellation (the CLI's SIGINT/SIGTERM path)
+# The CLI's SIGINT/SIGTERM path
 # ----------------------------------------------------------------------
 
-_AMBIENT_TOKEN: "Optional[CancelToken]" = None
-
-
-def ambient_cancel_token() -> "Optional[CancelToken]":
-    """The token guards fall back to when a config carries none."""
-    return _AMBIENT_TOKEN
-
-
 @contextmanager
-def cancellation_scope(install_signals: bool = True) -> "Iterator[CancelToken]":
-    """Make a fresh :class:`CancelToken` ambient for the dynamic extent.
+def cancellation_scope() -> "Iterator[CancelToken]":
+    """A fresh :class:`CancelToken` that SIGINT/SIGTERM trip.
 
-    While the scope is open, every guard built from a config without an
-    explicit token polls this one.  With *install_signals* (the
-    default), SIGINT/SIGTERM handlers are installed that trip the token
-    on the first signal — engines then unwind cooperatively and return
-    partial results — and raise :class:`KeyboardInterrupt` on the
-    second (the escape hatch when an engine is stuck between
-    checkpoints).  Handlers are restored and the ambient token cleared
+    The first signal trips the token — an engine run under it unwinds
+    cooperatively and returns its partial result — and the second
+    raises :class:`KeyboardInterrupt` (the escape hatch when an engine
+    is stuck between checkpoints).  The previous handlers are restored
     on exit; off the main thread (where ``signal.signal`` is illegal)
-    the scope degrades to ambient-token-only.
+    no handler is installed.
     """
-    global _AMBIENT_TOKEN
     token = CancelToken()
-    previous_token = _AMBIENT_TOKEN
     previous_handlers = {}
 
     def _handler(signum, frame):  # pragma: no cover - exercised via CLI
@@ -440,16 +430,13 @@ def cancellation_scope(install_signals: bool = True) -> "Iterator[CancelToken]":
             raise KeyboardInterrupt
         token.cancel()
 
-    _AMBIENT_TOKEN = token
-    if install_signals:
-        try:
-            for signum in (signal.SIGINT, signal.SIGTERM):
-                previous_handlers[signum] = signal.signal(signum, _handler)
-        except ValueError:  # pragma: no cover - not the main thread
-            previous_handlers.clear()
+    try:
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            previous_handlers[signum] = signal.signal(signum, _handler)
+    except ValueError:  # pragma: no cover - not the main thread
+        previous_handlers.clear()
     try:
         yield token
     finally:
-        _AMBIENT_TOKEN = previous_token
         for signum, handler in previous_handlers.items():
             signal.signal(signum, handler)

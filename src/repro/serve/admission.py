@@ -51,6 +51,7 @@ from collections import OrderedDict, deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..runtime import Deadline
+from .config import ServeConfig
 
 #: Shed-cause vocabulary (the ``error`` field of a shed response).
 SHED_OVERLOADED = "overloaded"
@@ -118,52 +119,37 @@ class _TenantState:
 class AdmissionController:
     """Bounded queues + round-robin dispatch (module docstring).
 
-    Parameters
-    ----------
-    workers:
-        Size of the worker pool — the global inflight bound.  The
-        server only submits a job to its executor when this controller
-        hands it out, so the executor's internal queue stays empty and
-        the *whole* backlog lives in these bounded queues.
-    max_pending:
-        Global bound on admitted-but-undispatched requests.  A request
-        that could start immediately (a worker slot and its tenant's
-        inflight quota are both free) is always admitted — ``0`` means
-        "no queueing at all".
-    tenant_max_pending:
-        Per-tenant queue bound; ``None`` inherits ``max_pending``.
-    tenant_max_inflight:
-        Per-tenant bound on concurrently-running requests; ``None``
-        inherits ``workers`` (no per-tenant throttle).
+    Reads its bounds from a :class:`~repro.serve.config.ServeConfig`,
+    which validates them:
+
+    * ``workers`` — the global inflight bound.  The server only submits
+      a job to its executor when this controller hands it out, so the
+      executor's internal queue stays empty and the *whole* backlog
+      lives in these bounded queues.
+    * ``max_pending`` — the global bound on admitted-but-undispatched
+      requests.  A request that could start immediately (a worker slot
+      and its tenant's inflight quota are both free) is always
+      admitted — ``0`` means "no queueing at all".
+    * ``tenant_max_pending`` — the per-tenant queue bound; ``None``
+      inherits ``max_pending``.
+    * ``tenant_max_inflight`` — the per-tenant bound on
+      concurrently-running requests; ``None`` inherits ``workers`` (no
+      per-tenant throttle).
     """
 
-    def __init__(
-        self,
-        workers: int,
-        max_pending: int = 1024,
-        tenant_max_pending: "Optional[int]" = None,
-        tenant_max_inflight: "Optional[int]" = None,
-    ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if max_pending < 0:
-            raise ValueError(f"max_pending must be >= 0, got {max_pending}")
-        self.workers = workers
-        self.max_pending = max_pending
+    def __init__(self, config: ServeConfig) -> None:
+        self.workers = config.workers
+        self.max_pending = config.max_pending
         self.tenant_max_pending = (
-            max_pending if tenant_max_pending is None else tenant_max_pending
+            config.max_pending
+            if config.tenant_max_pending is None
+            else config.tenant_max_pending
         )
         self.tenant_max_inflight = (
-            workers if tenant_max_inflight is None else tenant_max_inflight
+            config.workers
+            if config.tenant_max_inflight is None
+            else config.tenant_max_inflight
         )
-        if self.tenant_max_pending < 0:
-            raise ValueError(
-                f"tenant_max_pending must be >= 0, got {self.tenant_max_pending}"
-            )
-        if self.tenant_max_inflight < 1:
-            raise ValueError(
-                f"tenant_max_inflight must be >= 1, got {self.tenant_max_inflight}"
-            )
         self._lock = threading.Lock()
         # tenant -> state; kept only while the tenant has queued or
         # inflight work, so adversarially many tenant names cannot grow

@@ -164,12 +164,7 @@ class ReproServer:
     def __init__(self, config: "Optional[ServeConfig]" = None, **overrides) -> None:
         self.config = (config or ServeConfig()).with_overrides(**overrides)
         self.registry = SessionRegistry(self.config.max_sessions)
-        self.admission = AdmissionController(
-            workers=self.config.workers,
-            max_pending=self.config.max_pending,
-            tenant_max_pending=self.config.tenant_max_pending,
-            tenant_max_inflight=self.config.tenant_max_inflight,
-        )
+        self.admission = AdmissionController(self.config)
         self.exit_code = EXIT_OK
         self.requests = 0
         self.cancelled = 0

@@ -87,26 +87,19 @@ def skeleton_of_chase(
     )
 
 
-def skeleton(
-    database: Structure,
-    theory: Theory,
-    max_depth: int = 10,
-    max_facts: "Optional[int]" = 100_000,
-    **overrides,
-) -> SkeletonResult:
+#: The default budgets of :func:`skeleton`'s chase.
+_SKELETON = ChaseConfig(max_depth=10, max_facts=100_000, max_elements=None)
+
+
+def skeleton(database: Structure, theory: Theory, **overrides) -> SkeletonResult:
     """Chase *database* under *theory* and extract the skeleton.
 
-    The chase is truncated at *max_depth* rounds; the skeleton of a
-    truncation is the truncation of the skeleton, so deeper runs only
-    extend the forest downward.  Extra keyword overrides (``wall_ms``,
-    ``cancel_token``, ...) are forwarded to the chase config.
+    The chase is truncated at 10 rounds and 100,000 facts, unless the
+    keyword *overrides* (``max_depth``, ``wall_ms``, ...) say otherwise;
+    the skeleton of a truncation is the truncation of the skeleton, so
+    deeper runs only extend the forest downward.
     """
-    result = chase(
-        database,
-        theory,
-        ChaseConfig(max_depth=max_depth, max_facts=max_facts, max_elements=None),
-        **overrides,
-    )
+    result = chase(database, theory, _SKELETON, **overrides)
     return skeleton_of_chase(result, database, theory)
 
 
@@ -177,9 +170,7 @@ def lemma3_report(skeleton_result: SkeletonResult) -> Lemma3Report:
 
 
 def verify_lemma4(
-    skeleton_result: SkeletonResult,
-    theory: Theory,
-    max_depth: "Optional[int]" = None,
+    skeleton_result: SkeletonResult, theory: Theory
 ) -> Tuple[bool, "Optional[str]"]:
     """Empirically check Lemma 4: ``Chase(S, T) = Chase(D, T)``.
 
@@ -192,16 +183,19 @@ def verify_lemma4(
     * chasing S creates **no new elements** (the paper's point: only
       datalog rules fire — the witnesses are already in the skeleton).
 
-    The second bullet is checked exactly; the first up to *max_depth*
-    (defaulting to the original chase's depth).
+    The second bullet is checked exactly; the first up to the original
+    chase's depth.
 
     Returns ``(verdict, explanation-on-failure)``.
     """
-    depth = max_depth if max_depth is not None else skeleton_result.chase_result.depth
     rechased = chase(
         skeleton_result.structure,
         theory,
-        ChaseConfig(max_depth=depth, max_facts=None, max_elements=None),
+        ChaseConfig(
+            max_depth=skeleton_result.chase_result.depth,
+            max_facts=None,
+            max_elements=None,
+        ),
     )
     # On the *infinite* chase, Lemma 4 says no new elements at all.  On
     # a depth-d truncation the frontier (level-d) elements legitimately

@@ -6,7 +6,6 @@ from repro.chase import (
     certain_answers,
     certain_boolean,
     chase,
-    chase_entails,
     chase_levels,
     dependency_graph,
     is_weakly_acyclic,
@@ -14,6 +13,7 @@ from repro.chase import (
     query_depth_profile,
     special_cycle_witness,
 )
+from repro.chase.certain import evaluate_certain
 from repro.lf import Constant, atom, parse_query, parse_structure, parse_theory
 
 a, d = Constant("a"), Constant("d")
@@ -125,10 +125,16 @@ class TestCertain:
         assert complete
         assert len(answers) == 4
 
-    def test_chase_entails_reuses_run(self):
+    def test_evaluate_certain_reuses_run(self):
         result = chase(CHAIN4, TRANSITIVE)
-        assert chase_entails(result, parse_query("E('a','e')")) is True
-        assert chase_entails(result, parse_query("E('e','a')")) is False
+        verdict, _ = evaluate_certain(
+            result.structure, parse_query("E('a','e')"), result.saturated
+        )
+        assert verdict is True
+        verdict, _ = evaluate_certain(
+            result.structure, parse_query("E('e','a')"), result.saturated
+        )
+        assert verdict is False
 
 
 class TestWeakAcyclicity:

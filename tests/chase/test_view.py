@@ -9,7 +9,6 @@ from repro.chase import (
     ChaseView,
     IncrementalConfig,
     chase,
-    chase_view,
     explain,
 )
 from repro.cli import render_update_stats
@@ -59,7 +58,7 @@ class TestConfig:
         assert view.config.trace is True
 
     def test_non_ground_update_rejected(self):
-        view = chase_view(CHAIN, TRANSITIVE, max_depth=None)
+        view = ChaseView(CHAIN, TRANSITIVE, max_depth=None)
         with pytest.raises(ChaseError):
             view.update(adds=[parse_query("E(x,y)").atoms[0]])
 

@@ -1,14 +1,7 @@
 """Tests for the finite-model search (repro.fc.search)."""
 
-import pytest
-
-from repro.errors import ModelSearchExhausted
 from repro.lf import parse_query, parse_structure, parse_theory, satisfies
-from repro.fc import (
-    every_finite_model_satisfies,
-    find_counter_model,
-    search_finite_model,
-)
+from repro.fc import every_finite_model_satisfies, search_finite_model
 from repro.zoo import section55_database, section55_query, section55_theory
 
 from ..oracles import query_holds, rule_violations
@@ -60,14 +53,16 @@ class TestBasicSearch:
         assert not outcome.found
         assert outcome.stats.pruned_by_query >= 1
 
-    def test_find_counter_model_raises_when_impossible(self):
+    def test_no_counter_model_when_impossible(self):
         # every model of LINEAR ⊇ {E(a,b)} satisfies "an edge exists"
-        with pytest.raises(ModelSearchExhausted):
-            find_counter_model(DB, LINEAR, parse_query("E(x,y)"), max_elements=4)
+        outcome = search_finite_model(DB, LINEAR, parse_query("E(x,y)"), max_elements=4)
+        assert not outcome.found
+        assert outcome.stats.exhausted
 
     def test_find_counter_model_positive(self):
-        model = find_counter_model(DB, LINEAR, parse_query("E(x,x)"), max_elements=5)
-        assert not query_holds(model, parse_query("E(x,x)"))
+        outcome = search_finite_model(DB, LINEAR, parse_query("E(x,x)"), max_elements=5)
+        assert outcome.found
+        assert not query_holds(outcome.model, parse_query("E(x,x)"))
 
 
 class TestSection55:
@@ -111,7 +106,7 @@ class TestCrossCheckWithPipeline:
 
         query = parse_query("E(x,x)")
         pipeline_result = build_finite_counter_model(LINEAR, DB, query)
-        searched = find_counter_model(DB, LINEAR, query, max_elements=6)
+        searched = search_finite_model(DB, LINEAR, query, max_elements=6).model
         for model in (pipeline_result.model, searched):
             assert list(rule_violations(model, LINEAR)) == []
             assert model.contains_structure(DB)

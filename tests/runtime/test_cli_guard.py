@@ -73,6 +73,18 @@ class TestWallClockFlag:
         assert code == EXIT_INCOMPLETE
         assert payload["stopped_reason"] == "deadline"
 
+    def test_countermodel_deadline_reaches_the_rewriting(self, capsys):
+        # Transitivity makes the κ rewriting diverge: it spends its whole
+        # step budget unless the request's deadline stops it.
+        theory = "E(x,y), E(y,z) -> E(x,z)\nE(x,y) -> exists w. E(y,w)"
+        code, payload = run_json(
+            capsys,
+            "-e", "countermodel", theory, DB, "E(x,x)",
+            "--wall-ms", "50", "--json",
+        )
+        assert code == EXIT_INCOMPLETE
+        assert payload["stopped_reason"] == "deadline"
+
     def test_generous_budget_reaches_the_fixpoint(self, capsys):
         code, payload = run_json(
             capsys,

@@ -202,6 +202,27 @@ class TestSearch:
         assert excinfo.value.stats is not None
         assert excinfo.value.stopped_reason == reason.value
 
+    @guard_reasons
+    def test_root_saturation_stop_ends_the_search(self, reason):
+        # The root's datalog saturation is a chase run under the
+        # search's guard: a stop there ends the search, as one in its
+        # loop does, under the search's own policy.
+        with inject_fault("chase", reason) as injector:
+            result = search_finite_model(
+                DB, TRANS, forbidden=Q_LOOP, config=SearchConfig(max_elements=3)
+            )
+        assert injector.tripped
+        assert result.model is None
+        assert result.stopped_reason is reason
+        assert not result.stats.exhausted
+        assert result.stats.nodes == 0
+        with inject_fault("chase", reason):
+            with pytest.raises(REASON_EXC[reason]) as excinfo:
+                search_finite_model(
+                    DB, TRANS, Q_LOOP, max_elements=3, on_budget=OnBudget.RAISE
+                )
+        assert excinfo.value.stats.nodes == 0  # the search's stats
+
     def test_rerun_without_the_fault_finds_the_model(self):
         with inject_fault("fc-search", "deadline"):
             partial = search_finite_model(
@@ -253,6 +274,26 @@ class TestPipeline:
         assert excinfo.value.stats is not None
         assert excinfo.value.stats.stopped_reason is reason
         assert excinfo.value.stopped_reason == reason.value
+
+    @guard_reasons
+    def test_rewrite_stop_ends_the_pipeline(self, reason):
+        # The κ rewriting runs under the pipeline's guard: a stop there
+        # ends the pipeline by the pipeline's policy, not the rewrite's.
+        for rewrite_policy in OnBudget:
+            config = PipelineConfig(
+                on_budget=OnBudget.RETURN,
+                rewrite=RewriteConfig(on_budget=rewrite_policy),
+            )
+            with inject_fault("rewrite", reason) as injector:
+                result = build_finite_counter_model(LINEAR, DB, Q_LOOP, config)
+            assert injector.tripped
+            assert result.model is None
+            assert result.stopped_reason is reason
+            assert not result.chase_stats  # no truncation chase ran
+        with inject_fault("rewrite", reason):
+            with pytest.raises(REASON_EXC[reason]) as excinfo:
+                build_finite_counter_model(LINEAR, DB, Q_LOOP)
+        assert excinfo.value.stats.stopped_reason is reason
 
     def test_fault_does_not_leak_into_inner_chases(self):
         # A pipeline fault at a late checkpoint: the inner chases (guard

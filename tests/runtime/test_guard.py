@@ -1,10 +1,11 @@
 """Unit tests for the runtime-guard primitives.
 
 Deadline arithmetic, token latching, guard trip order and stickiness,
-the NULL_GUARD fast path, from_config dispatch, and the ambient
-cancellation scope — everything below the engines.
+the NULL_GUARD fast path, from_config dispatch, handing a guard down,
+and the CLI's cancellation scope — everything below the engines.
 """
 
+import signal
 import threading
 import time
 
@@ -28,7 +29,6 @@ from repro.runtime import (
     GuardTripped,
     RuntimeGuard,
     StopReason,
-    ambient_cancel_token,
     cancellation_scope,
     current_rss_mb,
     guard_exception,
@@ -151,9 +151,23 @@ class TestRuntimeGuard:
         assert polled[:-1] == [None] * (RSS_POLL_INTERVAL - 1)
         assert polled[-1] is StopReason.MEMORY
 
-    def test_remaining_ms(self):
-        assert RuntimeGuard("t").remaining_ms() is None
-        assert RuntimeGuard("t", deadline=Deadline(60_000)).remaining_ms() > 0
+    def test_fields_hand_the_guard_down(self):
+        deadline, token = Deadline(60_000), CancelToken()
+        guard = RuntimeGuard.from_config(
+            ChaseConfig(deadline=deadline, cancel_token=token, max_rss_mb=512),
+            "pipeline",
+        )
+        assert guard.fields() == {
+            "deadline": deadline, "cancel_token": token, "max_rss_mb": 512,
+        }
+        # An unset limit is left out: the inner config keeps its own.
+        assert RuntimeGuard("t", token=token).fields() == {"cancel_token": token}
+        inner = RuntimeGuard.from_config(
+            ChaseConfig().with_overrides(**guard.fields()), "chase"
+        )
+        assert inner.deadline is deadline and inner.token is token
+        token.cancel()
+        assert inner.check() is StopReason.CANCELLED
 
     def test_describe_names_the_engine(self):
         guard = RuntimeGuard("chase", deadline=Deadline(5))
@@ -177,7 +191,7 @@ class TestNullGuard:
     def test_singleton_never_trips(self):
         assert NULL_GUARD.check() is None
         NULL_GUARD.checkpoint()
-        assert NULL_GUARD.remaining_ms() is None
+        assert NULL_GUARD.fields() == {}
         assert not NULL_GUARD.active
 
     def test_null_guard_state_is_shared_and_harmless(self):
@@ -227,29 +241,25 @@ class TestConfigValidation:
 
 
 class TestCancellationScope:
-    def test_scope_installs_and_clears_the_ambient_token(self):
-        assert ambient_cancel_token() is None
-        with cancellation_scope(install_signals=False) as token:
-            assert ambient_cancel_token() is token
-        assert ambient_cancel_token() is None
-
-    def test_guards_pick_up_the_ambient_token(self):
-        with cancellation_scope(install_signals=False) as token:
-            guard = RuntimeGuard.from_config(ChaseConfig(), "chase")
-            assert guard.active
-            token.cancel()
-            assert guard.check() is StopReason.CANCELLED
+    def test_first_signal_trips_the_token(self):
+        with cancellation_scope() as token:
+            handler = signal.getsignal(signal.SIGTERM)
+            handler(signal.SIGTERM, None)
+            assert token.cancelled
+            with pytest.raises(KeyboardInterrupt):  # the second one
+                handler(signal.SIGTERM, None)
 
     def test_scopes_nest_and_restore(self):
-        with cancellation_scope(install_signals=False) as outer:
-            with cancellation_scope(install_signals=False) as inner:
-                assert ambient_cancel_token() is inner
-            assert ambient_cancel_token() is outer
+        before = signal.getsignal(signal.SIGINT)
+        with cancellation_scope() as outer:
+            outer_handler = signal.getsignal(signal.SIGINT)
+            with cancellation_scope() as inner:
+                assert inner is not outer
+                assert signal.getsignal(signal.SIGINT) is not outer_handler
+            assert signal.getsignal(signal.SIGINT) is outer_handler
+        assert signal.getsignal(signal.SIGINT) is before
 
-    def test_explicit_config_token_beats_the_ambient_one(self):
-        mine = CancelToken()
-        with cancellation_scope(install_signals=False):
-            guard = RuntimeGuard.from_config(
-                ChaseConfig(cancel_token=mine), "chase"
-            )
-            assert guard.token is mine
+    def test_no_token_without_a_config(self):
+        # A guard polls only the token its config carries.
+        with cancellation_scope():
+            assert RuntimeGuard.from_config(ChaseConfig(), "chase") is NULL_GUARD

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.serve import ServerThread
+from repro.serve import ServeConfig, ServerThread
 from repro.serve.admission import AdmissionController, Pending
 from repro.testing import inject_serve_fault
 
@@ -81,11 +81,11 @@ class ReferenceRR:
 def run_script(workers, cap, events):
     """Drive one controller through *events*; returns the dispatch
     sequence, asserting the caps and the oracle along the way."""
-    controller = AdmissionController(
+    controller = AdmissionController(ServeConfig(
         workers=workers,
         max_pending=10_000,  # no shedding: this property is about order
         tenant_max_inflight=cap,
-    )
+    ))
     oracle = ReferenceRR(workers, cap)
     dispatched = []
     running = []  # dispatch-order FIFO of tenants to complete
@@ -155,7 +155,7 @@ def test_wrr_dispatch_is_deterministic_and_capped(workers, cap, events):
 
 
 def test_admit_prefers_immediate_dispatch():
-    controller = AdmissionController(workers=2, max_pending=0)
+    controller = AdmissionController(ServeConfig(workers=2, max_pending=0))
     # max_pending=0 still admits what can run *right now* (the server
     # pumps after every admit, so the queue is empty at each arrival)...
     for rid in (1, 2):
@@ -169,7 +169,7 @@ def test_admit_prefers_immediate_dispatch():
 
 def test_tenant_queue_bound_sheds_only_the_noisy_tenant():
     controller = AdmissionController(
-        workers=1, max_pending=100, tenant_max_pending=2
+        ServeConfig(workers=1, max_pending=100, tenant_max_pending=2)
     )
     assert controller.try_admit(Pending("hog", 1)) is None
     controller.next_dispatch()  # hog occupies the only worker
@@ -184,7 +184,7 @@ def test_tenant_queue_bound_sheds_only_the_noisy_tenant():
 
 
 def test_retry_after_scales_with_backlog():
-    controller = AdmissionController(workers=1, max_pending=100)
+    controller = AdmissionController(ServeConfig(workers=1, max_pending=100))
     idle = controller.retry_after_ms()
     for rid in range(1, 30):
         controller.try_admit(Pending("a", rid))

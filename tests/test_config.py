@@ -8,11 +8,21 @@ import dataclasses
 
 import pytest
 
-from repro.chase import ChaseConfig, chase
+from repro.chase import (
+    ChaseConfig,
+    ChaseView,
+    IncrementalConfig,
+    certain_answers,
+    certain_boolean,
+    certain_report,
+    chase,
+)
 from repro.config import BudgetedConfig, OnBudget, coerce_enum
 from repro.core import PipelineConfig, build_finite_counter_model
+from repro.fc import SearchConfig, every_finite_model_satisfies, search_finite_model
 from repro.lf import parse_query, parse_structure, parse_theory
 from repro.rewriting import RewriteConfig, rewrite
+from repro.runtime import StopReason
 
 
 class TestOnBudget:
@@ -117,3 +127,77 @@ class TestEnginesHonorThePolicy:
         assert result.model is None
         assert not result.query_certain
         assert result.attempts
+
+
+LINEAR = parse_theory("E(x,y) -> exists z. E(y,z)")
+TRANSITIVE = parse_theory("E(x,y), E(y,z) -> E(x,z)")
+EDGE = parse_structure("E(a,b)")
+CHAIN = parse_structure("E(a,b), E(b,c), E(c,d), E(d,e)")
+#: Four edges in a row: the chase of EDGE under LINEAR has them from depth 3.
+PATH4 = parse_query("E(x,y), E(y,z), E(z,u), E(u,w)")
+LOOP = parse_query("E(x,x)")
+
+
+@pytest.mark.parametrize(
+    "run, expected",
+    [
+        pytest.param(
+            lambda: chase(EDGE, LINEAR, ChaseConfig(max_depth=9), max_depth=2).depth,
+            2,
+            id="chase",
+        ),
+        pytest.param(
+            lambda: certain_report(
+                EDGE, LINEAR, PATH4, ChaseConfig(max_depth=9), max_depth=2
+            ).result.depth,
+            2,
+            id="certain_report",
+        ),
+        pytest.param(
+            lambda: certain_boolean(
+                EDGE, LINEAR, PATH4, ChaseConfig(max_depth=9), max_depth=2
+            ),
+            None,
+            id="certain_boolean",
+        ),
+        pytest.param(
+            lambda: certain_answers(
+                CHAIN, TRANSITIVE, parse_query("E('a',y)", free=["y"]),
+                ChaseConfig(max_depth=9), max_depth=1,
+            )[1],
+            False,
+            id="certain_answers",
+        ),
+        pytest.param(
+            lambda: search_finite_model(
+                EDGE, LINEAR, LOOP, SearchConfig(max_elements=3), max_nodes=1
+            ).stopped_reason,
+            StopReason.BUDGET,
+            id="search_finite_model",
+        ),
+        pytest.param(
+            lambda: every_finite_model_satisfies(
+                EDGE, LINEAR, LOOP, SearchConfig(max_elements=3), max_nodes=1
+            )[1].nodes,
+            1,
+            id="every_finite_model_satisfies",
+        ),
+        pytest.param(
+            lambda: rewrite(
+                parse_query("E(u,v)", free=["u", "v"]), TRANSITIVE,
+                RewriteConfig(on_budget=OnBudget.RETURN), max_steps=1,
+            ).stopped_reason,
+            StopReason.BUDGET,
+            id="rewrite",
+        ),
+        pytest.param(
+            lambda: ChaseView(
+                EDGE, LINEAR, IncrementalConfig(max_depth=9), max_depth=2
+            ).depth,
+            2,
+            id="ChaseView",
+        ),
+    ],
+)
+def test_an_override_beats_the_config_it_comes_with(run, expected):
+    assert run() == expected
